@@ -2,27 +2,26 @@
 
 The greedy pass only ever needs "the next desirable configuration from the
 current one", which is exactly what the trained network proposes.  So the
-whole allocation runs in one module: start every task at its cheapest
-configuration, ask the proposer for each task's next configuration, and keep
-applying the feasible upgrade with the best (optionally priority-weighted)
-utility-to-resource quotient, re-querying a task after each accepted upgrade.
+allocation runs the shared :func:`qram.classic.upgrade_loop` with a proposer
+step: every task starts at its cheapest configuration, the proposer names
+its next configuration, and the loop applies the feasible upgrade with the
+best (optionally priority-weighted) utility-to-resource quotient,
+re-querying a task after each accepted upgrade.
 
-Unlike the job-list pass, proposals come from an arbitrary function, so the
-loop protects itself: a stationary or non-improving proposal retires the
-task, and a per-task upgrade budget of the grid size bounds the loop even
-under adversarial proposers.
+Unlike a job list, proposals come from an arbitrary function, so the step
+protects the loop: a stationary or non-improving proposal retires the task,
+and a per-task upgrade budget of the grid size bounds the loop even under
+adversarial proposers.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from .agent import AgentParams, forward, greedy_action
-from .classic import (AllocationTrace, UpgradeStep, UsageLedger,
-                      _drop_until_feasible, base_configuration, job_list_for)
-from .core import Allocation, Configuration, Task, resource_of
+from .classic import (AllocationTrace, base_configuration, job_list_for,
+                      upgrade_loop)
+from .core import Allocation, Configuration, Task
 from .env import encode_state, raw_quotient
 from .perf import Target
 from .problem import ProblemInstance
@@ -73,54 +72,22 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance,
     weights = priority_weights or {}
     tasks = {t.id: t for t in instance.tasks}
     targets = {t.id: instance.target_for(t) for t in instance.tasks}
+    start = {tid: base_configuration(tasks[tid].config_space, targets[tid],
+                                     instance.bounds)
+             for tid in tasks}
+    accepted = dict.fromkeys(tasks, -1)  # the first call follows no upgrade
 
-    current = {tid: base_configuration(tasks[tid].config_space, targets[tid],
-                                       instance.bounds)
-               for tid in tasks}
-    ledger = UsageLedger(instance)
-    active = sorted(tasks)
-    for tid in active:
-        ledger.set_row(tid, resource_of(current[tid]))
-    dropped = _drop_until_feasible(ledger, active)
+    def advance(tid: int, current: Configuration):
+        accepted[tid] += 1
+        if accepted[tid] > tasks[tid].config_space.size:
+            return None  # cycle guard for bad proposers
+        proposal = propose(tasks[tid], targets[tid], current)
+        quotient = raw_quotient(current, proposal, targets[tid], instance.bounds)
+        if proposal == current or quotient <= 0.0:
+            return None  # stationary or non-improving: retire
+        return proposal, weights.get(tid, 1.0) * quotient
 
-    candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
-    upgrade_count = {tid: 0 for tid in active}
-
-    def refresh(tid: int) -> None:
-        proposal = propose(tasks[tid], targets[tid], current[tid])
-        quotient = raw_quotient(current[tid], proposal, targets[tid],
-                                instance.bounds)
-        if proposal == current[tid] or quotient <= 0.0:
-            candidates.pop(tid, None)  # stationary or non-improving: retire
-        else:
-            candidates[tid] = (proposal, resource_of(proposal),
-                               weights.get(tid, 1.0) * quotient)
-
-    for tid in active:
-        refresh(tid)
-
-    upgrades: list[UpgradeStep] = []
-    while candidates:
-        order = sorted(candidates, key=lambda tid: (-candidates[tid][2], tid))
-        for tid in order:
-            proposal, vec, ratio = candidates[tid]
-            if ledger.fits(tid, vec):
-                ledger.set_row(tid, vec)
-                current[tid] = proposal
-                upgrades.append(UpgradeStep(task_id=tid, config=proposal,
-                                            ratio=ratio))
-                upgrade_count[tid] += 1
-                if upgrade_count[tid] > tasks[tid].config_space.size:
-                    candidates.pop(tid, None)  # cycle guard for bad proposers
-                else:
-                    refresh(tid)
-                break
-        else:
-            break  # nothing feasible anywhere
-
-    assignment = {tid: current[tid] for tid in active}
-    return (Allocation(assignment=assignment),
-            AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
+    return upgrade_loop(instance, start, advance)
 
 
 def allocate_with_agent(params: AgentParams, instance: ProblemInstance,

@@ -6,6 +6,11 @@ hull) is the task's *job list*.  A global pass then starts all tasks at their
 cheapest job and repeatedly applies the upgrade with the best marginal
 utility-to-resource ratio that still fits the resource bounds.
 
+That pass is :func:`upgrade_loop`, the one greedy loop in the package: it
+owns the resource ledger, the drop rule, the ratio order and the first-fit
+acceptance.  An allocator only supplies each task's next step.  Here the
+step walks the job list; :mod:`qram.allocator` asks a proposer instead.
+
 The greedy pass is a heuristic: restricting choices to hull points can lose
 the true optimum, and refining a grid can even lower the greedy result (see
 the regression instance in :mod:`qram.remark1`).
@@ -14,6 +19,7 @@ the regression instance in :mod:`qram.remark1`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -193,55 +199,85 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
     return sorted(dropped)
 
 
-def greedy_allocate(job_lists: list[JobList],
-                    instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
-    """Greedy marginal-ratio allocation over precomputed job lists.
+#: advance(task_id, current_config) -> (next config, ratio), or None to retire
+Advance = Callable[[int, Configuration], tuple[Configuration, float] | None]
 
-    Starts each task at its first frontier point (dropping the highest ids if
-    even those do not fit), then repeatedly applies the feasible upgrade with
-    the highest utility-to-resource ratio, one frontier step at a time.  Ratio
-    ties go to the lower task id.  Feasibility is checked against the full
-    resource vector even though ratios rank by the compound scalar.
+
+def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
+                 advance: Advance) -> tuple[Allocation, AllocationTrace]:
+    """The greedy upgrade loop shared by every allocator.
+
+    Starts each task at ``start[tid]`` (dropping the highest ids if even
+    those do not fit), then keeps one candidate upgrade per task, asked of
+    ``advance``, and repeatedly applies the first candidate that fits, in
+    order of decreasing ratio with ties to the lower task id.  ``advance``
+    is called once per task at the start and again for a task only after
+    its candidate was accepted; returning None retires the task.
+    Feasibility is checked against the full resource vector even though
+    ratios rank by a scalar.
     """
-    by_id = {jl.task_id: jl for jl in job_lists}
-    if sorted(by_id) != sorted(t.id for t in instance.tasks):
-        raise ValueError("need exactly one job list per task")
-    vecs = {tid: [resource_of(p.config) for p in jl.points]
-            for tid, jl in by_id.items()}
-
     ledger = UsageLedger(instance)
-    active = sorted(by_id)
+    active = sorted(start)
     for tid in active:
-        ledger.set_row(tid, vecs[tid][0])
+        ledger.set_row(tid, resource_of(start[tid]))
     dropped = _drop_until_feasible(ledger, active)
+    current = {tid: start[tid] for tid in active}
 
-    position = {tid: 0 for tid in active}
+    candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
+
+    def refresh(tid: int) -> None:
+        step = advance(tid, current[tid])
+        if step is None:
+            candidates.pop(tid, None)
+        else:
+            config, ratio = step
+            candidates[tid] = (config, resource_of(config), ratio)
+
+    for tid in active:
+        refresh(tid)
+
     upgrades: list[UpgradeStep] = []
-    while True:
-        candidates = []
-        for tid in active:
-            pos = position[tid]
-            pts = by_id[tid].points
-            if pos + 1 < len(pts):
-                ratio = ((pts[pos + 1].utility - pts[pos].utility)
-                         / (pts[pos + 1].resource - pts[pos].resource))
-                candidates.append((-ratio, tid))
-        candidates.sort()
-        for neg_ratio, tid in candidates:
-            pos = position[tid]
-            if ledger.fits(tid, vecs[tid][pos + 1]):
-                ledger.set_row(tid, vecs[tid][pos + 1])
-                position[tid] = pos + 1
-                upgrades.append(UpgradeStep(task_id=tid,
-                                            config=by_id[tid].points[pos + 1].config,
-                                            ratio=-neg_ratio))
+    while candidates:
+        order = sorted(candidates, key=lambda tid: (-candidates[tid][2], tid))
+        for tid in order:
+            config, vec, ratio = candidates[tid]
+            if ledger.fits(tid, vec):
+                ledger.set_row(tid, vec)
+                current[tid] = config
+                upgrades.append(UpgradeStep(task_id=tid, config=config,
+                                            ratio=ratio))
+                refresh(tid)
                 break
         else:
             break  # no feasible upgrade anywhere
 
-    assignment = {tid: by_id[tid].points[position[tid]].config for tid in active}
-    return (Allocation(assignment=assignment),
+    return (Allocation(assignment=current),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
+
+
+def greedy_allocate(job_lists: list[JobList],
+                    instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
+    """Greedy marginal-ratio allocation over precomputed job lists.
+
+    Runs :func:`upgrade_loop` from each task's first frontier point, one
+    frontier step at a time, ranked by the step's utility-to-resource ratio.
+    """
+    by_id = {jl.task_id: jl for jl in job_lists}
+    if sorted(by_id) != sorted(t.id for t in instance.tasks):
+        raise ValueError("need exactly one job list per task")
+    steps = {tid: zip(jl.points, jl.points[1:]) for tid, jl in by_id.items()}
+
+    def advance(tid: int, config: Configuration):
+        # The loop only calls again after accepting the previous step, so
+        # the next pair of frontier points always starts at ``config``.
+        step = next(steps[tid], None)
+        if step is None:
+            return None  # end of the frontier
+        a, b = step
+        return b.config, (b.utility - a.utility) / (b.resource - a.resource)
+
+    return upgrade_loop(instance, {tid: jl.points[0].config
+                                   for tid, jl in by_id.items()}, advance)
 
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:

@@ -13,15 +13,17 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import agent as agent_mod
-from . import kernels, remark1
+from . import remark1
 from .agent import TrainConfig, TrainingError, WeightFormatError
 from .allocator import allocate_with_proposals, network_proposer
-from .classic import embed_task, greedy_allocate, job_list_for, upper_frontier
+from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
+                      upper_frontier)
 from .core import (Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
                    ResourceBounds, resource_of)
 from .env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
@@ -50,6 +52,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -91,8 +100,16 @@ def _bounds_from_args(args, n_targets: int) -> ResourceBounds:
     return bounds
 
 
+class ScenarioFormatError(ValueError):
+    """A scenario file that is not valid JSON or not a format-1 scenario."""
+
+
 def _load_scenario(path: str) -> Scenario:
-    return Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ScenarioFormatError(f"{path}: not a valid scenario ({detail})") from None
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -280,9 +297,7 @@ def cmd_bench_utility(args) -> int:
         for run in range(args.runs):
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, run))
             instance = build_tracking_instance(scenario, bounds, space)
-            classic_alloc, _ = greedy_allocate(
-                [job_list_for(t, instance.target_for(t), bounds)
-                 for t in instance.tasks], instance)
+            classic_alloc, _ = solve_classic(instance)
             agent_alloc, _ = allocate_with_proposals(network_proposer(params),
                                                      instance)
             cu = system_utility(classic_alloc, instance)
@@ -300,23 +315,50 @@ def cmd_bench_utility(args) -> int:
     return 0
 
 
-def _median_time(fn, runs: int, min_sample_s: float = 2e-3) -> float:
-    """Median over ``runs`` samples of the per-call time of ``fn``.
+#: Iterations of the pure-Python loop that gauges the machine's speed.
+_PROBE_ITERATIONS = 20_000
 
-    Each sample loops the call often enough to outlast timer noise.
-    """
-    fn()  # warm-up (JIT compilation, caches)
+
+def _probe_s() -> float:
+    """Time a fixed pure-Python loop: a gauge of the machine's current speed."""
     t0 = time.perf_counter()
-    fn()
-    single = max(time.perf_counter() - t0, 1e-9)
-    repeats = max(1, int(math.ceil(min_sample_s / single)))
-    samples = []
-    for _ in range(runs):
+    acc = 0
+    for i in range(_PROBE_ITERATIONS):
+        acc += i * i
+    return time.perf_counter() - t0
+
+
+def _median_times(fns, runs: int, min_sample_s: float = 20e-3) -> list[float]:
+    """Median of ``runs`` samples of the per-call time of each of ``fns``.
+
+    Each sample loops one call for at least ``min_sample_s`` so timer
+    resolution does not matter.  Samples are taken round-robin over ``fns``
+    so slow and fast spells of a shared machine hit every function alike,
+    and each sample is divided by the speed probe timed around it, which
+    cancels most of what is left; results are rescaled to the median probe.
+    """
+    repeats = []
+    for fn in fns:
+        fn()  # warm-up (caches)
         t0 = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        samples.append((time.perf_counter() - t0) / repeats)
-    return float(np.median(samples))
+        fn()
+        single = max(time.perf_counter() - t0, 1e-9)
+        repeats.append(max(1, int(math.ceil(min_sample_s / single))))
+    samples = [[] for _ in fns]
+    probes = []
+    before = _probe_s()
+    for _ in range(runs):
+        for fn, n, out in zip(fns, repeats, samples):
+            t0 = time.perf_counter()
+            for _ in range(n):
+                fn()
+            elapsed = (time.perf_counter() - t0) / n
+            after = _probe_s()
+            probes.append(before + after)
+            out.append(elapsed / probes[-1])
+            before = after
+    typical = float(np.median(probes))
+    return [float(np.median(x)) * typical for x in samples]
 
 
 def cmd_bench_runtime(args) -> int:
@@ -328,9 +370,9 @@ def cmd_bench_runtime(args) -> int:
             bounds = _bounds_from_args(args, n)
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, 0))
             instance = build_tracking_instance(scenario, bounds, space)
-            classic_s = _median_time(lambda: _timed_classic(instance), args.runs)
-            agent_s = _median_time(
-                lambda: allocate_with_proposals(network_proposer(params), instance),
+            classic_s, agent_s = _median_times(
+                [lambda: _timed_classic(instance),
+                 lambda: allocate_with_proposals(network_proposer(params), instance)],
                 args.runs)
             rows.append([n, repr(classic_s), repr(agent_s)])
             print(f"targets {n}: classic {classic_s*1e3:.2f} ms, "
@@ -345,22 +387,17 @@ def cmd_bench_runtime(args) -> int:
               else agent_mod.init_params(PortableRng(0)))
     scenario = generate_scenario(1, args.master_seed)
     target = scenario.targets[0]
-    rows = []
+    bounds = _bounds_from_args(args, 20)
+    cases = []
     for c in args.configs:
         refined = _refined_space(c)
-        bounds = _bounds_from_args(args, 20)
         task = build_tracking_instance(scenario, bounds, refined).tasks[0]
-        base = refined.config_at(0)
-        state = encode_state(refined, base, target)
-
-        def build_job_list():
-            upper_frontier(embed_task(task, target, bounds), task_id=task.id)
-
-        def forward_pass():
-            agent_mod.forward(params, state)
-
-        job_s = _median_time(build_job_list, args.runs)
-        fwd_s = _median_time(forward_pass, args.runs)
+        state = encode_state(refined, refined.config_at(0), target)
+        cases += [partial(job_list_for, task, target, bounds),
+                  partial(agent_mod.forward, params, state)]
+    times = _median_times(cases, args.runs)
+    rows = []
+    for c, job_s, fwd_s in zip(args.configs, times[0::2], times[1::2]):
         rows.append([c, repr(job_s), repr(fwd_s)])
         print(f"configs {c}: job list {job_s*1e3:.3f} ms, forward {fwd_s*1e6:.1f} us")
     _write_csv(args.out, ["configs", "joblist_s", "forward_s"], rows)
@@ -379,55 +416,6 @@ def cmd_bench_model(args) -> int:
     _write_csv(args.out, ["targets", "configs", "classic_model", "agent_model"],
                rows)
     print(f"wrote {len(rows)} model rows to {args.out}")
-    return 0
-
-
-def cmd_bench_kernels(args) -> int:
-    """Time the numba and numpy builds of each hot kernel side by side."""
-    from .core import expanded_grids
-    from .perf import SNR_CONST
-
-    if not kernels.HAS_NUMBA:
-        print("numba is not importable; only the numpy path can be timed",
-              file=sys.stderr)
-
-    space = _refined_space(args.configs)
-    dwell, tx, pw = expanded_grids(space)
-    metric_args = (dwell, tx, pw, 60.0, 300.0, 1.2, SNR_CONST, 1.0, 5.0, 1.0, 1.0)
-
-    scenario = generate_scenario(4, args.master_seed)
-    small = ConfigSpace((100.0, 500.0, 1100.0), (2.0, 6.0, 10.0), (1.0, 4.0))
-    bounds = ResourceBounds(bounds=(0.05, 0.2), compound_weights=(1.0, 1.0))
-    instance = build_tracking_instance(scenario, bounds, small)
-    from .exact import _metric_rows, _pad
-    metric = _metric_rows(instance)
-    util = _pad([r[2] for r in metric])
-    occ = _pad([r[4] for r in metric])
-    pw2 = _pad([r[5] for r in metric])
-    ncfg = np.array([len(r[1]) for r in metric], dtype=np.int64)
-    cost = np.ceil(_pad([r[3] for r in metric]) / 0.001 - 1e-9).astype(np.int64)
-
-    cases = {
-        "config_metrics": lambda force: kernels.config_metrics(
-            *metric_args, force=force),
-        "scan_best_feasible": lambda force: kernels.scan_best_feasible(
-            util, occ, pw2, ncfg, 0.05, 0.2, force=force),
-        "fill_knapsack_table": lambda force: kernels.fill_knapsack_table(
-            util, cost, ncfg, 2000, force=force),
-    }
-    rows = []
-    for name, fn in cases.items():
-        numpy_s = _median_time(lambda: fn("numpy"), args.runs)
-        if kernels.HAS_NUMBA:
-            numba_s = _median_time(lambda: fn("numba"), args.runs)
-            speedup = numpy_s / numba_s
-            rows.append([name, repr(numpy_s), repr(numba_s), repr(speedup)])
-            print(f"{name}: numpy {numpy_s*1e3:.3f} ms, numba {numba_s*1e3:.3f} ms "
-                  f"({speedup:.1f}x)")
-        else:
-            rows.append([name, repr(numpy_s), "", ""])
-            print(f"{name}: numpy {numpy_s*1e3:.3f} ms, numba unavailable")
-    _write_csv(args.out, ["kernel", "numpy_s", "numba_s", "speedup"], rows)
     return 0
 
 
@@ -470,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resource bounds override")
     p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2",
                    help="compound weight override")
-    p.add_argument("--dp-step", type=float, default=None,
+    p.add_argument("--dp-step", type=_positive_float, default=None,
                    help="resource quantisation step (dp method)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
@@ -531,13 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_model)
 
-    p = bench_sub.add_parser("kernels", help="numba vs numpy kernel timing")
-    p.add_argument("--configs", type=int, default=4500)
-    p.add_argument("--runs", type=_positive_int, default=20)
-    p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench_kernels)
-
     demo = sub.add_parser("demo", help="stored demonstration instances")
     demo_sub = demo.add_subparsers(dest="demo_command", required=True)
     p = demo_sub.add_parser(
@@ -559,7 +540,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 4
-    except WeightFormatError as exc:
+    except (WeightFormatError, ScenarioFormatError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except FileNotFoundError as exc:
         parser.exit(2, f"error: {exc}\n")

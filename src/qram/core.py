@@ -12,6 +12,7 @@ All types here are immutable value objects and all operations are pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -35,8 +36,10 @@ class Configuration:
     transmit_power: float
 
     def __post_init__(self):
-        if self.dwell_length <= 0 or self.transmit_duration <= 0 or self.transmit_power <= 0:
-            raise ValueError(f"configuration fields must be positive: {self}")
+        d, t, p = self.dwell_length, self.transmit_duration, self.transmit_power
+        if not (math.isfinite(d) and math.isfinite(t) and math.isfinite(p)
+                and d > 0 and t > 0 and p > 0):
+            raise ValueError(f"configuration fields must be finite and positive: {self}")
         if self.transmit_duration >= self.dwell_length:
             raise ValueError(
                 f"transmit duration {self.transmit_duration} must be shorter than "
@@ -155,6 +158,8 @@ class ResourceBounds:
     def __post_init__(self):
         if len(self.bounds) != N_RESOURCES or len(self.compound_weights) != N_RESOURCES:
             raise ValueError(f"expected {N_RESOURCES} resource components")
+        if not all(math.isfinite(x) for x in (*self.bounds, *self.compound_weights)):
+            raise ValueError(f"resource bounds and weights must be finite: {self}")
         if any(b <= 0 for b in self.bounds):
             raise ValueError(f"resource bounds must be positive: {self.bounds}")
         if any(w < 0 for w in self.compound_weights) or not any(self.compound_weights):

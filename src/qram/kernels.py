@@ -1,42 +1,18 @@
 """Hot numeric kernels: grid evaluation, exhaustive scan, knapsack table.
 
-Each kernel exists twice with identical arithmetic (same operations in the
-same order, so results are bit-equal): a numba ``@njit`` build and a pure
-numpy fallback.  The active path is picked at import time: numba is used
-when importable unless the environment variable ``QRAM_DISABLE_NUMBA`` is set
-to 1/true/yes/on.  ``qram bench kernels`` times the two paths side by side.
+Each kernel is one vectorised numpy implementation.  ``counters`` tallies
+single-configuration evaluations so runs can report how much work they did.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("QRAM_DISABLE_NUMBA", "0").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USING_NUMBA = HAS_NUMBA and not NUMBA_DISABLED
 
 #: Cumulative count of single-configuration evaluations (tests reset this).
 counters = {"config_evals": 0}
+
+#: Assignment codes evaluated per vectorised block of the exhaustive scan.
+_SCAN_CHUNK = 1 << 18
 
 
 # --------------------------------------------------------------------------
@@ -44,8 +20,20 @@ counters = {"config_evals": 0}
 # for every grid point against one target.
 # --------------------------------------------------------------------------
 
-def _config_metrics_numpy(dwell, tx, pw, range_km, speed, type_weight,
-                          snr_const, r1, r2, w1, w2):
+def config_metrics(dwell, tx, pw, range_km, speed, type_weight, snr_const,
+                   r1, r2, w1, w2):
+    """Evaluate all configurations of one task.
+
+    Returns (utility, compound, occupancy, avg_power) float64 arrays aligned
+    with the row-major grid expansion.
+    """
+    counters["config_evals"] += len(dwell)
+    dwell = np.asarray(dwell, dtype=np.float64)
+    tx = np.asarray(tx, dtype=np.float64)
+    pw = np.asarray(pw, dtype=np.float64)
+    range_km, speed, type_weight, snr_const, r1, r2, w1, w2 = (
+        float(x) for x in (range_km, speed, type_weight, snr_const,
+                           r1, r2, w1, w2))
     occ = tx / dwell
     avg_pw = pw * tx / dwell
     comp = w1 * (occ / r1) + w2 * (avg_pw / r2)
@@ -61,51 +49,6 @@ def _config_metrics_numpy(dwell, tx, pw, range_km, speed, type_weight,
     return util, comp, occ, avg_pw
 
 
-@njit(cache=True)
-def _config_metrics_jit(dwell, tx, pw, range_km, speed, type_weight,
-                        snr_const, r1, r2, w1, w2):  # pragma: no cover - jit
-    n = dwell.shape[0]
-    util = np.empty(n, dtype=np.float64)
-    comp = np.empty(n, dtype=np.float64)
-    occ = np.empty(n, dtype=np.float64)
-    avg_pw = np.empty(n, dtype=np.float64)
-    rr = range_km * range_km
-    r4 = rr * rr
-    for i in range(n):
-        o = tx[i] / dwell[i]
-        a = pw[i] * tx[i] / dwell[i]
-        c = w1 * (o / r1) + w2 * (a / r2)
-        s = snr_const * pw[i] * tx[i] / r4
-        sigma = 100.0 / math.sqrt(s)
-        travel = speed * (dwell[i] / 1000.0)
-        ratio = travel / 1000.0
-        growth = math.sqrt(1.0 + ratio * ratio)
-        err = sigma * growth
-        util[i] = type_weight / (1.0 + err / 50.0)
-        comp[i] = c
-        occ[i] = o
-        avg_pw[i] = a
-    return util, comp, occ, avg_pw
-
-
-def config_metrics(dwell, tx, pw, range_km, speed, type_weight, snr_const,
-                   r1, r2, w1, w2, *, force=None):
-    """Evaluate all configurations of one task.
-
-    Returns (utility, compound, occupancy, avg_power) float64 arrays aligned
-    with the row-major grid expansion.  ``force`` overrides the import-time
-    path choice ("numpy" or "numba") for benchmarking.
-    """
-    counters["config_evals"] += len(dwell)
-    use_numba = USING_NUMBA if force is None else (force == "numba")
-    impl = _config_metrics_jit if use_numba else _config_metrics_numpy
-    return impl(np.asarray(dwell, dtype=np.float64),
-                np.asarray(tx, dtype=np.float64),
-                np.asarray(pw, dtype=np.float64),
-                float(range_km), float(speed), float(type_weight),
-                float(snr_const), float(r1), float(r2), float(w1), float(w2))
-
-
 # --------------------------------------------------------------------------
 # Exhaustive feasible-assignment scan (the brute-force oracle's inner loop).
 #
@@ -115,40 +58,31 @@ def config_metrics(dwell, tx, pw, range_km, speed, type_weight, snr_const,
 # The scan keeps the FIRST code attaining the maximum feasible utility.
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
-def _scan_best_jit(util, occ, pw, ncfg, strides, total, r1, r2):  # pragma: no cover - jit
-    n = ncfg.shape[0]
-    best_u = -1.0
-    best_code = -1
-    for code in range(total):
-        tu = 0.0
-        to = 0.0
-        tp = 0.0
-        rem = code
-        for i in range(n):
-            d = rem // strides[i]
-            rem -= d * strides[i]
-            if d < ncfg[i]:
-                tu += util[i, d]
-                to += occ[i, d]
-                tp += pw[i, d]
-            else:
-                tu += 0.0
-                to += 0.0
-                tp += 0.0
-        if to <= r1 and tp <= r2 and tu > best_u:
-            best_u = tu
-            best_code = code
-    return best_u, best_code
+def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
+    """Return (best utility, mixed-radix code, strides) over every assignment.
 
-
-def _scan_best_numpy(util, occ, pw, ncfg, strides, total, r1, r2,
-                     chunk=1 << 18):
+    ``util/occ/pw`` are (n_tasks, max_configs) arrays padded per row beyond
+    ``ncfg[i]``; digit n_i drops task i.  Empty allocations are part of the
+    search, so a result is always found.
+    """
+    util = np.ascontiguousarray(util, dtype=np.float64)
+    occ = np.ascontiguousarray(occ, dtype=np.float64)
+    pw = np.ascontiguousarray(pw, dtype=np.float64)
+    r1, r2 = float(r1), float(r2)
+    ncfg = np.asarray(ncfg, dtype=np.int64)
     n = len(ncfg)
+    radix = ncfg + 1
+    strides = np.empty(n, dtype=np.int64)
+    acc = 1
+    for i in range(n - 1, -1, -1):
+        strides[i] = acc
+        acc *= int(radix[i])
+    total = int(acc)
+
     best_u = -1.0
     best_code = -1
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _SCAN_CHUNK):
+        codes = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
         tu = np.zeros(codes.shape[0], dtype=np.float64)
         to = np.zeros(codes.shape[0], dtype=np.float64)
         tp = np.zeros(codes.shape[0], dtype=np.float64)
@@ -167,31 +101,6 @@ def _scan_best_numpy(util, occ, pw, ncfg, strides, total, r1, r2,
         if cand[j] > best_u:
             best_u = float(cand[j])
             best_code = int(codes[j])
-    return best_u, best_code
-
-
-def scan_best_feasible(util, occ, pw, ncfg, r1, r2, *, force=None):
-    """Return (best utility, mixed-radix code) over every assignment.
-
-    ``util/occ/pw`` are (n_tasks, max_configs) arrays padded per row beyond
-    ``ncfg[i]``; digit n_i drops task i.  Empty allocations are part of the
-    search, so a result is always found.
-    """
-    ncfg = np.asarray(ncfg, dtype=np.int64)
-    n = len(ncfg)
-    radix = ncfg + 1
-    strides = np.empty(n, dtype=np.int64)
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= int(radix[i])
-    total = int(acc)
-    use_numba = USING_NUMBA if force is None else (force == "numba")
-    impl = _scan_best_jit if use_numba else _scan_best_numpy
-    best_u, best_code = impl(np.ascontiguousarray(util, dtype=np.float64),
-                             np.ascontiguousarray(occ, dtype=np.float64),
-                             np.ascontiguousarray(pw, dtype=np.float64),
-                             ncfg, strides, total, float(r1), float(r2))
     return float(best_u), int(best_code), strides
 
 
@@ -200,33 +109,18 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2, *, force=None):
 #
 # dp[j] = best utility with integer budget j; choice[i, j] records the pick
 # for task i (ncfg[i] = dropped).  Ties prefer dropping, then the lowest
-# configuration index, identically on both paths.
+# configuration index.
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
-def _dp_fill_jit(util, cost, ncfg, budget):  # pragma: no cover - jit
-    n = ncfg.shape[0]
-    dp = np.zeros(budget + 1, dtype=np.float64)
-    choice = np.empty((n, budget + 1), dtype=np.int32)
-    for i in range(n):
-        new = dp.copy()
-        for j in range(budget + 1):
-            choice[i, j] = ncfg[i]
-        for c in range(ncfg[i]):
-            w = cost[i, c]
-            u = util[i, c]
-            if w > budget:
-                continue
-            for j in range(w, budget + 1):
-                v = dp[j - w] + u
-                if v > new[j]:
-                    new[j] = v
-                    choice[i, j] = c
-        dp = new
-    return dp, choice
+def fill_knapsack_table(util, cost, ncfg, budget):
+    """Fill the quantised multiple-choice knapsack table.
 
-
-def _dp_fill_numpy(util, cost, ncfg, budget):
+    ``cost`` holds per-configuration integer costs; returns (dp, choice).
+    """
+    util = np.ascontiguousarray(util, dtype=np.float64)
+    cost = np.ascontiguousarray(cost, dtype=np.int64)
+    ncfg = np.asarray(ncfg, dtype=np.int64)
+    budget = int(budget)
     n = len(ncfg)
     dp = np.zeros(budget + 1, dtype=np.float64)
     choice = np.empty((n, budget + 1), dtype=np.int32)
@@ -242,15 +136,3 @@ def _dp_fill_numpy(util, cost, ncfg, budget):
         dp = rows[pick, np.arange(budget + 1)]
         choice[i] = np.where(pick == 0, ncfg[i], pick - 1)
     return dp, choice
-
-
-def fill_knapsack_table(util, cost, ncfg, budget, *, force=None):
-    """Fill the quantised multiple-choice knapsack table.
-
-    ``cost`` holds per-configuration integer costs; returns (dp, choice).
-    """
-    use_numba = USING_NUMBA if force is None else (force == "numba")
-    impl = _dp_fill_jit if use_numba else _dp_fill_numpy
-    return impl(np.ascontiguousarray(util, dtype=np.float64),
-                np.ascontiguousarray(cost, dtype=np.int64),
-                np.asarray(ncfg, dtype=np.int64), int(budget))

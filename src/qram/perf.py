@@ -69,8 +69,8 @@ class Target:
     speed_mps: float
 
     def __post_init__(self):
-        if self.range_km <= 0:
-            raise ValueError(f"target range must be positive: {self.range_km}")
+        if not (math.isfinite(self.range_km) and self.range_km > 0):
+            raise ValueError(f"target range must be finite and positive: {self.range_km}")
         lo, hi = TYPE_SPEED_RANGE[self.ttype]
         if not lo <= self.speed_mps <= hi:
             raise ValueError(

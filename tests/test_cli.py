@@ -101,6 +101,32 @@ def test_solve_brute_dominates_classic(scenario_file, tmp_path):
     assert bu >= cu - 1e-12
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"format": 2, "seed": 0, "targets": []}',
+    '{"format": 1, "seed": 0}',
+    '[1, 2, 3]',
+    '{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": "Fighter", '
+    '"range_km": NaN, "speed_mps": 200.0}]}',
+])
+def test_solve_rejects_bad_scenario_file(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(bad), "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(scenario_file), "--method", "dp",
+             "--dp-step", step, "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+
+
 def test_solve_brute_capacity_exit_code(tmp_path):
     big = tmp_path / "big.json"
     run(["gen", "--targets", "30", "--seed", "1", "--out", str(big)])
@@ -214,15 +240,6 @@ def test_bench_model_closed_forms(tmp_path):
         t, c = int(row["targets"]), int(row["configs"])
         assert float(row["classic_model"]) == t * c * math.log(c)
         assert float(row["agent_model"]) == t * c * 4 * 100**2
-
-
-def test_bench_kernels_runs(tmp_path):
-    out = tmp_path / "kernels.csv"
-    assert run(["bench", "kernels", "--configs", "450", "--runs", "2",
-                "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert [r["kernel"] for r in rows] == ["config_metrics", "scan_best_feasible",
-                                           "fill_knapsack_table"]
 
 
 def test_demo_remark1_csv(tmp_path):

@@ -14,6 +14,13 @@ def test_configuration_rejects_tx_longer_than_dwell():
         Configuration(dwell_length=-1.0, transmit_duration=2.0, transmit_power=1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_configuration_rejects_non_finite(bad):
+    for fields in ((bad, 2.0, 1.0), (100.0, bad, 1.0), (100.0, 2.0, bad)):
+        with pytest.raises(ValueError):
+            Configuration(*fields)
+
+
 def test_configuration_ordering_is_lexicographic():
     a = Configuration(100.0, 2.0, 4.0)
     b = Configuration(100.0, 4.0, 1.0)
@@ -88,6 +95,14 @@ def test_resource_bounds_validation():
         ResourceBounds(bounds=(1.0, 1.0), compound_weights=(0.0, 0.0))
     with pytest.raises(ValueError):
         ResourceBounds(bounds=(1.0, 1.0), compound_weights=(-1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_resource_bounds_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        ResourceBounds(bounds=(bad, 1.0), compound_weights=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        ResourceBounds(bounds=(1.0, 1.0), compound_weights=(1.0, bad))
 
 
 def test_allocation_usage_sums_components():

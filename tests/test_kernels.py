@@ -1,17 +1,10 @@
-"""The numba builds must agree with the numpy fallbacks bit for bit."""
-
-import subprocess
-import sys
+"""The hot kernels against literal reference computations."""
 
 import numpy as np
-import pytest
 
 from qram import kernels
 from qram.core import DEFAULT_CONFIG_SPACE, expanded_grids
 from qram.perf import SNR_CONST
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
-                                 reason="numba not importable")
 
 METRIC_ARGS = dict(range_km=62.5, speed=340.0, type_weight=1.2,
                    snr_const=SNR_CONST, r1=0.6, r2=5.0, w1=1.0, w2=1.0)
@@ -22,15 +15,6 @@ def _grid_args():
     return dwell, tx, pw
 
 
-@needs_numba
-def test_config_metrics_paths_bit_equal():
-    dwell, tx, pw = _grid_args()
-    a = kernels.config_metrics(dwell, tx, pw, **METRIC_ARGS, force="numpy")
-    b = kernels.config_metrics(dwell, tx, pw, **METRIC_ARGS, force="numba")
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 def _scan_case(seed):
     rng = np.random.default_rng(seed)
     n, cmax = 4, 6
@@ -39,18 +23,6 @@ def _scan_case(seed):
     occ = rng.uniform(0.0, 0.1, size=(n, cmax))
     pw = rng.uniform(0.0, 0.4, size=(n, cmax))
     return util, occ, pw, ncfg
-
-
-@needs_numba
-def test_scan_paths_identical():
-    for seed in range(20):
-        util, occ, pw, ncfg = _scan_case(seed)
-        a = kernels.scan_best_feasible(util, occ, pw, ncfg, 0.15, 0.5,
-                                       force="numpy")
-        b = kernels.scan_best_feasible(util, occ, pw, ncfg, 0.15, 0.5,
-                                       force="numba")
-        assert a[0] == b[0]  # same utility bits
-        assert a[1] == b[1]  # same winning code (same tie-break)
 
 
 def test_scan_brute_reference():
@@ -73,8 +45,7 @@ def test_scan_brute_reference():
             for i, d in enumerate(digits):
                 code = code * radix[i] + d
             best_code = code
-    got_u, got_code, _ = kernels.scan_best_feasible(util, occ, pw, ncfg, r1, r2,
-                                                    force="numpy")
+    got_u, got_code, _ = kernels.scan_best_feasible(util, occ, pw, ncfg, r1, r2)
     assert got_u == best_u
     assert got_code == best_code
 
@@ -88,21 +59,9 @@ def _dp_case(seed):
     return util, cost, ncfg
 
 
-@needs_numba
-def test_dp_paths_identical():
-    for seed in range(20):
-        util, cost, ncfg = _dp_case(seed)
-        dp_a, ch_a = kernels.fill_knapsack_table(util, cost, ncfg, 60,
-                                                 force="numpy")
-        dp_b, ch_b = kernels.fill_knapsack_table(util, cost, ncfg, 60,
-                                                 force="numba")
-        assert np.array_equal(dp_a, dp_b)
-        assert np.array_equal(ch_a, ch_b)
-
-
 def test_dp_table_monotone_in_budget():
     util, cost, ncfg = _dp_case(7)
-    dp, _ = kernels.fill_knapsack_table(util, cost, ncfg, 80, force="numpy")
+    dp, _ = kernels.fill_knapsack_table(util, cost, ncfg, 80)
     assert np.all(np.diff(dp) >= 0)
 
 
@@ -111,13 +70,3 @@ def test_eval_counter_accumulates():
     dwell, tx, pw = _grid_args()
     kernels.config_metrics(dwell, tx, pw, **METRIC_ARGS)
     assert kernels.counters["config_evals"] == 90
-
-
-def test_disable_flag_selects_numpy_path():
-    code = ("import os; os.environ['QRAM_DISABLE_NUMBA'] = '1';"
-            "from qram import kernels;"
-            "assert not kernels.USING_NUMBA;"
-            "print('ok')")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode == 0 and "ok" in out.stdout

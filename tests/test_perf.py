@@ -57,6 +57,12 @@ def test_target_speed_validation():
         Target(0, TargetType.MISSILE, 50.0, 100.0)  # too slow for a missile
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_target_rejects_non_finite_range(bad):
+    with pytest.raises(ValueError):
+        fighter(range_km=bad)
+
+
 # ----------------------------------------------------------------- the model
 
 def test_snr_linear_in_power():
