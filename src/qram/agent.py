@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigSpace
-from .env import EPISODE_LENGTH, QUOTIENT_CAP, State, TrackingEnv
+from .env import EPISODE_LENGTH, State, TrackingEnv
 from .rng import PortableRng
 
 
@@ -181,8 +181,6 @@ class TrainConfig:
     total_steps: int
     seed: int = 0
     discount: float = 0.005
-    episode_len: int = EPISODE_LENGTH
-    reward_cap: float = QUOTIENT_CAP
     learning_rate: float = 7e-4
     rmsprop_decay: float = 0.99
     rmsprop_epsilon: float = 1e-5
@@ -192,10 +190,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must be in [0, 1): {self.discount}")
-        for name in ("learning_rate", "rmsprop_decay", "rmsprop_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.total_steps < 0 or self.episode_len < 1:
+        if not 0.0 < self.rmsprop_decay < 1.0:
+            raise ValueError(f"rmsprop_decay must be in (0, 1): {self.rmsprop_decay}")
+        for name in ("learning_rate", "rmsprop_epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.total_steps < 0:
             raise ValueError("invalid step counts")
 
 
@@ -285,8 +285,8 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
 def a2c_update(params: AgentParams, opt_state: OptimizerState,
                trajectory: list[Transition], cfg: TrainConfig):
     """One RMSprop step on one episode; returns new params, state, metrics."""
-    if len(trajectory) != cfg.episode_len:
-        raise ValueError(f"expected {cfg.episode_len} transitions, "
+    if len(trajectory) != EPISODE_LENGTH:
+        raise ValueError(f"expected {EPISODE_LENGTH} transitions, "
                          f"got {len(trajectory)}")
     total, grads, metrics = loss_and_gradients(params, trajectory, cfg)
     if not math.isfinite(total):
@@ -327,11 +327,11 @@ def train(env: TrackingEnv, cfg: TrainConfig):
     params = init_params(rng, n_actions=env.space.size)
     opt_state = OptimizerState.zeros_like(params)
     curve: list[TrainLogEntry] = []
-    episodes = cfg.total_steps // cfg.episode_len
+    episodes = cfg.total_steps // EPISODE_LENGTH
     for episode in range(episodes):
         state = env.reset()
         trajectory = []
-        for _ in range(cfg.episode_len):
+        for _ in range(EPISODE_LENGTH):
             logits, _ = forward(params, state)
             action = sample_action(logits, rng)
             result = env.step(action)
@@ -339,7 +339,7 @@ def train(env: TrackingEnv, cfg: TrainConfig):
                                          reward=result.reward))
             state = result.next_state
         params, opt_state, metrics = a2c_update(params, opt_state, trajectory, cfg)
-        curve.append(TrainLogEntry(step=(episode + 1) * cfg.episode_len,
+        curve.append(TrainLogEntry(step=(episode + 1) * EPISODE_LENGTH,
                                    episode=episode,
                                    mean_reward=metrics["mean_reward"],
                                    loss=metrics["loss"]))

@@ -70,19 +70,19 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance,
                             ) -> tuple[Allocation, AllocationTrace]:
     """Greedy upgrade loop over proposals; never returns an infeasible result."""
     weights = priority_weights or {}
-    tasks = {t.id: t for t in instance.tasks}
-    targets = {t.id: instance.target_for(t) for t in instance.tasks}
-    start = {tid: base_configuration(tasks[tid].config_space, targets[tid],
-                                     instance.bounds)
-             for tid in tasks}
-    accepted = dict.fromkeys(tasks, -1)  # the first call follows no upgrade
+    start = {t.id: base_configuration(t.config_space, instance.target_for(t),
+                                      instance.bounds)
+             for t in instance.tasks}
+    accepted = dict.fromkeys(start, -1)  # the first call follows no upgrade
 
     def advance(tid: int, current: Configuration):
+        task = instance.task_by_id(tid)
         accepted[tid] += 1
-        if accepted[tid] > tasks[tid].config_space.size:
+        if accepted[tid] > task.config_space.size:
             return None  # cycle guard for bad proposers
-        proposal = propose(tasks[tid], targets[tid], current)
-        quotient = raw_quotient(current, proposal, targets[tid], instance.bounds)
+        target = instance.target_for(task)
+        proposal = propose(task, target, current)
+        quotient = raw_quotient(current, proposal, target, instance.bounds)
         if proposal == current or quotient <= 0.0:
             return None  # stationary or non-improving: retire
         return proposal, weights.get(tid, 1.0) * quotient

@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
                    Task, expanded_grids, resource_of)
-from .perf import SNR_CONST, TYPE_UTILITY_WEIGHT, Target
+from .perf import Target
 from .problem import ProblemInstance
 
 
@@ -78,11 +78,7 @@ def embed_task(task: Task, target: Target, bounds: ResourceBounds) -> list[JobPo
     """Evaluate every configuration of the task: one JobPoint per grid cell."""
     space = task.config_space
     dwell, tx, pw = expanded_grids(space)
-    util, comp, _, _ = kernels.config_metrics(
-        dwell, tx, pw, target.range_km, target.speed_mps,
-        TYPE_UTILITY_WEIGHT[target.ttype], SNR_CONST,
-        bounds.bounds[0], bounds.bounds[1],
-        bounds.compound_weights[0], bounds.compound_weights[1])
+    util, comp, _, _ = kernels.config_metrics(dwell, tx, pw, target, bounds)
     return [JobPoint(config=space.config_at(i), resource=float(comp[i]),
                      utility=float(util[i]))
             for i in range(space.size)]
@@ -126,11 +122,7 @@ def base_configuration(space: ConfigSpace, target: Target,
     """Cheapest configuration by compound resource (ties: higher utility,
     then lexicographic).  This is the first point of the task's job list."""
     dwell, tx, pw = expanded_grids(space)
-    util, comp, _, _ = kernels.config_metrics(
-        dwell, tx, pw, target.range_km, target.speed_mps,
-        TYPE_UTILITY_WEIGHT[target.ttype], SNR_CONST,
-        bounds.bounds[0], bounds.bounds[1],
-        bounds.compound_weights[0], bounds.compound_weights[1])
+    util, comp, _, _ = kernels.config_metrics(dwell, tx, pw, target, bounds)
     order = np.lexsort((np.arange(space.size), -util, comp))
     return space.config_at(int(order[0]))
 

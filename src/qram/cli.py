@@ -24,13 +24,12 @@ from .agent import TrainConfig, TrainingError, WeightFormatError
 from .allocator import allocate_with_proposals, network_proposer
 from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
                       upper_frontier)
-from .core import (Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                   ResourceBounds, resource_of)
+from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from .env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
-from .perf import Scenario, generate_scenario, task_utility
+from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                      system_utility)
+                      resource_usage, system_utility, task_utilities)
 from .rng import PortableRng
 
 #: Default sweep of configurations-per-task for the by-configs benchmark.
@@ -89,27 +88,37 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _bounds_from_args(args, n_targets: int) -> ResourceBounds:
-    bounds = default_bounds(n_targets)
-    if args.bounds is not None:
-        bounds = ResourceBounds(bounds=args.bounds,
-                                compound_weights=bounds.compound_weights)
-    if args.compound_weights is not None:
-        bounds = ResourceBounds(bounds=bounds.bounds,
-                                compound_weights=args.compound_weights)
-    return bounds
+class UsageError(ValueError):
+    """Input from the command line or a scenario file that the model rejects;
+    ``main`` reports it on one ``error:`` line and exits 2."""
 
 
-class ScenarioFormatError(ValueError):
-    """A scenario file that is not valid JSON or not a format-1 scenario."""
+def _checked(what: str, make, **fields):
+    """Build a model object from command-line values; a rejection is a usage error."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise UsageError(f"invalid {what}: {exc}") from None
+
+
+def _bounds_from_args(args, default: ResourceBounds) -> ResourceBounds:
+    """``default`` with the ``--bounds``/``--compound-weights`` overrides."""
+    return _checked(
+        "--bounds/--compound-weights", ResourceBounds,
+        bounds=default.bounds if args.bounds is None else args.bounds,
+        compound_weights=(default.compound_weights if args.compound_weights is None
+                          else args.compound_weights))
 
 
 def _load_scenario(path: str) -> Scenario:
     try:
-        return Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        scenario = Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ScenarioFormatError(f"{path}: not a valid scenario ({detail})") from None
+        raise UsageError(f"{path}: not a valid scenario ({detail})") from None
+    if not scenario.targets:
+        raise UsageError(f"{path}: the scenario has no targets")
+    return scenario
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -138,7 +147,7 @@ def _refined_space(configs_per_task: int) -> ConfigSpace:
     """Refined grid with the requested cardinality: the dwell axis gets
     6 * (c / 90) evenly spaced values over the base interval."""
     if configs_per_task % 90 != 0 or configs_per_task < 90:
-        raise argparse.ArgumentTypeError(
+        raise UsageError(
             f"configuration counts must be positive multiples of 90, "
             f"got {configs_per_task}")
     n_dwell = 6 * (configs_per_task // 90)
@@ -206,7 +215,7 @@ def _timed_agent(params, instance: ProblemInstance):
 
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
-    bounds = _bounds_from_args(args, len(scenario.targets))
+    bounds = _bounds_from_args(args, default_bounds(len(scenario.targets)))
     space = DEFAULT_CONFIG_SPACE
     instance = build_tracking_instance(scenario, bounds, space)
 
@@ -227,23 +236,17 @@ def cmd_solve(args) -> int:
         timings = {"optimize_s": time.perf_counter() - t0}
         extra["resource_model"] = "compound_relaxation"
 
-    usage = np.zeros(2)
-    per_task = {}
-    for task in instance.tasks:
-        config = alloc.assignment.get(task.id)
-        if config is not None:
-            usage += resource_of(config)
-            per_task[str(task.id)] = task_utility(config, instance.target_for(task))
     doc = {
         "format": 1,
         "method": args.method,
         "scenario": {"seed": scenario.seed, "n_targets": len(scenario.targets)},
         "bounds": bounds.to_dict(),
         "system_utility": system_utility(alloc, instance),
-        "per_task_utility": per_task,
+        "per_task_utility": {str(tid): u for tid, u
+                             in task_utilities(alloc, instance).items()},
         "assignment": {str(tid): _config_dict(c)
                        for tid, c in sorted(alloc.assignment.items())},
-        "resource_usage": list(usage),
+        "resource_usage": list(resource_usage(alloc, instance)),
         "dropped": sorted(set(t.id for t in instance.tasks)
                           - set(alloc.assignment)),
         "trace": [{"task_id": u.task_id, "ratio": u.ratio,
@@ -259,20 +262,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bounds = DEFAULT_ENV_BOUNDS
-    if args.bounds is not None or args.compound_weights is not None:
-        bounds = ResourceBounds(
-            bounds=args.bounds or DEFAULT_ENV_BOUNDS.bounds,
-            compound_weights=args.compound_weights
-            or DEFAULT_ENV_BOUNDS.compound_weights)
+    bounds = _bounds_from_args(args, DEFAULT_ENV_BOUNDS)
+    cfg = _checked("training settings", TrainConfig,
+                   total_steps=args.steps, seed=args.seed,
+                   discount=args.discount, learning_rate=args.lr,
+                   rmsprop_decay=args.rmsprop_decay,
+                   rmsprop_epsilon=args.rmsprop_eps,
+                   entropy_coeff=args.entropy_coeff,
+                   value_coeff=args.value_coeff)
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, bounds, seed=args.seed)
-    cfg = TrainConfig(total_steps=args.steps, seed=args.seed,
-                      discount=args.discount,
-                      learning_rate=args.lr,
-                      rmsprop_decay=args.rmsprop_decay,
-                      rmsprop_epsilon=args.rmsprop_eps,
-                      entropy_coeff=args.entropy_coeff,
-                      value_coeff=args.value_coeff)
     t0 = time.perf_counter()
     params, curve = agent_mod.train(env, cfg)
     elapsed = time.perf_counter() - t0
@@ -292,7 +290,7 @@ def cmd_bench_utility(args) -> int:
     params = _load_agent(args, space)
     rows = []
     for n in range(lo, hi + 1, args.step):
-        bounds = _bounds_from_args(args, n)
+        bounds = _bounds_from_args(args, default_bounds(n))
         classic_vals, agent_vals, ratios = [], [], []
         for run in range(args.runs):
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, run))
@@ -367,7 +365,7 @@ def cmd_bench_runtime(args) -> int:
         params = _load_agent(args, space)
         rows = []
         for n in range(args.targets[0], args.targets[1] + 1, args.step):
-            bounds = _bounds_from_args(args, n)
+            bounds = _bounds_from_args(args, default_bounds(n))
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, 0))
             instance = build_tracking_instance(scenario, bounds, space)
             classic_s, agent_s = _median_times(
@@ -387,7 +385,7 @@ def cmd_bench_runtime(args) -> int:
               else agent_mod.init_params(PortableRng(0)))
     scenario = generate_scenario(1, args.master_seed)
     target = scenario.targets[0]
-    bounds = _bounds_from_args(args, 20)
+    bounds = _bounds_from_args(args, default_bounds(20))
     cases = []
     for c in args.configs:
         refined = _refined_space(c)
@@ -540,9 +538,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 4
-    except (WeightFormatError, ScenarioFormatError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except FileNotFoundError as exc:
+    except (WeightFormatError, UsageError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

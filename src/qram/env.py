@@ -100,13 +100,19 @@ def quotient(delta_u: float, delta_r: float) -> float:
     return delta_u / delta_r
 
 
-def raw_quotient(c_in: Configuration, c: Configuration, target: Target,
-                 bounds: ResourceBounds) -> float:
-    """Utility-to-resource difference quotient between two configurations."""
+def _deltas(c_in: Configuration, c: Configuration, target: Target,
+            bounds: ResourceBounds) -> tuple[float, float]:
+    """Utility and compound-resource change of the move from c_in to c."""
     du = task_utility(c, target) - task_utility(c_in, target)
     dr = (compound_resource(resource_of(c), bounds)
           - compound_resource(resource_of(c_in), bounds))
-    return quotient(du, dr)
+    return du, dr
+
+
+def raw_quotient(c_in: Configuration, c: Configuration, target: Target,
+                 bounds: ResourceBounds) -> float:
+    """Utility-to-resource difference quotient between two configurations."""
+    return quotient(*_deltas(c_in, c, target, bounds))
 
 
 def training_quotient(c_in: Configuration, c: Configuration, target: Target,
@@ -117,9 +123,7 @@ def training_quotient(c_in: Configuration, c: Configuration, target: Target,
     free resource, so downgrades can never outscore upgrades (see the module
     docstring).
     """
-    du = task_utility(c, target) - task_utility(c_in, target)
-    dr = (compound_resource(resource_of(c), bounds)
-          - compound_resource(resource_of(c_in), bounds))
+    du, dr = _deltas(c_in, c, target, bounds)
     return quotient(du, abs(dr))
 
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import kernels
 from .core import Allocation, Configuration, expanded_grids
-from .perf import SNR_CONST, TYPE_UTILITY_WEIGHT
-from .problem import ProblemInstance
+from .problem import ProblemInstance, system_utility
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
 ENUMERATION_CAP = 10**8
@@ -58,11 +57,7 @@ def _metric_rows(instance: ProblemInstance, per_task_configs=None):
         else:
             configs = list(task.config_space)
             dwell, tx, pw = expanded_grids(task.config_space)
-        util, comp, occ, avg_pw = kernels.config_metrics(
-            dwell, tx, pw, target.range_km, target.speed_mps,
-            TYPE_UTILITY_WEIGHT[target.ttype], SNR_CONST,
-            bounds.bounds[0], bounds.bounds[1],
-            bounds.compound_weights[0], bounds.compound_weights[1])
+        util, comp, occ, avg_pw = kernels.config_metrics(dwell, tx, pw, target, bounds)
         rows.append((task.id, configs, util, comp, occ, avg_pw))
     return rows
 
@@ -151,11 +146,5 @@ def optimal_allocation_dp(instance: ProblemInstance,
         if c < len(configs):
             assignment[tid] = configs[c]
             j -= int(cost[i, c])
-    # Recompute the utility from the chosen digits in task order so the value
-    # matches system_utility bit for bit.
-    total = 0.0
-    for i, (tid, configs, util_row, *_rest) in enumerate(rows):
-        config = assignment.get(tid)
-        if config is not None:
-            total += float(util_row[configs.index(config)])
-    return Allocation(assignment=assignment), total
+    alloc = Allocation(assignment=assignment)
+    return alloc, system_utility(alloc, instance)

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M, SNR_CONST,
+                   TYPE_UTILITY_WEIGHT)
+
 #: Cumulative count of single-configuration evaluations (tests reset this).
 counters = {"config_evals": 0}
 
@@ -20,32 +23,30 @@ _SCAN_CHUNK = 1 << 18
 # for every grid point against one target.
 # --------------------------------------------------------------------------
 
-def config_metrics(dwell, tx, pw, range_km, speed, type_weight, snr_const,
-                   r1, r2, w1, w2):
-    """Evaluate all configurations of one task.
+def config_metrics(dwell, tx, pw, target, bounds):
+    """Evaluate parallel arrays of configurations against one target.
 
     Returns (utility, compound, occupancy, avg_power) float64 arrays aligned
-    with the row-major grid expansion.
+    with the inputs, bit for bit equal to ``task_utility``, ``resource_of``
+    and ``compound_resource`` of the scalar model.
     """
     counters["config_evals"] += len(dwell)
     dwell = np.asarray(dwell, dtype=np.float64)
     tx = np.asarray(tx, dtype=np.float64)
     pw = np.asarray(pw, dtype=np.float64)
-    range_km, speed, type_weight, snr_const, r1, r2, w1, w2 = (
-        float(x) for x in (range_km, speed, type_weight, snr_const,
-                           r1, r2, w1, w2))
+    (r1, r2), (w1, w2) = bounds.bounds, bounds.compound_weights
     occ = tx / dwell
     avg_pw = pw * tx / dwell
     comp = w1 * (occ / r1) + w2 * (avg_pw / r2)
-    rr = range_km * range_km
+    rr = target.range_km * target.range_km
     r4 = rr * rr
-    s = snr_const * pw * tx / r4
-    sigma = 100.0 / np.sqrt(s)
-    travel = speed * (dwell / 1000.0)
-    ratio = travel / 1000.0
+    s = SNR_CONST * pw * tx / r4
+    sigma = MEASUREMENT_COEFF_M / np.sqrt(s)
+    travel = target.speed_mps * (dwell / 1000.0)
+    ratio = travel / GROWTH_SCALE_M
     growth = np.sqrt(1.0 + ratio * ratio)
     err = sigma * growth
-    util = type_weight / (1.0 + err / 50.0)
+    util = TYPE_UTILITY_WEIGHT[target.ttype] / (1.0 + err / ERROR_HALF_M)
     return util, comp, occ, avg_pw
 
 

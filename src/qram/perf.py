@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Configuration
 from .rng import PortableRng
@@ -90,17 +90,19 @@ class Target:
 class Scenario:
     targets: tuple[Target, ...]
     seed: int
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [t.id for t in self.targets]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in self.targets}
+        if len(by_id) != len(self.targets):
             raise ValueError("target ids must be unique")
+        object.__setattr__(self, "_by_id", by_id)
 
     def target_by_id(self, target_id: int) -> Target:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise KeyError(f"no target with id {target_id}")
+        try:
+            return self._by_id[target_id]
+        except KeyError:
+            raise KeyError(f"no target with id {target_id}") from None
 
     def to_dict(self) -> dict:
         return {"format": 1, "seed": self.seed,

@@ -7,12 +7,11 @@ fields, so instances round-trip between the CLI tools and the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
-                   Task, resource_of)
+from .core import Allocation, ConfigSpace, ResourceBounds, Task, resource_of
 from .perf import Scenario, Target, task_utility
 
 
@@ -21,19 +20,21 @@ class ProblemInstance:
     tasks: tuple[Task, ...]
     bounds: ResourceBounds
     scenario: Scenario
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [t.id for t in self.tasks]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in self.tasks}
+        if len(by_id) != len(self.tasks):
             raise ValueError("task ids must be unique")
         for task in self.tasks:
             self.scenario.target_by_id(task.target_ref)  # raises if missing
+        object.__setattr__(self, "_by_id", by_id)
 
     def task_by_id(self, task_id: int) -> Task:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(f"no task with id {task_id}")
+        try:
+            return self._by_id[task_id]
+        except KeyError:
+            raise KeyError(f"no task with id {task_id}") from None
 
     def target_for(self, task: Task) -> Target:
         return self.scenario.target_by_id(task.target_ref)
@@ -79,23 +80,36 @@ def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
             raise ValueError(f"task {tid}: {config} is not on its grid")
 
 
+def _assigned(alloc: Allocation, instance: ProblemInstance):
+    """(task, config) of every assigned task, in instance order."""
+    _check_assignment(alloc, instance)
+    return [(t, alloc.assignment[t.id]) for t in instance.tasks
+            if t.id in alloc.assignment]
+
+
+def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
+    """Utility of every assigned task, keyed by task id in instance order."""
+    return {task.id: task_utility(config, instance.target_for(task))
+            for task, config in _assigned(alloc, instance)}
+
+
+def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
+    """Summed resource vector of the assigned tasks, added in instance order."""
+    usage = np.zeros(len(instance.bounds.bounds), dtype=np.float64)
+    for _, config in _assigned(alloc, instance):
+        usage += resource_of(config)
+    return usage
+
+
 def system_utility(alloc: Allocation, instance: ProblemInstance) -> float:
     """Sum of per-task utilities over assigned tasks, in task order."""
-    _check_assignment(alloc, instance)
     total = 0.0
-    for task in instance.tasks:
-        config = alloc.assignment.get(task.id)
-        if config is not None:
-            total += task_utility(config, instance.target_for(task))
+    for utility in task_utilities(alloc, instance).values():
+        total += utility  # not sum(): it compensates on Python >= 3.12
     return total
 
 
 def is_feasible(alloc: Allocation, instance: ProblemInstance) -> bool:
     """True iff the summed resource vector stays within bounds (inclusive)."""
-    _check_assignment(alloc, instance)
-    usage = np.zeros(len(instance.bounds.bounds), dtype=np.float64)
-    for task in instance.tasks:
-        config = alloc.assignment.get(task.id)
-        if config is not None:
-            usage += resource_of(config)
-    return bool(np.all(usage <= np.asarray(instance.bounds.bounds)))
+    return bool(np.all(resource_usage(alloc, instance)
+                       <= np.asarray(instance.bounds.bounds)))

@@ -1,9 +1,10 @@
-"""The traced benchmark run must still find every name it wraps.
+"""The traced benchmark run must still find and call every name it wraps.
 
 ``perfbench/tracing.py`` wraps public functions where their callers look
 them up (``owner.__dict__[attr]``), so renaming or moving one of them
-silently breaks the per-layer report.  The module is loaded read-only from
-its file; nothing is patched here.
+silently breaks the per-layer report, and its counter hooks read positional
+arguments and results, so a signature change breaks them.  The module is
+loaded read-only from its file; patches last for one traced call only.
 """
 
 import importlib
@@ -22,7 +23,8 @@ def _load_tracing():
     return module
 
 
-PATCHES = _load_tracing().PATCHES
+TRACING_MODULE = _load_tracing()
+PATCHES = TRACING_MODULE.PATCHES
 
 
 @pytest.mark.parametrize("module_name,path", [(m, p) for m, p, _, _ in PATCHES])
@@ -37,3 +39,46 @@ def test_patched_name_resolves(module_name, path):
 def test_config_eval_counter_exists():
     from qram import kernels
     assert "config_evals" in kernels.counters
+
+
+#: Per method: the spans and the counter-hook counts a traced solve records.
+TRACED_SOLVE = {
+    "classic": ({"classic.embed_task", "classic.upper_frontier",
+                 "kernels.config_metrics", "classic.greedy_allocate",
+                 "classic.ledger.fits", "problem.system_utility"},
+                {"classic.upgrades", "classic.dropped", "classic.frontier_points"}),
+    "agent": ({"allocator.allocate_with_proposals", "classic.base_configuration",
+               "kernels.config_metrics", "allocator.next_config", "agent.forward",
+               "env.encode_state", "problem.system_utility"},
+              {"allocator.upgrades", "allocator.dropped"}),
+    "dp": ({"exact.optimal_allocation_dp", "kernels.config_metrics",
+            "kernels.fill_knapsack_table", "problem.system_utility"},
+           {"kernels.fill_knapsack_table.cells"}),
+    "brute": ({"exact.optimal_allocation", "kernels.config_metrics",
+               "kernels.scan_best_feasible", "problem.system_utility"},
+              {"kernels.scan_best_feasible.states"}),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRACED_SOLVE))
+def test_traced_solve_records_spans_and_counts(method, tmp_path):
+    from qram import cli
+    from qram.agent import init_params, save
+    from qram.core import DEFAULT_CONFIG_SPACE
+    from qram.rng import PortableRng
+
+    scenario, weights = tmp_path / "scenario.json", tmp_path / "weights.json"
+    assert cli.main(["gen", "--targets", "2", "--seed", "3", "--out", str(scenario)]) == 0
+    save(init_params(PortableRng(0)), weights, config_space=DEFAULT_CONFIG_SPACE)
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed(op=0):
+        assert cli.main(["solve", "--scenario", str(scenario), "--method", method,
+                         "--weights", str(weights),
+                         "--out", str(tmp_path / "result.json")]) == 0
+    spans, counts = TRACED_SOLVE[method]
+    recorded = {span[0] for span in tracer.spans}
+    assert "cli.solve" in recorded
+    assert spans <= recorded, spans - recorded
+    assert counts <= set(tracer.counts), counts - set(tracer.counts)
+    assert all(span[4] == 0 for span in tracer.spans)
+    assert not hasattr(cli.system_utility, "__wrapped__")  # patches undone

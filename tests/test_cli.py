@@ -108,6 +108,7 @@ def test_solve_brute_dominates_classic(scenario_file, tmp_path):
     '[1, 2, 3]',
     '{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": "Fighter", '
     '"range_km": NaN, "speed_mps": 200.0}]}',
+    '{"format": 1, "seed": 0, "targets": []}',
 ])
 def test_solve_rejects_bad_scenario_file(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -125,6 +126,32 @@ def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
         run(["solve", "--scenario", str(scenario_file), "--method", "dp",
              "--dp-step", step, "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bounds", "nan,1"],
+    ["solve", "--bounds", "inf,1"],
+    ["solve", "--bounds", "0,1"],
+    ["solve", "--compound-weights", "0,0"],
+    ["train", "--steps", "3", "--bounds", "nan,1"],
+    ["train", "--steps", "3", "--discount", "1.5"],
+    ["train", "--steps", "3", "--lr", "-1"],
+    ["train", "--steps", "3", "--lr", "nan"],
+    ["train", "--steps", "3", "--rmsprop-decay", "1.5"],
+    ["bench", "runtime", "--mode", "by-configs", "--configs", "100", "--runs", "1"],
+    ["solve", "--out", "."],  # a directory, not a file
+], ids=" ".join)
+def test_rejects_bad_input_with_one_error_line(argv, scenario_file, tmp_path, capsys):
+    if argv[0] == "solve":
+        argv = argv + ["--scenario", str(scenario_file)]
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "x.json")]
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_solve_brute_capacity_exit_code(tmp_path):

@@ -3,11 +3,11 @@
 import numpy as np
 
 from qram import kernels
-from qram.core import DEFAULT_CONFIG_SPACE, expanded_grids
-from qram.perf import SNR_CONST
+from qram.core import DEFAULT_CONFIG_SPACE, ResourceBounds, expanded_grids
+from qram.perf import Target, TargetType
 
-METRIC_ARGS = dict(range_km=62.5, speed=340.0, type_weight=1.2,
-                   snr_const=SNR_CONST, r1=0.6, r2=5.0, w1=1.0, w2=1.0)
+TARGET = Target(id=0, ttype=TargetType.FIGHTER, range_km=62.5, speed_mps=340.0)
+BOUNDS = ResourceBounds(bounds=(0.6, 5.0), compound_weights=(1.0, 1.0))
 
 
 def _grid_args():
@@ -68,5 +68,5 @@ def test_dp_table_monotone_in_budget():
 def test_eval_counter_accumulates():
     kernels.counters["config_evals"] = 0
     dwell, tx, pw = _grid_args()
-    kernels.config_metrics(dwell, tx, pw, **METRIC_ARGS)
+    kernels.config_metrics(dwell, tx, pw, TARGET, BOUNDS)
     assert kernels.counters["config_evals"] == 90

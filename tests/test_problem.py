@@ -2,7 +2,7 @@ import pytest
 
 from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
     ResourceBounds, resource_of
-from qram.perf import generate_scenario, task_utility
+from qram.perf import Scenario, Target, TargetType, generate_scenario, task_utility
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           is_feasible, system_utility)
 
@@ -33,6 +33,37 @@ def test_instance_json_round_trip():
     inst = _instance()
     assert ProblemInstance.from_dict(inst.to_dict()) == inst
     assert inst.to_dict()["format"] == 1
+
+
+def test_lookups_with_unsorted_non_contiguous_ids():
+    targets = (Target(7, TargetType.MISSILE, 40.0, 600.0),
+               Target(3, TargetType.HELICOPTER, 120.0, 50.0),
+               Target(11, TargetType.FIGHTER, 75.0, 300.0))
+    scenario = Scenario(targets=targets, seed=0)
+    inst = build_tracking_instance(scenario, default_bounds(3), DEFAULT_CONFIG_SPACE)
+    config = DEFAULT_CONFIG_SPACE.config_at(0)
+    expected = 0.0
+    for target, task in zip(targets, inst.tasks):
+        assert scenario.target_by_id(target.id) is target
+        assert inst.task_by_id(target.id) is task
+        assert inst.target_for(task) is target
+        expected += task_utility(config, target)
+    alloc = Allocation(assignment={t.id: config for t in targets})
+    assert system_utility(alloc, inst) == expected
+    assert is_feasible(alloc, inst)
+    # Task ids need not equal the ids of the targets they track.
+    renumbered = ProblemInstance(
+        tasks=tuple(type(t)(id=i, target_ref=t.target_ref, config_space=t.config_space)
+                    for i, t in enumerate(inst.tasks)),
+        bounds=inst.bounds, scenario=scenario)
+    assert [renumbered.target_for(t) for t in renumbered.tasks] == list(targets)
+    for unknown in (0, 4, 12):
+        with pytest.raises(KeyError):
+            inst.task_by_id(unknown)
+        with pytest.raises(KeyError):
+            scenario.target_by_id(unknown)
+        with pytest.raises(KeyError):
+            is_feasible(Allocation(assignment={unknown: config}), inst)
 
 
 def test_system_utility_empty_allocation():
