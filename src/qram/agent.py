@@ -195,6 +195,9 @@ class TrainConfig:
         for name in ("learning_rate", "rmsprop_epsilon"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        for name in ("entropy_coeff", "value_coeff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
         if self.total_steps < 0:
             raise ValueError("invalid step counts")
 

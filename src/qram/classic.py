@@ -18,6 +18,7 @@ the regression instance in :mod:`qram.remark1`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
-                   Task, expanded_grids, resource_of)
+                   Task, expanded_grids, grid_configurations, resource_of)
 from .perf import Target
 from .problem import ProblemInstance
 
@@ -79,9 +80,9 @@ def embed_task(task: Task, target: Target, bounds: ResourceBounds) -> list[JobPo
     space = task.config_space
     dwell, tx, pw = expanded_grids(space)
     util, comp, _, _ = kernels.config_metrics(dwell, tx, pw, target, bounds)
-    return [JobPoint(config=space.config_at(i), resource=float(comp[i]),
-                     utility=float(util[i]))
-            for i in range(space.size)]
+    return [JobPoint(config=config, resource=r, utility=u)
+            for config, r, u in zip(grid_configurations(space), comp.tolist(),
+                                    util.tolist())]
 
 
 def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
@@ -149,33 +150,75 @@ class UsageLedger:
     uses (a sequential sum over tasks in instance order), otherwise float
     drift from incremental updates can leave a "feasible" result that the
     recheck rejects by one ulp.  cumsum reproduces that sequential order.
+
+    Invariant: between writes the ledger holds that sequential sum, the
+    usage :func:`qram.problem.is_feasible` computes.  A write only marks it
+    stale; it is re-summed once, before the next check, so the initial fill
+    costs one sum, not one per row.
+
+    :meth:`fits` answers in O(1) from the held usage ``s``: per resource,
+    the candidate total ``s - old + new`` is within
+    ``band = (2T + 8) * 2**-52 * (s + old + new)`` (T rows) of the sum a
+    full re-sum with the row replaced would give.  So a total above its
+    limit by more than ``band`` cannot fit, and totals below every limit
+    by more than ``band`` fit; only a total inside the band falls back to
+    replacing the row and re-summing.  The bound holds because every entry
+    is >= 0 (a resource vector of a valid configuration is): a sequential
+    sum of T non-negative terms errs by at most (T - 1) * 2**-53 times its
+    exact total, which bounds the error of the held usage and of the
+    re-summed candidate, and ``s - old + new`` adds two roundings of at
+    most 2**-53 each.  Together that is about T * 2**-52 * (s + old + new);
+    the rest of ``band`` covers rounding ``band`` itself.  Every answer is
+    therefore the one the full re-sum gives, bit for bit.
     """
 
     def __init__(self, instance: ProblemInstance):
         self._row = {t.id: i for i, t in enumerate(instance.tasks)}
         self._mat = np.zeros((len(instance.tasks), len(instance.bounds.bounds)))
-        self._limits = np.asarray(instance.bounds.bounds, dtype=np.float64)
+        self._limits = tuple(float(b) for b in instance.bounds.bounds)
+        self._band = (2 * len(instance.tasks) + 8) * 2.0**-52
+        self._usage: tuple[float, ...] | None = None  # None after a write
 
     def set_row(self, task_id: int, vec) -> None:
         self._mat[self._row[task_id]] = vec
+        self._usage = None
 
     def clear_row(self, task_id: int) -> None:
         self._mat[self._row[task_id]] = 0.0
+        self._usage = None
 
-    def usage(self) -> np.ndarray:
+    def _sequential_sum(self) -> np.ndarray:
         if self._mat.shape[0] == 0:
             return np.zeros(self._mat.shape[1])
         return np.cumsum(self._mat, axis=0)[-1]
 
+    def usage(self) -> tuple[float, ...]:
+        """The sequential sum of all rows, re-summed only after a write."""
+        if self._usage is None:
+            self._usage = tuple(self._sequential_sum().tolist())
+        return self._usage
+
     def feasible(self) -> bool:
-        return bool(np.all(self.usage() <= self._limits))
+        return all(s <= lim for s, lim in zip(self.usage(), self._limits))
 
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
         row = self._row[task_id]
+        new = np.asarray(vec, dtype=np.float64)
+        decided = True
+        for s, old, n, lim in zip(self.usage(), self._mat[row].tolist(),
+                                  new.tolist(), self._limits):
+            total = s - old + n
+            band = self._band * (s + old + n)
+            if total - band > lim:
+                return False
+            if not total + band < lim:
+                decided = False
+        if decided:
+            return True
         saved = self._mat[row].copy()
-        self._mat[row] = vec
-        ok = self.feasible()
+        self._mat[row] = new
+        ok = bool(np.all(self._sequential_sum() <= self._limits))
         self._mat[row] = saved
         return ok
 
@@ -216,22 +259,23 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     current = {tid: start[tid] for tid in active}
 
     candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
+    order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
 
     def refresh(tid: int) -> None:
+        if tid in candidates:
+            del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
         step = advance(tid, current[tid])
-        if step is None:
-            candidates.pop(tid, None)
-        else:
+        if step is not None:
             config, ratio = step
             candidates[tid] = (config, resource_of(config), ratio)
+            insort(order, (-ratio, tid))
 
     for tid in active:
         refresh(tid)
 
     upgrades: list[UpgradeStep] = []
     while candidates:
-        order = sorted(candidates, key=lambda tid: (-candidates[tid][2], tid))
-        for tid in order:
+        for _, tid in order:
             config, vec, ratio = candidates[tid]
             if ledger.fits(tid, vec):
                 ledger.set_row(tid, vec)

@@ -148,6 +148,12 @@ def expanded_grids(space: ConfigSpace) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return out
 
 
+@lru_cache(maxsize=64)
+def grid_configurations(space: ConfigSpace) -> tuple[Configuration, ...]:
+    """Every configuration of a grid in index order, built once per grid."""
+    return tuple(space)
+
+
 @dataclass(frozen=True)
 class ResourceBounds:
     """Global resource caps plus the weights defining the compound resource."""

@@ -125,8 +125,13 @@ def fill_knapsack_table(util, cost, ncfg, budget):
     n = len(ncfg)
     dp = np.zeros(budget + 1, dtype=np.float64)
     choice = np.empty((n, budget + 1), dtype=np.int32)
+    # One scratch table for all tasks: a fresh (configs + 1) x (budget + 1)
+    # table per task is a megabyte-sized block that the allocator may hand
+    # back to the OS and fault in again for every task.
+    table = np.empty((int(ncfg.max(initial=0)) + 1, budget + 1), dtype=np.float64)
     for i in range(n):
-        rows = np.full((ncfg[i] + 1, budget + 1), -np.inf, dtype=np.float64)
+        rows = table[:ncfg[i] + 1]
+        rows.fill(-np.inf)
         rows[0] = dp  # drop the task
         for c in range(ncfg[i]):
             w = int(cost[i, c])

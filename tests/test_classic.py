@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from helpers import (gift_wrap_frontier, random_point_cloud, random_small_instance,
                      synthetic_points)
 from qram import kernels
-from qram.classic import (JobList, base_configuration, embed_task, greedy_allocate,
-                          job_list_for, solve_classic, upper_frontier)
+from qram.classic import (JobList, UsageLedger, base_configuration, embed_task,
+                          greedy_allocate, job_list_for, solve_classic,
+                          upper_frontier)
 from qram.core import (Allocation, Configuration, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
                        resource_of)
@@ -206,3 +209,91 @@ def test_greedy_trace_ratios_match_job_lists():
         assert step.ratio == expected
         assert step.config == jl.points[pos + 1].config
         position[step.task_id] += 1
+
+
+# --------------------------------------------------------------------- ledger
+
+def _sequential_sum(rows):
+    return np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(2)
+
+
+def _random_rows(rng, n):
+    """Non-negative rows over five orders of magnitude, a quarter of them 0."""
+    rows = rng.random((n, 2)) * 10.0 ** rng.integers(-4, 2, size=(n, 2))
+    rows[rng.random(n) < 0.25] = 0.0
+    return rows
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def _drift_rows(n):
+    """A unit row, then rows of 3/4 ulp(1): every add rounds up, so the
+    sequential sum drifts n/4 ulps above the exact one, and removing the
+    unit row leaves a candidate total that is off by about that much."""
+    rows = np.full((n, 2), 3 * 2.0**-54)
+    rows[0] = 1.0
+    return rows
+
+
+@pytest.mark.parametrize("n_tasks,drift", [(0, False), (1, False), (2, False),
+                                           (9, False), (150, False), (150, True)])
+def test_ledger_matches_replace_and_resum(n_tasks, drift):
+    """fits/feasible equal the full replace-cumsum-compare check, also with
+    every limit within two ulps of the sum the check computes."""
+    rng = np.random.default_rng(n_tasks)
+    ids = [int(i) for i in rng.permutation(n_tasks) * 3 + 1]
+    for _ in range(12):
+        rows = _drift_rows(n_tasks) if drift else _random_rows(rng, n_tasks)
+        planned = rows.copy()
+        if drift:
+            planned[0] = 0.0
+        elif n_tasks:
+            planned[rng.integers(n_tasks)] = _random_rows(rng, 1)[0]
+        for offsets in ((0, 0), (1, -1), (-1, 2), (2, 0), (-2, -2)):
+            limits = np.array([_ulps(s, k) for s, k in
+                               zip(_sequential_sum(planned), offsets)])
+            instance = SimpleNamespace(
+                tasks=[SimpleNamespace(id=tid) for tid in ids],
+                bounds=SimpleNamespace(bounds=tuple(limits.tolist())))
+            ledger = UsageLedger(instance)
+            mirror = np.zeros((n_tasks, 2))
+
+            def check_feasible():
+                assert ledger.usage() == tuple(_sequential_sum(mirror).tolist())
+                assert ledger.feasible() == bool(np.all(_sequential_sum(mirror)
+                                                        <= limits))
+
+            def check_fits(i, vec):
+                saved = mirror[i].copy()
+                mirror[i] = vec
+                expected = bool(np.all(_sequential_sum(mirror) <= limits))
+                mirror[i] = saved
+                assert ledger.fits(ids[i], vec) == expected
+
+            check_feasible()
+            for i, tid in enumerate(ids):
+                if rows[i].any():
+                    ledger.set_row(tid, rows[i])
+                else:
+                    ledger.clear_row(tid)
+                mirror[i] = rows[i]
+                check_feasible()
+            for i in range(n_tasks):
+                check_fits(i, planned[i])
+                check_fits(i, rows[i])
+            for _ in range(3 * n_tasks):
+                i = int(rng.integers(n_tasks))
+                vec = planned[i] if rng.random() < 0.5 else _random_rows(rng, 1)[0]
+                check_fits(i, vec)
+                if rng.random() < 0.3:
+                    if rng.random() < 0.2:
+                        ledger.clear_row(ids[i])
+                        mirror[i] = 0.0
+                    else:
+                        ledger.set_row(ids[i], vec)
+                        mirror[i] = vec
+                    check_feasible()

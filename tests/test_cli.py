@@ -138,6 +138,8 @@ def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
     ["train", "--steps", "3", "--lr", "-1"],
     ["train", "--steps", "3", "--lr", "nan"],
     ["train", "--steps", "3", "--rmsprop-decay", "1.5"],
+    ["train", "--steps", "3", "--entropy-coeff", "nan"],
+    ["train", "--steps", "3", "--value-coeff", "inf"],
     ["bench", "runtime", "--mode", "by-configs", "--configs", "100", "--runs", "1"],
     ["solve", "--out", "."],  # a directory, not a file
 ], ids=" ".join)

@@ -36,6 +36,17 @@ SOLVE_DIGESTS = {
         "6b0a4037f22818bc7884a37de746d856451d82920f93c12ee00acbab15f257ed",
 }
 
+#: The same, solved with ``--bounds 0.15,0.5``: the occupancy bound forces 68
+#: drops and the power bound ends classic's 136 upgrades, so these cover the
+#: drop path and both bounds.
+TIGHT_BOUNDS = ["--bounds", "0.15,0.5"]
+TIGHT_DIGESTS = {
+    ("classic", 150, 1):
+        "19d81787155c5a1eec000123747c40a8c678604d631c3a62324a1fac63b64b51",
+    ("agent", 150, 1):
+        "14ead67cd89548d98a5812196785a9e690dccd560ececa86d51ac43360ea1a82",
+}
+
 REMARK1_DIGEST = (
     "5726d2f77f69b5850088c9d97085f78d51a245c950221673e46b6c58e8476b3b")
 
@@ -58,7 +69,7 @@ def weight_file(tmp_path_factory):
     return path
 
 
-def solve_digest(method, targets, seed, weights, workdir) -> str:
+def solve_digest(method, targets, seed, weights, workdir, extra=()) -> str:
     scenario = workdir / f"scenario-{targets}-{seed}.json"
     assert main(["gen", "--targets", str(targets), "--seed", str(seed),
                  "--out", str(scenario)]) == 0
@@ -67,7 +78,7 @@ def solve_digest(method, targets, seed, weights, workdir) -> str:
             "--out", str(out)]
     if method == "agent":
         argv += ["--weights", str(weights)]
-    assert main(argv) == 0
+    assert main(argv + list(extra)) == 0
     return _result_digest(out)
 
 
@@ -81,6 +92,14 @@ def remark1_digest(workdir) -> str:
 def test_solve_result_unchanged(method, targets, seed, weight_file, tmp_path):
     got = solve_digest(method, targets, seed, weight_file, tmp_path)
     assert got == SOLVE_DIGESTS[(method, targets, seed)]
+
+
+@pytest.mark.parametrize("method,targets,seed", list(TIGHT_DIGESTS))
+def test_solve_result_unchanged_under_tight_bounds(method, targets, seed,
+                                                   weight_file, tmp_path):
+    got = solve_digest(method, targets, seed, weight_file, tmp_path,
+                       TIGHT_BOUNDS)
+    assert got == TIGHT_DIGESTS[(method, targets, seed)]
 
 
 def test_remark1_csv_unchanged(tmp_path):
