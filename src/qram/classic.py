@@ -143,6 +143,13 @@ class AllocationTrace:
     upgrades: tuple[UpgradeStep, ...]
 
 
+def _sequential_sum(mat: np.ndarray) -> np.ndarray:
+    """Column sums added row by row, in row order (what cumsum does)."""
+    if mat.shape[0] == 0:
+        return np.zeros(mat.shape[1])
+    return np.cumsum(mat, axis=0)[-1]
+
+
 class UsageLedger:
     """Per-task resource rows summed exactly like the feasibility check.
 
@@ -187,19 +194,21 @@ class UsageLedger:
         self._mat[self._row[task_id]] = 0.0
         self._usage = None
 
-    def _sequential_sum(self) -> np.ndarray:
-        if self._mat.shape[0] == 0:
-            return np.zeros(self._mat.shape[1])
-        return np.cumsum(self._mat, axis=0)[-1]
-
     def usage(self) -> tuple[float, ...]:
         """The sequential sum of all rows, re-summed only after a write."""
         if self._usage is None:
-            self._usage = tuple(self._sequential_sum().tolist())
+            self._usage = tuple(_sequential_sum(self._mat).tolist())
         return self._usage
 
     def feasible(self) -> bool:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
+
+    def feasible_without(self, task_ids) -> bool:
+        """Would the rows fit with these tasks' rows cleared?  The ledger
+        itself is left as it is."""
+        mat = self._mat.copy()
+        mat[[self._row[tid] for tid in task_ids]] = 0.0
+        return bool(np.all(_sequential_sum(mat) <= self._limits))
 
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
@@ -218,20 +227,37 @@ class UsageLedger:
             return True
         saved = self._mat[row].copy()
         self._mat[row] = new
-        ok = bool(np.all(self._sequential_sum() <= self._limits))
+        ok = bool(np.all(_sequential_sum(self._mat) <= self._limits))
         self._mat[row] = saved
         return ok
 
 
 def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
-    """Drop tasks from the highest id down until the base load fits."""
-    dropped = []
-    while active and not ledger.feasible():
-        tid = max(active)
-        active.remove(tid)
-        dropped.append(tid)
+    """Drop tasks from the highest id down until the base load fits.
+
+    Returns the dropped ids, sorted, after removing them from ``active``
+    and clearing their rows: the fewest highest ids whose removal makes the
+    ledger feasible, or all of them.  Rows are >= 0 and rounding is
+    monotone, so the sequential usage after clearing the top k ids never
+    grows with k; the smallest such k is found by bisection, with
+    O(log T) re-sums instead of one per drop.
+    """
+    if ledger.feasible():
+        return []
+    by_id = sorted(active)
+    lo, hi = 0, len(by_id)  # infeasible after lo drops; hi drops suffice
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ledger.feasible_without(by_id[len(by_id) - mid:]):
+            hi = mid
+        else:
+            lo = mid
+    dropped = by_id[len(by_id) - hi:]
+    for tid in dropped:
         ledger.clear_row(tid)
-    return sorted(dropped)
+    gone = set(dropped)
+    active[:] = [tid for tid in active if tid not in gone]
+    return dropped
 
 
 #: advance(task_id, current_config) -> (next config, ratio), or None to retire

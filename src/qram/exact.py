@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .core import Allocation, Configuration, expanded_grids
+from .core import (Allocation, Configuration, expanded_grids,
+                   grid_configurations)
 from .problem import ProblemInstance, system_utility
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
@@ -55,7 +56,7 @@ def _metric_rows(instance: ProblemInstance, per_task_configs=None):
             tx = np.array([c.transmit_duration for c in configs])
             pw = np.array([c.transmit_power for c in configs])
         else:
-            configs = list(task.config_space)
+            configs = grid_configurations(task.config_space)
             dwell, tx, pw = expanded_grids(task.config_space)
         util, comp, occ, avg_pw = kernels.config_metrics(dwell, tx, pw, target, bounds)
         rows.append((task.id, configs, util, comp, occ, avg_pw))

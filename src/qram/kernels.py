@@ -57,51 +57,81 @@ def config_metrics(dwell, tx, pw, target, bounds):
 # values 0..n_i-1 pick a configuration and digit n_i drops the task, so
 # ascending code order is lexicographic order of the assignment vectors.
 # The scan keeps the FIRST code attaining the maximum feasible utility.
+#
+# Totals are built by outer sums, not by decoding codes.  Each task has a
+# value vector of n_i + 1 entries (its configurations, then 0.0 for
+# "dropped").  The tasks split into a leading prefix and a trailing block:
+# the longest run of trailing tasks whose radix product B is at most
+# _SCAN_CHUNK, and at least the last task.  The prefix totals are built once
+# by left-to-right outer adds, (p[:, None] + v[None, :]).ravel(); then each
+# group of G = max(1, _SCAN_CHUNK // B) consecutive prefix entries is
+# extended by the block's tasks, again left to right, and judged with one
+# feasibility mask and one argmax.
+#
+# Bit identity: every state's totals are still ((0.0 + v_0) + v_1) + ...
+# in task order, exactly as a per-code decode adds them (adding 0.0 for a
+# dropped task leaves a sum unchanged, as it did there).  C order of an
+# outer sum is ascending code order, so within a group state j has code
+# k*B + j (k the group's first prefix index), argmax returns the first
+# maximum and a later group replaces the best only when strictly better:
+# the lowest code among the maxima wins, as before.
+#
+# Memory: one group holds G*B states, at most max(_SCAN_CHUNK, B), and B is
+# at most max(_SCAN_CHUNK, largest radix).  The prefix holds total / B
+# entries.
 # --------------------------------------------------------------------------
+
+def _outer_sums(base, vectors):
+    """Left-to-right sums ``base[a] + v0[b] + v1[c] + ...`` in C order."""
+    for v in vectors:
+        base = (base[:, None] + v).ravel()
+    return base
+
 
 def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     """Return (best utility, mixed-radix code, strides) over every assignment.
 
     ``util/occ/pw`` are (n_tasks, max_configs) arrays padded per row beyond
     ``ncfg[i]``; digit n_i drops task i.  Empty allocations are part of the
-    search, so a result is always found.
+    search, so a result is always found.  The scan is exhaustive; no block
+    it evaluates holds more than max(_SCAN_CHUNK, largest radix) states.
     """
-    util = np.ascontiguousarray(util, dtype=np.float64)
-    occ = np.ascontiguousarray(occ, dtype=np.float64)
-    pw = np.ascontiguousarray(pw, dtype=np.float64)
+    util = np.asarray(util, dtype=np.float64)
+    occ = np.asarray(occ, dtype=np.float64)
+    pw = np.asarray(pw, dtype=np.float64)
     r1, r2 = float(r1), float(r2)
-    ncfg = np.asarray(ncfg, dtype=np.int64)
+    ncfg = [int(k) for k in ncfg]
     n = len(ncfg)
-    radix = ncfg + 1
+    radix = [k + 1 for k in ncfg]
     strides = np.empty(n, dtype=np.int64)
     acc = 1
     for i in range(n - 1, -1, -1):
         strides[i] = acc
-        acc *= int(radix[i])
-    total = int(acc)
+        acc *= radix[i]
+
+    def values(table):
+        return [np.append(table[i, :ncfg[i]], 0.0) for i in range(n)]
+
+    vu, vo, vp = values(util), values(occ), values(pw)
+    split, block = max(n - 1, 0), radix[-1] if n else 1
+    while split > 0 and block * radix[split - 1] <= _SCAN_CHUNK:
+        split -= 1
+        block *= radix[split]
+    start = np.zeros(1)
+    pu, po, pp = (_outer_sums(start, v[:split]) for v in (vu, vo, vp))
+    group = max(1, _SCAN_CHUNK // block)
 
     best_u = -1.0
     best_code = -1
-    for start in range(0, total, _SCAN_CHUNK):
-        codes = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        tu = np.zeros(codes.shape[0], dtype=np.float64)
-        to = np.zeros(codes.shape[0], dtype=np.float64)
-        tp = np.zeros(codes.shape[0], dtype=np.float64)
-        rem = codes
-        for i in range(n):
-            d = rem // strides[i]
-            rem = rem - d * strides[i]
-            sel = d < ncfg[i]
-            idx = np.where(sel, d, 0)
-            tu = tu + np.where(sel, util[i, idx], 0.0)
-            to = to + np.where(sel, occ[i, idx], 0.0)
-            tp = tp + np.where(sel, pw[i, idx], 0.0)
-        feasible = (to <= r1) & (tp <= r2)
-        cand = np.where(feasible, tu, -np.inf)
+    for k in range(0, len(pu), group):
+        tu = _outer_sums(pu[k:k + group], vu[split:])
+        to = _outer_sums(po[k:k + group], vo[split:])
+        tp = _outer_sums(pp[k:k + group], vp[split:])
+        cand = np.where((to <= r1) & (tp <= r2), tu, -np.inf)
         j = int(np.argmax(cand))
         if cand[j] > best_u:
             best_u = float(cand[j])
-            best_code = int(codes[j])
+            best_code = k * block + j
     return float(best_u), int(best_code), strides
 
 

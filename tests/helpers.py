@@ -78,3 +78,15 @@ def random_small_instance(seed: int, max_tasks: int = 5):
     r2 = rng.uniform(0.01, 0.5)
     bounds = ResourceBounds(bounds=(r1, r2), compound_weights=(1.0, 1.0))
     return build_tracking_instance(scenario, bounds, space)
+
+
+def linear_drop_until_feasible(ledger, active):
+    """Reference drop loop: drop the highest remaining id, one at a time,
+    re-checking the whole ledger after every drop."""
+    dropped = []
+    while active and not ledger.feasible():
+        tid = max(active)
+        active.remove(tid)
+        dropped.append(tid)
+        ledger.clear_row(tid)
+    return sorted(dropped)

@@ -3,11 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (gift_wrap_frontier, random_point_cloud, random_small_instance,
-                     synthetic_points)
+from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
+                     random_point_cloud, random_small_instance, synthetic_points)
 from qram import kernels
-from qram.classic import (JobList, UsageLedger, base_configuration, embed_task,
-                          greedy_allocate, job_list_for, solve_classic,
+from qram.classic import (JobList, UsageLedger, _drop_until_feasible,
+                          base_configuration, embed_task, greedy_allocate, job_list_for, solve_classic,
                           upper_frontier)
 from qram.core import (Allocation, Configuration, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
@@ -297,3 +297,40 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                         ledger.set_row(ids[i], vec)
                         mirror[i] = vec
                     check_feasible()
+
+
+def _ledger(ids, rows, limits):
+    instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in ids],
+                               bounds=SimpleNamespace(bounds=tuple(limits)))
+    ledger = UsageLedger(instance)
+    for tid, row in zip(ids, rows):
+        ledger.set_row(tid, row)
+    return ledger
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1, 2, 7, 40, 300])
+def test_drop_bisection_matches_linear_drop_loop(n_tasks):
+    """The bisecting drop loop drops the same ids and leaves the same usage
+    as dropping one id at a time, with every limit at, or one ulp either
+    side of, the sequential usage left after k drops (k = 0 .. all)."""
+    rng = np.random.default_rng(100 + n_tasks)
+    ids = [int(i) for i in rng.permutation(n_tasks) * 3 + 2]  # instance order
+    by_id = sorted(ids)
+    for _ in range(4):
+        rows = _random_rows(rng, n_tasks)
+        ks = sorted({0, n_tasks, *rng.integers(0, n_tasks + 1, size=4).tolist()})
+        for k in ks:
+            kept = rows.copy()
+            kept[[ids.index(tid) for tid in by_id[n_tasks - k:]]] = 0.0
+            for offsets in ((0, 0), (1, 1), (-1, -1), (-1, 0), (0, -1), (1, -1)):
+                limits = [_ulps(s, o) for s, o in
+                          zip(_sequential_sum(kept), offsets)]
+                ref, got = _ledger(ids, rows, limits), _ledger(ids, rows, limits)
+                ref_active, got_active = by_id.copy(), by_id.copy()
+                expected = linear_drop_until_feasible(ref, ref_active)
+                assert _drop_until_feasible(got, got_active) == expected
+                assert got_active == ref_active
+                assert got.usage() == ref.usage()
+                assert got.feasible() == ref.feasible()
+                if offsets == (0, 0) or min(offsets) > 0:
+                    assert len(expected) <= k

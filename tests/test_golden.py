@@ -34,6 +34,8 @@ SOLVE_DIGESTS = {
         "9515e7fefee0b76f11eeff7e8ec4c1b877d4662e3ee4593324dad0d59afc1966",
     ("dp", 20, 1):
         "6b0a4037f22818bc7884a37de746d856451d82920f93c12ee00acbab15f257ed",
+    ("brute", 4, 42):
+        "101ff0f0be9378fd17fd9f67c11da9d5ec4d8deea8cdb43b4a2f3442747b74ae",
 }
 
 #: The same, solved with ``--bounds 0.15,0.5``: the occupancy bound forces 68

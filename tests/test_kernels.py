@@ -1,6 +1,9 @@
 """The hot kernels against literal reference computations."""
 
+import itertools
+
 import numpy as np
+import pytest
 
 from qram import kernels
 from qram.core import DEFAULT_CONFIG_SPACE, ResourceBounds, expanded_grids
@@ -25,11 +28,8 @@ def _scan_case(seed):
     return util, occ, pw, ncfg
 
 
-def test_scan_brute_reference():
-    # Cross-check the scan against a literal python enumeration.
-    import itertools
-    util, occ, pw, ncfg = _scan_case(42)
-    r1, r2 = 0.15, 0.5
+def _brute_scan(util, occ, pw, ncfg, r1, r2):
+    """Literal python enumeration of every assignment in code order."""
     best_u, best_code = -1.0, -1
     radix = [int(k) + 1 for k in ncfg]
     for digits in itertools.product(*(range(r) for r in radix)):
@@ -45,9 +45,107 @@ def test_scan_brute_reference():
             for i, d in enumerate(digits):
                 code = code * radix[i] + d
             best_code = code
-    got_u, got_code, _ = kernels.scan_best_feasible(util, occ, pw, ncfg, r1, r2)
-    assert got_u == best_u
-    assert got_code == best_code
+    strides = [int(np.prod(radix[i + 1:])) for i in range(len(radix))]
+    return best_u, best_code, strides
+
+
+def _assert_scan_matches(util, occ, pw, ncfg, r1, r2):
+    got_u, got_code, got_strides = kernels.scan_best_feasible(
+        util, occ, pw, ncfg, r1, r2)
+    want_u, want_code, want_strides = _brute_scan(util, occ, pw, ncfg, r1, r2)
+    assert got_u == want_u
+    assert got_code == want_code
+    assert got_strides.tolist() == want_strides
+    return got_u, got_code
+
+
+def test_scan_brute_reference():
+    # Cross-check the scan against a literal python enumeration.
+    util, occ, pw, ncfg = _scan_case(42)
+    _assert_scan_matches(util, occ, pw, ncfg, 0.15, 0.5)
+
+
+def _quarter_case(rng, n, cmax):
+    """Values on a quarter grid: equal totals, hence tied optima, are common."""
+    ncfg = rng.integers(1, cmax + 1, size=n)
+    util, occ, pw = (rng.integers(1, 9, size=(n, cmax)) / 4.0 for _ in range(3))
+    return util, occ, pw, ncfg
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_matches_enumeration(chunk, seed, monkeypatch):
+    """1-5 tasks of 1-7 configurations, random and quarter-grid values,
+    whole, multi-block (chunk 16, 64) and chunk-below-radix (4) scans."""
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(1000 + seed)
+    for n in range(1, 6):
+        cmax = int(rng.integers(1, 8))
+        if seed % 2:
+            util, occ, pw, ncfg = _quarter_case(rng, n, cmax)
+            r1, r2 = rng.integers(0, 4 * n + 2, size=2) / 4.0
+        else:
+            ncfg = rng.integers(1, cmax + 1, size=n)
+            util = rng.uniform(0.1, 1.5, size=(n, cmax))
+            occ = rng.uniform(0.0, 0.1, size=(n, cmax))
+            pw = rng.uniform(0.0, 0.4, size=(n, cmax))
+            r1, r2 = rng.uniform(0.0, 0.1 * n), rng.uniform(0.0, 0.4 * n)
+        _assert_scan_matches(util, occ, pw, ncfg, r1, r2)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 16])
+def test_scan_ties_resolve_to_lowest_code(chunk, monkeypatch):
+    # Every configuration is worth the same, so each single-task assignment
+    # ties; the lowest code picks configuration 0 of task 0 and drops the rest.
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    ncfg = np.array([3, 4, 5])
+    ones = np.ones((3, 5))
+    best_u, best_code = _assert_scan_matches(ones, ones, ones, ncfg, 1.0, 1.0)
+    assert (best_u, best_code) == (1.0, 0 * 30 + 4 * 6 + 5)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 16, 4])
+def test_scan_only_all_dropped_feasible(chunk, monkeypatch):
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    util, occ, pw, ncfg = _quarter_case(rng, 4, 6)
+    for r1, r2 in ((0.0, 100.0), (100.0, 0.2), (0.2, 0.2)):
+        best_u, best_code = _assert_scan_matches(util, occ, pw, ncfg, r1, r2)
+        radix = (ncfg + 1).tolist()
+        assert best_u == 0.0
+        assert best_code == int(np.prod(radix)) - 1  # every digit "dropped"
+
+
+@pytest.mark.parametrize("ncfg", [[40], [2, 40], [40, 3], [3, 40, 2]])
+def test_scan_radix_above_chunk(ncfg, monkeypatch):
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", 16)
+    rng = np.random.default_rng(len(ncfg))
+    ncfg = np.array(ncfg)
+    util, occ, pw = (rng.uniform(0.1, 1.0, size=(len(ncfg), 40)) for _ in range(3))
+    _assert_scan_matches(util, occ, pw, ncfg, 0.9, 1.1)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_blocks_are_bounded_and_cover_every_state(chunk, monkeypatch):
+    """Each block judged by one argmax holds at most max(chunk, largest
+    radix) states, and the blocks together hold every state once."""
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    sizes = []
+    argmax = np.argmax
+
+    def recording_argmax(a, *args, **kwargs):
+        sizes.append(len(a))
+        return argmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", recording_argmax)
+    for ncfg in ([6, 2, 7, 1, 5], [3, 40, 2], [7] * 5):
+        sizes.clear()
+        ncfg = np.array(ncfg)
+        util = np.ones((len(ncfg), int(ncfg.max())))
+        kernels.scan_best_feasible(util, util, util, ncfg, 2.0, 2.0)
+        radix = (ncfg + 1).tolist()
+        assert sum(sizes) == int(np.prod(radix))
+        assert max(sizes) <= max(chunk, max(radix))
 
 
 def _dp_case(seed):
