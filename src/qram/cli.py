@@ -29,7 +29,7 @@ from .env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                      resource_usage, system_utility, task_utilities)
+                      evaluate_allocation, system_utility)
 from .rng import PortableRng
 
 #: Default sweep of configurations-per-task for the by-configs benchmark.
@@ -236,17 +236,17 @@ def cmd_solve(args) -> int:
         timings = {"optimize_s": time.perf_counter() - t0}
         extra["resource_model"] = "compound_relaxation"
 
+    utilities, usage = evaluate_allocation(alloc, instance)
     doc = {
         "format": 1,
         "method": args.method,
         "scenario": {"seed": scenario.seed, "n_targets": len(scenario.targets)},
         "bounds": bounds.to_dict(),
-        "system_utility": system_utility(alloc, instance),
-        "per_task_utility": {str(tid): u for tid, u
-                             in task_utilities(alloc, instance).items()},
+        "system_utility": system_utility(alloc, instance, utilities),
+        "per_task_utility": {str(tid): u for tid, u in utilities.items()},
         "assignment": {str(tid): _config_dict(c)
                        for tid, c in sorted(alloc.assignment.items())},
-        "resource_usage": list(resource_usage(alloc, instance)),
+        "resource_usage": list(usage),
         "dropped": sorted(set(t.id for t in instance.tasks)
                           - set(alloc.assignment)),
         "trace": [{"task_id": u.task_id, "ratio": u.ratio,

@@ -14,21 +14,25 @@ import numpy as np
 from . import kernels
 from .core import (Allocation, Configuration, expanded_grids,
                    grid_configurations)
-from .problem import ProblemInstance, system_utility
+from .problem import ProblemInstance
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
 ENUMERATION_CAP = 10**8
+
+#: Refuse knapsack programs whose value table, (tasks + 1) x (budget cells +
+#: 1) float64 entries, exceeds this many cells (160 MB).
+DP_TABLE_CAP = 2 * 10**7
 
 #: Default knapsack quantisation: this many cells across the compound budget.
 DP_DEFAULT_CELLS = 2000
 
 
 class CapacityError(RuntimeError):
-    """Instance too large to enumerate; carries the offending product."""
+    """Instance too large to solve exactly; carries the offending product."""
 
-    def __init__(self, product: int, cap: int):
-        super().__init__(f"{product} combined configuration states exceed the "
-                         f"enumeration cap of {cap}")
+    def __init__(self, product: int, cap: int,
+                 what: str = "combined configuration states"):
+        super().__init__(f"{product} {what} exceed the cap of {cap}")
         self.product = product
         self.cap = cap
 
@@ -114,7 +118,10 @@ def optimal_allocation_dp(instance: ProblemInstance,
     it optimises the compound relaxation and must be requested explicitly via
     ``compound_only``.  Costs are rounded up to the grid, so the result never
     overshoots the compound budget; the reported optimum can only grow as the
-    step shrinks.
+    step shrinks.  The returned utility is the table's optimum, which equals
+    ``system_utility`` of the returned allocation.  Raises
+    :class:`CapacityError` before allocating when the value table would
+    exceed ``DP_TABLE_CAP`` cells.
     """
     bounds = instance.bounds
     active_weights = sum(1 for w in bounds.compound_weights if w != 0.0)
@@ -128,24 +135,20 @@ def optimal_allocation_dp(instance: ProblemInstance,
     if resource_grid_step <= 0:
         raise ValueError("resource grid step must be positive")
 
+    budget = np.floor(budget_value / resource_grid_step + 1e-9)
+    cells = (len(instance.tasks) + 1) * (budget + 1)
+    if cells > DP_TABLE_CAP:
+        raise CapacityError(int(cells) if np.isfinite(cells) else cells,
+                            DP_TABLE_CAP, "knapsack table cells")
+    budget = int(budget)
+
     rows = _metric_rows(instance)
-    budget = int(np.floor(budget_value / resource_grid_step + 1e-9))
     util = _pad([r[2] for r in rows])
-    cost = np.zeros_like(util, dtype=np.int64)
-    for i, (_, configs, _, comp, _, _) in enumerate(rows):
-        cost[i, :len(configs)] = np.ceil(
-            np.asarray(comp) / resource_grid_step - 1e-9).astype(np.int64)
+    cost = np.ceil(_pad([r[3] for r in rows]) / resource_grid_step
+                   - 1e-9).astype(np.int64)
     ncfg = np.array([len(r[1]) for r in rows], dtype=np.int64)
 
-    dp, choice = kernels.fill_knapsack_table(util, cost, ncfg, budget)
-
-    assignment: dict[int, Configuration] = {}
-    j = budget
-    for i in range(len(rows) - 1, -1, -1):
-        c = int(choice[i, j])
-        tid, configs = rows[i][0], rows[i][1]
-        if c < len(configs):
-            assignment[tid] = configs[c]
-            j -= int(cost[i, c])
-    alloc = Allocation(assignment=assignment)
-    return alloc, system_utility(alloc, instance)
+    dp, picks = kernels.fill_knapsack_table(util, cost, ncfg, budget)
+    assignment = {tid: configs[c] for (tid, configs, *_), c in zip(rows, picks)
+                  if c < len(configs)}
+    return Allocation(assignment=assignment), float(dp[budget])

@@ -17,6 +17,9 @@ counters = {"config_evals": 0}
 #: Assignment codes evaluated per vectorised block of the exhaustive scan.
 _SCAN_CHUNK = 1 << 18
 
+#: Candidate cells built per vectorised block of the knapsack table.
+_TABLE_CHUNK = 1 << 18
+
 
 # --------------------------------------------------------------------------
 # Configuration metrics: utility, compound resource and the resource vector
@@ -138,37 +141,99 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
 # --------------------------------------------------------------------------
 # Multiple-choice knapsack table over a quantised scalar resource.
 #
-# dp[j] = best utility with integer budget j; choice[i, j] records the pick
-# for task i (ncfg[i] = dropped).  Ties prefer dropping, then the lowest
-# configuration index.
+# hist[i, j] is the best utility of tasks 0..i-1 within integer budget j
+# (hist[0] = 0.0).  Task i's candidate rows are the drop row hist[i] and,
+# per configuration c of cost w_c, hist[i, j - w_c] + u_c (-inf for j < w_c).
+# The choice in column j is the first maximum over [drop, c = 0, 1, ...]:
+# ties prefer dropping, then the lowest configuration index.
+#
+# Pruning.  A configuration is skipped when it can never be that first
+# maximum in any column: its cost exceeds the budget (its row is all -inf),
+# its utility is <= 0 (its row is <= the drop row, which comes first), or an
+# EARLIER configuration c' dominates it (w_c' <= w_c and u_c' >= u_c).  The
+# dominance argument: hist[i] is nondecreasing in j, so hist[i, j - w_c'] >=
+# hist[i, j - w_c], and round-to-nearest addition is monotone, so row c' >=
+# row c in every column and c' wins every tie.  A dominator passes the
+# first two tests whenever c does, and if it is dominated in turn, its own
+# earlier dominator also dominates c: so every pruned c has an unpruned
+# earlier dominator.  The check is one K x K mask per task.
+#
+# Fill.  The surviving rows are one fancy index into a sliding window over
+# a -inf-padded copy of hist[i], plus the utilities in one broadcast; the
+# next row is their max(axis=0) and the drop row.  Every entry is >= +0.0 or
+# -inf (no signed zero, no NaN), so the maximum is bit for bit the value the
+# first-argmax choice would pick.  Columns go in blocks of at most
+# _TABLE_CHUNK candidate cells, so a task's scratch stays bounded; the
+# (n + 1) x (budget + 1) value history is kept for the backtrack.
+#
+# Backtrack.  From j = budget, task i (last to first) takes the first
+# maximum of hist[i, j] followed by hist[i, j - w_c] + u_c over its unpruned
+# c with w_c <= j: the same adds and the same first-max rule as a column
+# argmax, so the picks are those of the full argmax table.
 # --------------------------------------------------------------------------
+
+def _undominated(util, cost, budget, earlier):
+    """Indices of the configurations that can be a first column maximum.
+
+    ``earlier[a, b]`` is True for a < b, at least len(cost) square.
+    """
+    # A dominator of a live configuration is live itself (cost <=, util >=),
+    # so dominance is only checked among the live ones, in index order.
+    live = np.flatnonzero((cost <= budget) & (util > 0.0))
+    w, u, m = cost[live], util[live], len(live)
+    dominated = ((w[:, None] <= w) & (u[:, None] >= u)
+                 & earlier[:m, :m]).any(axis=0)
+    return live[~dominated]
+
 
 def fill_knapsack_table(util, cost, ncfg, budget):
     """Fill the quantised multiple-choice knapsack table.
 
-    ``cost`` holds per-configuration integer costs; returns (dp, choice).
+    ``util`` and ``cost`` (per-configuration integer costs) are padded per
+    row beyond ``ncfg[i]``.  Returns (dp, picks): ``dp[j]`` is the best
+    utility within budget j, and ``picks[i]`` is task i's configuration on
+    the backtrack from the full budget (``ncfg[i]`` = dropped).
     """
     util = np.ascontiguousarray(util, dtype=np.float64)
     cost = np.ascontiguousarray(cost, dtype=np.int64)
     ncfg = np.asarray(ncfg, dtype=np.int64)
     budget = int(budget)
     n = len(ncfg)
-    dp = np.zeros(budget + 1, dtype=np.float64)
-    choice = np.empty((n, budget + 1), dtype=np.int32)
-    # One scratch table for all tasks: a fresh (configs + 1) x (budget + 1)
-    # table per task is a megabyte-sized block that the allocator may hand
-    # back to the OS and fault in again for every task.
-    table = np.empty((int(ncfg.max(initial=0)) + 1, budget + 1), dtype=np.float64)
+    hist = np.empty((n + 1, budget + 1), dtype=np.float64)
+    hist[0] = 0.0
+    # budget cells of -inf, then the previous row: window[budget - w] is the
+    # previous row shifted right by w.
+    padded = np.full(2 * budget + 1, -np.inf)
+    window = np.lib.stride_tricks.sliding_window_view(padded, budget + 1)
+    width = int(ncfg.max(initial=0))
+    earlier = np.triu(np.ones((width, width), dtype=bool), 1)
+    kept = []
     for i in range(n):
-        rows = table[:ncfg[i] + 1]
-        rows.fill(-np.inf)
-        rows[0] = dp  # drop the task
-        for c in range(ncfg[i]):
-            w = int(cost[i, c])
-            if w > budget:
-                continue
-            rows[1 + c, w:] = dp[:budget + 1 - w] + util[i, c]
-        pick = np.argmax(rows, axis=0)
-        dp = rows[pick, np.arange(budget + 1)]
-        choice[i] = np.where(pick == 0, ncfg[i], pick - 1)
-    return dp, choice
+        w, u = cost[i, :ncfg[i]], util[i, :ncfg[i]]
+        keep = _undominated(u, w, budget, earlier)
+        kept.append(keep)
+        prev, nxt = hist[i], hist[i + 1]
+        if len(keep) == 0:
+            nxt[:] = prev
+            continue
+        padded[budget:] = prev
+        shift, gain = budget - w[keep], u[keep][:, None]
+        block = max(1, _TABLE_CHUNK // len(keep))
+        for a in range(0, budget + 1, block):
+            rows = window[shift, a:a + block]
+            rows += gain
+            np.maximum(prev[a:a + block], rows.max(axis=0), out=nxt[a:a + block])
+
+    picks = np.empty(n, dtype=np.int64)
+    j = budget
+    for i in range(n - 1, -1, -1):
+        fits = kept[i][cost[i, kept[i]] <= j]
+        w = cost[i, fits]
+        best = int(np.argmax(np.concatenate(
+            ((hist[i, j],), hist[i, j - w] + util[i, fits]))))
+        if best == 0:
+            picks[i] = ncfg[i]
+        else:
+            picks[i] = fits[best - 1]
+            j -= int(w[best - 1])
+    return hist[n].copy(), picks

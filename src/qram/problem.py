@@ -87,24 +87,46 @@ def _assigned(alloc: Allocation, instance: ProblemInstance):
             if t.id in alloc.assignment]
 
 
-def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
-    """Utility of every assigned task, keyed by task id in instance order."""
+def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
     return {task.id: task_utility(config, instance.target_for(task))
-            for task, config in _assigned(alloc, instance)}
+            for task, config in assigned}
 
 
-def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
-    """Summed resource vector of the assigned tasks, added in instance order."""
+def _usage(assigned, instance: ProblemInstance) -> np.ndarray:
     usage = np.zeros(len(instance.bounds.bounds), dtype=np.float64)
-    for _, config in _assigned(alloc, instance):
+    for _, config in assigned:
         usage += resource_of(config)
     return usage
 
 
-def system_utility(alloc: Allocation, instance: ProblemInstance) -> float:
-    """Sum of per-task utilities over assigned tasks, in task order."""
+def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
+    """Utility of every assigned task, keyed by task id in instance order."""
+    return _utilities(_assigned(alloc, instance), instance)
+
+
+def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
+    """Summed resource vector of the assigned tasks, added in instance order."""
+    return _usage(_assigned(alloc, instance), instance)
+
+
+def evaluate_allocation(alloc: Allocation, instance: ProblemInstance
+                        ) -> tuple[dict[int, float], np.ndarray]:
+    """``task_utilities`` and ``resource_usage`` from one check of ``alloc``."""
+    assigned = _assigned(alloc, instance)
+    return _utilities(assigned, instance), _usage(assigned, instance)
+
+
+def system_utility(alloc: Allocation, instance: ProblemInstance,
+                   utilities: dict[int, float] | None = None) -> float:
+    """Sum of per-task utilities over assigned tasks, in task order.
+
+    ``utilities``, when given, is ``task_utilities(alloc, instance)`` already
+    computed by the caller; it is summed instead of evaluated again.
+    """
+    if utilities is None:
+        utilities = task_utilities(alloc, instance)
     total = 0.0
-    for utility in task_utilities(alloc, instance).values():
+    for utility in utilities.values():
         total += utility  # not sum(): it compensates on Python >= 3.12
     return total
 

@@ -90,3 +90,42 @@ def linear_drop_until_feasible(ledger, active):
         dropped.append(tid)
         ledger.clear_row(tid)
     return sorted(dropped)
+
+
+def argmax_knapsack_table(util, cost, ncfg, budget):
+    """Reference knapsack: the full argmax choice table and its backtrack.
+
+    Returns (dp, picks) like ``kernels.fill_knapsack_table``: every task
+    builds one candidate row per configuration plus the drop row, takes the
+    column argmax (ties to dropping, then the lowest index) and records it;
+    the picks are read back from the full budget.
+    """
+    util = np.ascontiguousarray(util, dtype=np.float64)
+    cost = np.ascontiguousarray(cost, dtype=np.int64)
+    ncfg = np.asarray(ncfg, dtype=np.int64)
+    budget = int(budget)
+    n = len(ncfg)
+    dp = np.zeros(budget + 1, dtype=np.float64)
+    choice = np.empty((n, budget + 1), dtype=np.int32)
+    table = np.empty((int(ncfg.max(initial=0)) + 1, budget + 1), dtype=np.float64)
+    for i in range(n):
+        rows = table[:ncfg[i] + 1]
+        rows.fill(-np.inf)
+        rows[0] = dp  # drop the task
+        for c in range(ncfg[i]):
+            w = int(cost[i, c])
+            if w > budget:
+                continue
+            rows[1 + c, w:] = dp[:budget + 1 - w] + util[i, c]
+        pick = np.argmax(rows, axis=0)
+        dp = rows[pick, np.arange(budget + 1)]
+        choice[i] = np.where(pick == 0, ncfg[i], pick - 1)
+
+    picks = np.empty(n, dtype=np.int64)
+    j = budget
+    for i in range(n - 1, -1, -1):
+        c = int(choice[i, j])
+        picks[i] = c
+        if c < ncfg[i]:
+            j -= int(cost[i, c])
+    return dp, picks

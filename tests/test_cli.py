@@ -163,6 +163,16 @@ def test_solve_brute_capacity_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == 3
 
 
+def test_solve_dp_table_capacity_exit_code(scenario_file, tmp_path, capsys):
+    # 2e15 budget cells would need a petabyte-sized table: refused up front.
+    out = tmp_path / "x.json"
+    assert run(["solve", "--scenario", str(scenario_file), "--method", "dp",
+                "--dp-step", "1e-15", "--out", str(out)]) == 3
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and "knapsack table cells" in message
+    assert not out.exists()
+
+
 def test_solve_agent_needs_weights(scenario_file, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["solve", "--scenario", str(scenario_file), "--method", "agent",

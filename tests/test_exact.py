@@ -6,8 +6,8 @@ import pytest
 from helpers import random_small_instance
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
                        ResourceBounds, resource_of)
-from qram.exact import (CapacityError, MultiResourceError, optimal_allocation,
-                        optimal_allocation_dp)
+from qram.exact import (DP_TABLE_CAP, CapacityError, MultiResourceError,
+                        optimal_allocation, optimal_allocation_dp)
 from qram.perf import generate_scenario, task_utility
 from qram.problem import build_tracking_instance, is_feasible, system_utility
 
@@ -116,6 +116,24 @@ def test_dp_compound_relaxation_bounds_the_optimum():
         _, brute = optimal_allocation(inst)
         _, dp = optimal_allocation_dp(inst, compound_only=True)
         assert dp >= brute - 1e-12
+
+
+def test_dp_value_is_system_utility_of_its_allocation():
+    for seed in range(5):
+        inst = _instance(12, seed, ResourceBounds((0.3, 2.0), (1.0, 1.0)),
+                         space=DEFAULT_CONFIG_SPACE)
+        alloc, dp = optimal_allocation_dp(inst, compound_only=True)
+        assert dp == system_utility(alloc, inst)
+
+
+def test_dp_table_cap_raises_before_solving():
+    inst = _single_resource_instance(3, 1, 0.05)
+    with pytest.raises(CapacityError) as err:
+        optimal_allocation_dp(inst, resource_grid_step=1e-15)
+    assert err.value.cap == DP_TABLE_CAP
+    assert err.value.product > DP_TABLE_CAP
+    with pytest.raises(CapacityError):  # budget / step overflows to inf
+        optimal_allocation_dp(inst, resource_grid_step=5e-324)
 
 
 def test_dp_desk_scale_timing():

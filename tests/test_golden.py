@@ -34,6 +34,8 @@ SOLVE_DIGESTS = {
         "9515e7fefee0b76f11eeff7e8ec4c1b877d4662e3ee4593324dad0d59afc1966",
     ("dp", 20, 1):
         "6b0a4037f22818bc7884a37de746d856451d82920f93c12ee00acbab15f257ed",
+    ("dp", 150, 1):
+        "f355ca32e5b4c80fbe0fcd29fcc008121b308bae47362e9ef78f36597e2da668",
     ("brute", 4, 42):
         "101ff0f0be9378fd17fd9f67c11da9d5ec4d8deea8cdb43b4a2f3442747b74ae",
 }
@@ -47,6 +49,14 @@ TIGHT_DIGESTS = {
         "19d81787155c5a1eec000123747c40a8c678604d631c3a62324a1fac63b64b51",
     ("agent", 150, 1):
         "14ead67cd89548d98a5812196785a9e690dccd560ececa86d51ac43360ea1a82",
+}
+
+#: The dp solve at bench size on a coarser grid, ``--dp-step 0.01`` (200
+#: budget cells instead of the default 2000).
+DP_STEP = ["--dp-step", "0.01"]
+DP_STEP_DIGESTS = {
+    ("dp", 150, 1):
+        "0219d7649b133517e3185708e79241456204fe9e368691b844e24a7653445eee",
 }
 
 REMARK1_DIGEST = (
@@ -102,6 +112,13 @@ def test_solve_result_unchanged_under_tight_bounds(method, targets, seed,
     got = solve_digest(method, targets, seed, weight_file, tmp_path,
                        TIGHT_BOUNDS)
     assert got == TIGHT_DIGESTS[(method, targets, seed)]
+
+
+@pytest.mark.parametrize("method,targets,seed", list(DP_STEP_DIGESTS))
+def test_solve_result_unchanged_on_coarse_dp_grid(method, targets, seed,
+                                                  weight_file, tmp_path):
+    got = solve_digest(method, targets, seed, weight_file, tmp_path, DP_STEP)
+    assert got == DP_STEP_DIGESTS[(method, targets, seed)]
 
 
 def test_remark1_csv_unchanged(tmp_path):

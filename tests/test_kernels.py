@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import argmax_knapsack_table
 from qram import kernels
 from qram.core import DEFAULT_CONFIG_SPACE, ResourceBounds, expanded_grids
 from qram.perf import Target, TargetType
@@ -161,6 +162,50 @@ def test_dp_table_monotone_in_budget():
     util, cost, ncfg = _dp_case(7)
     dp, _ = kernels.fill_knapsack_table(util, cost, ncfg, 80)
     assert np.all(np.diff(dp) >= 0)
+
+
+def _knapsack_case(rng):
+    """Random table inputs: quarter-grid or continuous utilities (some <= 0),
+    zero costs, costs at and above the budget, duplicated (cost, utility)
+    pairs at other indices and garbage in the padding beyond ``ncfg``."""
+    n, cmax, budget = (int(rng.integers(lo, hi)) for lo, hi in ((0, 7), (1, 9), (0, 31)))
+    ncfg = rng.integers(0, cmax + 1, size=n)
+    if rng.random() < 0.5:
+        util = rng.integers(-2, 9, size=(n, cmax)) / 4.0
+    else:
+        util = rng.uniform(-0.2, 1.5, size=(n, cmax))
+    cost = rng.integers(0, budget + 4, size=(n, cmax))
+    cost[rng.random(size=(n, cmax)) < 0.15] = budget
+    for i in range(n):
+        k = int(ncfg[i])
+        for _ in range(k // 2):  # copy a pair to another index
+            a, b = rng.integers(0, k, size=2)
+            util[i, b], cost[i, b] = util[i, a], cost[i, a]
+        util[i, k:] = 100.0
+        cost[i, k:] = rng.integers(-3, 2, size=cmax - k)
+    return util, cost, ncfg, budget
+
+
+def _assert_knapsack_matches(util, cost, ncfg, budget):
+    dp, picks = kernels.fill_knapsack_table(util, cost, ncfg, budget)
+    want_dp, want_picks = argmax_knapsack_table(util, cost, ncfg, budget)
+    assert dp.tobytes() == want_dp.tobytes()
+    assert picks.tolist() == want_picks.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 1])
+def test_knapsack_matches_argmax_table(chunk, monkeypatch):
+    monkeypatch.setattr(kernels, "_TABLE_CHUNK", chunk)
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        _assert_knapsack_matches(*_knapsack_case(rng))
+    quarter = np.array([[0.5, 0.5, 0.25, 0.75, 0.0],
+                        [0.25, 0.5, 0.5, 0.75, -0.25]])
+    cost = np.array([[2, 1, 1, 3, 0], [0, 1, 1, 3, 2]])
+    for budget in (0, 1, 2, 3, 4, 6):
+        _assert_knapsack_matches(quarter, cost, [5, 5], budget)
+    _assert_knapsack_matches(np.zeros((0, 3)), np.zeros((0, 3)), [], 5)
+    _assert_knapsack_matches(np.zeros((0, 0)), np.zeros((0, 0)), [], 0)
 
 
 def test_eval_counter_accumulates():

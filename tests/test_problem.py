@@ -3,8 +3,10 @@ import pytest
 from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
     ResourceBounds, resource_of
 from qram.perf import Scenario, Target, TargetType, generate_scenario, task_utility
+from qram import problem
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                          is_feasible, system_utility)
+                          evaluate_allocation, is_feasible, resource_usage,
+                          system_utility, task_utilities)
 
 
 def _instance(n=4, seed=42):
@@ -112,6 +114,27 @@ def test_system_utility_rejects_off_grid_config():
     with pytest.raises(ValueError):
         system_utility(Allocation(assignment={0: Configuration(201.0, 2.0, 1.0)}),
                        inst)
+
+
+def test_evaluate_allocation_is_both_passes_after_one_check(monkeypatch):
+    inst = _instance(n=6, seed=5)
+    alloc = Allocation(assignment={t.id: DEFAULT_CONFIG_SPACE.config_at(7 * t.id)
+                                   for t in reversed(inst.tasks[1:])})
+    checks = []
+    check = problem._check_assignment
+    monkeypatch.setattr(problem, "_check_assignment",
+                        lambda *a: checks.append(1) or check(*a))
+    utilities, usage = evaluate_allocation(alloc, inst)
+    assert len(checks) == 1
+    assert list(utilities.items()) == list(task_utilities(alloc, inst).items())
+    assert usage.tobytes() == resource_usage(alloc, inst).tobytes()
+    assert system_utility(alloc, inst, utilities) == system_utility(alloc, inst)
+    with pytest.raises(KeyError):
+        evaluate_allocation(Allocation(assignment={99: DEFAULT_CONFIG_SPACE.config_at(0)}),
+                            inst)
+    with pytest.raises(ValueError):
+        evaluate_allocation(Allocation(assignment={0: Configuration(201.0, 2.0, 1.0)}),
+                            inst)
 
 
 def test_is_feasible_empty_and_boundary():
