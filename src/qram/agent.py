@@ -346,6 +346,13 @@ def train(env: TrackingEnv, cfg: TrainConfig):
                                    episode=episode,
                                    mean_reward=metrics["mean_reward"],
                                    loss=metrics["loss"]))
+    # Non-finite values are absorbing under the RMSprop step, and a weight
+    # behind a ReLU that stays shut can blow up with the loss still finite,
+    # so one check of the final parameters catches every divergence.
+    for name, array in params.named_arrays():
+        if not np.all(np.isfinite(array)):
+            raise TrainingError(f"training diverged: non-finite values in "
+                                f"{name} after {episodes} episodes")
     return params, curve
 
 
@@ -393,6 +400,9 @@ def load(path) -> tuple[AgentParams, ConfigSpace | None]:
     if flat.size != expected:
         raise WeightFormatError(f"weight payload has {flat.size} values, "
                                 f"expected {expected}")
+    if not np.all(np.isfinite(flat)):
+        raise WeightFormatError(f"weight payload of {path} holds non-finite "
+                                f"values")
     values = {}
     offset = 0
     for name, a in template.named_arrays():

@@ -2,16 +2,18 @@
 
 The greedy pass only ever needs "the next desirable configuration from the
 current one", which is exactly what the trained network proposes.  So the
-allocation runs the shared :func:`qram.classic.upgrade_loop` with a proposer
-step: every task starts at its cheapest configuration, the proposer names
-its next configuration, and the loop applies the feasible upgrade with the
-best (optionally priority-weighted) utility-to-resource quotient,
-re-querying a task after each accepted upgrade.
+allocation runs the shared :func:`qram.classic.upgrade_loop` with one lazy
+step iterator per task: every task starts at its cheapest configuration,
+the iterator asks the proposer for the next configuration from the current
+one, and the loop applies the feasible upgrade with the best
+utility-to-resource quotient, drawing a task's next step only after its
+last one was accepted.  So the proposer is called in exactly the order the
+loop needs, one call per draw.
 
-Unlike a job list, proposals come from an arbitrary function, so the step
-protects the loop: a stationary or non-improving proposal retires the task,
-and a per-task upgrade budget of the grid size bounds the loop even under
-adversarial proposers.
+Unlike a job list, proposals come from an arbitrary function, so the
+iterator protects the loop: a stationary or non-improving proposal ends it,
+and it asks the proposer at most grid size + 1 times, which bounds the loop
+even under adversarial proposers.
 """
 
 from __future__ import annotations
@@ -65,33 +67,28 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     return propose
 
 
-def allocate_with_proposals(propose: Proposer, instance: ProblemInstance,
-                            priority_weights: dict[int, float] | None = None
+def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
                             ) -> tuple[Allocation, AllocationTrace]:
     """Greedy upgrade loop over proposals; never returns an infeasible result."""
-    weights = priority_weights or {}
-    start = {t.id: base_configuration(t.config_space, instance.target_for(t),
-                                      instance.bounds)
-             for t in instance.tasks}
-    accepted = dict.fromkeys(start, -1)  # the first call follows no upgrade
+    bounds = instance.bounds
 
-    def advance(tid: int, current: Configuration):
-        task = instance.task_by_id(tid)
-        accepted[tid] += 1
-        if accepted[tid] > task.config_space.size:
-            return None  # cycle guard for bad proposers
+    def steps(task: Task, target: Target, current: Configuration):
+        for _ in range(task.config_space.size + 1):  # cycle guard
+            proposal = propose(task, target, current)
+            quotient = raw_quotient(current, proposal, target, bounds)
+            if proposal == current or quotient <= 0.0:
+                return  # stationary or non-improving: retire
+            yield proposal, quotient
+            current = proposal  # resumed only once the upgrade was accepted
+
+    start, task_steps = {}, {}
+    for task in instance.tasks:
         target = instance.target_for(task)
-        proposal = propose(task, target, current)
-        quotient = raw_quotient(current, proposal, target, instance.bounds)
-        if proposal == current or quotient <= 0.0:
-            return None  # stationary or non-improving: retire
-        return proposal, weights.get(tid, 1.0) * quotient
-
-    return upgrade_loop(instance, start, advance)
+        start[task.id] = base_configuration(task.config_space, target, bounds)
+        task_steps[task.id] = steps(task, target, start[task.id])
+    return upgrade_loop(instance, start, task_steps)
 
 
-def allocate_with_agent(params: AgentParams, instance: ProblemInstance,
-                        priority_weights: dict[int, float] | None = None
+def allocate_with_agent(params: AgentParams, instance: ProblemInstance
                         ) -> tuple[Allocation, AllocationTrace]:
-    return allocate_with_proposals(network_proposer(params), instance,
-                                   priority_weights)
+    return allocate_with_proposals(network_proposer(params), instance)

@@ -8,8 +8,9 @@ utility-to-resource ratio that still fits the resource bounds.
 
 That pass is :func:`upgrade_loop`, the one greedy loop in the package: it
 owns the resource ledger, the drop rule, the ratio order and the first-fit
-acceptance.  An allocator only supplies each task's next step.  Here the
-step walks the job list; :mod:`qram.allocator` asks a proposer instead.
+acceptance.  An allocator only supplies each task's start configuration
+and an iterator of its upgrade steps.  Here the steps walk the job list;
+:mod:`qram.allocator` draws them from a proposer instead.
 
 The greedy pass is a heuristic: restricting choices to hull points can lose
 the true optimum, and refining a grid can even lower the greedy result (see
@@ -19,8 +20,8 @@ the regression instance in :mod:`qram.remark1`).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class JobList:
                                  "strictly decreasing")
 
     def ratios(self) -> list[float]:
+        """Utility-to-resource slope of each step along the frontier."""
         return [(b.utility - a.utility) / (b.resource - a.resource)
                 for a, b in zip(self.points, self.points[1:])]
 
@@ -169,8 +171,8 @@ class UsageLedger:
     full re-sum with the row replaced would give.  So a total above its
     limit by more than ``band`` cannot fit, and totals below every limit
     by more than ``band`` fit; only a total inside the band falls back to
-    replacing the row and re-summing.  The bound holds because every entry
-    is >= 0 (a resource vector of a valid configuration is): a sequential
+    the full re-sum.  The bound holds because every entry is >= 0 (a
+    resource vector of a valid configuration is): a sequential
     sum of T non-negative terms errs by at most (T - 1) * 2**-53 times its
     exact total, which bounds the error of the held usage and of the
     re-summed candidate, and ``s - old + new`` adds two roundings of at
@@ -203,12 +205,16 @@ class UsageLedger:
     def feasible(self) -> bool:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
 
-    def feasible_without(self, task_ids) -> bool:
-        """Would the rows fit with these tasks' rows cleared?  The ledger
-        itself is left as it is."""
+    def _fits_with(self, rows: list[int], values) -> bool:
+        """Would the rows fit with ``rows`` set to ``values``?  Re-sums a
+        copy; the ledger itself is left as it is."""
         mat = self._mat.copy()
-        mat[[self._row[tid] for tid in task_ids]] = 0.0
+        mat[rows] = values
         return bool(np.all(_sequential_sum(mat) <= self._limits))
+
+    def feasible_without(self, task_ids) -> bool:
+        """Would the rows fit with these tasks' rows cleared?"""
+        return self._fits_with([self._row[tid] for tid in task_ids], 0.0)
 
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
@@ -223,13 +229,7 @@ class UsageLedger:
                 return False
             if not total + band < lim:
                 decided = False
-        if decided:
-            return True
-        saved = self._mat[row].copy()
-        self._mat[row] = new
-        ok = bool(np.all(_sequential_sum(self._mat) <= self._limits))
-        self._mat[row] = saved
-        return ok
+        return decided or self._fits_with([row], new)
 
 
 def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
@@ -260,22 +260,21 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
     return dropped
 
 
-#: advance(task_id, current_config) -> (next config, ratio), or None to retire
-Advance = Callable[[int, Configuration], tuple[Configuration, float] | None]
-
-
 def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
-                 advance: Advance) -> tuple[Allocation, AllocationTrace]:
+                 steps: dict[int, Iterator[tuple[Configuration, float]]]
+                 ) -> tuple[Allocation, AllocationTrace]:
     """The greedy upgrade loop shared by every allocator.
 
     Starts each task at ``start[tid]`` (dropping the highest ids if even
-    those do not fit), then keeps one candidate upgrade per task, asked of
-    ``advance``, and repeatedly applies the first candidate that fits, in
-    order of decreasing ratio with ties to the lower task id.  ``advance``
-    is called once per task at the start and again for a task only after
-    its candidate was accepted; returning None retires the task.
-    Feasibility is checked against the full resource vector even though
-    ratios rank by a scalar.
+    those do not fit), then keeps one candidate upgrade per task, drawn
+    from ``steps[tid]``, an iterator of ``(config, ratio)``, and
+    repeatedly applies the first candidate that fits, in order of
+    decreasing ratio with ties to the lower task id.  Each kept task's
+    iterator is drawn once at the start and again only after its candidate
+    was accepted, so a lazy iterator sees every accepted upgrade before it
+    yields the next; an exhausted iterator retires the task.  Feasibility
+    is checked against the full resource vector even though ratios rank
+    by a scalar.
     """
     ledger = UsageLedger(instance)
     active = sorted(start)
@@ -290,7 +289,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     def refresh(tid: int) -> None:
         if tid in candidates:
             del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
-        step = advance(tid, current[tid])
+        step = next(steps[tid], None)
         if step is not None:
             config, ratio = step
             candidates[tid] = (config, resource_of(config), ratio)
@@ -327,20 +326,10 @@ def greedy_allocate(job_lists: list[JobList],
     by_id = {jl.task_id: jl for jl in job_lists}
     if sorted(by_id) != sorted(t.id for t in instance.tasks):
         raise ValueError("need exactly one job list per task")
-    steps = {tid: zip(jl.points, jl.points[1:]) for tid, jl in by_id.items()}
-
-    def advance(tid: int, config: Configuration):
-        # The loop only calls again after accepting the previous step, so
-        # the next pair of frontier points always starts at ``config``.
-        step = next(steps[tid], None)
-        if step is None:
-            return None  # end of the frontier
-        a, b = step
-        return b.config, (b.utility - a.utility) / (b.resource - a.resource)
-
-    return upgrade_loop(instance, {tid: jl.points[0].config
-                                   for tid, jl in by_id.items()}, advance)
-
+    return upgrade_loop(
+        instance, {tid: jl.points[0].config for tid, jl in by_id.items()},
+        {tid: zip([p.config for p in jl.points[1:]], jl.ratios())
+         for tid, jl in by_id.items()})
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Embed, build frontiers, run the greedy pass."""

@@ -83,9 +83,10 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        return tuple(_positive_int(x) for x in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
 
 
 class UsageError(ValueError):
@@ -300,6 +301,10 @@ def cmd_bench_utility(args) -> int:
                                                      instance)
             cu = system_utility(classic_alloc, instance)
             au = system_utility(agent_alloc, instance)
+            if cu == 0.0:
+                raise UsageError(
+                    f"at {n} targets classic allocates nothing under these "
+                    f"bounds, so the agent/classic ratio is undefined")
             classic_vals.append(cu)
             agent_vals.append(au)
             ratios.append(au / cu)

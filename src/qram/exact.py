@@ -41,29 +41,17 @@ class MultiResourceError(ValueError):
     """The knapsack oracle needs a single effective resource dimension."""
 
 
-def _metric_rows(instance: ProblemInstance, per_task_configs=None):
-    """Per-task padded metric arrays (utility, compound, occupancy, power).
-
-    Row i follows the task's grid order, or the given restricted config list.
-    """
+def _metric_rows(instance: ProblemInstance):
+    """Per-task metric arrays (utility, compound, occupancy, power) in grid
+    order."""
     bounds = instance.bounds
     rows = []
     for task in instance.tasks:
-        target = instance.target_for(task)
-        if per_task_configs is not None and task.id in per_task_configs:
-            configs = list(per_task_configs[task.id])
-            for c in configs:
-                if c not in task.config_space:
-                    raise ValueError(f"restricted config {c} not on task "
-                                     f"{task.id}'s grid")
-            dwell = np.array([c.dwell_length for c in configs])
-            tx = np.array([c.transmit_duration for c in configs])
-            pw = np.array([c.transmit_power for c in configs])
-        else:
-            configs = grid_configurations(task.config_space)
-            dwell, tx, pw = expanded_grids(task.config_space)
-        util, comp, occ, avg_pw = kernels.config_metrics(dwell, tx, pw, target, bounds)
-        rows.append((task.id, configs, util, comp, occ, avg_pw))
+        dwell, tx, pw = expanded_grids(task.config_space)
+        util, comp, occ, avg_pw = kernels.config_metrics(
+            dwell, tx, pw, instance.target_for(task), bounds)
+        rows.append((task.id, grid_configurations(task.config_space), util,
+                     comp, occ, avg_pw))
     return rows
 
 
@@ -75,21 +63,20 @@ def _pad(arrays, fill=0.0):
     return out
 
 
-def optimal_allocation(instance: ProblemInstance, per_task_configs=None,
-                       cap: int = ENUMERATION_CAP) -> tuple[Allocation, float]:
+def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
     """Exhaustive utility-maximal feasible allocation.
 
-    ``per_task_configs`` optionally restricts tasks to configuration subsets.
     Ties go to the lexicographically smallest assignment vector (task 0 digit
     first; dropping sorts after every configuration).  Raises
-    :class:`CapacityError` when the combined state count exceeds ``cap``.
+    :class:`CapacityError` when the combined state count exceeds
+    ``ENUMERATION_CAP``.
     """
-    rows = _metric_rows(instance, per_task_configs)
+    rows = _metric_rows(instance)
     product = 1
     for _, configs, *_ in rows:
         product *= len(configs)
-    if product > cap:
-        raise CapacityError(product, cap)
+    if product > ENUMERATION_CAP:
+        raise CapacityError(product, ENUMERATION_CAP)
 
     util = _pad([r[2] for r in rows])
     occ = _pad([r[4] for r in rows])

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from qram.agent import (AgentParams, OptimizerState, TrainConfig, Transition,
-                        WeightFormatError, a2c_update, forward, greedy_action,
-                        init_params, load, loss_and_gradients, sample_action,
-                        save, softmax, train, zero_params, _forward_batch,
-                        _stack_states)
+from qram.agent import (AgentParams, OptimizerState, TrainConfig,
+                        TrainingError, Transition, WeightFormatError,
+                        a2c_update, forward, greedy_action, init_params, load,
+                        loss_and_gradients, sample_action, save, softmax,
+                        train, zero_params, _forward_batch, _stack_states)
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, State, encode_state
 from qram.perf import Target, TargetType
@@ -222,6 +222,15 @@ def test_train_curve_row_per_episode():
     assert all(c.step == (c.episode + 1) * 3 for c in curve)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_rejects_diverged_weights():
+    # A learning rate of 1e308 overflows the one RMSprop step; the loss of
+    # that episode was finite, so only a check of the final weights sees it.
+    env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=1)
+    with pytest.raises(TrainingError, match="non-finite"):
+        train(env, TrainConfig(total_steps=3, seed=1, learning_rate=1e308))
+
+
 @pytest.mark.slow
 def test_desk_scale_training_improves_rewards(trained_agent):
     # Mean episode reward must rise between the first and last training
@@ -276,4 +285,15 @@ def test_load_rejects_corrupt_files(tmp_path):
     doc["architecture"]["hidden"] = 42
     path.write_text(json.dumps(doc))
     with pytest.raises(WeightFormatError):
+        load(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_load_rejects_non_finite_payload(bad, tmp_path):
+    params = init_params(PortableRng(1))
+    w_trunk = params.w_trunk.copy()
+    w_trunk[0, 0] = bad
+    path = tmp_path / "weights.json"
+    save(replace(params, w_trunk=w_trunk), path)
+    with pytest.raises(WeightFormatError, match="non-finite"):
         load(path)

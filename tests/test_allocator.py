@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from helpers import random_small_instance
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             frontier_proposer, network_proposer, next_config)
-from qram.classic import solve_classic
+from qram.classic import base_configuration, job_list_for, solve_classic
 from qram.core import Allocation, Configuration, DEFAULT_CONFIG_SPACE, \
     ResourceBounds
 from qram.agent import init_params, zero_params
@@ -85,6 +87,53 @@ def test_adversarial_proposer_terminates_feasibly():
     assert len(trace.upgrades) <= len(inst.tasks) * (DEFAULT_CONFIG_SPACE.size + 1)
 
 
+def test_proposer_is_asked_once_per_draw_in_loop_order():
+    # The loop draws each kept task's step once, in id order, and then only
+    # after accepting that task's upgrade; the step asks the proposer once
+    # per draw, from the accepted configuration.  An eager chain or a draw
+    # after a rejection would reorder or add calls.
+    inst = _instance(n=12, seed=3,
+                     bounds=ResourceBounds((0.02, 0.5), (1.0, 1.0)))
+    oracle = frontier_proposer(inst)
+    calls = []
+
+    def recording(task, target, current):
+        calls.append((task.id, current))
+        return oracle(task, target, current)
+
+    _, trace = allocate_with_proposals(recording, inst)
+    assert trace.dropped and trace.upgrades  # bound-limited on both counts
+    start = {t.id: base_configuration(t.config_space, inst.target_for(t),
+                                      inst.bounds)
+             for t in inst.tasks}
+    kept = sorted(set(start) - set(trace.dropped))
+    assert calls == ([(tid, start[tid]) for tid in kept]
+                     + [(u.task_id, u.config) for u in trace.upgrades])
+
+
+def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
+    # Flipping between two frontier points improves the quotient both ways
+    # (the way back frees resource and loses utility), so under ample bounds
+    # only the guard stops it: grid size + 1 proposals, each accepted.
+    inst = _instance(n=3, seed=2,
+                     bounds=ResourceBounds((10.0, 100.0), (1.0, 1.0)))
+    ends = {}
+    for task in inst.tasks:
+        points = job_list_for(task, inst.target_for(task), inst.bounds).points
+        ends[task.id] = (points[0].config, points[-1].config)
+    calls = Counter()
+
+    def flip(task, target, current):
+        calls[task.id] += 1
+        low, high = ends[task.id]
+        return high if current == low else low
+
+    _, trace = allocate_with_proposals(flip, inst)
+    size = DEFAULT_CONFIG_SPACE.size
+    assert calls == {t.id: size + 1 for t in inst.tasks}
+    assert Counter(u.task_id for u in trace.upgrades) == calls
+
+
 def test_network_allocation_feasible_after_every_size(trained_agent):
     params, _ = trained_agent
     for n in (1, 7, 40):
@@ -111,19 +160,6 @@ def test_trained_single_task_close_to_classic(trained_agent):
     assert np.mean(ratios >= 0.95) >= 0.70
     assert ratios.mean() >= 0.93
     assert ratios.min() >= 0.80
-
-
-def test_priority_weights_bias_the_order():
-    inst = _instance(n=2, seed=3,
-                     bounds=ResourceBounds((0.02, 5.0), (1.0, 1.0)))
-    oracle = frontier_proposer(inst)
-    _, plain = allocate_with_proposals(oracle, inst)
-    _, biased = allocate_with_proposals(oracle, inst,
-                                        priority_weights={1: 1e6})
-    first_plain = plain.upgrades[0].task_id if plain.upgrades else None
-    first_biased = biased.upgrades[0].task_id if biased.upgrades else None
-    assert first_biased == 1
-    assert first_plain is not None
 
 
 def test_stationary_proposal_retires_task():

@@ -1,6 +1,8 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qram.agent import save, init_params
@@ -154,6 +156,52 @@ def test_rejects_bad_input_with_one_error_line(argv, scenario_file, tmp_path, ca
     message = capsys.readouterr().err
     assert message.startswith("error: ") and message.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("configs", ["0", "-90", "90,0"])
+def test_bench_configs_must_be_positive(configs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["bench", "model", "--targets", "1..2", "--configs", configs,
+             "--out", str(tmp_path / "m.csv")])
+    assert err.value.code == 2
+    assert "positive integers" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_bench_utility_rejects_empty_classic_allocation(weight_file, tmp_path,
+                                                        capsys):
+    # Bounds below every configuration leave classic with utility 0, so the
+    # agent/classic ratio has no value.
+    out = tmp_path / "u.csv"
+    with pytest.raises(SystemExit) as err:
+        run(["bench", "utility", "--targets", "2..2", "--runs", "1",
+             "--weights", str(weight_file), "--bounds", "1e-9,1e-9",
+             "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert "2 targets" in message
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_divergence_exit_code(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert run(["train", "--steps", "3", "--lr", "1e308",
+                "--out", str(out)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_agent_rejects_non_finite_weights(scenario_file, tmp_path):
+    params = init_params(PortableRng(0))
+    weights = tmp_path / "nan.json"
+    save(replace(params, b_policy=np.full_like(params.b_policy, np.nan)),
+         weights, config_space=DEFAULT_CONFIG_SPACE)
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(scenario_file), "--method", "agent",
+             "--weights", str(weights), "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
 
 
 def test_solve_brute_capacity_exit_code(tmp_path):

@@ -43,17 +43,8 @@ def test_capacity_cap_raises_with_product():
     inst = _instance(6, 1, ResourceBounds((0.5, 5.0), (1.0, 1.0)),
                      space=DEFAULT_CONFIG_SPACE)
     with pytest.raises(CapacityError) as err:
-        optimal_allocation(inst, cap=10**6)
+        optimal_allocation(inst)
     assert err.value.product == 90**6
-
-
-def test_restriction_narrows_the_search():
-    bounds = ResourceBounds(bounds=(0.08, 0.3), compound_weights=(1.0, 1.0))
-    inst = _instance(2, 5, bounds)
-    only = [SMALL_SPACE.config_at(0), SMALL_SPACE.config_at(3)]
-    alloc, _ = optimal_allocation(inst, per_task_configs={0: only, 1: only})
-    for config in alloc.assignment.values():
-        assert config in only
 
 
 def test_optimal_result_is_feasible_and_deterministic():
