@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConfigSpace
-from .env import EPISODE_LENGTH, State, TrackingEnv
+from .env import (CONFIG_WIDTH, EPISODE_LENGTH, SITUATIONAL_WIDTH, State,
+                  TrackingEnv)
 from .rng import PortableRng
 
 
@@ -84,8 +85,9 @@ def _glorot(rng: PortableRng, fan_in: int, fan_out: int) -> np.ndarray:
     return flat.reshape(fan_in, fan_out)
 
 
-def init_params(rng: PortableRng, situational_in: int = 5, config_in: int = 3,
-                hidden: int = 100, n_actions: int = 90) -> AgentParams:
+def init_params(rng: PortableRng, situational_in: int = SITUATIONAL_WIDTH,
+                config_in: int = CONFIG_WIDTH, hidden: int = 100,
+                n_actions: int = 90) -> AgentParams:
     """Scaled-uniform weight init (biases zero); draw order is fixed."""
     return AgentParams(
         w_sit1=_glorot(rng, situational_in, hidden), b_sit1=np.zeros(hidden),
@@ -97,7 +99,8 @@ def init_params(rng: PortableRng, situational_in: int = 5, config_in: int = 3,
     )
 
 
-def zero_params(situational_in: int = 5, config_in: int = 3, hidden: int = 100,
+def zero_params(situational_in: int = SITUATIONAL_WIDTH,
+                config_in: int = CONFIG_WIDTH, hidden: int = 100,
                 n_actions: int = 90) -> AgentParams:
     return AgentParams(
         w_sit1=np.zeros((situational_in, hidden)), b_sit1=np.zeros(hidden),

@@ -18,9 +18,12 @@ even under adversarial proposers.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from .agent import AgentParams, forward, greedy_action
+import numpy as np
+
+from .agent import AgentParams, WeightFormatError, forward, greedy_action
 from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
 from .core import Allocation, Configuration, Task
@@ -40,7 +43,13 @@ def next_config(params: AgentParams, task: Task, target: Target,
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
     logits, _ = forward(params, encode_state(space, current, target))
-    return space.config_at(greedy_action(logits))
+    action = greedy_action(logits)
+    # argmax returns the first NaN, and an overflow to +inf wins it, so a
+    # finite winner means a usable proposal.
+    if not math.isfinite(logits[action]):
+        raise WeightFormatError(
+            f"network logits are not finite (task {task.id}); the weights overflow")
+    return space.config_at(action)
 
 
 def network_proposer(params: AgentParams) -> Proposer:
@@ -86,7 +95,10 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
         target = instance.target_for(task)
         start[task.id] = base_configuration(task.config_space, target, bounds)
         task_steps[task.id] = steps(task, target, start[task.id])
-    return upgrade_loop(instance, start, task_steps)
+    # Weights that overflow would warn on every forward pass; next_config
+    # turns their non-finite logits into a WeightFormatError instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return upgrade_loop(instance, start, task_steps)
 
 
 def allocate_with_agent(params: AgentParams, instance: ProblemInstance

@@ -25,7 +25,8 @@ from .allocator import allocate_with_proposals, network_proposer
 from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
                       upper_frontier)
 from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
-from .env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
+from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
+                  TrackingEnv, encode_state)
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
@@ -111,6 +112,14 @@ def _bounds_from_args(args, default: ResourceBounds) -> ResourceBounds:
                           else args.compound_weights))
 
 
+def _instance(scenario: Scenario, bounds: ResourceBounds,
+              space: ConfigSpace) -> ProblemInstance:
+    """``build_tracking_instance``; bounds under which the compound resource
+    of a grid configuration is not finite are a usage error."""
+    return _checked("--bounds/--compound-weights", build_tracking_instance,
+                    scenario=scenario, bounds=bounds, space=space)
+
+
 def _load_scenario(path: str) -> Scenario:
     try:
         scenario = Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -168,6 +177,10 @@ def _load_agent(args, space: ConfigSpace):
     if params.n_actions != space.size:
         raise WeightFormatError(
             f"weight file has {params.n_actions} actions, grid has {space.size}")
+    if (params.situational_in, params.config_in) != (SITUATIONAL_WIDTH, CONFIG_WIDTH):
+        raise WeightFormatError(
+            f"weight file has network inputs {params.situational_in}+"
+            f"{params.config_in}, the state has {SITUATIONAL_WIDTH}+{CONFIG_WIDTH}")
     return params
 
 
@@ -218,7 +231,7 @@ def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     bounds = _bounds_from_args(args, default_bounds(len(scenario.targets)))
     space = DEFAULT_CONFIG_SPACE
-    instance = build_tracking_instance(scenario, bounds, space)
+    instance = _instance(scenario, bounds, space)
 
     trace = None
     extra = {}
@@ -233,7 +246,7 @@ def cmd_solve(args) -> int:
         timings = {"optimize_s": time.perf_counter() - t0}
     else:  # dp
         t0 = time.perf_counter()
-        alloc, _ = optimal_allocation_dp(instance, args.dp_step, compound_only=True)
+        alloc, _ = optimal_allocation_dp(instance, args.dp_step)
         timings = {"optimize_s": time.perf_counter() - t0}
         extra["resource_model"] = "compound_relaxation"
 
@@ -295,7 +308,7 @@ def cmd_bench_utility(args) -> int:
         classic_vals, agent_vals, ratios = [], [], []
         for run in range(args.runs):
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, run))
-            instance = build_tracking_instance(scenario, bounds, space)
+            instance = _instance(scenario, bounds, space)
             classic_alloc, _ = solve_classic(instance)
             agent_alloc, _ = allocate_with_proposals(network_proposer(params),
                                                      instance)
@@ -372,7 +385,7 @@ def cmd_bench_runtime(args) -> int:
         for n in range(args.targets[0], args.targets[1] + 1, args.step):
             bounds = _bounds_from_args(args, default_bounds(n))
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, 0))
-            instance = build_tracking_instance(scenario, bounds, space)
+            instance = _instance(scenario, bounds, space)
             classic_s, agent_s = _median_times(
                 [lambda: _timed_classic(instance),
                  lambda: allocate_with_proposals(network_proposer(params), instance)],
@@ -394,7 +407,7 @@ def cmd_bench_runtime(args) -> int:
     cases = []
     for c in args.configs:
         refined = _refined_space(c)
-        task = build_tracking_instance(scenario, bounds, refined).tasks[0]
+        task = _instance(scenario, bounds, refined).tasks[0]
         state = encode_state(refined, refined.config_at(0), target)
         cases += [partial(job_list_for, task, target, bounds),
                   partial(agent_mod.forward, params, state)]

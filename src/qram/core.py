@@ -79,23 +79,12 @@ class ConfigSpace:
         return len(self.dwell_grid) * len(self.tx_duration_grid) * len(self.tx_power_grid)
 
     def config_at(self, index: int) -> Configuration:
-        n_tx = len(self.tx_duration_grid)
-        n_pw = len(self.tx_power_grid)
         if not 0 <= index < self.size:
             raise IndexError(f"configuration index {index} out of range [0, {self.size})")
-        i_dwell, rem = divmod(index, n_tx * n_pw)
-        i_tx, i_pw = divmod(rem, n_pw)
-        return Configuration(self.dwell_grid[i_dwell],
-                             self.tx_duration_grid[i_tx],
-                             self.tx_power_grid[i_pw])
+        return grid_configurations(self)[index]
 
     def index_of(self, config: Configuration) -> int:
-        try:
-            i_dwell = self.dwell_grid.index(config.dwell_length)
-            i_tx = self.tx_duration_grid.index(config.transmit_duration)
-            i_pw = self.tx_power_grid.index(config.transmit_power)
-        except ValueError:
-            raise ValueError(f"{config} is not on the grid of {self}") from None
+        i_dwell, i_tx, i_pw = self.grid_indices(config)
         return (i_dwell * len(self.tx_duration_grid) + i_tx) * len(self.tx_power_grid) + i_pw
 
     def __contains__(self, config: Configuration) -> bool:
@@ -104,14 +93,15 @@ class ConfigSpace:
                 and config.transmit_power in self.tx_power_grid)
 
     def __iter__(self) -> Iterator[Configuration]:
-        for d, t, p in itertools.product(self.dwell_grid, self.tx_duration_grid,
-                                         self.tx_power_grid):
-            yield Configuration(d, t, p)
+        return iter(grid_configurations(self))
 
     def grid_indices(self, config: Configuration) -> tuple[int, int, int]:
-        return (self.dwell_grid.index(config.dwell_length),
-                self.tx_duration_grid.index(config.transmit_duration),
-                self.tx_power_grid.index(config.transmit_power))
+        try:
+            return (self.dwell_grid.index(config.dwell_length),
+                    self.tx_duration_grid.index(config.transmit_duration),
+                    self.tx_power_grid.index(config.transmit_power))
+        except ValueError:
+            raise ValueError(f"{config} is not on the grid of {self}") from None
 
     def to_dict(self) -> dict:
         return {"dwell_grid": list(self.dwell_grid),
@@ -134,24 +124,25 @@ DEFAULT_CONFIG_SPACE = ConfigSpace(
 
 
 @lru_cache(maxsize=64)
-def expanded_grids(space: ConfigSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major expansion of a grid into three parallel float64 arrays."""
-    dwell, tx, pw = np.meshgrid(np.asarray(space.dwell_grid, dtype=np.float64),
-                                np.asarray(space.tx_duration_grid, dtype=np.float64),
-                                np.asarray(space.tx_power_grid, dtype=np.float64),
-                                indexing="ij")
-    out = (np.ascontiguousarray(dwell.ravel()),
-           np.ascontiguousarray(tx.ravel()),
-           np.ascontiguousarray(pw.ravel()))
-    for a in out:
-        a.setflags(write=False)
-    return out
+def grid_configurations(space: ConfigSpace) -> tuple[Configuration, ...]:
+    """Every configuration of a grid in index order, built once per grid.
+
+    This is the one place that fixes the index order: row-major over
+    dwell x duration x power.
+    """
+    return tuple(Configuration(d, t, p) for d, t, p in itertools.product(
+        space.dwell_grid, space.tx_duration_grid, space.tx_power_grid))
 
 
 @lru_cache(maxsize=64)
-def grid_configurations(space: ConfigSpace) -> tuple[Configuration, ...]:
-    """Every configuration of a grid in index order, built once per grid."""
-    return tuple(space)
+def expanded_grids(space: ConfigSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (dwell, duration, power) columns of ``grid_configurations`` as
+    three read-only float64 arrays."""
+    table = np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
+                      for c in grid_configurations(space)],
+                     dtype=np.float64).T.copy()
+    table.setflags(write=False)
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -172,6 +163,9 @@ class ResourceBounds:
             raise ValueError(
                 f"compound weights must be non-negative and not all zero: "
                 f"{self.compound_weights}")
+        if not math.isfinite(sum(self.compound_weights)):
+            raise ValueError(f"the compound budget, the sum of the compound "
+                             f"weights, must be finite: {self.compound_weights}")
 
     def to_dict(self) -> dict:
         return {"bounds": list(self.bounds),

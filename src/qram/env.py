@@ -43,6 +43,11 @@ EPS_RESOURCE = 1e-9
 #: Below this utility difference a degenerate quotient counts as zero.
 EPS_UTILITY = 1e-12
 
+#: Widths of the two network inputs a state encodes: the type one-hot plus
+#: (range, speed), and the three normalised grid indices.
+SITUATIONAL_WIDTH = len(TYPE_ORDER) + 2
+CONFIG_WIDTH = 3
+
 #: Bounds used for training and single-task evaluation: full timeline, 5 kW.
 DEFAULT_ENV_BOUNDS = ResourceBounds(bounds=(1.0, 5.0), compound_weights=(1.0, 1.0))
 

@@ -2,18 +2,25 @@
 
 The exhaustive search enumerates every combination of configurations (each
 task may also be dropped) and is the ground truth the heuristics are measured
-against.  The knapsack program is a faster cross-check for instances whose
-feasibility is governed by a single scalar resource; with one resource the
-global problem is exactly a multiple-choice knapsack.
+against.  The knapsack program always solves the compound relaxation: it
+keeps the summed compound resource within the compound of the bounds,
+``sum(compound_weights)``, and does not check the individual bounds.  With
+one nonzero compound weight that is the problem for that resource alone, a
+multiple-choice knapsack; with several, every allocation within both bounds
+is also within the compound budget.
+
+Both oracles read one metric table per instance (``_metric_table``) and
+decode their per-task picks into an allocation the same way.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, Configuration, expanded_grids,
-                   grid_configurations)
+from .core import Allocation, expanded_grids, grid_configurations
 from .problem import ProblemInstance
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
@@ -37,30 +44,26 @@ class CapacityError(RuntimeError):
         self.cap = cap
 
 
-class MultiResourceError(ValueError):
-    """The knapsack oracle needs a single effective resource dimension."""
-
-
-def _metric_rows(instance: ProblemInstance):
-    """Per-task metric arrays (utility, compound, occupancy, power) in grid
-    order."""
-    bounds = instance.bounds
-    rows = []
-    for task in instance.tasks:
+def _metric_table(instance: ProblemInstance):
+    """Each task's grid configurations, their counts ``ncfg`` and one
+    (4, tasks, widest grid) float64 array of utility, compound, occupancy
+    and power in grid order, padded with 0.0 beyond ``ncfg[i]``."""
+    configs = [grid_configurations(task.config_space) for task in instance.tasks]
+    ncfg = np.array([len(c) for c in configs], dtype=np.int64)
+    table = np.zeros((4, len(configs), int(ncfg.max(initial=0))))
+    for i, task in enumerate(instance.tasks):
         dwell, tx, pw = expanded_grids(task.config_space)
-        util, comp, occ, avg_pw = kernels.config_metrics(
-            dwell, tx, pw, instance.target_for(task), bounds)
-        rows.append((task.id, grid_configurations(task.config_space), util,
-                     comp, occ, avg_pw))
-    return rows
+        table[:, i, :ncfg[i]] = kernels.config_metrics(
+            dwell, tx, pw, instance.target_for(task), instance.bounds)
+    return configs, ncfg, table
 
 
-def _pad(arrays, fill=0.0):
-    width = max(len(a) for a in arrays)
-    out = np.full((len(arrays), width), fill, dtype=np.float64)
-    for i, a in enumerate(arrays):
-        out[i, :len(a)] = a
-    return out
+def _allocation(instance: ProblemInstance, configs, picks) -> Allocation:
+    """Task i gets ``configs[i][picks[i]]``; a pick past its grid drops it."""
+    return Allocation(assignment={
+        task.id: grid[pick]
+        for task, grid, pick in zip(instance.tasks, configs, picks)
+        if pick < len(grid)})
 
 
 def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
@@ -71,52 +74,31 @@ def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
     :class:`CapacityError` when the combined state count exceeds
     ``ENUMERATION_CAP``.
     """
-    rows = _metric_rows(instance)
-    product = 1
-    for _, configs, *_ in rows:
-        product *= len(configs)
+    configs, ncfg, (util, _, occ, pw) = _metric_table(instance)
+    product = math.prod(ncfg.tolist())
     if product > ENUMERATION_CAP:
         raise CapacityError(product, ENUMERATION_CAP)
-
-    util = _pad([r[2] for r in rows])
-    occ = _pad([r[4] for r in rows])
-    pw = _pad([r[5] for r in rows])
-    ncfg = np.array([len(r[1]) for r in rows], dtype=np.int64)
-    best_u, best_code, strides = kernels.scan_best_feasible(
+    best_u, picks = kernels.scan_best_feasible(
         util, occ, pw, ncfg, instance.bounds.bounds[0], instance.bounds.bounds[1])
-
-    assignment: dict[int, Configuration] = {}
-    rem = best_code
-    for i, (tid, configs, *_rest) in enumerate(rows):
-        digit = rem // int(strides[i])
-        rem -= digit * int(strides[i])
-        if digit < len(configs):
-            assignment[tid] = configs[digit]
-    return Allocation(assignment=assignment), best_u
+    return _allocation(instance, configs, picks), best_u
 
 
 def optimal_allocation_dp(instance: ProblemInstance,
-                          resource_grid_step: float | None = None,
-                          compound_only: bool = False) -> tuple[Allocation, float]:
+                          resource_grid_step: float | None = None
+                          ) -> tuple[Allocation, float]:
     """Knapsack oracle over the quantised compound resource.
 
-    Exact for instances whose compound weights single out one component (the
-    other bound is the caller's responsibility); with several active weights
-    it optimises the compound relaxation and must be requested explicitly via
-    ``compound_only``.  Costs are rounded up to the grid, so the result never
-    overshoots the compound budget; the reported optimum can only grow as the
-    step shrinks.  The returned utility is the table's optimum, which equals
-    ``system_utility`` of the returned allocation.  Raises
-    :class:`CapacityError` before allocating when the value table would
-    exceed ``DP_TABLE_CAP`` cells.
+    Maximises utility with the summed compound resource within
+    ``sum(compound_weights)``, the compound of the bounds; the individual
+    bounds are not checked.  With one nonzero compound weight the result is
+    the optimum for that resource alone.  Costs are rounded up to the grid,
+    so the result never overshoots the compound budget; the reported optimum
+    can only grow as the step shrinks.  The returned utility is the table's
+    optimum, which equals ``system_utility`` of the returned allocation.
+    Raises :class:`CapacityError` before allocating when the value table
+    would exceed ``DP_TABLE_CAP`` cells.
     """
-    bounds = instance.bounds
-    active_weights = sum(1 for w in bounds.compound_weights if w != 0.0)
-    if active_weights > 1 and not compound_only:
-        raise MultiResourceError(
-            "instance has several active resource components; pass "
-            "compound_only=True to optimise the compound relaxation")
-    budget_value = sum(bounds.compound_weights)  # compound of the bounds
+    budget_value = sum(instance.bounds.compound_weights)  # compound of the bounds
     if resource_grid_step is None:
         resource_grid_step = budget_value / DP_DEFAULT_CELLS
     if resource_grid_step <= 0:
@@ -129,13 +111,12 @@ def optimal_allocation_dp(instance: ProblemInstance,
                             DP_TABLE_CAP, "knapsack table cells")
     budget = int(budget)
 
-    rows = _metric_rows(instance)
-    util = _pad([r[2] for r in rows])
-    cost = np.ceil(_pad([r[3] for r in rows]) / resource_grid_step
-                   - 1e-9).astype(np.int64)
-    ncfg = np.array([len(r[1]) for r in rows], dtype=np.int64)
-
+    configs, ncfg, (util, comp, _, _) = _metric_table(instance)
+    # Every cost above the budget prunes its configuration alike, so costs
+    # are clipped to budget + 1: a huge compound / step (even one that
+    # overflows to inf) must not wrap around in the int64 cast.
+    with np.errstate(over="ignore"):
+        cost = np.ceil(np.minimum(comp / resource_grid_step, budget + 1)
+                       - 1e-9).astype(np.int64)
     dp, picks = kernels.fill_knapsack_table(util, cost, ncfg, budget)
-    assignment = {tid: configs[c] for (tid, configs, *_), c in zip(rows, picks)
-                  if c < len(configs)}
-    return Allocation(assignment=assignment), float(dp[budget])
+    return _allocation(instance, configs, picks), float(dp[budget])

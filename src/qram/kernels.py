@@ -59,7 +59,8 @@ def config_metrics(dwell, tx, pw, target, bounds):
 # States are mixed-radix codes: task 0 is the most significant digit, digit
 # values 0..n_i-1 pick a configuration and digit n_i drops the task, so
 # ascending code order is lexicographic order of the assignment vectors.
-# The scan keeps the FIRST code attaining the maximum feasible utility.
+# The scan keeps the FIRST code attaining the maximum feasible utility and
+# returns its digits, the picks.
 #
 # Totals are built by outer sums, not by decoding codes.  Each task has a
 # value vector of n_i + 1 entries (its configurations, then 0.0 for
@@ -92,12 +93,14 @@ def _outer_sums(base, vectors):
 
 
 def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
-    """Return (best utility, mixed-radix code, strides) over every assignment.
+    """Return (best utility, picks) over every assignment.
 
     ``util/occ/pw`` are (n_tasks, max_configs) arrays padded per row beyond
-    ``ncfg[i]``; digit n_i drops task i.  Empty allocations are part of the
-    search, so a result is always found.  The scan is exhaustive; no block
-    it evaluates holds more than max(_SCAN_CHUNK, largest radix) states.
+    ``ncfg[i]``.  ``picks[i]`` is task i's configuration in the first
+    assignment, in code order, that attains the best feasible utility, and
+    ``ncfg[i]`` drops the task.  Empty allocations are part of the search,
+    so a result is always found.  The scan is exhaustive; no block it
+    evaluates holds more than max(_SCAN_CHUNK, largest radix) states.
     """
     util = np.asarray(util, dtype=np.float64)
     occ = np.asarray(occ, dtype=np.float64)
@@ -106,11 +109,6 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     ncfg = [int(k) for k in ncfg]
     n = len(ncfg)
     radix = [k + 1 for k in ncfg]
-    strides = np.empty(n, dtype=np.int64)
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= radix[i]
 
     def values(table):
         return [np.append(table[i, :ncfg[i]], 0.0) for i in range(n)]
@@ -135,7 +133,7 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
         if cand[j] > best_u:
             best_u = float(cand[j])
             best_code = k * block + j
-    return float(best_u), int(best_code), strides
+    return float(best_u), np.array(np.unravel_index(best_code, radix), dtype=np.int64)
 
 
 # --------------------------------------------------------------------------

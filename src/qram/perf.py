@@ -61,6 +61,25 @@ GROWTH_SCALE_M = 1000.0
 ERROR_HALF_M = 50.0
 
 
+def _json_int(d: dict, key: str) -> int:
+    """``d[key]`` if it is a JSON integer (not a float or a boolean)."""
+    value = d[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(d: dict, key: str) -> float:
+    """``d[key]`` as a float if it is a JSON number (not a boolean)."""
+    value = d[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} is out of range: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Target:
     id: int
@@ -82,8 +101,9 @@ class Target:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Target":
-        return cls(id=int(d["id"]), ttype=TargetType(d["ttype"]),
-                   range_km=float(d["range_km"]), speed_mps=float(d["speed_mps"]))
+        return cls(id=_json_int(d, "id"), ttype=TargetType(d["ttype"]),
+                   range_km=_json_number(d, "range_km"),
+                   speed_mps=_json_number(d, "speed_mps"))
 
 
 @dataclass(frozen=True)
@@ -113,7 +133,7 @@ class Scenario:
         if d.get("format") != 1:
             raise ValueError(f"unsupported scenario format {d.get('format')!r}")
         return cls(targets=tuple(Target.from_dict(t) for t in d["targets"]),
-                   seed=int(d["seed"]))
+                   seed=_json_int(d, "seed"))
 
 
 def generate_scenario(n_targets: int, seed: int) -> Scenario:

@@ -7,11 +7,13 @@ fields, so instances round-trip between the CLI tools and the library.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Allocation, ConfigSpace, ResourceBounds, Task, resource_of
+from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
+                   compound_resource, grid_configurations, resource_of)
 from .perf import Scenario, Target, task_utility
 
 
@@ -28,6 +30,12 @@ class ProblemInstance:
             raise ValueError("task ids must be unique")
         for task in self.tasks:
             self.scenario.target_by_id(task.target_ref)  # raises if missing
+        for space in {task.config_space for task in self.tasks}:
+            for config in grid_configurations(space):
+                if not math.isfinite(compound_resource(resource_of(config),
+                                                       self.bounds)):
+                    raise ValueError(f"the compound resource of {config} is "
+                                     f"not finite under {self.bounds}")
         object.__setattr__(self, "_by_id", by_id)
 
     def task_by_id(self, task_id: int) -> Task:

@@ -111,6 +111,13 @@ def test_solve_brute_dominates_classic(scenario_file, tmp_path):
     '{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": "Fighter", '
     '"range_km": NaN, "speed_mps": 200.0}]}',
     '{"format": 1, "seed": 0, "targets": []}',
+    '{"format": 1, "seed": 0, "targets": [{"id": 1.5, "ttype": "Fighter", '
+    '"range_km": 50.0, "speed_mps": 200.0}]}',
+    '{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": "Fighter", '
+    '"range_km": true, "speed_mps": 200.0}]}',
+    pytest.param('{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": '
+                 '"Fighter", "range_km": 1' + '0' * 400 + ', "speed_mps": 200.0}]}',
+                 id="integer range_km beyond the float range"),
 ])
 def test_solve_rejects_bad_scenario_file(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -135,6 +142,9 @@ def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
     ["solve", "--bounds", "inf,1"],
     ["solve", "--bounds", "0,1"],
     ["solve", "--compound-weights", "0,0"],
+    ["solve", "--method", "dp", "--compound-weights", "1e308,1e308"],
+    ["solve", "--method", "dp", "--bounds", "1e-308,5", "--compound-weights", "100,1"],
+    ["solve", "--method", "classic", "--bounds", "1e-310,5", "--compound-weights", "0,1"],
     ["train", "--steps", "3", "--bounds", "nan,1"],
     ["train", "--steps", "3", "--discount", "1.5"],
     ["train", "--steps", "3", "--lr", "-1"],
@@ -202,6 +212,65 @@ def test_solve_agent_rejects_non_finite_weights(scenario_file, tmp_path):
         run(["solve", "--scenario", str(scenario_file), "--method", "agent",
              "--weights", str(weights), "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "agent"],
+    ["bench", "utility", "--targets", "2..2", "--runs", "1"],
+    ["bench", "runtime", "--mode", "by-configs", "--configs", "90", "--runs", "1"],
+], ids=" ".join)
+def test_rejects_weights_for_other_input_widths(argv, scenario_file, tmp_path,
+                                                capsys):
+    weights = tmp_path / "w4.json"
+    save(init_params(PortableRng(0), situational_in=4), weights,
+         config_space=DEFAULT_CONFIG_SPACE)
+    if argv[0] == "solve":
+        argv = argv + ["--scenario", str(scenario_file)]
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--weights", str(weights), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert "4+3" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "agent"],
+    ["bench", "utility", "--targets", "3..3", "--runs", "1"],
+], ids=" ".join)
+def test_rejects_weights_that_overflow(argv, scenario_file, tmp_path, capsys):
+    # Finite weights whose forward pass overflows: the logits are inf/NaN.
+    params = init_params(PortableRng(0))
+    weights = tmp_path / "big.json"
+    save(replace(params, w_trunk=params.w_trunk * 1e300,
+                 w_policy=params.w_policy * 1e300),
+         weights, config_space=DEFAULT_CONFIG_SPACE)
+    if argv[0] == "solve":
+        argv = argv + ["--scenario", str(scenario_file)]
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--weights", str(weights), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert "not finite" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds,weights", [
+    ("1,1e-300", "1,1e8"),  # finite costs beyond the int64 range
+    ("1e-306,5", "1,0"),    # compound / step overflows to inf
+])
+def test_solve_dp_huge_costs_drop_every_task(bounds, weights, scenario_file,
+                                             tmp_path):
+    out = tmp_path / "dp.json"
+    assert run(["solve", "--scenario", str(scenario_file), "--method", "dp",
+                "--bounds", bounds, "--compound-weights", weights,
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["system_utility"] == 0.0 and doc["dropped"] == [0, 1, 2, 3]
 
 
 def test_solve_brute_capacity_exit_code(tmp_path):

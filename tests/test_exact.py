@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from helpers import random_small_instance
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds, resource_of)
-from qram.exact import (DP_TABLE_CAP, CapacityError, MultiResourceError,
-                        optimal_allocation, optimal_allocation_dp)
-from qram.perf import generate_scenario, task_utility
-from qram.problem import build_tracking_instance, is_feasible, system_utility
+                       ResourceBounds, Task, resource_of)
+from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
+                        optimal_allocation_dp)
+from qram.perf import (Scenario, Target, TargetType, generate_scenario,
+                       task_utility)
+from qram.problem import (ProblemInstance, build_tracking_instance, is_feasible,
+                          system_utility)
 
 SMALL_SPACE = ConfigSpace((100.0, 500.0, 1100.0), (2.0, 6.0, 10.0), (1.0, 4.0))
 
@@ -57,17 +60,59 @@ def test_optimal_result_is_feasible_and_deterministic():
         assert u1 == system_utility(a1, inst)
 
 
+def _mixed_grid_instance(bounds):
+    """Tasks 10, 7, 4 (in that order) on grids of 2, 6 and 12 configurations."""
+    spaces = (ConfigSpace((400.0,), (4.0,), (1.0, 3.0)),
+              ConfigSpace((200.0, 600.0), (2.0, 5.0, 8.0), (2.0,)),
+              ConfigSpace((150.0, 300.0, 900.0), (3.0, 9.0), (1.5, 4.0)))
+    targets = (Target(10, TargetType.MISSILE, 80.0, 700.0),
+               Target(7, TargetType.HELICOPTER, 30.0, 40.0),
+               Target(4, TargetType.FIGHTER, 120.0, 300.0))
+    tasks = tuple(Task(id=t.id, target_ref=t.id, config_space=space)
+                  for t, space in zip(targets, spaces))
+    return ProblemInstance(tasks=tasks, bounds=bounds,
+                           scenario=Scenario(targets=targets, seed=0))
+
+
+def _literal_optimum(inst):
+    """Every assignment in code order (dropping is each task's last digit),
+    sums added in task order, the first maximum winning."""
+    r1, r2 = inst.bounds.bounds
+    options = [list(task.config_space) + [None] for task in inst.tasks]
+    best_u, best = -1.0, None
+    for choice in itertools.product(*options):
+        tu = to = tp = 0.0
+        for task, config in zip(inst.tasks, choice):
+            if config is not None:
+                tu += task_utility(config, inst.target_for(task))
+                occ, pw = resource_of(config)
+                to += occ
+                tp += pw
+        if to <= r1 and tp <= r2 and tu > best_u:
+            best_u, best = tu, choice
+    return {t.id: c for t, c in zip(inst.tasks, best) if c is not None}, best_u
+
+
+@pytest.mark.parametrize("r1", [0.005, 0.02, 0.04, 0.07, 0.1, 0.2])
+@pytest.mark.parametrize("r2", [0.01, 0.05, 0.1, 0.2, 0.5])
+def test_oracles_on_grids_of_different_sizes(r1, r2):
+    inst = _mixed_grid_instance(ResourceBounds((r1, r2), (1.0, 1.0)))
+    alloc, best = optimal_allocation(inst)
+    assert (alloc.assignment, best) == _literal_optimum(inst)
+    assert is_feasible(alloc, inst)
+    assert best == system_utility(alloc, inst)
+
+    alloc, dp = optimal_allocation_dp(inst)
+    assert dp == system_utility(alloc, inst)
+    for tid, config in alloc.assignment.items():
+        assert config in inst.task_by_id(tid).config_space
+
+
 # ------------------------------------------------------------------ knapsack
 
 def _single_resource_instance(n, seed, r1, space=SMALL_SPACE):
     bounds = ResourceBounds(bounds=(r1, 1000.0), compound_weights=(1.0, 0.0))
     return _instance(n, seed, bounds, space)
-
-
-def test_dp_rejects_multi_resource():
-    inst = _instance(2, 1, ResourceBounds((0.1, 0.2), (1.0, 1.0)))
-    with pytest.raises(MultiResourceError):
-        optimal_allocation_dp(inst)
 
 
 def test_dp_matches_exhaustive_on_grid_aligned_costs():
@@ -105,7 +150,7 @@ def test_dp_compound_relaxation_bounds_the_optimum():
     for seed in range(5):
         inst = random_small_instance(seed)
         _, brute = optimal_allocation(inst)
-        _, dp = optimal_allocation_dp(inst, compound_only=True)
+        _, dp = optimal_allocation_dp(inst)
         assert dp >= brute - 1e-12
 
 
@@ -113,7 +158,7 @@ def test_dp_value_is_system_utility_of_its_allocation():
     for seed in range(5):
         inst = _instance(12, seed, ResourceBounds((0.3, 2.0), (1.0, 1.0)),
                          space=DEFAULT_CONFIG_SPACE)
-        alloc, dp = optimal_allocation_dp(inst, compound_only=True)
+        alloc, dp = optimal_allocation_dp(inst)
         assert dp == system_utility(alloc, inst)
 
 

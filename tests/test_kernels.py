@@ -31,7 +31,7 @@ def _scan_case(seed):
 
 def _brute_scan(util, occ, pw, ncfg, r1, r2):
     """Literal python enumeration of every assignment in code order."""
-    best_u, best_code = -1.0, -1
+    best_u, best_picks = -1.0, None
     radix = [int(k) + 1 for k in ncfg]
     for digits in itertools.product(*(range(r) for r in radix)):
         tu = to = tp = 0.0
@@ -41,23 +41,16 @@ def _brute_scan(util, occ, pw, ncfg, r1, r2):
                 to += occ[i, d]
                 tp += pw[i, d]
         if to <= r1 and tp <= r2 and tu > best_u:
-            best_u = tu
-            code = 0
-            for i, d in enumerate(digits):
-                code = code * radix[i] + d
-            best_code = code
-    strides = [int(np.prod(radix[i + 1:])) for i in range(len(radix))]
-    return best_u, best_code, strides
+            best_u, best_picks = tu, list(digits)
+    return best_u, best_picks
 
 
 def _assert_scan_matches(util, occ, pw, ncfg, r1, r2):
-    got_u, got_code, got_strides = kernels.scan_best_feasible(
-        util, occ, pw, ncfg, r1, r2)
-    want_u, want_code, want_strides = _brute_scan(util, occ, pw, ncfg, r1, r2)
+    got_u, got_picks = kernels.scan_best_feasible(util, occ, pw, ncfg, r1, r2)
+    want_u, want_picks = _brute_scan(util, occ, pw, ncfg, r1, r2)
     assert got_u == want_u
-    assert got_code == want_code
-    assert got_strides.tolist() == want_strides
-    return got_u, got_code
+    assert got_picks.tolist() == want_picks
+    return got_u, want_picks
 
 
 def test_scan_brute_reference():
@@ -101,8 +94,8 @@ def test_scan_ties_resolve_to_lowest_code(chunk, monkeypatch):
     monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
     ncfg = np.array([3, 4, 5])
     ones = np.ones((3, 5))
-    best_u, best_code = _assert_scan_matches(ones, ones, ones, ncfg, 1.0, 1.0)
-    assert (best_u, best_code) == (1.0, 0 * 30 + 4 * 6 + 5)
+    best_u, best_picks = _assert_scan_matches(ones, ones, ones, ncfg, 1.0, 1.0)
+    assert (best_u, best_picks) == (1.0, [0, 4, 5])
 
 
 @pytest.mark.parametrize("chunk", [1 << 18, 16, 4])
@@ -111,10 +104,9 @@ def test_scan_only_all_dropped_feasible(chunk, monkeypatch):
     rng = np.random.default_rng(5)
     util, occ, pw, ncfg = _quarter_case(rng, 4, 6)
     for r1, r2 in ((0.0, 100.0), (100.0, 0.2), (0.2, 0.2)):
-        best_u, best_code = _assert_scan_matches(util, occ, pw, ncfg, r1, r2)
-        radix = (ncfg + 1).tolist()
+        best_u, best_picks = _assert_scan_matches(util, occ, pw, ncfg, r1, r2)
         assert best_u == 0.0
-        assert best_code == int(np.prod(radix)) - 1  # every digit "dropped"
+        assert best_picks == ncfg.tolist()  # every task dropped
 
 
 @pytest.mark.parametrize("ncfg", [[40], [2, 40], [40, 3], [3, 40, 2]])
