@@ -16,7 +16,7 @@ from .classic import (JobList, JobPoint, embed_task, greedy_allocate,
                       job_list_for, solve_classic, upper_frontier)
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .env import TrackingEnv, encode_state, raw_quotient
-from .agent import (AgentParams, TrainConfig, a2c_update, forward, greedy_action,
+from .agent import (AgentParams, a2c_update, forward, greedy_action,
                     init_params, load, sample_action, save, train)
 from .allocator import allocate_with_agent, allocate_with_proposals, next_config
 
@@ -33,7 +33,7 @@ __all__ = [
     "solve_classic", "upper_frontier",
     "CapacityError", "optimal_allocation", "optimal_allocation_dp",
     "TrackingEnv", "encode_state", "raw_quotient",
-    "AgentParams", "TrainConfig", "a2c_update", "forward", "greedy_action",
+    "AgentParams", "a2c_update", "forward", "greedy_action",
     "init_params", "load", "sample_action", "save", "train",
     "allocate_with_agent", "allocate_with_proposals", "next_config",
     "__version__",

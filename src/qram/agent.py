@@ -40,6 +40,17 @@ class WeightFormatError(ValueError):
 WEIGHT_FORMAT_VERSION = 1
 ACTIVATION_NAME = "relu"
 
+# A2C settings: the usual values (after Mnih et al., 2016) except the
+# discount, which is kept tiny because the reward is a per-move quotient: a
+# larger one lets an agent farm reward by cycling around triangles in
+# resource-utility space (see :mod:`qram.env`).
+DISCOUNT = 0.005
+LEARNING_RATE = 7e-4
+RMSPROP_DECAY = 0.99
+RMSPROP_EPSILON = 1e-5
+ENTROPY_COEFF = 0.01
+VALUE_COEFF = 0.5
+
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -85,31 +96,32 @@ def _glorot(rng: PortableRng, fan_in: int, fan_out: int) -> np.ndarray:
     return flat.reshape(fan_in, fan_out)
 
 
+def _shapes(situational_in: int, config_in: int, hidden: int,
+            n_actions: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(field name, shape) of every parameter, in field order."""
+    return [("w_sit1", (situational_in, hidden)), ("b_sit1", (hidden,)),
+            ("w_sit2", (hidden, hidden)), ("b_sit2", (hidden,)),
+            ("w_cfg", (config_in, hidden)), ("b_cfg", (hidden,)),
+            ("w_trunk", (2 * hidden, hidden)), ("b_trunk", (hidden,)),
+            ("w_policy", (hidden, n_actions)), ("b_policy", (n_actions,)),
+            ("w_value", (hidden, 1)), ("b_value", (1,))]
+
+
 def init_params(rng: PortableRng, situational_in: int = SITUATIONAL_WIDTH,
                 config_in: int = CONFIG_WIDTH, hidden: int = 100,
                 n_actions: int = 90) -> AgentParams:
-    """Scaled-uniform weight init (biases zero); draw order is fixed."""
-    return AgentParams(
-        w_sit1=_glorot(rng, situational_in, hidden), b_sit1=np.zeros(hidden),
-        w_sit2=_glorot(rng, hidden, hidden), b_sit2=np.zeros(hidden),
-        w_cfg=_glorot(rng, config_in, hidden), b_cfg=np.zeros(hidden),
-        w_trunk=_glorot(rng, 2 * hidden, hidden), b_trunk=np.zeros(hidden),
-        w_policy=_glorot(rng, hidden, n_actions), b_policy=np.zeros(n_actions),
-        w_value=_glorot(rng, hidden, 1), b_value=np.zeros(1),
-    )
+    """Scaled-uniform weight init (biases zero); draw order is field order."""
+    return AgentParams(**{
+        name: _glorot(rng, *shape) if name.startswith("w_") else np.zeros(shape)
+        for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
 
 
 def zero_params(situational_in: int = SITUATIONAL_WIDTH,
                 config_in: int = CONFIG_WIDTH, hidden: int = 100,
                 n_actions: int = 90) -> AgentParams:
-    return AgentParams(
-        w_sit1=np.zeros((situational_in, hidden)), b_sit1=np.zeros(hidden),
-        w_sit2=np.zeros((hidden, hidden)), b_sit2=np.zeros(hidden),
-        w_cfg=np.zeros((config_in, hidden)), b_cfg=np.zeros(hidden),
-        w_trunk=np.zeros((2 * hidden, hidden)), b_trunk=np.zeros(hidden),
-        w_policy=np.zeros((hidden, n_actions)), b_policy=np.zeros(n_actions),
-        w_value=np.zeros((hidden, 1)), b_value=np.zeros(1),
-    )
+    return AgentParams(**{
+        name: np.zeros(shape)
+        for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
 
 
 def _forward_batch(params: AgentParams, x_sit: np.ndarray, x_cfg: np.ndarray):
@@ -179,55 +191,17 @@ class Transition:
     reward: float
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    total_steps: int
-    seed: int = 0
-    discount: float = 0.005
-    learning_rate: float = 7e-4
-    rmsprop_decay: float = 0.99
-    rmsprop_epsilon: float = 1e-5
-    entropy_coeff: float = 0.01
-    value_coeff: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError(f"discount must be in [0, 1): {self.discount}")
-        if not 0.0 < self.rmsprop_decay < 1.0:
-            raise ValueError(f"rmsprop_decay must be in (0, 1): {self.rmsprop_decay}")
-        for name in ("learning_rate", "rmsprop_epsilon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("entropy_coeff", "value_coeff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite: {getattr(self, name)}")
-        if self.total_steps < 0:
-            raise ValueError("invalid step counts")
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    """RMSprop running mean squares, one array per parameter."""
-
-    mean_square: dict
-
-    @classmethod
-    def zeros_like(cls, params: AgentParams) -> "OptimizerState":
-        return cls(mean_square={name: np.zeros_like(a)
-                                for name, a in params.named_arrays()})
-
-
-def _returns(rewards: list[float], discount: float) -> np.ndarray:
+def _returns(rewards: list[float]) -> np.ndarray:
     out = np.zeros(len(rewards))
     acc = 0.0
     for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + discount * acc
+        acc = rewards[t] + DISCOUNT * acc
         out[t] = acc
     return out
 
 
 def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
-                       cfg: TrainConfig, advantages: np.ndarray | None = None):
+                       advantages: np.ndarray | None = None):
     """Actor-critic loss and its analytic gradients for one episode.
 
     The advantage weighting the log-likelihood is a constant of the
@@ -242,7 +216,7 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     logits, values, cache = _forward_batch(params, x_sit, x_cfg)
     (x_sit, x_cfg, z1, h1, z2, h2, zc, hc, trunk_in, zt, ht) = cache
 
-    returns = _returns(rewards, cfg.discount)
+    returns = _returns(rewards)
     if advantages is None:
         advantages = returns - values
     log_probs = _log_softmax(logits)
@@ -251,16 +225,16 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     batch = np.arange(len(trajectory))
 
     policy_loss = float(-(advantages * log_probs[batch, actions]).sum())
-    value_loss = float(cfg.value_coeff * ((returns - values) ** 2).sum())
-    entropy_term = float(-cfg.entropy_coeff * entropy.sum())
+    value_loss = float(VALUE_COEFF * ((returns - values) ** 2).sum())
+    entropy_term = float(-ENTROPY_COEFF * entropy.sum())
     total = policy_loss + value_loss + entropy_term
 
     # Head gradients: advantage-weighted (softmax - onehot) for the policy,
     # plus the entropy bonus; squared error for the value head.
     d_logits = probs * advantages[:, None]
     d_logits[batch, actions] -= advantages
-    d_logits += cfg.entropy_coeff * probs * (log_probs + entropy[:, None])
-    d_values = -2.0 * cfg.value_coeff * (returns - values)
+    d_logits += ENTROPY_COEFF * probs * (log_probs + entropy[:, None])
+    d_values = -2.0 * VALUE_COEFF * (returns - values)
 
     d_ht = d_logits @ params.w_policy.T + d_values[:, None] * params.w_value[:, 0]
     d_zt = d_ht * (zt > 0.0)
@@ -288,13 +262,17 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     return total, grads, metrics
 
 
-def a2c_update(params: AgentParams, opt_state: OptimizerState,
-               trajectory: list[Transition], cfg: TrainConfig):
-    """One RMSprop step on one episode; returns new params, state, metrics."""
+def a2c_update(params: AgentParams, mean_square: dict,
+               trajectory: list[Transition]):
+    """One RMSprop step on one episode.
+
+    ``mean_square`` holds the running mean square of each parameter's
+    gradient by field name; returns new params, new mean squares, metrics.
+    """
     if len(trajectory) != EPISODE_LENGTH:
         raise ValueError(f"expected {EPISODE_LENGTH} transitions, "
                          f"got {len(trajectory)}")
-    total, grads, metrics = loss_and_gradients(params, trajectory, cfg)
+    total, grads, metrics = loss_and_gradients(params, trajectory)
     if not math.isfinite(total):
         raise TrainingError(
             f"non-finite loss {total!r} (policy {metrics['policy_loss']!r}, "
@@ -305,13 +283,12 @@ def a2c_update(params: AgentParams, opt_state: OptimizerState,
     new_ms = {}
     for name, array in params.named_arrays():
         g = grads[name]
-        ms = (cfg.rmsprop_decay * opt_state.mean_square[name]
-              + (1.0 - cfg.rmsprop_decay) * g * g)
+        ms = (RMSPROP_DECAY * mean_square[name]
+              + (1.0 - RMSPROP_DECAY) * g * g)
         new_ms[name] = ms
-        new_values[name] = array - cfg.learning_rate * g / np.sqrt(
-            ms + cfg.rmsprop_epsilon)
-    return (replace(params, **new_values), OptimizerState(mean_square=new_ms),
-            metrics)
+        new_values[name] = array - LEARNING_RATE * g / np.sqrt(
+            ms + RMSPROP_EPSILON)
+    return replace(params, **new_values), new_ms, metrics
 
 
 @dataclass(frozen=True)
@@ -322,18 +299,21 @@ class TrainLogEntry:
     loss: float
 
 
-def train(env: TrackingEnv, cfg: TrainConfig):
+def train(env: TrackingEnv, total_steps: int, seed: int = 0):
     """Run ``total_steps`` environment steps (one update per episode).
 
     Returns the final parameters and the per-episode learning curve.  The
-    parameter init and the action sampling share one seeded stream, the
-    environment owns its own, so a (env seed, cfg seed) pair fixes the run.
+    parameter init and the action sampling share one stream seeded with
+    ``seed``, the environment owns its own, so an (env seed, seed) pair fixes
+    the run.
     """
-    rng = PortableRng(cfg.seed)
+    if total_steps < 0:
+        raise ValueError(f"total_steps must be non-negative: {total_steps}")
+    rng = PortableRng(seed)
     params = init_params(rng, n_actions=env.space.size)
-    opt_state = OptimizerState.zeros_like(params)
+    mean_square = {name: np.zeros_like(a) for name, a in params.named_arrays()}
     curve: list[TrainLogEntry] = []
-    episodes = cfg.total_steps // EPISODE_LENGTH
+    episodes = total_steps // EPISODE_LENGTH
     for episode in range(episodes):
         state = env.reset()
         trajectory = []
@@ -344,7 +324,7 @@ def train(env: TrackingEnv, cfg: TrainConfig):
             trajectory.append(Transition(state=state, action=action,
                                          reward=result.reward))
             state = result.next_state
-        params, opt_state, metrics = a2c_update(params, opt_state, trajectory, cfg)
+        params, mean_square, metrics = a2c_update(params, mean_square, trajectory)
         curve.append(TrainLogEntry(step=(episode + 1) * EPISODE_LENGTH,
                                    episode=episode,
                                    mean_reward=metrics["mean_reward"],

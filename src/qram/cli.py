@@ -20,7 +20,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import remark1
-from .agent import TrainConfig, TrainingError, WeightFormatError
+from .agent import TrainingError, WeightFormatError
 from .allocator import allocate_with_proposals, network_proposer
 from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
                       upper_frontier)
@@ -277,16 +277,9 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     bounds = _bounds_from_args(args, DEFAULT_ENV_BOUNDS)
-    cfg = _checked("training settings", TrainConfig,
-                   total_steps=args.steps, seed=args.seed,
-                   discount=args.discount, learning_rate=args.lr,
-                   rmsprop_decay=args.rmsprop_decay,
-                   rmsprop_epsilon=args.rmsprop_eps,
-                   entropy_coeff=args.entropy_coeff,
-                   value_coeff=args.value_coeff)
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, bounds, seed=args.seed)
     t0 = time.perf_counter()
-    params, curve = agent_mod.train(env, cfg)
+    params, curve = agent_mod.train(env, args.steps, seed=args.seed)
     elapsed = time.perf_counter() - t0
     agent_mod.save(params, args.out, config_space=DEFAULT_CONFIG_SPACE)
     if args.curve:
@@ -409,6 +402,11 @@ def cmd_bench_runtime(args) -> int:
         refined = _refined_space(c)
         task = _instance(scenario, bounds, refined).tasks[0]
         state = encode_state(refined, refined.config_at(0), target)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _ = agent_mod.forward(params, state)
+        if not np.all(np.isfinite(logits)):
+            raise WeightFormatError(f"network logits are not finite ({c} "
+                                    f"configurations); the weights overflow")
         cases += [partial(job_list_for, task, target, bounds),
                   partial(agent_mod.forward, params, state)]
     times = _median_times(cases, args.runs)
@@ -486,12 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="learning-curve CSV path")
     p.add_argument("--bounds", type=_parse_pair, metavar="R1,R2")
     p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2")
-    p.add_argument("--lr", type=float, default=7e-4)
-    p.add_argument("--discount", type=float, default=0.005)
-    p.add_argument("--entropy-coeff", type=float, default=0.01)
-    p.add_argument("--value-coeff", type=float, default=0.5)
-    p.add_argument("--rmsprop-decay", type=float, default=0.99)
-    p.add_argument("--rmsprop-eps", type=float, default=1e-5)
     p.set_defaults(func=cmd_train)
 
     bench = sub.add_parser("bench", help="benchmarks")

@@ -171,35 +171,14 @@ class ResourceBounds:
         return {"bounds": list(self.bounds),
                 "compound_weights": list(self.compound_weights)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResourceBounds":
-        return cls(tuple(float(x) for x in d["bounds"]),
-                   tuple(float(x) for x in d["compound_weights"]))
-
 
 @dataclass(frozen=True)
 class Task:
-    """A radar task: what to do (tracking) against which target, on which grid."""
+    """A radar tracking task: which target it tracks, on which grid."""
 
     id: int
     target_ref: int
     config_space: ConfigSpace
-    task_type: str = "tracking"
-
-    def __post_init__(self):
-        if self.task_type != "tracking":
-            raise ValueError(f"unsupported task type {self.task_type!r}")
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "task_type": self.task_type,
-                "target_ref": self.target_ref,
-                "config_space": self.config_space.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Task":
-        return cls(id=int(d["id"]), target_ref=int(d["target_ref"]),
-                   config_space=ConfigSpace.from_dict(d["config_space"]),
-                   task_type=d.get("task_type", "tracking"))
 
 
 @dataclass(frozen=True)
@@ -207,15 +186,6 @@ class Allocation:
     """Chosen configuration per task id; a missing entry drops the task."""
 
     assignment: Mapping[int, Configuration] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def __contains__(self, task_id: int) -> bool:
-        return task_id in self.assignment
-
-    def get(self, task_id: int) -> Configuration | None:
-        return self.assignment.get(task_id)
 
 
 def resource_of(config: Configuration) -> np.ndarray:

@@ -17,8 +17,8 @@ steepest upgrade (the next frontier point) as the argmax, which is exactly
 the proposal the global allocation loop needs.
 
 Episodes last exactly three steps and discounting is kept extremely low by
-the trainer: without both, an agent could still farm reward by cycling
-around triangles in resource-utility space.
+the trainer (``agent.DISCOUNT``): without both, an agent could still farm
+reward by cycling around triangles in resource-utility space.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .classic import base_configuration
 from .core import (Configuration, ConfigSpace, ResourceBounds,
                    compound_resource, resource_of)
 from .perf import (RANGE_INTERVAL_KM, TYPE_ORDER, TYPE_SPEED_RANGE, Target,
-                   task_utility)
+                   draw_target, task_utility)
 from .rng import PortableRng
 
 #: Episode length in environment steps.
@@ -158,18 +158,9 @@ class TrackingEnv:
             raise RuntimeError("reset the environment first")
         return self._config
 
-    def _draw_target(self) -> Target:
-        rng = self._rng
-        ttype = TYPE_ORDER[rng.randint(len(TYPE_ORDER))]
-        range_km = rng.uniform(*RANGE_INTERVAL_KM)
-        speed = rng.uniform(*TYPE_SPEED_RANGE[ttype])
-        target = Target(id=self._serial, ttype=ttype, range_km=range_km,
-                        speed_mps=speed)
-        self._serial += 1
-        return target
-
     def reset(self) -> State:
-        self._target = self._draw_target()
+        self._target = draw_target(self._rng, self._serial)
+        self._serial += 1
         self._config = base_configuration(self.space, self._target, self.bounds)
         self._steps = 0
         self._done = False

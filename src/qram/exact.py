@@ -114,9 +114,11 @@ def optimal_allocation_dp(instance: ProblemInstance,
     configs, ncfg, (util, comp, _, _) = _metric_table(instance)
     # Every cost above the budget prunes its configuration alike, so costs
     # are clipped to budget + 1: a huge compound / step (even one that
-    # overflows to inf) must not wrap around in the int64 cast.
+    # overflows to inf) must not wrap around in the int64 cast.  A positive
+    # compound costs at least one cell, or a step far above it would round
+    # it down to a free configuration and dp would overshoot its budget.
     with np.errstate(over="ignore"):
-        cost = np.ceil(np.minimum(comp / resource_grid_step, budget + 1)
-                       - 1e-9).astype(np.int64)
+        cost = np.ceil(np.minimum(comp / resource_grid_step, budget + 1) - 1e-9)
+    cost = np.maximum(cost, comp > 0).astype(np.int64)
     dp, picks = kernels.fill_knapsack_table(util, cost, ncfg, budget)
     return _allocation(instance, configs, picks), float(dp[budget])

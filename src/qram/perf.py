@@ -136,23 +136,27 @@ class Scenario:
                    seed=_json_int(d, "seed"))
 
 
-def generate_scenario(n_targets: int, seed: int) -> Scenario:
-    """Draw ``n_targets`` random targets, reproducibly for a given seed.
+def draw_target(rng: PortableRng, target_id: int) -> Target:
+    """One random target; the target distribution of scenarios and training.
 
-    Per target the stream is consumed in a fixed order: type (uniform over
-    the three types), range (uniform in the range interval), speed (uniform
-    in the type's interval).
+    The stream is consumed in a fixed order: type (uniform over the three
+    types), range (uniform in the range interval), speed (uniform in the
+    type's interval).
     """
+    ttype = TYPE_ORDER[rng.randint(len(TYPE_ORDER))]
+    range_km = rng.uniform(*RANGE_INTERVAL_KM)
+    speed = rng.uniform(*TYPE_SPEED_RANGE[ttype])
+    return Target(id=target_id, ttype=ttype, range_km=range_km, speed_mps=speed)
+
+
+def generate_scenario(n_targets: int, seed: int) -> Scenario:
+    """Draw ``n_targets`` random targets (ids 0, 1, ...), reproducibly for a
+    given seed."""
     if n_targets < 1:
         raise ValueError(f"need at least one target, got {n_targets}")
     rng = PortableRng(seed)
-    targets = []
-    for i in range(n_targets):
-        ttype = TYPE_ORDER[rng.randint(len(TYPE_ORDER))]
-        range_km = rng.uniform(*RANGE_INTERVAL_KM)
-        speed = rng.uniform(*TYPE_SPEED_RANGE[ttype])
-        targets.append(Target(id=i, ttype=ttype, range_km=range_km, speed_mps=speed))
-    return Scenario(targets=tuple(targets), seed=seed)
+    return Scenario(targets=tuple(draw_target(rng, i) for i in range(n_targets)),
+                    seed=seed)
 
 
 @dataclass(frozen=True)

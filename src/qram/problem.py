@@ -1,8 +1,8 @@
 """Problem instances: tasks plus bounds plus the scenario they track.
 
-The instance is the object every solver consumes.  It serialises to a
-versioned JSON document (``"format": 1``) whose field names mirror the type
-fields, so instances round-trip between the CLI tools and the library.
+The instance is the object every solver consumes.  It is built in memory,
+one tracking task per target (:func:`build_tracking_instance`); on disk a
+problem is its scenario file plus the bounds given on the command line.
 """
 
 from __future__ import annotations
@@ -46,20 +46,6 @@ class ProblemInstance:
 
     def target_for(self, task: Task) -> Target:
         return self.scenario.target_by_id(task.target_ref)
-
-    def to_dict(self) -> dict:
-        return {"format": 1,
-                "tasks": [t.to_dict() for t in self.tasks],
-                "bounds": self.bounds.to_dict(),
-                "scenario": self.scenario.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemInstance":
-        if d.get("format") != 1:
-            raise ValueError(f"unsupported instance format {d.get('format')!r}")
-        return cls(tasks=tuple(Task.from_dict(t) for t in d["tasks"]),
-                   bounds=ResourceBounds.from_dict(d["bounds"]),
-                   scenario=Scenario.from_dict(d["scenario"]))
 
 
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,

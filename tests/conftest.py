@@ -1,6 +1,6 @@
 import pytest
 
-from qram.agent import TrainConfig, train
+from qram.agent import train
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv
 
@@ -10,7 +10,7 @@ DESK_TRAIN_STEPS = 30_000
 
 def train_agent(seed: int, steps: int = DESK_TRAIN_STEPS):
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=seed)
-    return train(env, TrainConfig(total_steps=steps, seed=seed))
+    return train(env, steps, seed=seed)
 
 
 @pytest.fixture(scope="session")

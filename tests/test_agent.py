@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from qram.agent import (AgentParams, OptimizerState, TrainConfig,
-                        TrainingError, Transition, WeightFormatError,
+from qram import agent
+from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
                         a2c_update, forward, greedy_action, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
                         train, zero_params, _forward_batch, _stack_states)
@@ -26,6 +26,10 @@ def rand_state(rng: PortableRng) -> State:
     return State(task_onehot=tuple(onehot),
                  config_features=(rng.random(), rng.random(), rng.random()),
                  situational=(rng.random(), rng.random()))
+
+
+def zero_mean_squares(params: AgentParams) -> dict:
+    return {name: np.zeros_like(a) for name, a in params.named_arrays()}
 
 
 def toy_case(seed: int):
@@ -49,8 +53,7 @@ def kink_free(params, trajectory, margin=1e-3) -> bool:
 
 
 def fd_worst_error(params, trajectory, h=1e-5) -> float:
-    cfg = TrainConfig(total_steps=0, seed=0)
-    _, grads, metrics = loss_and_gradients(params, trajectory, cfg)
+    _, grads, metrics = loss_and_gradients(params, trajectory)
     adv = metrics["advantages"]
     worst = 0.0
     for name, arr in params.named_arrays():
@@ -60,12 +63,12 @@ def fd_worst_error(params, trajectory, h=1e-5) -> float:
             plus[i] += h
             lp, _, _ = loss_and_gradients(
                 replace(params, **{name: plus.reshape(arr.shape)}), trajectory,
-                cfg, advantages=adv)
+                advantages=adv)
             minus = arr.copy().ravel()
             minus[i] -= h
             lm, _, _ = loss_and_gradients(
                 replace(params, **{name: minus.reshape(arr.shape)}), trajectory,
-                cfg, advantages=adv)
+                advantages=adv)
             numeric = (lp - lm) / (2 * h)
             worst = max(worst, abs(flat_grad[i] - numeric)
                         / max(abs(flat_grad[i]), abs(numeric), 1e-6))
@@ -151,10 +154,8 @@ def test_zero_episode_keeps_zero_params():
     # Zero rewards on zero params: returns, values and advantages all vanish
     # and a uniform policy sits at the entropy maximum, so nothing moves.
     params = zero_params()
-    opt = OptimizerState.zeros_like(params)
-    cfg = TrainConfig(total_steps=0, seed=0)
     traj = [Transition(rand_state(PortableRng(i)), 0, 0.0) for i in range(3)]
-    new_params, _, metrics = a2c_update(params, opt, traj, cfg)
+    new_params, _, metrics = a2c_update(params, zero_mean_squares(params), traj)
     assert metrics["policy_loss"] == 0.0
     assert metrics["value_loss"] == 0.0
     for _, array in new_params.named_arrays():
@@ -163,10 +164,9 @@ def test_zero_episode_keeps_zero_params():
 
 def test_update_is_deterministic():
     params, traj = toy_case(5)
-    opt = OptimizerState.zeros_like(params)
-    cfg = TrainConfig(total_steps=0, seed=0)
-    p1, o1, m1 = a2c_update(params, opt, traj, cfg)
-    p2, o2, m2 = a2c_update(params, opt, traj, cfg)
+    ms = zero_mean_squares(params)
+    p1, o1, m1 = a2c_update(params, ms, traj)
+    p2, o2, m2 = a2c_update(params, ms, traj)
     for (n1, a1), (_, a2) in zip(p1.named_arrays(), p2.named_arrays()):
         assert np.array_equal(a1, a2), n1
     assert m1["loss"] == m2["loss"]
@@ -175,8 +175,7 @@ def test_update_is_deterministic():
 def test_update_rejects_wrong_episode_length():
     params, traj = toy_case(6)
     with pytest.raises(ValueError):
-        a2c_update(params, OptimizerState.zeros_like(params), traj[:2],
-                   TrainConfig(total_steps=0, seed=0))
+        a2c_update(params, zero_mean_squares(params), traj[:2])
 
 
 def test_gradients_match_finite_differences():
@@ -195,17 +194,19 @@ def test_gradients_match_finite_differences():
 
 def test_train_zero_steps_returns_init():
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=2)
-    params, curve = train(env, TrainConfig(total_steps=0, seed=2))
+    params, curve = train(env, 0, seed=2)
     reference = init_params(PortableRng(2), n_actions=90)
     for (name, a), (_, b) in zip(params.named_arrays(), reference.named_arrays()):
         assert np.array_equal(a, b), name
     assert curve == []
+    with pytest.raises(ValueError, match="non-negative"):
+        train(env, -1, seed=2)
 
 
 def test_train_is_seed_deterministic():
     def run():
         env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=4)
-        return train(env, TrainConfig(total_steps=300, seed=4))
+        return train(env, 300, seed=4)
 
     p1, c1 = run()
     p2, c2 = run()
@@ -216,19 +217,20 @@ def test_train_is_seed_deterministic():
 
 def test_train_curve_row_per_episode():
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=6)
-    _, curve = train(env, TrainConfig(total_steps=99, seed=6))
+    _, curve = train(env, 99, seed=6)
     assert len(curve) == 33
     assert [c.episode for c in curve] == list(range(33))
     assert all(c.step == (c.episode + 1) * 3 for c in curve)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_train_rejects_diverged_weights():
+def test_train_rejects_diverged_weights(monkeypatch):
     # A learning rate of 1e308 overflows the one RMSprop step; the loss of
     # that episode was finite, so only a check of the final weights sees it.
+    monkeypatch.setattr(agent, "LEARNING_RATE", 1e308)
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=1)
     with pytest.raises(TrainingError, match="non-finite"):
-        train(env, TrainConfig(total_steps=3, seed=1, learning_rate=1e308))
+        train(env, 3, seed=1)
 
 
 @pytest.mark.slow

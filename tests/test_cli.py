@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import replace
@@ -5,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qram import agent
 from qram.agent import save, init_params
-from qram.cli import main
+from qram.cli import build_parser, main
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.rng import PortableRng
 
@@ -146,12 +148,6 @@ def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
     ["solve", "--method", "dp", "--bounds", "1e-308,5", "--compound-weights", "100,1"],
     ["solve", "--method", "classic", "--bounds", "1e-310,5", "--compound-weights", "0,1"],
     ["train", "--steps", "3", "--bounds", "nan,1"],
-    ["train", "--steps", "3", "--discount", "1.5"],
-    ["train", "--steps", "3", "--lr", "-1"],
-    ["train", "--steps", "3", "--lr", "nan"],
-    ["train", "--steps", "3", "--rmsprop-decay", "1.5"],
-    ["train", "--steps", "3", "--entropy-coeff", "nan"],
-    ["train", "--steps", "3", "--value-coeff", "inf"],
     ["bench", "runtime", "--mode", "by-configs", "--configs", "100", "--runs", "1"],
     ["solve", "--out", "."],  # a directory, not a file
 ], ids=" ".join)
@@ -195,10 +191,10 @@ def test_bench_utility_rejects_empty_classic_allocation(weight_file, tmp_path,
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_train_divergence_exit_code(tmp_path, capsys):
+def test_train_divergence_exit_code(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(agent, "LEARNING_RATE", 1e308)
     out = tmp_path / "w.json"
-    assert run(["train", "--steps", "3", "--lr", "1e308",
-                "--out", str(out)]) == 4
+    assert run(["train", "--steps", "3", "--out", str(out)]) == 4
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -239,6 +235,7 @@ def test_rejects_weights_for_other_input_widths(argv, scenario_file, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["solve", "--method", "agent"],
     ["bench", "utility", "--targets", "3..3", "--runs", "1"],
+    ["bench", "runtime", "--mode", "by-configs", "--configs", "90", "--runs", "1"],
 ], ids=" ".join)
 def test_rejects_weights_that_overflow(argv, scenario_file, tmp_path, capsys):
     # Finite weights whose forward pass overflows: the logits are inf/NaN.
@@ -271,6 +268,22 @@ def test_solve_dp_huge_costs_drop_every_task(bounds, weights, scenario_file,
                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["system_utility"] == 0.0 and doc["dropped"] == [0, 1, 2, 3]
+
+
+def test_solve_dp_keeps_its_budget_on_a_coarse_step(tmp_path):
+    # A step far above every compound cost: each configuration still costs
+    # one cell, so a budget of zero cells drops every task.
+    scenario = tmp_path / "s3.json"
+    out = tmp_path / "dp.json"
+    assert run(["gen", "--targets", "3", "--seed", "5", "--out", str(scenario)]) == 0
+    assert run(["solve", "--scenario", str(scenario), "--method", "dp",
+                "--dp-step", "1e10", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (b1, b2), (w1, w2) = (doc["bounds"]["bounds"],
+                          doc["bounds"]["compound_weights"])
+    u1, u2 = doc["resource_usage"]
+    assert w1 * u1 / b1 + w2 * u2 / b2 <= w1 + w2
+    assert doc["dropped"] == [0, 1, 2]
 
 
 def test_solve_brute_capacity_exit_code(tmp_path):
@@ -408,3 +421,34 @@ def test_demo_remark1_csv(tmp_path):
     assert sizes == sorted(sizes)
     assert all(b >= a - 1e-12 for a, b in zip(optimal, optimal[1:]))
     assert any(b < a - 1e-9 for a, b in zip(greedy, greedy[1:]))
+
+
+def _options(parser, command=()):
+    """Option strings of every leaf subcommand, keyed by its command words."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(command): [o for a in parser._actions
+                                    for o in a.option_strings
+                                    if o not in ("-h", "--help")]}
+    table = {}
+    for name, sub in subs[0].choices.items():
+        table.update(_options(sub, command + (name,)))
+    return table
+
+
+def test_cli_surface():
+    # Adding or removing a flag is a deliberate change: edit this table too.
+    bounds = ["--bounds", "--compound-weights"]
+    assert _options(build_parser()) == {
+        "gen": ["--targets", "--seed", "--out"],
+        "solve": ["--scenario", "--method", "--weights", *bounds, "--dp-step",
+                  "--out"],
+        "train": ["--steps", "--seed", "--out", "--curve", *bounds],
+        "bench utility": ["--targets", "--step", "--runs", "--weights",
+                          "--master-seed", *bounds, "--out"],
+        "bench runtime": ["--mode", "--targets", "--step", "--configs", "--runs",
+                          "--weights", "--master-seed", *bounds, "--out"],
+        "bench model": ["--targets", "--step", "--configs", "--layers",
+                        "--neurons", "--out"],
+        "demo remark1": ["--out"],
+    }

@@ -113,4 +113,4 @@ def test_allocation_usage_sums_components():
     usage = allocation_usage(alloc)
     assert usage[0] == pytest.approx(0.04)
     assert usage[1] == pytest.approx(0.04)
-    assert len(Allocation()) == 0
+    assert len(Allocation().assignment) == 0

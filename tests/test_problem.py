@@ -31,12 +31,6 @@ def test_instance_validates_task_ids_and_targets():
                         scenario=inst.scenario)
 
 
-def test_instance_json_round_trip():
-    inst = _instance()
-    assert ProblemInstance.from_dict(inst.to_dict()) == inst
-    assert inst.to_dict()["format"] == 1
-
-
 def test_lookups_with_unsorted_non_contiguous_ids():
     targets = (Target(7, TargetType.MISSILE, 40.0, 600.0),
                Target(3, TargetType.HELICOPTER, 120.0, 50.0),
