@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigSpace
-from .env import (CONFIG_WIDTH, EPISODE_LENGTH, SITUATIONAL_WIDTH, State,
-                  TrackingEnv)
+from .core import ConfigSpace, _json_int
+from .env import CONFIG_WIDTH, EPISODE_LENGTH, SITUATIONAL_WIDTH, TrackingEnv
 from .rng import PortableRng
 
 
@@ -124,8 +123,11 @@ def zero_params(situational_in: int = SITUATIONAL_WIDTH,
         for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
 
 
-def _forward_batch(params: AgentParams, x_sit: np.ndarray, x_cfg: np.ndarray):
-    """Batched forward pass; returns outputs plus the caches backprop needs."""
+def _forward_batch(params: AgentParams, x: np.ndarray):
+    """Batched forward pass over stacked observation rows; returns outputs
+    plus the caches backprop needs."""
+    x_sit = x[:, :params.situational_in]
+    x_cfg = x[:, params.situational_in:]
     z1 = x_sit @ params.w_sit1 + params.b_sit1
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ params.w_sit2 + params.b_sit2
@@ -141,20 +143,16 @@ def _forward_batch(params: AgentParams, x_sit: np.ndarray, x_cfg: np.ndarray):
     return logits, values, cache
 
 
-def _stack_states(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
-    x_sit = np.stack([s.situational_input() for s in states])
-    x_cfg = np.stack([s.config_input() for s in states])
-    return x_sit, x_cfg
-
-
-def forward(params: AgentParams, state: State) -> tuple[np.ndarray, float]:
-    """Policy logits and state value for a single observation."""
-    x_sit, x_cfg = _stack_states([state])
-    if x_sit.shape[1] != params.situational_in or x_cfg.shape[1] != params.config_in:
+def forward(params: AgentParams, row: np.ndarray) -> tuple[np.ndarray, float]:
+    """Policy logits and state value for one observation row."""
+    if (row.shape != (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
+            or (params.situational_in, params.config_in)
+            != (SITUATIONAL_WIDTH, CONFIG_WIDTH)):
         raise ValueError(
-            f"state features ({x_sit.shape[1]}+{x_cfg.shape[1]}) do not match "
-            f"network inputs ({params.situational_in}+{params.config_in})")
-    logits, values, _ = _forward_batch(params, x_sit, x_cfg)
+            f"observation of {row.size} values ({SITUATIONAL_WIDTH}+"
+            f"{CONFIG_WIDTH} expected) does not match network inputs "
+            f"({params.situational_in}+{params.config_in})")
+    logits, values, _ = _forward_batch(params, row[None, :])
     return logits[0], float(values[0])
 
 
@@ -186,7 +184,7 @@ def greedy_action(logits: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Transition:
-    state: State
+    state: np.ndarray
     action: int
     reward: float
 
@@ -209,11 +207,10 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     pins it explicitly, which is what a finite-difference probe of this
     loss must do.
     """
-    states = [tr.state for tr in trajectory]
     actions = np.array([tr.action for tr in trajectory])
     rewards = [tr.reward for tr in trajectory]
-    x_sit, x_cfg = _stack_states(states)
-    logits, values, cache = _forward_batch(params, x_sit, x_cfg)
+    logits, values, cache = _forward_batch(
+        params, np.stack([tr.state for tr in trajectory]))
     (x_sit, x_cfg, z1, h1, z2, h2, zc, hc, trunk_in, zt, ht) = cache
 
     returns = _returns(rewards)
@@ -366,20 +363,27 @@ def load(path) -> tuple[AgentParams, ConfigSpace | None]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise WeightFormatError(f"cannot read weight file {path}: {exc}") from exc
-    if doc.get("format") != WEIGHT_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise WeightFormatError(f"weight file {path} is not a JSON object")
+    if type(doc.get("format")) is not int or doc["format"] != WEIGHT_FORMAT_VERSION:
         raise WeightFormatError(f"unsupported weight format {doc.get('format')!r}")
     if doc.get("activation") != ACTIVATION_NAME:
         raise WeightFormatError(f"unsupported activation {doc.get('activation')!r}")
     try:
-        arch = doc["architecture"]
-        template = zero_params(situational_in=int(arch["situational_in"]),
-                               config_in=int(arch["config_in"]),
-                               hidden=int(arch["hidden"]),
-                               n_actions=int(arch["n_actions"]))
+        arch = {key: _json_int(doc["architecture"], key) for key in
+                ("situational_in", "config_in", "hidden", "n_actions")}
+        for key, value in arch.items():
+            if value < 1:
+                raise ValueError(f"{key} must be positive, got {value}")
         flat = np.frombuffer(base64.b64decode(doc["weights_b64"]), dtype="<f8")
+        space = (None if doc.get("config_space") is None
+                 else ConfigSpace.from_dict(doc["config_space"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise WeightFormatError(f"malformed weight file {path}: {exc}") from exc
-    expected = sum(a.size for _, a in template.named_arrays())
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise WeightFormatError(f"malformed weight file {path}: {detail}") from exc
+    # Shapes are checked against the payload before anything is allocated.
+    shapes = _shapes(**arch)
+    expected = sum(math.prod(shape) for _, shape in shapes)
     if flat.size != expected:
         raise WeightFormatError(f"weight payload has {flat.size} values, "
                                 f"expected {expected}")
@@ -388,9 +392,8 @@ def load(path) -> tuple[AgentParams, ConfigSpace | None]:
                                 f"values")
     values = {}
     offset = 0
-    for name, a in template.named_arrays():
-        values[name] = flat[offset:offset + a.size].reshape(a.shape).astype(np.float64)
-        offset += a.size
-    space = (ConfigSpace.from_dict(doc["config_space"])
-             if doc.get("config_space") else None)
+    for name, shape in shapes:
+        size = math.prod(shape)
+        values[name] = flat[offset:offset + size].reshape(shape).astype(np.float64)
+        offset += size
     return AgentParams(**values), space

@@ -115,8 +115,10 @@ def _bounds_from_args(args, default: ResourceBounds) -> ResourceBounds:
 def _instance(scenario: Scenario, bounds: ResourceBounds,
               space: ConfigSpace) -> ProblemInstance:
     """``build_tracking_instance``; bounds under which the compound resource
-    of a grid configuration is not finite are a usage error."""
-    return _checked("--bounds/--compound-weights", build_tracking_instance,
+    of a grid configuration is not finite, and a target at a range where the
+    radar model's SNR is zero or not finite, are usage errors."""
+    return _checked("scenario or --bounds/--compound-weights",
+                    build_tracking_instance,
                     scenario=scenario, bounds=bounds, space=space)
 
 

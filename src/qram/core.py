@@ -47,6 +47,25 @@ class Configuration:
             )
 
 
+def _json_int(d: dict, key: str) -> int:
+    """``d[key]`` if it is a JSON integer (not a float or a boolean)."""
+    value = d[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(d: dict, key: str) -> float:
+    """``d[key]`` as a float if it is a JSON number (not a boolean)."""
+    value = d[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} is out of range: {value!r}") from None
+
+
 def _strictly_increasing(grid: tuple) -> bool:
     return all(b > a for a, b in zip(grid, grid[1:]))
 
@@ -110,9 +129,14 @@ class ConfigSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConfigSpace":
-        return cls(tuple(float(x) for x in d["dwell_grid"]),
-                   tuple(float(x) for x in d["tx_duration_grid"]),
-                   tuple(float(x) for x in d["tx_power_grid"]))
+        """Inverse of :meth:`to_dict`; every grid value must be a JSON number."""
+        def grid(name: str) -> tuple[float, ...]:
+            values = d[name]
+            if type(values) is not list:
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            return tuple(_json_number({name: x}, name) for x in values)
+        return cls(grid("dwell_grid"), grid("tx_duration_grid"),
+                   grid("tx_power_grid"))
 
 
 #: Operating grid of the reference tracking scenario: 6 x 5 x 3 = 90 points.

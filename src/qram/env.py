@@ -1,8 +1,9 @@
 """Single-task training environment for the configuration-proposal agent.
 
-An episode looks at one randomly drawn target.  The observation is the task
-type (one-hot), the current configuration (normalised grid indices) and the
-situational picture (normalised range and speed).  An action names the next
+An episode looks at one randomly drawn target.  The observation is the
+network's input row (:func:`encode_state`): the task type (one-hot) and the
+situational picture (normalised range and speed), then the current
+configuration (normalised grid indices).  An action names the next
 configuration; the reward is the utility-to-resource difference quotient
 between old and new configuration, clipped and scaled to [-1, 1].
 
@@ -43,8 +44,8 @@ EPS_RESOURCE = 1e-9
 #: Below this utility difference a degenerate quotient counts as zero.
 EPS_UTILITY = 1e-12
 
-#: Widths of the two network inputs a state encodes: the type one-hot plus
-#: (range, speed), and the three normalised grid indices.
+#: Widths of the two halves of an observation row: the type one-hot plus
+#: (range, speed), then the three normalised grid indices.
 SITUATIONAL_WIDTH = len(TYPE_ORDER) + 2
 CONFIG_WIDTH = 3
 
@@ -53,24 +54,8 @@ DEFAULT_ENV_BOUNDS = ResourceBounds(bounds=(1.0, 5.0), compound_weights=(1.0, 1.
 
 
 @dataclass(frozen=True)
-class State:
-    """Observation: type one-hot, config grid features, situational features."""
-
-    task_onehot: tuple[float, float, float]
-    config_features: tuple[float, float, float]
-    situational: tuple[float, float]
-
-    def situational_input(self) -> np.ndarray:
-        """Target-related half of the network input (type + situation)."""
-        return np.array(self.task_onehot + self.situational, dtype=np.float64)
-
-    def config_input(self) -> np.ndarray:
-        return np.array(self.config_features, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class StepResult:
-    next_state: State
+    next_state: np.ndarray
     reward: float
     done: bool
 
@@ -79,16 +64,23 @@ def _grid_feature(index: int, length: int) -> float:
     return index / (length - 1) if length > 1 else 0.0
 
 
-def encode_state(space: ConfigSpace, config: Configuration, target: Target) -> State:
-    onehot = tuple(1.0 if target.ttype is t else 0.0 for t in TYPE_ORDER)
+def encode_state(space: ConfigSpace, config: Configuration,
+                 target: Target) -> np.ndarray:
+    """The observation: one float64 row of SITUATIONAL_WIDTH + CONFIG_WIDTH.
+
+    Columns in order: the type one-hot (TYPE_ORDER), range / 150 km, speed /
+    1000 m/s, then the dwell, duration and power grid indices, each divided
+    by its axis length - 1.  Rows of several observations stack into the
+    batch the network reads.
+    """
     i_d, i_t, i_p = space.grid_indices(config)
-    features = (_grid_feature(i_d, len(space.dwell_grid)),
-                _grid_feature(i_t, len(space.tx_duration_grid)),
-                _grid_feature(i_p, len(space.tx_power_grid)))
-    situational = (target.range_km / RANGE_INTERVAL_KM[1],
-                   target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1])
-    return State(task_onehot=onehot, config_features=features,
-                 situational=situational)
+    return np.array(
+        [1.0 if target.ttype is t else 0.0 for t in TYPE_ORDER]
+        + [target.range_km / RANGE_INTERVAL_KM[1],
+           target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1],
+           _grid_feature(i_d, len(space.dwell_grid)),
+           _grid_feature(i_t, len(space.tx_duration_grid)),
+           _grid_feature(i_p, len(space.tx_power_grid))], dtype=np.float64)
 
 
 def quotient(delta_u: float, delta_r: float) -> float:
@@ -158,7 +150,7 @@ class TrackingEnv:
             raise RuntimeError("reset the environment first")
         return self._config
 
-    def reset(self) -> State:
+    def reset(self) -> np.ndarray:
         self._target = draw_target(self._rng, self._serial)
         self._serial += 1
         self._config = base_configuration(self.space, self._target, self.bounds)

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .core import Configuration
+from .core import Configuration, _json_int, _json_number
 from .rng import PortableRng
 
 
@@ -59,25 +59,6 @@ MEASUREMENT_COEFF_M = 100.0
 GROWTH_SCALE_M = 1000.0
 #: Tracking error at which utility halves.
 ERROR_HALF_M = 50.0
-
-
-def _json_int(d: dict, key: str) -> int:
-    """``d[key]`` if it is a JSON integer (not a float or a boolean)."""
-    value = d[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _json_number(d: dict, key: str) -> float:
-    """``d[key]`` as a float if it is a JSON number (not a boolean)."""
-    value = d[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} is out of range: {value!r}") from None
 
 
 @dataclass(frozen=True)

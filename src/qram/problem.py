@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
                    compound_resource, grid_configurations, resource_of)
-from .perf import Scenario, Target, task_utility
+from .perf import Scenario, Target, snr, task_utility
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,19 @@ class ProblemInstance:
         by_id = {t.id: t for t in self.tasks}
         if len(by_id) != len(self.tasks):
             raise ValueError("task ids must be unique")
+        # SNR is monotone in P*tx, so a finite, positive SNR at a grid's
+        # first and last configuration (lowest and highest P*tx) holds on
+        # the whole grid, and with it a finite, positive tracking error.
         for task in self.tasks:
-            self.scenario.target_by_id(task.target_ref)  # raises if missing
+            target = self.scenario.target_by_id(task.target_ref)  # raises if missing
+            configs = grid_configurations(task.config_space)
+            try:
+                low, high = snr(configs[0], target), snr(configs[-1], target)
+            except ZeroDivisionError:  # range^4 underflows to 0
+                low = high = math.inf
+            if not 0.0 < low <= high < math.inf:
+                raise ValueError(f"target {target.id} at {target.range_km} km is "
+                                 f"outside the range the radar model can evaluate")
         for space in {task.config_space for task in self.tasks}:
             for config in grid_configurations(space):
                 if not math.isfinite(compound_resource(resource_of(config),

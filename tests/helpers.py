@@ -80,6 +80,33 @@ def random_small_instance(seed: int, max_tasks: int = 5):
     return build_tracking_instance(scenario, bounds, space)
 
 
+def _set(section, key, value):
+    def edit(doc):
+        (doc if section is None else doc[section])[key] = value
+    return edit
+
+
+def _drop(section, key):
+    def edit(doc):
+        del doc[section][key]
+    return edit
+
+
+#: Edits of a saved weight file's header (the JSON object ``save`` writes)
+#: that ``agent.load`` must refuse with a WeightFormatError, by case id.
+MALFORMED_WEIGHT_HEADERS = {
+    "hidden-float": _set("architecture", "hidden", 100.9),
+    "situational-in-float": _set("architecture", "situational_in", 5.0),
+    "format-bool": _set(None, "format", True),
+    "power-grid-bool": _set("config_space", "tx_power_grid", [True, 2, 4]),
+    "power-grid-string": _set("config_space", "tx_power_grid", "124"),
+    "dwell-grid-decreasing": _set("config_space", "dwell_grid",
+                                  [1100.0, 900.0, 700.0, 500.0, 300.0, 100.0]),
+    "dwell-grid-missing": _drop("config_space", "dwell_grid"),
+    "config-space-list": _set(None, "config_space", [1, 2, 3]),
+}
+
+
 def linear_drop_until_feasible(ledger, active):
     """Reference drop loop: drop the highest remaining id, one at a time,
     re-checking the whole ledger after every drop."""

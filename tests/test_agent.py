@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 from dataclasses import replace
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
+from helpers import MALFORMED_WEIGHT_HEADERS
 from qram import agent
 from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
                         a2c_update, forward, greedy_action, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
-                        train, zero_params, _forward_batch, _stack_states)
+                        train, zero_params, _forward_batch)
 from qram.core import DEFAULT_CONFIG_SPACE
-from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, State, encode_state
+from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from qram.perf import Target, TargetType
 from qram.rng import PortableRng
 
@@ -20,12 +22,14 @@ FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, DEFAULT_CONFIG_SPACE.config_at(
                            Target(0, TargetType.FIGHTER, 75.0, 250.0))
 
 
-def rand_state(rng: PortableRng) -> State:
+def rand_state(rng: PortableRng) -> np.ndarray:
+    """Random observation row; the draws come in the order one-hot, grid
+    features, (range, speed), which the seeded toy cases depend on."""
     onehot = [0.0, 0.0, 0.0]
     onehot[rng.randint(3)] = 1.0
-    return State(task_onehot=tuple(onehot),
-                 config_features=(rng.random(), rng.random(), rng.random()),
-                 situational=(rng.random(), rng.random()))
+    config_features = [rng.random(), rng.random(), rng.random()]
+    situational = [rng.random(), rng.random()]
+    return np.array(onehot + situational + config_features)
 
 
 def zero_mean_squares(params: AgentParams) -> dict:
@@ -46,8 +50,7 @@ def toy_case(seed: int):
 def kink_free(params, trajectory, margin=1e-3) -> bool:
     """Finite differences are meaningless next to a rectifier kink; only
     probe cases whose pre-activations keep a safe distance."""
-    x_sit, x_cfg = _stack_states([t.state for t in trajectory])
-    _, _, cache = _forward_batch(params, x_sit, x_cfg)
+    _, _, cache = _forward_batch(params, np.stack([t.state for t in trajectory]))
     (_, _, z1, _, z2, _, zc, _, _, zt, _) = cache
     return all(np.abs(z).min() > margin for z in (z1, z2, zc, zt))
 
@@ -101,6 +104,16 @@ def test_forward_golden_outputs():
     assert logits[3] == -0.08187420078889943
     assert value == 0.014646929135126798
     assert float(logits.sum()) == 0.10985836052619427
+
+
+def test_forward_rejects_rows_the_network_does_not_read():
+    # An 8-value row fits a 4+4 network by total width, but its split
+    # (5 situational + 3 configuration columns) does not.
+    params = init_params(PortableRng(1), situational_in=4, config_in=4)
+    with pytest.raises(ValueError, match="4\\+4"):
+        forward(params, FIXED_STATE)
+    with pytest.raises(ValueError):
+        forward(init_params(PortableRng(1)), FIXED_STATE[:7])
 
 
 def test_softmax_normalised():
@@ -287,6 +300,40 @@ def test_load_rejects_corrupt_files(tmp_path):
     doc["architecture"]["hidden"] = 42
     path.write_text(json.dumps(doc))
     with pytest.raises(WeightFormatError):
+        load(path)
+
+
+@pytest.mark.parametrize("edit", MALFORMED_WEIGHT_HEADERS.values(),
+                         ids=MALFORMED_WEIGHT_HEADERS.keys())
+def test_load_rejects_malformed_headers(edit, tmp_path):
+    path = tmp_path / "weights.json"
+    save(init_params(PortableRng(1)), path, config_space=DEFAULT_CONFIG_SPACE)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError):
+        load(path)
+
+
+def test_load_rejects_negative_sizes_before_reshaping(tmp_path):
+    # n_actions = -90 turns the 40391 weights of a 5+3, 100-unit, 90-action
+    # network into 40391 - 2 * (100 * 90 + 90) by a naive count; a payload
+    # of that size must still be refused as a header error.
+    path = tmp_path / "weights.json"
+    save(init_params(PortableRng(1)), path)
+    doc = json.loads(path.read_text())
+    doc["architecture"]["n_actions"] = -90
+    doc["weights_b64"] = base64.b64encode(
+        np.zeros(40391 - 2 * 9090).astype("<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match="positive"):
+        load(path)
+
+
+def test_load_rejects_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "weights.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(WeightFormatError, match="not a JSON object"):
         load(path)
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import MALFORMED_WEIGHT_HEADERS
 from qram import agent
 from qram.agent import save, init_params
 from qram.cli import build_parser, main
@@ -229,6 +230,47 @@ def test_rejects_weights_for_other_input_widths(argv, scenario_file, tmp_path,
     message = capsys.readouterr().err
     assert message.startswith("error: ") and message.count("\n") == 1
     assert "4+3" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", MALFORMED_WEIGHT_HEADERS.values(),
+                         ids=MALFORMED_WEIGHT_HEADERS.keys())
+def test_solve_agent_rejects_malformed_weight_headers(edit, scenario_file,
+                                                      tmp_path, capsys):
+    weights = tmp_path / "bad.json"
+    save(init_params(PortableRng(0)), weights, config_space=DEFAULT_CONFIG_SPACE)
+    doc = json.loads(weights.read_text())
+    edit(doc)
+    weights.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(scenario_file), "--method", "agent",
+             "--weights", str(weights), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["classic", "agent", "brute", "dp"])
+@pytest.mark.parametrize("range_km", [1e-100, 1e-80, 1e300])
+def test_solve_rejects_ranges_the_model_cannot_evaluate(range_km, method,
+                                                        weight_file, tmp_path,
+                                                        capsys):
+    # range^4 underflows to 0 (1e-100), the SNR overflows (1e-80) or the
+    # SNR underflows to 0 (1e300): no tracking error exists to evaluate.
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps({"format": 1, "seed": 0, "targets": [
+        {"id": 0, "ttype": "Fighter", "range_km": 50.0, "speed_mps": 200.0},
+        {"id": 1, "ttype": "Fighter", "range_km": range_km, "speed_mps": 200.0}]}))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(scenario), "--method", method,
+             "--weights", str(weight_file), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert "target 1" in message
     assert not out.exists()
 
 

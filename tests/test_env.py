@@ -4,11 +4,17 @@ import pytest
 from qram.classic import base_configuration
 from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, compound_resource,
                        resource_of)
-from qram.env import (DEFAULT_ENV_BOUNDS, EPISODE_LENGTH, QUOTIENT_CAP,
-                      TrackingEnv, encode_state, quotient, raw_quotient,
-                      training_quotient)
+from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
+                      QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv, encode_state,
+                      quotient, raw_quotient, training_quotient)
 from qram.perf import Target, TargetType, task_utility
 from qram.rng import PortableRng
+
+
+# Column blocks of an observation row: type one-hot, (range, speed), grid indices.
+ONEHOT = slice(0, 3)
+SITUATION = slice(3, SITUATIONAL_WIDTH)
+CONFIG = slice(SITUATIONAL_WIDTH, SITUATIONAL_WIDTH + CONFIG_WIDTH)
 
 
 def make_env(seed=5):
@@ -20,7 +26,16 @@ def make_env(seed=5):
 def test_reset_is_deterministic():
     s1 = make_env().reset()
     s2 = make_env().reset()
-    assert s1 == s2
+    assert np.array_equal(s1, s2)
+
+
+def test_observation_is_one_float64_row():
+    target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
+    row = encode_state(DEFAULT_CONFIG_SPACE, DEFAULT_CONFIG_SPACE.config_at(89),
+                       target)
+    assert row.shape == (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
+    assert row.dtype == np.float64
+    assert tuple(row) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
 
 
 def test_reset_starts_at_cheapest_config():
@@ -29,7 +44,7 @@ def test_reset_starts_at_cheapest_config():
     base = base_configuration(env.space, env.target, env.bounds)
     assert env.current_config == base
     i_d, i_t, i_p = env.space.grid_indices(base)
-    assert state.config_features == (i_d / 5.0, i_t / 4.0, i_p / 2.0)
+    assert tuple(state[CONFIG]) == (i_d / 5.0, i_t / 4.0, i_p / 2.0)
 
 
 def test_reset_covers_the_situational_square():
@@ -38,7 +53,7 @@ def test_reset_covers_the_situational_square():
     hi = np.array([0.0, 0.0])
     for _ in range(10_000):
         s = env.reset()
-        feats = np.array(s.situational)
+        feats = s[SITUATION]
         assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
         lo = np.minimum(lo, feats)
         hi = np.maximum(hi, feats)
@@ -50,9 +65,9 @@ def test_state_features_bounded():
     env = make_env(23)
     for _ in range(200):
         s = env.reset()
-        for block in (s.task_onehot, s.config_features, s.situational):
+        for block in (s[ONEHOT], s[CONFIG], s[SITUATION]):
             assert all(0.0 <= x <= 1.0 for x in block)
-        assert sum(s.task_onehot) == 1.0
+        assert sum(s[ONEHOT]) == 1.0
 
 
 # ----------------------------------------------------------------- quotients
@@ -165,12 +180,12 @@ def test_golden_trajectory():
     # Frozen from a seeded run; guards the whole mechanics end to end.
     env = TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=123)
     state = env.reset()
-    assert state.task_onehot == (0.0, 0.0, 1.0)
-    assert state.config_features == (1.0, 0.0, 0.0)
-    assert state.situational == (0.36319617683491834, 0.9779928970018673)
+    assert tuple(state[ONEHOT]) == (0.0, 0.0, 1.0)
+    assert tuple(state[CONFIG]) == (1.0, 0.0, 0.0)
+    assert tuple(state[SITUATION]) == (0.36319617683491834, 0.9779928970018673)
     r1 = env.step(40)
     assert r1.reward == 0.471597045936412 and not r1.done
-    assert r1.next_state.config_features == (0.4, 0.75, 0.5)
+    assert tuple(r1.next_state[CONFIG]) == (0.4, 0.75, 0.5)
     r2 = env.step(13)
     assert r2.reward == 0.011773933558855193 and not r2.done
     r3 = env.step(89)
@@ -183,6 +198,6 @@ def test_target_frozen_within_episode():
     target_before = env.target
     for a in (5, 50, 85):
         s = env.step(a).next_state
-        assert s.task_onehot == s0.task_onehot
-        assert s.situational == s0.situational
+        assert tuple(s[ONEHOT]) == tuple(s0[ONEHOT])
+        assert tuple(s[SITUATION]) == tuple(s0[SITUATION])
     assert env.target == target_before
