@@ -115,14 +115,6 @@ def init_params(rng: PortableRng, situational_in: int = SITUATIONAL_WIDTH,
         for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
 
 
-def zero_params(situational_in: int = SITUATIONAL_WIDTH,
-                config_in: int = CONFIG_WIDTH, hidden: int = 100,
-                n_actions: int = 90) -> AgentParams:
-    return AgentParams(**{
-        name: np.zeros(shape)
-        for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
-
-
 def _forward_batch(params: AgentParams, x: np.ndarray):
     """Batched forward pass over stacked observation rows; returns outputs
     plus the caches backprop needs."""

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
-                   Task, expanded_grids, grid_configurations, resource_of)
-from .perf import Target
+                   Task, grid_configurations, resource_of)
+from .perf import Target, task_utility
 from .problem import ProblemInstance
 
 
@@ -80,8 +80,7 @@ class JobList:
 def embed_task(task: Task, target: Target, bounds: ResourceBounds) -> list[JobPoint]:
     """Evaluate every configuration of the task: one JobPoint per grid cell."""
     space = task.config_space
-    dwell, tx, pw = expanded_grids(space)
-    util, comp, _, _ = kernels.config_metrics(dwell, tx, pw, target, bounds)
+    util, comp, _, _ = kernels.config_metrics(space, target, bounds)
     return [JobPoint(config=config, resource=r, utility=u)
             for config, r, u in zip(grid_configurations(space), comp.tolist(),
                                     util.tolist())]
@@ -123,11 +122,12 @@ def job_list_for(task: Task, target: Target, bounds: ResourceBounds) -> JobList:
 def base_configuration(space: ConfigSpace, target: Target,
                        bounds: ResourceBounds) -> Configuration:
     """Cheapest configuration by compound resource (ties: higher utility,
-    then lexicographic).  This is the first point of the task's job list."""
-    dwell, tx, pw = expanded_grids(space)
-    util, comp, _, _ = kernels.config_metrics(dwell, tx, pw, target, bounds)
-    order = np.lexsort((np.arange(space.size), -util, comp))
-    return space.config_at(int(order[0]))
+    then lexicographic).  This is the first point of the task's job list.
+    The least-compound set is cached per (grid, bounds), in index order, and
+    ``max`` keeps the first of equal utilities."""
+    configs = grid_configurations(space)
+    return max((configs[i] for i in kernels.config_costs(space, bounds)[3]),
+               key=lambda config: task_utility(config, target))
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 
@@ -279,7 +279,8 @@ def cmd_solve(args) -> int:
 
 def cmd_train(args) -> int:
     bounds = _bounds_from_args(args, DEFAULT_ENV_BOUNDS)
-    env = TrackingEnv(DEFAULT_CONFIG_SPACE, bounds, seed=args.seed)
+    env = _checked("--bounds/--compound-weights", TrackingEnv,
+                   space=DEFAULT_CONFIG_SPACE, bounds=bounds, seed=args.seed)
     t0 = time.perf_counter()
     params, curve = agent_mod.train(env, args.steps, seed=args.seed)
     elapsed = time.perf_counter() - t0

@@ -31,6 +31,7 @@ import numpy as np
 from .classic import base_configuration
 from .core import (Configuration, ConfigSpace, ResourceBounds,
                    compound_resource, resource_of)
+from .kernels import config_costs
 from .perf import (RANGE_INTERVAL_KM, TYPE_ORDER, TYPE_SPEED_RANGE, Target,
                    draw_target, task_utility)
 from .rng import PortableRng
@@ -129,6 +130,7 @@ class TrackingEnv:
 
     def __init__(self, space: ConfigSpace, bounds: ResourceBounds = DEFAULT_ENV_BOUNDS,
                  seed: int = 0):
+        config_costs(space, bounds)  # raises if a compound is not finite
         self.space = space
         self.bounds = bounds
         self._rng = PortableRng(seed)

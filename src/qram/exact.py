@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .core import Allocation, expanded_grids, grid_configurations
+from .core import Allocation, grid_configurations
 from .problem import ProblemInstance
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
@@ -52,9 +52,8 @@ def _metric_table(instance: ProblemInstance):
     ncfg = np.array([len(c) for c in configs], dtype=np.int64)
     table = np.zeros((4, len(configs), int(ncfg.max(initial=0))))
     for i, task in enumerate(instance.tasks):
-        dwell, tx, pw = expanded_grids(task.config_space)
         table[:, i, :ncfg[i]] = kernels.config_metrics(
-            dwell, tx, pw, instance.target_for(task), instance.bounds)
+            task.config_space, instance.target_for(task), instance.bounds)
     return configs, ncfg, table
 
 

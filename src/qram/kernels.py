@@ -1,17 +1,22 @@
-"""Hot numeric kernels: grid evaluation, exhaustive scan, knapsack table.
+"""Hot numeric kernels: grid costs and metrics, exhaustive scan, knapsack table.
 
 Each kernel is one vectorised numpy implementation.  ``counters`` tallies
-single-configuration evaluations so runs can report how much work they did.
+single-configuration utility evaluations so runs can report how much work
+they did.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from .core import expanded_grids, grid_configurations
 from .perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M, SNR_CONST,
                    TYPE_UTILITY_WEIGHT)
 
-#: Cumulative count of single-configuration evaluations (tests reset this).
+#: Cumulative count of single-configuration utility evaluations (tests
+#: reset this).
 counters = {"config_evals": 0}
 
 #: Assignment codes evaluated per vectorised block of the exhaustive scan.
@@ -22,25 +27,49 @@ _TABLE_CHUNK = 1 << 18
 
 
 # --------------------------------------------------------------------------
-# Configuration metrics: utility, compound resource and the resource vector
-# for every grid point against one target.
+# Configuration costs and metrics.  Occupancy, average power and compound
+# depend only on the grid and the bounds, so they are computed once per
+# (grid, bounds); only utility needs the target.
 # --------------------------------------------------------------------------
 
-def config_metrics(dwell, tx, pw, target, bounds):
-    """Evaluate parallel arrays of configurations against one target.
+@lru_cache(maxsize=64)
+def config_costs(space, bounds):
+    """Cost columns of every grid configuration under ``bounds``.
 
-    Returns (utility, compound, occupancy, avg_power) float64 arrays aligned
-    with the inputs, bit for bit equal to ``task_utility``, ``resource_of``
-    and ``compound_resource`` of the scalar model.
+    Returns (compound, occupancy, avg_power, cheapest): three read-only
+    float64 arrays in grid order, bit for bit equal to ``resource_of`` and
+    ``compound_resource`` of the scalar model, and the read-only indices
+    of least compound in ascending order.  Raises ValueError naming the
+    first configuration whose compound is not finite.
     """
-    counters["config_evals"] += len(dwell)
-    dwell = np.asarray(dwell, dtype=np.float64)
-    tx = np.asarray(tx, dtype=np.float64)
-    pw = np.asarray(pw, dtype=np.float64)
+    dwell, tx, pw = expanded_grids(space)
     (r1, r2), (w1, w2) = bounds.bounds, bounds.compound_weights
-    occ = tx / dwell
-    avg_pw = pw * tx / dwell
-    comp = w1 * (occ / r1) + w2 * (avg_pw / r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        occ = tx / dwell
+        avg_pw = pw * tx / dwell
+        comp = w1 * (occ / r1) + w2 * (avg_pw / r2)
+    bad = np.flatnonzero(~np.isfinite(comp))
+    if len(bad):
+        raise ValueError(f"the compound resource of "
+                         f"{grid_configurations(space)[bad[0]]} is not finite "
+                         f"under {bounds}")
+    cheapest = np.flatnonzero(comp == comp.min())
+    for column in (comp, occ, avg_pw, cheapest):
+        column.setflags(write=False)
+    return comp, occ, avg_pw, cheapest
+
+
+def config_metrics(space, target, bounds):
+    """Evaluate every configuration of a grid against one target.
+
+    Returns (utility, compound, occupancy, avg_power) float64 arrays in grid
+    order, bit for bit equal to ``task_utility``, ``resource_of`` and
+    ``compound_resource`` of the scalar model.  Only utility is computed
+    here; the other three are the read-only ``config_costs`` columns.
+    """
+    comp, occ, avg_pw, _ = config_costs(space, bounds)
+    dwell, tx, pw = expanded_grids(space)
+    counters["config_evals"] += len(dwell)
     rr = target.range_km * target.range_km
     r4 = rr * rr
     s = SNR_CONST * pw * tx / r4

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
-                   compound_resource, grid_configurations, resource_of)
+                   grid_configurations, resource_of)
+from .kernels import config_costs
 from .perf import Scenario, Target, snr, task_utility
 
 
@@ -42,11 +43,7 @@ class ProblemInstance:
                 raise ValueError(f"target {target.id} at {target.range_km} km is "
                                  f"outside the range the radar model can evaluate")
         for space in {task.config_space for task in self.tasks}:
-            for config in grid_configurations(space):
-                if not math.isfinite(compound_resource(resource_of(config),
-                                                       self.bounds)):
-                    raise ValueError(f"the compound resource of {config} is "
-                                     f"not finite under {self.bounds}")
+            config_costs(space, self.bounds)  # raises if a compound is not finite
         object.__setattr__(self, "_by_id", by_id)
 
     def task_by_id(self, task_id: int) -> Task:

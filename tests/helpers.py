@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from qram.agent import AgentParams, init_params
 from qram.classic import JobPoint
 from qram.core import Configuration, ConfigSpace, ResourceBounds, resource_of
 from qram.perf import generate_scenario
@@ -45,6 +46,12 @@ def random_point_cloud(rng: PortableRng, max_points: int = 40):
     n = 1 + rng.randint(max_points)
     return synthetic_points([(rng.randint(21) / 4.0, rng.randint(21) / 4.0)
                              for _ in range(n)])
+
+
+def zero_network() -> AgentParams:
+    """The default network architecture with every weight and bias zero."""
+    return AgentParams(**{name: np.zeros_like(array) for name, array
+                          in init_params(PortableRng(0)).named_arrays()})
 
 
 def random_small_space(rng: PortableRng) -> ConfigSpace:

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from helpers import MALFORMED_WEIGHT_HEADERS
+from helpers import MALFORMED_WEIGHT_HEADERS, zero_network
 from qram import agent
 from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
                         a2c_update, forward, greedy_action, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
-                        train, zero_params, _forward_batch)
+                        train, _forward_batch)
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from qram.perf import Target, TargetType
@@ -81,7 +81,7 @@ def fd_worst_error(params, trajectory, h=1e-5) -> float:
 # -------------------------------------------------------------------- forward
 
 def test_zero_params_give_uniform_policy_and_zero_value():
-    params = zero_params()
+    params = zero_network()
     logits, value = forward(params, FIXED_STATE)
     assert np.all(logits == 0.0)
     assert value == 0.0
@@ -166,7 +166,7 @@ def test_greedy_action_tie_breaks_low():
 def test_zero_episode_keeps_zero_params():
     # Zero rewards on zero params: returns, values and advantages all vanish
     # and a uniform policy sits at the entropy maximum, so nothing moves.
-    params = zero_params()
+    params = zero_network()
     traj = [Transition(rand_state(PortableRng(i)), 0, 0.0) for i in range(3)]
     new_params, _, metrics = a2c_update(params, zero_mean_squares(params), traj)
     assert metrics["policy_loss"] == 0.0

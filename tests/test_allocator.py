@@ -3,13 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_small_instance
+from helpers import random_small_instance, zero_network
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             frontier_proposer, network_proposer, next_config)
 from qram.classic import base_configuration, job_list_for, solve_classic
 from qram.core import Allocation, Configuration, DEFAULT_CONFIG_SPACE, \
     ResourceBounds
-from qram.agent import init_params, zero_params
+from qram.agent import init_params
 from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility)
@@ -26,7 +26,7 @@ def test_next_config_zero_params_picks_action_zero():
     inst = _instance(n=1)
     task = inst.tasks[0]
     target = inst.target_for(task)
-    config = next_config(zero_params(), task, target,
+    config = next_config(zero_network(), task, target,
                          DEFAULT_CONFIG_SPACE.config_at(30))
     assert config == DEFAULT_CONFIG_SPACE.config_at(0)
 

@@ -41,23 +41,42 @@ def test_config_eval_counter_exists():
     assert "config_evals" in kernels.counters
 
 
-#: Per method: the spans and the counter-hook counts a traced solve records.
+#: Per method: the spans a traced solve records, the spans it must not
+#: record, and the counter-hook counts.  The agent finds each task's start
+#: in the cached ``config_costs``, so it evaluates no grid.
 TRACED_SOLVE = {
     "classic": ({"classic.embed_task", "classic.upper_frontier",
                  "kernels.config_metrics", "classic.greedy_allocate",
                  "classic.ledger.fits", "problem.system_utility"},
+                set(),
                 {"classic.upgrades", "classic.dropped", "classic.frontier_points"}),
     "agent": ({"allocator.allocate_with_proposals", "classic.base_configuration",
-               "kernels.config_metrics", "allocator.next_config", "agent.forward",
+               "allocator.next_config", "agent.forward",
                "env.encode_state", "problem.system_utility"},
+              {"kernels.config_metrics"},
               {"allocator.upgrades", "allocator.dropped"}),
     "dp": ({"exact.optimal_allocation_dp", "kernels.config_metrics",
             "kernels.fill_knapsack_table", "problem.system_utility"},
+           set(),
            {"kernels.fill_knapsack_table.cells"}),
     "brute": ({"exact.optimal_allocation", "kernels.config_metrics",
                "kernels.scan_best_feasible", "problem.system_utility"},
+              set(),
               {"kernels.scan_best_feasible.states"}),
 }
+
+
+def _traced(argv):
+    """Run one CLI call under the tracer; returns the span names recorded
+    and the tracer."""
+    from qram import cli
+
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed(op=0):
+        assert cli.main(argv) == 0
+    assert all(span[4] == 0 for span in tracer.spans)
+    assert not hasattr(cli.system_utility, "__wrapped__")  # patches undone
+    return {span[0] for span in tracer.spans}, tracer
 
 
 @pytest.mark.parametrize("method", sorted(TRACED_SOLVE))
@@ -70,15 +89,19 @@ def test_traced_solve_records_spans_and_counts(method, tmp_path):
     scenario, weights = tmp_path / "scenario.json", tmp_path / "weights.json"
     assert cli.main(["gen", "--targets", "2", "--seed", "3", "--out", str(scenario)]) == 0
     save(init_params(PortableRng(0)), weights, config_space=DEFAULT_CONFIG_SPACE)
-    tracer = TRACING_MODULE.Tracer()
-    with tracer.installed(op=0):
-        assert cli.main(["solve", "--scenario", str(scenario), "--method", method,
-                         "--weights", str(weights),
-                         "--out", str(tmp_path / "result.json")]) == 0
-    spans, counts = TRACED_SOLVE[method]
-    recorded = {span[0] for span in tracer.spans}
+    recorded, tracer = _traced(["solve", "--scenario", str(scenario),
+                                "--method", method, "--weights", str(weights),
+                                "--out", str(tmp_path / "result.json")])
+    spans, absent, counts = TRACED_SOLVE[method]
     assert "cli.solve" in recorded
     assert spans <= recorded, spans - recorded
+    assert not absent & recorded, absent & recorded
     assert counts <= set(tracer.counts), counts - set(tracer.counts)
-    assert all(span[4] == 0 for span in tracer.spans)
-    assert not hasattr(cli.system_utility, "__wrapped__")  # patches undone
+
+
+def test_traced_train_records_spans(tmp_path):
+    recorded, _ = _traced(["train", "--steps", "3",
+                           "--out", str(tmp_path / "weights.json")])
+    assert {"cli.train", "env.reset", "classic.base_configuration", "env.step",
+            "agent.forward", "agent.a2c_update"} <= recorded
+    assert "kernels.config_metrics" not in recorded

@@ -121,8 +121,16 @@ def test_frontier_subset_of_input_and_majorises():
                     assert p.utility <= chord + 1e-12
 
 
-def test_base_configuration_is_first_frontier_point():
-    inst = _instance(n=10, seed=5)
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)],
+                         ids=lambda w: f"{w[0]:g},{w[1]:g}")
+def test_base_configuration_is_first_frontier_point(weights):
+    # Under (1, 0) the compound is occupancy alone, so the cheapest compound
+    # ties across the power axis and utility breaks the tie.
+    bounds = ResourceBounds(default_bounds(10).bounds, weights)
+    inst = _instance(n=10, seed=5, bounds=bounds)
+    ties = len(kernels.config_costs(DEFAULT_CONFIG_SPACE, bounds)[3])
+    assert ties == (len(DEFAULT_CONFIG_SPACE.tx_power_grid)
+                    if weights == (1.0, 0.0) else 1)
     for task in inst.tasks:
         target = inst.target_for(task)
         jl = job_list_for(task, target, inst.bounds)

@@ -149,6 +149,8 @@ def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
     ["solve", "--method", "dp", "--bounds", "1e-308,5", "--compound-weights", "100,1"],
     ["solve", "--method", "classic", "--bounds", "1e-310,5", "--compound-weights", "0,1"],
     ["train", "--steps", "3", "--bounds", "nan,1"],
+    ["train", "--steps", "30", "--bounds", "1e-310,5", "--compound-weights", "0,1"],
+    ["train", "--steps", "30", "--bounds", "1e-308,5", "--compound-weights", "100,1"],
     ["bench", "runtime", "--mode", "by-configs", "--configs", "100", "--runs", "1"],
     ["solve", "--out", "."],  # a directory, not a file
 ], ids=" ".join)

@@ -1,8 +1,10 @@
 """Golden outputs: seeded CLI results stay byte-identical across refactors.
 
 Each digest is the sha256 of one CLI output.  A ``result.json`` is hashed
-after dropping its wall-clock ``timings`` and re-serialising it exactly as
-``qram solve`` writes it; the remark1 CSV is hashed as written.  A change
+after dropping its wall-clock ``timings`` and re-serialising it with
+``json.dumps(doc, indent=1, sort_keys=True)``, so the digest depends on the
+result's content, not on how ``qram solve`` lays out the file; the remark1
+CSV is hashed as written.  A change
 that alters any of these outputs on purpose must say why and update the
 digest in the same change.
 """

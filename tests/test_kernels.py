@@ -1,22 +1,65 @@
 """The hot kernels against literal reference computations."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from helpers import argmax_knapsack_table
+from helpers import argmax_knapsack_table, random_small_space
 from qram import kernels
-from qram.core import DEFAULT_CONFIG_SPACE, ResourceBounds, expanded_grids
+from qram.core import (DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds,
+                       compound_resource, resource_of)
 from qram.perf import Target, TargetType
+from qram.rng import PortableRng
 
 TARGET = Target(id=0, ttype=TargetType.FIGHTER, range_km=62.5, speed_mps=340.0)
 BOUNDS = ResourceBounds(bounds=(0.6, 5.0), compound_weights=(1.0, 1.0))
+WEIGHTS = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
 
 
-def _grid_args():
-    dwell, tx, pw = expanded_grids(DEFAULT_CONFIG_SPACE)
-    return dwell, tx, pw
+# ------------------------------------------------------------ configuration costs
+
+@pytest.mark.parametrize("weights", WEIGHTS, ids=str)
+def test_config_costs_match_scalar_model(weights):
+    bounds = ResourceBounds(bounds=BOUNDS.bounds, compound_weights=weights)
+    rng = PortableRng(5)
+    for space in [DEFAULT_CONFIG_SPACE] + [random_small_space(rng) for _ in range(20)]:
+        comp, occ, pw, cheapest = kernels.config_costs(space, bounds)
+        vectors = [resource_of(c) for c in space]
+        want = [compound_resource(v, bounds) for v in vectors]
+        assert comp.tolist() == want
+        assert occ.tolist() == [float(v[0]) for v in vectors]
+        assert pw.tolist() == [float(v[1]) for v in vectors]
+        assert cheapest.tolist() == [i for i, r in enumerate(want) if r == min(want)]
+
+
+def test_config_costs_are_read_only_and_cached_per_grid_and_bounds():
+    columns = kernels.config_costs(DEFAULT_CONFIG_SPACE, BOUNDS)
+    for column in columns:
+        with pytest.raises(ValueError):
+            column[0] = 0
+    space = ConfigSpace.from_dict(DEFAULT_CONFIG_SPACE.to_dict())
+    bounds = ResourceBounds(bounds=(0.6, 5.0), compound_weights=(1.0, 1.0))
+    assert space is not DEFAULT_CONFIG_SPACE and bounds is not BOUNDS
+    assert kernels.config_costs(space, bounds) is columns
+
+
+def test_config_costs_name_first_non_finite_configuration():
+    # 1e-310 is subnormal: occupancy / 1e-310 overflows to inf, and weight 0
+    # times inf is NaN, on every configuration.
+    bounds = ResourceBounds(bounds=(1e-310, 5.0), compound_weights=(0.0, 1.0))
+    first = DEFAULT_CONFIG_SPACE.config_at(0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the compound resource of {first} is not finite under {bounds}")):
+        kernels.config_costs(DEFAULT_CONFIG_SPACE, bounds)
+    # 100 * occupancy / 1e-308 overflows once occupancy exceeds about 0.018:
+    # 2/300 stays finite, 10/300 (configuration 1) does not.
+    space = ConfigSpace((300.0, 1100.0), (2.0, 10.0), (1.0,))
+    bounds = ResourceBounds(bounds=(1e-308, 5.0), compound_weights=(100.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the compound resource of {space.config_at(1)} is not finite")):
+        kernels.config_costs(space, bounds)
 
 
 def _scan_case(seed):
@@ -202,6 +245,5 @@ def test_knapsack_matches_argmax_table(chunk, monkeypatch):
 
 def test_eval_counter_accumulates():
     kernels.counters["config_evals"] = 0
-    dwell, tx, pw = _grid_args()
-    kernels.config_metrics(dwell, tx, pw, TARGET, BOUNDS)
+    kernels.config_metrics(DEFAULT_CONFIG_SPACE, TARGET, BOUNDS)
     assert kernels.counters["config_evals"] == 90
