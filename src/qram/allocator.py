@@ -28,21 +28,20 @@ from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
 from .core import Allocation, Configuration, Task
 from .env import encode_state, raw_quotient
-from .perf import Target
 from .problem import ProblemInstance
 
-#: propose(task, target, current_config) -> next configuration
-Proposer = Callable[[Task, Target, Configuration], Configuration]
+#: propose(task, current_config) -> next configuration
+Proposer = Callable[[Task, Configuration], Configuration]
 
 
-def next_config(params: AgentParams, task: Task, target: Target,
+def next_config(params: AgentParams, task: Task,
                 current: Configuration) -> Configuration:
     """Greedy network proposal for the task's next configuration."""
     space = task.config_space
     if params.n_actions != space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
-    logits, _ = forward(params, encode_state(space, current, target))
+    logits, _ = forward(params, encode_state(space, current, task.target))
     action = greedy_action(logits)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
@@ -53,8 +52,8 @@ def next_config(params: AgentParams, task: Task, target: Target,
 
 
 def network_proposer(params: AgentParams) -> Proposer:
-    def propose(task: Task, target: Target, current: Configuration) -> Configuration:
-        return next_config(params, task, target, current)
+    def propose(task: Task, current: Configuration) -> Configuration:
+        return next_config(params, task, current)
     return propose
 
 
@@ -64,10 +63,9 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     Driving the allocation loop with this oracle reproduces the classical
     greedy result exactly; it pins down the loop's semantics in tests.
     """
-    lists = {task.id: job_list_for(task, instance.target_for(task), instance.bounds)
-             for task in instance.tasks}
+    lists = {task.id: job_list_for(task, instance.bounds) for task in instance.tasks}
 
-    def propose(task: Task, target: Target, current: Configuration) -> Configuration:
+    def propose(task: Task, current: Configuration) -> Configuration:
         points = lists[task.id].points
         for i, p in enumerate(points):
             if p.config == current:
@@ -81,10 +79,10 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
     """Greedy upgrade loop over proposals; never returns an infeasible result."""
     bounds = instance.bounds
 
-    def steps(task: Task, target: Target, current: Configuration):
+    def steps(task: Task, current: Configuration):
         for _ in range(task.config_space.size + 1):  # cycle guard
-            proposal = propose(task, target, current)
-            quotient = raw_quotient(current, proposal, target, bounds)
+            proposal = propose(task, current)
+            quotient = raw_quotient(current, proposal, task.target, bounds)
             if proposal == current or quotient <= 0.0:
                 return  # stationary or non-improving: retire
             yield proposal, quotient
@@ -92,9 +90,8 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
 
     start, task_steps = {}, {}
     for task in instance.tasks:
-        target = instance.target_for(task)
-        start[task.id] = base_configuration(task.config_space, target, bounds)
-        task_steps[task.id] = steps(task, target, start[task.id])
+        start[task.id] = base_configuration(task.config_space, task.target, bounds)
+        task_steps[task.id] = steps(task, start[task.id])
     # Weights that overflow would warn on every forward pass; next_config
     # turns their non-finite logits into a WeightFormatError instead.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,17 +33,13 @@ from .perf import Target, task_utility
 from .problem import ProblemInstance
 
 
-@dataclass(frozen=True)
-class JobPoint:
-    """One configuration embedded into (compound resource, utility) space."""
+class JobPoint(NamedTuple):
+    """One configuration embedded into (compound resource, utility) space.
+    A plain record: :class:`JobList` checks the resource is non-negative."""
 
     config: Configuration
     resource: float
     utility: float
-
-    def __post_init__(self):
-        if self.resource < 0:
-            raise ValueError(f"resource must be non-negative: {self.resource}")
 
 
 def _cross(a: JobPoint, b: JobPoint, c: JobPoint) -> float:
@@ -53,7 +50,11 @@ def _cross(a: JobPoint, b: JobPoint, c: JobPoint) -> float:
 
 @dataclass(frozen=True)
 class JobList:
-    """A task's frontier: strictly better jobs at strictly decreasing rates."""
+    """A task's frontier: strictly better jobs at strictly decreasing rates.
+
+    Resources strictly increase along the list, so checking that the first
+    is non-negative covers every point.
+    """
 
     task_id: int
     points: tuple[JobPoint, ...]
@@ -62,6 +63,8 @@ class JobList:
         pts = self.points
         if not pts:
             raise ValueError("a job list needs at least one point")
+        if pts[0].resource < 0:
+            raise ValueError(f"resource must be non-negative: {pts[0].resource}")
         for a, b in zip(pts, pts[1:]):
             if not (b.resource > a.resource and b.utility > a.utility):
                 raise ValueError("job list must strictly increase in resource "
@@ -77,13 +80,12 @@ class JobList:
                 for a, b in zip(self.points, self.points[1:])]
 
 
-def embed_task(task: Task, target: Target, bounds: ResourceBounds) -> list[JobPoint]:
+def embed_task(task: Task, bounds: ResourceBounds) -> list[JobPoint]:
     """Evaluate every configuration of the task: one JobPoint per grid cell."""
     space = task.config_space
-    util, comp, _, _ = kernels.config_metrics(space, target, bounds)
-    return [JobPoint(config=config, resource=r, utility=u)
-            for config, r, u in zip(grid_configurations(space), comp.tolist(),
-                                    util.tolist())]
+    util, comp, _, _ = kernels.config_metrics(space, task.target, bounds)
+    return list(map(JobPoint, grid_configurations(space), comp.tolist(),
+                    util.tolist()))
 
 
 def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
@@ -115,8 +117,8 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
     return JobList(task_id=task_id, points=tuple(frontier))
 
 
-def job_list_for(task: Task, target: Target, bounds: ResourceBounds) -> JobList:
-    return upper_frontier(embed_task(task, target, bounds), task_id=task.id)
+def job_list_for(task: Task, bounds: ResourceBounds) -> JobList:
+    return upper_frontier(embed_task(task, bounds), task_id=task.id)
 
 
 def base_configuration(space: ConfigSpace, target: Target,
@@ -333,6 +335,5 @@ def greedy_allocate(job_lists: list[JobList],
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Embed, build frontiers, run the greedy pass."""
-    job_lists = [job_list_for(task, instance.target_for(task), instance.bounds)
-                 for task in instance.tasks]
+    job_lists = [job_list_for(task, instance.bounds) for task in instance.tasks]
     return greedy_allocate(job_lists, instance)

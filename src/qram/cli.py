@@ -21,7 +21,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import remark1
 from .agent import TrainingError, WeightFormatError
-from .allocator import allocate_with_proposals, network_proposer
+from .allocator import allocate_with_agent, allocate_with_proposals, network_proposer
 from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
                       upper_frontier)
 from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
@@ -199,8 +199,7 @@ def cmd_gen(args) -> int:
 
 def _timed_classic(instance: ProblemInstance):
     t0 = time.perf_counter()
-    embedded = [(task, embed_task(task, instance.target_for(task), instance.bounds))
-                for task in instance.tasks]
+    embedded = [(task, embed_task(task, instance.bounds)) for task in instance.tasks]
     t1 = time.perf_counter()
     job_lists = [upper_frontier(points, task_id=task.id)
                  for task, points in embedded]
@@ -215,9 +214,9 @@ def _timed_agent(params, instance: ProblemInstance):
     query_time = [0.0]
     inner = network_proposer(params)
 
-    def timed_propose(task, target, current):
+    def timed_propose(task, current):
         q0 = time.perf_counter()
-        proposal = inner(task, target, current)
+        proposal = inner(task, current)
         query_time[0] += time.perf_counter() - q0
         return proposal
 
@@ -306,8 +305,7 @@ def cmd_bench_utility(args) -> int:
             scenario = generate_scenario(n, _bench_seed(args.master_seed, n, run))
             instance = _instance(scenario, bounds, space)
             classic_alloc, _ = solve_classic(instance)
-            agent_alloc, _ = allocate_with_proposals(network_proposer(params),
-                                                     instance)
+            agent_alloc, _ = allocate_with_agent(params, instance)
             cu = system_utility(classic_alloc, instance)
             au = system_utility(agent_alloc, instance)
             if cu == 0.0:
@@ -384,7 +382,7 @@ def cmd_bench_runtime(args) -> int:
             instance = _instance(scenario, bounds, space)
             classic_s, agent_s = _median_times(
                 [lambda: _timed_classic(instance),
-                 lambda: allocate_with_proposals(network_proposer(params), instance)],
+                 lambda: allocate_with_agent(params, instance)],
                 args.runs)
             rows.append([n, repr(classic_s), repr(agent_s)])
             print(f"targets {n}: classic {classic_s*1e3:.2f} ms, "
@@ -398,19 +396,18 @@ def cmd_bench_runtime(args) -> int:
     params = (_load_agent(args, space) if args.weights
               else agent_mod.init_params(PortableRng(0)))
     scenario = generate_scenario(1, args.master_seed)
-    target = scenario.targets[0]
     bounds = _bounds_from_args(args, default_bounds(20))
     cases = []
     for c in args.configs:
         refined = _refined_space(c)
         task = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, refined.config_at(0), target)
+        state = encode_state(refined, refined.config_at(0), task.target)
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):
             raise WeightFormatError(f"network logits are not finite ({c} "
                                     f"configurations); the weights overflow")
-        cases += [partial(job_list_for, task, target, bounds),
+        cases += [partial(job_list_for, task, bounds),
                   partial(agent_mod.forward, params, state)]
     times = _median_times(cases, args.runs)
     rows = []

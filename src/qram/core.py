@@ -15,9 +15,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .perf import Target
 
 #: Number of resource components: [time occupancy, average power in kW].
 N_RESOURCES = 2
@@ -198,10 +201,10 @@ class ResourceBounds:
 
 @dataclass(frozen=True)
 class Task:
-    """A radar tracking task: which target it tracks, on which grid."""
+    """A radar tracking task: the target it tracks and the grid it runs on."""
 
     id: int
-    target_ref: int
+    target: Target
     config_space: ConfigSpace
 
 

@@ -53,7 +53,7 @@ def _metric_table(instance: ProblemInstance):
     table = np.zeros((4, len(configs), int(ncfg.max(initial=0))))
     for i, task in enumerate(instance.tasks):
         table[:, i, :ncfg[i]] = kernels.config_metrics(
-            task.config_space, instance.target_for(task), instance.bounds)
+            task.config_space, task.target, instance.bounds)
     return configs, ncfg, table
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Configuration, _json_int, _json_number
 from .rng import PortableRng
@@ -91,19 +91,10 @@ class Target:
 class Scenario:
     targets: tuple[Target, ...]
     seed: int
-    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id = {t.id: t for t in self.targets}
-        if len(by_id) != len(self.targets):
+        if len({t.id for t in self.targets}) != len(self.targets):
             raise ValueError("target ids must be unique")
-        object.__setattr__(self, "_by_id", by_id)
-
-    def target_by_id(self, target_id: int) -> Target:
-        try:
-            return self._by_id[target_id]
-        except KeyError:
-            raise KeyError(f"no target with id {target_id}") from None
 
     def to_dict(self) -> dict:
         return {"format": 1, "seed": self.seed,

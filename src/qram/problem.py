@@ -1,7 +1,8 @@
-"""Problem instances: tasks plus bounds plus the scenario they track.
+"""Problem instances: tasks plus bounds.
 
-The instance is the object every solver consumes.  It is built in memory,
-one tracking task per target (:func:`build_tracking_instance`); on disk a
+The instance is the object every solver consumes: each task carries the
+target it tracks and its configuration grid.  It is built in memory, one
+tracking task per target (:func:`build_tracking_instance`); on disk a
 problem is its scenario file plus the bounds given on the command line.
 """
 
@@ -15,14 +16,13 @@ import numpy as np
 from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
                    grid_configurations, resource_of)
 from .kernels import config_costs
-from .perf import Scenario, Target, snr, task_utility
+from .perf import Scenario, snr, task_utility
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
     tasks: tuple[Task, ...]
     bounds: ResourceBounds
-    scenario: Scenario
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -33,7 +33,7 @@ class ProblemInstance:
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
         for task in self.tasks:
-            target = self.scenario.target_by_id(task.target_ref)  # raises if missing
+            target = task.target
             configs = grid_configurations(task.config_space)
             try:
                 low, high = snr(configs[0], target), snr(configs[-1], target)
@@ -52,16 +52,13 @@ class ProblemInstance:
         except KeyError:
             raise KeyError(f"no task with id {task_id}") from None
 
-    def target_for(self, task: Task) -> Target:
-        return self.scenario.target_by_id(task.target_ref)
-
 
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                             space: ConfigSpace) -> ProblemInstance:
     """One tracking task per target, task id equal to target id."""
-    tasks = tuple(Task(id=t.id, target_ref=t.id, config_space=space)
+    tasks = tuple(Task(id=t.id, target=t, config_space=space)
                   for t in scenario.targets)
-    return ProblemInstance(tasks=tasks, bounds=bounds, scenario=scenario)
+    return ProblemInstance(tasks=tasks, bounds=bounds)
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:
@@ -89,8 +86,8 @@ def _assigned(alloc: Allocation, instance: ProblemInstance):
             if t.id in alloc.assignment]
 
 
-def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
-    return {task.id: task_utility(config, instance.target_for(task))
+def _utilities(assigned) -> dict[int, float]:
+    return {task.id: task_utility(config, task.target)
             for task, config in assigned}
 
 
@@ -103,7 +100,7 @@ def _usage(assigned, instance: ProblemInstance) -> np.ndarray:
 
 def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
     """Utility of every assigned task, keyed by task id in instance order."""
-    return _utilities(_assigned(alloc, instance), instance)
+    return _utilities(_assigned(alloc, instance))
 
 
 def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
@@ -115,7 +112,7 @@ def evaluate_allocation(alloc: Allocation, instance: ProblemInstance
                         ) -> tuple[dict[int, float], np.ndarray]:
     """``task_utilities`` and ``resource_usage`` from one check of ``alloc``."""
     assigned = _assigned(alloc, instance)
-    return _utilities(assigned, instance), _usage(assigned, instance)
+    return _utilities(assigned), _usage(assigned, instance)
 
 
 def system_utility(alloc: Allocation, instance: ProblemInstance,

@@ -56,7 +56,7 @@ def _equality_instance(seed: int, upgrades: int):
 
     gains = []
     for task in probe.tasks:
-        target = probe.target_for(task)
+        target = task.target
         utils = [task_utility(c, target) for c in space]
         for level in range(len(utils) - 1):
             gains.append((utils[level + 1] - utils[level], task.id, level))
@@ -165,7 +165,7 @@ def test_criterion_5_agent_quality(trained_agent):
         logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, base,
                                                  target))
         config = DEFAULT_CONFIG_SPACE.config_at(greedy_action(logits))
-        frontier = job_list_for(task, target, bounds)
+        frontier = job_list_for(task, bounds)
         r = compound_resource(resource_of(config), bounds)
         u = task_utility(config, target)
         attainable = max((p.utility for p in frontier.points if p.resource <= r),

@@ -25,35 +25,30 @@ def _instance(n=5, seed=1, bounds=None):
 def test_next_config_zero_params_picks_action_zero():
     inst = _instance(n=1)
     task = inst.tasks[0]
-    target = inst.target_for(task)
-    config = next_config(zero_network(), task, target,
-                         DEFAULT_CONFIG_SPACE.config_at(30))
+    config = next_config(zero_network(), task, DEFAULT_CONFIG_SPACE.config_at(30))
     assert config == DEFAULT_CONFIG_SPACE.config_at(0)
 
 
 def test_next_config_deterministic():
     inst = _instance(n=1)
     task = inst.tasks[0]
-    target = inst.target_for(task)
     params = init_params(PortableRng(3))
     current = DEFAULT_CONFIG_SPACE.config_at(10)
-    assert next_config(params, task, target, current) \
-        == next_config(params, task, target, current)
+    assert next_config(params, task, current) == next_config(params, task, current)
 
 
 def test_next_config_rejects_mismatched_action_space():
     inst = _instance(n=1)
     params = init_params(PortableRng(1), n_actions=12)
     with pytest.raises(ValueError):
-        next_config(params, inst.tasks[0], inst.target_for(inst.tasks[0]),
-                    DEFAULT_CONFIG_SPACE.config_at(0))
+        next_config(params, inst.tasks[0], DEFAULT_CONFIG_SPACE.config_at(0))
 
 
 def test_empty_instance_allocates_nothing():
     scenario = generate_scenario(1, 1)
     inst = build_tracking_instance(scenario, default_bounds(1),
                                    DEFAULT_CONFIG_SPACE)
-    inst = type(inst)(tasks=(), bounds=inst.bounds, scenario=inst.scenario)
+    inst = type(inst)(tasks=(), bounds=inst.bounds)
     alloc, trace = allocate_with_proposals(lambda *a: None, inst)
     assert len(alloc.assignment) == 0 and trace.upgrades == ()
 
@@ -78,7 +73,7 @@ def test_adversarial_proposer_terminates_feasibly():
 
     state = {"i": 0}
 
-    def chaotic(task, target, current):
+    def chaotic(task, current):
         state["i"] = (state["i"] + 13) % DEFAULT_CONFIG_SPACE.size
         return DEFAULT_CONFIG_SPACE.config_at(state["i"])
 
@@ -97,14 +92,13 @@ def test_proposer_is_asked_once_per_draw_in_loop_order():
     oracle = frontier_proposer(inst)
     calls = []
 
-    def recording(task, target, current):
+    def recording(task, current):
         calls.append((task.id, current))
-        return oracle(task, target, current)
+        return oracle(task, current)
 
     _, trace = allocate_with_proposals(recording, inst)
     assert trace.dropped and trace.upgrades  # bound-limited on both counts
-    start = {t.id: base_configuration(t.config_space, inst.target_for(t),
-                                      inst.bounds)
+    start = {t.id: base_configuration(t.config_space, t.target, inst.bounds)
              for t in inst.tasks}
     kept = sorted(set(start) - set(trace.dropped))
     assert calls == ([(tid, start[tid]) for tid in kept]
@@ -119,11 +113,11 @@ def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
                      bounds=ResourceBounds((10.0, 100.0), (1.0, 1.0)))
     ends = {}
     for task in inst.tasks:
-        points = job_list_for(task, inst.target_for(task), inst.bounds).points
+        points = job_list_for(task, inst.bounds).points
         ends[task.id] = (points[0].config, points[-1].config)
     calls = Counter()
 
-    def flip(task, target, current):
+    def flip(task, current):
         calls[task.id] += 1
         low, high = ends[task.id]
         return high if current == low else low
@@ -166,7 +160,7 @@ def test_stationary_proposal_retires_task():
     inst = _instance(n=2, seed=5)
     base_cfg = {}
 
-    def stubborn(task, target, current):
+    def stubborn(task, current):
         base_cfg.setdefault(task.id, current)
         return current  # never proposes anything new
 

@@ -30,7 +30,7 @@ def _instance(n=4, seed=42, bounds=BOUNDS, space=DEFAULT_CONFIG_SPACE):
 def test_embed_task_one_point_per_config():
     inst = _instance()
     kernels.counters["config_evals"] = 0
-    points = embed_task(inst.tasks[0], inst.target_for(inst.tasks[0]), inst.bounds)
+    points = embed_task(inst.tasks[0], inst.bounds)
     assert len(points) == 90
     assert kernels.counters["config_evals"] == 90
 
@@ -38,16 +38,15 @@ def test_embed_task_one_point_per_config():
 def test_embed_task_single_cell_grid():
     space = ConfigSpace((500.0,), (6.0,), (2.0,))
     inst = _instance(space=space)
-    points = embed_task(inst.tasks[0], inst.target_for(inst.tasks[0]), inst.bounds)
+    points = embed_task(inst.tasks[0], inst.bounds)
     assert len(points) == 1
 
 
 def test_embed_matches_scalar_model_bitwise():
     inst = _instance()
     task = inst.tasks[0]
-    target = inst.target_for(task)
-    for p in embed_task(task, target, inst.bounds):
-        assert p.utility == task_utility(p.config, target)
+    for p in embed_task(task, inst.bounds):
+        assert p.utility == task_utility(p.config, task.target)
         assert p.resource == compound_resource(resource_of(p.config), inst.bounds)
 
 
@@ -97,10 +96,22 @@ def test_job_list_invariants_enforced():
         JobList(task_id=0, points=tuple(not_concave))
 
 
+def test_negative_resource_is_rejected_by_the_job_list():
+    # The cheapest point of a cloud always opens its frontier, even at the
+    # lowest utility, and resources increase along the list, so the check
+    # on the first point covers every point.
+    cloud = synthetic_points([(2.0, 3.0), (-0.5, 0.0), (1.0, 2.0)])
+    with pytest.raises(ValueError, match=r"resource must be non-negative: -0\.5"):
+        upper_frontier(cloud)
+    first_negative = synthetic_points([(-1.0, 1.0), (2.0, 3.0)])
+    with pytest.raises(ValueError, match=r"resource must be non-negative: -1\.0"):
+        JobList(task_id=0, points=tuple(first_negative))
+
+
 def test_job_list_ratios_strictly_decreasing():
     inst = _instance()
     for task in inst.tasks:
-        jl = job_list_for(task, inst.target_for(task), inst.bounds)
+        jl = job_list_for(task, inst.bounds)
         ratios = jl.ratios()
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert all(r > 0 for r in ratios)
@@ -132,9 +143,8 @@ def test_base_configuration_is_first_frontier_point(weights):
     assert ties == (len(DEFAULT_CONFIG_SPACE.tx_power_grid)
                     if weights == (1.0, 0.0) else 1)
     for task in inst.tasks:
-        target = inst.target_for(task)
-        jl = job_list_for(task, target, inst.bounds)
-        assert base_configuration(task.config_space, target, inst.bounds) \
+        jl = job_list_for(task, inst.bounds)
+        assert base_configuration(task.config_space, task.target, inst.bounds) \
             == jl.points[0].config
 
 
@@ -144,7 +154,7 @@ def test_greedy_single_task_ample_resources_maxes_out():
     bounds = ResourceBounds(bounds=(1.0, 5.0), compound_weights=(1.0, 1.0))
     inst = _instance(n=1, seed=3, bounds=bounds)
     task = inst.tasks[0]
-    jl = job_list_for(task, inst.target_for(task), bounds)
+    jl = job_list_for(task, bounds)
     alloc, trace = greedy_allocate([jl], inst)
     assert alloc.assignment[task.id] == jl.points[-1].config
     assert len(trace.upgrades) == len(jl.points) - 1
@@ -161,13 +171,12 @@ def test_greedy_tie_breaks_to_lower_task_id():
     probe = build_tracking_instance(
         scenario, ResourceBounds((10.0, 10.0), (1.0, 1.0)), space)
     base = base_configuration(space, t0, probe.bounds)
-    jl = job_list_for(probe.tasks[0], t0, probe.bounds)
+    jl = job_list_for(probe.tasks[0], probe.bounds)
     first_upgrade = jl.points[1].config
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]
     inst = build_tracking_instance(
         scenario, ResourceBounds((r1, 10.0), (1.0, 1.0)), space)
-    lists = [job_list_for(task, inst.target_for(task), inst.bounds)
-             for task in inst.tasks]
+    lists = [job_list_for(task, inst.bounds) for task in inst.tasks]
     alloc, trace = greedy_allocate(lists, inst)
     upgraded = [u.task_id for u in trace.upgrades]
     assert upgraded and upgraded[0] == 0
@@ -176,7 +185,7 @@ def test_greedy_tie_breaks_to_lower_task_id():
 
 def test_greedy_requires_matching_job_lists():
     inst = _instance(n=2)
-    jl = job_list_for(inst.tasks[0], inst.target_for(inst.tasks[0]), inst.bounds)
+    jl = job_list_for(inst.tasks[0], inst.bounds)
     with pytest.raises(ValueError):
         greedy_allocate([jl], inst)
 
@@ -205,8 +214,7 @@ def test_greedy_drops_highest_ids_on_overload():
 
 def test_greedy_trace_ratios_match_job_lists():
     inst = _instance(n=3, seed=21)
-    lists = {t.id: job_list_for(t, inst.target_for(t), inst.bounds)
-             for t in inst.tasks}
+    lists = {t.id: job_list_for(t, inst.bounds) for t in inst.tasks}
     _, trace = greedy_allocate(list(lists.values()), inst)
     position = {tid: 0 for tid in lists}
     for step in trace.upgrades:

@@ -9,8 +9,7 @@ from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
                        ResourceBounds, Task, resource_of)
 from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
                         optimal_allocation_dp)
-from qram.perf import (Scenario, Target, TargetType, generate_scenario,
-                       task_utility)
+from qram.perf import Target, TargetType, generate_scenario, task_utility
 from qram.problem import (ProblemInstance, build_tracking_instance, is_feasible,
                           system_utility)
 
@@ -24,7 +23,7 @@ def _instance(n, seed, bounds, space=SMALL_SPACE):
 def test_single_task_is_argmax_over_feasible_configs():
     bounds = ResourceBounds(bounds=(0.05, 0.2), compound_weights=(1.0, 1.0))
     inst = _instance(1, 3, bounds)
-    target = inst.target_for(inst.tasks[0])
+    target = inst.tasks[0].target
     alloc, best = optimal_allocation(inst)
     utilities = [(task_utility(c, target), c) for c in SMALL_SPACE
                  if np.all(resource_of(c) <= np.asarray(bounds.bounds))]
@@ -68,10 +67,9 @@ def _mixed_grid_instance(bounds):
     targets = (Target(10, TargetType.MISSILE, 80.0, 700.0),
                Target(7, TargetType.HELICOPTER, 30.0, 40.0),
                Target(4, TargetType.FIGHTER, 120.0, 300.0))
-    tasks = tuple(Task(id=t.id, target_ref=t.id, config_space=space)
+    tasks = tuple(Task(id=t.id, target=t, config_space=space)
                   for t, space in zip(targets, spaces))
-    return ProblemInstance(tasks=tasks, bounds=bounds,
-                           scenario=Scenario(targets=targets, seed=0))
+    return ProblemInstance(tasks=tasks, bounds=bounds)
 
 
 def _literal_optimum(inst):
@@ -84,7 +82,7 @@ def _literal_optimum(inst):
         tu = to = tp = 0.0
         for task, config in zip(inst.tasks, choice):
             if config is not None:
-                tu += task_utility(config, inst.target_for(task))
+                tu += task_utility(config, task.target)
                 occ, pw = resource_of(config)
                 to += occ
                 tp += pw

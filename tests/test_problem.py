@@ -4,6 +4,7 @@ from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPA
     ResourceBounds, resource_of
 from qram.perf import Scenario, Target, TargetType, generate_scenario, task_utility
 from qram import problem
+from qram.classic import solve_classic
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           evaluate_allocation, is_feasible, resource_usage,
                           system_utility, task_utilities)
@@ -22,13 +23,7 @@ def test_default_bounds_rule():
 def test_instance_validates_task_ids_and_targets():
     inst = _instance()
     with pytest.raises(ValueError):
-        ProblemInstance(tasks=inst.tasks + (inst.tasks[0],), bounds=inst.bounds,
-                        scenario=inst.scenario)
-    alien = type(inst.tasks[0])(id=99, target_ref=99,
-                                config_space=DEFAULT_CONFIG_SPACE)
-    with pytest.raises(KeyError):
-        ProblemInstance(tasks=(alien,), bounds=inst.bounds,
-                        scenario=inst.scenario)
+        ProblemInstance(tasks=inst.tasks + (inst.tasks[0],), bounds=inst.bounds)
 
 
 def test_lookups_with_unsorted_non_contiguous_ids():
@@ -40,24 +35,27 @@ def test_lookups_with_unsorted_non_contiguous_ids():
     config = DEFAULT_CONFIG_SPACE.config_at(0)
     expected = 0.0
     for target, task in zip(targets, inst.tasks):
-        assert scenario.target_by_id(target.id) is target
+        assert task.target is target
         assert inst.task_by_id(target.id) is task
-        assert inst.target_for(task) is target
         expected += task_utility(config, target)
     alloc = Allocation(assignment={t.id: config for t in targets})
     assert system_utility(alloc, inst) == expected
     assert is_feasible(alloc, inst)
     # Task ids need not equal the ids of the targets they track.
     renumbered = ProblemInstance(
-        tasks=tuple(type(t)(id=i, target_ref=t.target_ref, config_space=t.config_space)
+        tasks=tuple(type(t)(id=i, target=t.target, config_space=t.config_space)
                     for i, t in enumerate(inst.tasks)),
-        bounds=inst.bounds, scenario=scenario)
-    assert [renumbered.target_for(t) for t in renumbered.tasks] == list(targets)
+        bounds=inst.bounds)
+    new_id = {t.id: i for i, t in enumerate(inst.tasks)}
+    assert [t.target for t in renumbered.tasks] == list(targets)
+    assert system_utility(Allocation(assignment={i: config for i in range(3)}),
+                          renumbered) == expected
+    classic, _ = solve_classic(inst)
+    assert solve_classic(renumbered)[0].assignment == {
+        new_id[tid]: c for tid, c in classic.assignment.items()}
     for unknown in (0, 4, 12):
         with pytest.raises(KeyError):
             inst.task_by_id(unknown)
-        with pytest.raises(KeyError):
-            scenario.target_by_id(unknown)
         with pytest.raises(KeyError):
             is_feasible(Allocation(assignment={unknown: config}), inst)
 
@@ -71,8 +69,7 @@ def test_system_utility_single_task():
     task = inst.tasks[2]
     config = DEFAULT_CONFIG_SPACE.config_at(17)
     alloc = Allocation(assignment={task.id: config})
-    assert system_utility(alloc, inst) == task_utility(config,
-                                                       inst.target_for(task))
+    assert system_utility(alloc, inst) == task_utility(config, task.target)
 
 
 def test_system_utility_is_termwise_sum():
@@ -81,7 +78,7 @@ def test_system_utility_is_termwise_sum():
                                    for t in inst.tasks})
     expected = 0.0
     for task in inst.tasks:
-        expected += task_utility(alloc.assignment[task.id], inst.target_for(task))
+        expected += task_utility(alloc.assignment[task.id], task.target)
     assert system_utility(alloc, inst) == expected
 
 
@@ -138,7 +135,7 @@ def test_is_feasible_empty_and_boundary():
     config = DEFAULT_CONFIG_SPACE.config_at(33)
     usage = resource_of(config)
     exact = build_tracking_instance(
-        inst.scenario,
+        generate_scenario(4, 42),
         ResourceBounds(bounds=(float(usage[0]), float(usage[1])),
                        compound_weights=(1.0, 1.0)),
         DEFAULT_CONFIG_SPACE)
