@@ -6,11 +6,17 @@ both paths, and feeds a common trunk layer whose output branches into a
 policy head (one logit per configuration) and a scalar value head.  All
 hidden layers are rectified linear.
 
+All weights and biases live in one float64 buffer, :attr:`AgentParams.flat`,
+laid out by :func:`_shapes`; each named array is a view into it.  Gradients
+and the RMSprop mean squares share that layout, and the weight file stores
+the buffer as it is.
+
 Training is single-worker advantage actor-critic over three-step episodes:
 discounted returns, advantage-weighted log-likelihood, squared value error
-and an entropy bonus, with gradients derived by hand and applied via RMSprop.
-Everything is float64 and driven by :class:`~qram.rng.PortableRng`, so a
-seed pins the full training run bit for bit.
+and an entropy bonus, with gradients derived by hand and applied via RMSprop
+as a few whole-buffer ufuncs.  Everything is float64 and driven by
+:class:`~qram.rng.PortableRng`, so a seed pins the full training run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,54 +56,13 @@ RMSPROP_EPSILON = 1e-5
 ENTROPY_COEFF = 0.01
 VALUE_COEFF = 0.5
 
-
-@dataclass(frozen=True)
-class AgentParams:
-    """All network weights; field order is the canonical serialisation order."""
-
-    w_sit1: np.ndarray
-    b_sit1: np.ndarray
-    w_sit2: np.ndarray
-    b_sit2: np.ndarray
-    w_cfg: np.ndarray
-    b_cfg: np.ndarray
-    w_trunk: np.ndarray
-    b_trunk: np.ndarray
-    w_policy: np.ndarray
-    b_policy: np.ndarray
-    w_value: np.ndarray
-    b_value: np.ndarray
-
-    @property
-    def situational_in(self) -> int:
-        return self.w_sit1.shape[0]
-
-    @property
-    def config_in(self) -> int:
-        return self.w_cfg.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w_sit1.shape[1]
-
-    @property
-    def n_actions(self) -> int:
-        return self.w_policy.shape[1]
-
-    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
-
-
-def _glorot(rng: PortableRng, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    flat = np.array([rng.uniform(-limit, limit) for _ in range(fan_in * fan_out)],
-                    dtype=np.float64)
-    return flat.reshape(fan_in, fan_out)
+#: The four sizes that fix the layout, in weight-file header order.
+ARCHITECTURE = ("situational_in", "config_in", "hidden", "n_actions")
 
 
 def _shapes(situational_in: int, config_in: int, hidden: int,
             n_actions: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(field name, shape) of every parameter, in field order."""
+    """(name, shape) of every parameter, in buffer order."""
     return [("w_sit1", (situational_in, hidden)), ("b_sit1", (hidden,)),
             ("w_sit2", (hidden, hidden)), ("b_sit2", (hidden,)),
             ("w_cfg", (config_in, hidden)), ("b_cfg", (hidden,)),
@@ -106,13 +71,56 @@ def _shapes(situational_in: int, config_in: int, hidden: int,
             ("w_value", (hidden, 1)), ("b_value", (1,))]
 
 
+def _size(shapes: list[tuple[str, tuple[int, ...]]]) -> int:
+    return sum(math.prod(shape) for _, shape in shapes)
+
+
+@dataclass(frozen=True)
+class AgentParams:
+    """All network weights as one float64 buffer laid out by :func:`_shapes`.
+
+    Every weight and bias named there (``w_sit1``, ``b_sit1``, ...) is an
+    attribute holding a reshaped view of ``flat``.
+    """
+
+    flat: np.ndarray
+    situational_in: int
+    config_in: int
+    hidden: int
+    n_actions: int
+
+    def __post_init__(self):
+        shapes = self._layout()
+        size = _size(shapes)
+        if self.flat.shape != (size,):
+            raise ValueError(f"weight buffer has {self.flat.size} values, "
+                             f"expected {size}")
+        offset = 0
+        for name, shape in shapes:
+            end = offset + math.prod(shape)
+            object.__setattr__(self, name, self.flat[offset:end].reshape(shape))
+            offset = end
+
+    def _layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        return _shapes(self.situational_in, self.config_in, self.hidden,
+                       self.n_actions)
+
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, getattr(self, name)) for name, _ in self._layout()]
+
+
 def init_params(rng: PortableRng, situational_in: int = SITUATIONAL_WIDTH,
                 config_in: int = CONFIG_WIDTH, hidden: int = 100,
                 n_actions: int = 90) -> AgentParams:
-    """Scaled-uniform weight init (biases zero); draw order is field order."""
-    return AgentParams(**{
-        name: _glorot(rng, *shape) if name.startswith("w_") else np.zeros(shape)
-        for name, shape in _shapes(situational_in, config_in, hidden, n_actions)})
+    """Scaled-uniform weight init (biases zero); draw order is buffer order."""
+    arch = (situational_in, config_in, hidden, n_actions)
+    params = AgentParams(np.zeros(_size(_shapes(*arch))), *arch)
+    for name, view in params.named_arrays():
+        if name.startswith("w_"):
+            limit = math.sqrt(6.0 / sum(view.shape))
+            view[...] = np.reshape([rng.uniform(-limit, limit)
+                                    for _ in range(view.size)], view.shape)
+    return params
 
 
 def _forward_batch(params: AgentParams, x: np.ndarray):
@@ -236,14 +244,16 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     d_h1 = d_z2 @ params.w_sit2.T
     d_z1 = d_h1 * (z1 > 0.0)
 
-    grads = {
-        "w_sit1": x_sit.T @ d_z1, "b_sit1": d_z1.sum(axis=0),
-        "w_sit2": h1.T @ d_z2, "b_sit2": d_z2.sum(axis=0),
-        "w_cfg": x_cfg.T @ d_zc, "b_cfg": d_zc.sum(axis=0),
-        "w_trunk": trunk_in.T @ d_zt, "b_trunk": d_zt.sum(axis=0),
-        "w_policy": ht.T @ d_logits, "b_policy": d_logits.sum(axis=0),
-        "w_value": ht.T @ d_values[:, None], "b_value": np.array([d_values.sum()]),
-    }
+    grads = replace(params, flat=np.empty_like(params.flat))
+    for w, b, inputs, delta in ((grads.w_sit1, grads.b_sit1, x_sit, d_z1),
+                                (grads.w_sit2, grads.b_sit2, h1, d_z2),
+                                (grads.w_cfg, grads.b_cfg, x_cfg, d_zc),
+                                (grads.w_trunk, grads.b_trunk, trunk_in, d_zt),
+                                (grads.w_policy, grads.b_policy, ht, d_logits)):
+        np.matmul(inputs.T, delta, out=w)
+        delta.sum(axis=0, out=b)
+    np.matmul(ht.T, d_values[:, None], out=grads.w_value)
+    grads.b_value[0] = d_values.sum()
     metrics = {"loss": total, "policy_loss": policy_loss,
                "value_loss": value_loss, "entropy": float(entropy.mean()),
                "mean_reward": float(np.mean(rewards)),
@@ -251,12 +261,13 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     return total, grads, metrics
 
 
-def a2c_update(params: AgentParams, mean_square: dict,
+def a2c_update(params: AgentParams, mean_square: np.ndarray,
                trajectory: list[Transition]):
     """One RMSprop step on one episode.
 
-    ``mean_square`` holds the running mean square of each parameter's
-    gradient by field name; returns new params, new mean squares, metrics.
+    ``mean_square`` is the running mean square of the gradient, one array
+    laid out like ``params.flat``; returns new params, new mean squares and
+    metrics, and leaves both inputs unchanged.
     """
     if len(trajectory) != EPISODE_LENGTH:
         raise ValueError(f"expected {EPISODE_LENGTH} transitions, "
@@ -268,16 +279,19 @@ def a2c_update(params: AgentParams, mean_square: dict,
             f"value {metrics['value_loss']!r}); rewards "
             f"{[tr.reward for tr in trajectory]!r}")
 
-    new_values = {}
-    new_ms = {}
-    for name, array in params.named_arrays():
-        g = grads[name]
-        ms = (RMSPROP_DECAY * mean_square[name]
-              + (1.0 - RMSPROP_DECAY) * g * g)
-        new_ms[name] = ms
-        new_values[name] = array - LEARNING_RATE * g / np.sqrt(
-            ms + RMSPROP_EPSILON)
-    return replace(params, **new_values), new_ms, metrics
+    # ms = D*ms + (1-D)*g*g and p - LR*g / sqrt(ms + eps), evaluated in that
+    # element-wise order so that seeded runs stay bit-identical.
+    g = grads.flat
+    ms = np.multiply(RMSPROP_DECAY, mean_square)
+    scratch = np.multiply(1.0 - RMSPROP_DECAY, g)
+    scratch *= g
+    ms += scratch
+    np.add(ms, RMSPROP_EPSILON, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    flat = np.multiply(LEARNING_RATE, g)
+    flat /= scratch
+    np.subtract(params.flat, flat, out=flat)
+    return replace(params, flat=flat), ms, metrics
 
 
 @dataclass(frozen=True)
@@ -300,7 +314,7 @@ def train(env: TrackingEnv, total_steps: int, seed: int = 0):
         raise ValueError(f"total_steps must be non-negative: {total_steps}")
     rng = PortableRng(seed)
     params = init_params(rng, n_actions=env.space.size)
-    mean_square = {name: np.zeros_like(a) for name, a in params.named_arrays()}
+    mean_square = np.zeros_like(params.flat)
     curve: list[TrainLogEntry] = []
     episodes = total_steps // EPISODE_LENGTH
     for episode in range(episodes):
@@ -321,10 +335,11 @@ def train(env: TrackingEnv, total_steps: int, seed: int = 0):
     # Non-finite values are absorbing under the RMSprop step, and a weight
     # behind a ReLU that stays shut can blow up with the loss still finite,
     # so one check of the final parameters catches every divergence.
-    for name, array in params.named_arrays():
-        if not np.all(np.isfinite(array)):
-            raise TrainingError(f"training diverged: non-finite values in "
-                                f"{name} after {episodes} episodes")
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, array in params.named_arrays()
+                    if not np.isfinite(array).all())
+        raise TrainingError(f"training diverged: non-finite values in "
+                            f"{name} after {episodes} episodes")
     return params, curve
 
 
@@ -333,19 +348,13 @@ def train(env: TrackingEnv, total_steps: int, seed: int = 0):
 # --------------------------------------------------------------------------
 
 def save(params: AgentParams, path, config_space: ConfigSpace | None = None) -> None:
-    payload = np.concatenate([a.ravel() for _, a in params.named_arrays()])
     doc = {
         "format": WEIGHT_FORMAT_VERSION,
         "activation": ACTIVATION_NAME,
-        "architecture": {
-            "situational_in": params.situational_in,
-            "config_in": params.config_in,
-            "hidden": params.hidden,
-            "n_actions": params.n_actions,
-        },
+        "architecture": {key: getattr(params, key) for key in ARCHITECTURE},
         "config_space": config_space.to_dict() if config_space else None,
         "weights_b64": base64.b64encode(
-            payload.astype("<f8").tobytes()).decode("ascii"),
+            params.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
@@ -362,30 +371,18 @@ def load(path) -> tuple[AgentParams, ConfigSpace | None]:
     if doc.get("activation") != ACTIVATION_NAME:
         raise WeightFormatError(f"unsupported activation {doc.get('activation')!r}")
     try:
-        arch = {key: _json_int(doc["architecture"], key) for key in
-                ("situational_in", "config_in", "hidden", "n_actions")}
+        arch = {key: _json_int(doc["architecture"], key) for key in ARCHITECTURE}
         for key, value in arch.items():
             if value < 1:
                 raise ValueError(f"{key} must be positive, got {value}")
-        flat = np.frombuffer(base64.b64decode(doc["weights_b64"]), dtype="<f8")
+        payload = np.frombuffer(base64.b64decode(doc["weights_b64"]), dtype="<f8")
         space = (None if doc.get("config_space") is None
                  else ConfigSpace.from_dict(doc["config_space"]))
+        params = AgentParams(payload.astype(np.float64), **arch)
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise WeightFormatError(f"malformed weight file {path}: {detail}") from exc
-    # Shapes are checked against the payload before anything is allocated.
-    shapes = _shapes(**arch)
-    expected = sum(math.prod(shape) for _, shape in shapes)
-    if flat.size != expected:
-        raise WeightFormatError(f"weight payload has {flat.size} values, "
-                                f"expected {expected}")
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(params.flat).all():
         raise WeightFormatError(f"weight payload of {path} holds non-finite "
                                 f"values")
-    values = {}
-    offset = 0
-    for name, shape in shapes:
-        size = math.prod(shape)
-        values[name] = flat[offset:offset + size].reshape(shape).astype(np.float64)
-        offset += size
-    return AgentParams(**values), space
+    return params, space

@@ -1,5 +1,7 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from qram.agent import AgentParams, init_params
@@ -50,8 +52,16 @@ def random_point_cloud(rng: PortableRng, max_points: int = 40):
 
 def zero_network() -> AgentParams:
     """The default network architecture with every weight and bias zero."""
-    return AgentParams(**{name: np.zeros_like(array) for name, array
-                          in init_params(PortableRng(0)).named_arrays()})
+    init = init_params(PortableRng(0))
+    return replace(init, flat=np.zeros_like(init.flat))
+
+
+def with_arrays(params: AgentParams, **arrays) -> AgentParams:
+    """A copy of ``params`` with the named weights and biases replaced."""
+    out = replace(params, flat=params.flat.copy())
+    for name, array in arrays.items():
+        getattr(out, name)[...] = array
+    return out
 
 
 def random_small_space(rng: PortableRng) -> ConfigSpace:

@@ -1,22 +1,28 @@
 import base64
 import hashlib
 import json
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import train_agent
-from helpers import MALFORMED_WEIGHT_HEADERS, zero_network
+from helpers import MALFORMED_WEIGHT_HEADERS, with_arrays, zero_network
 from qram import agent
 from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
                         a2c_update, forward, greedy_action, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
-                        train, _forward_batch)
+                        train, _forward_batch, _shapes)
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from qram.perf import Target, TargetType
 from qram.rng import PortableRng
+
+#: ``qram train --steps 30000 --seed 1``, frozen for the benchmark.
+FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
+                  / "agent-seed1-30k.json")
 
 FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, DEFAULT_CONFIG_SPACE.config_at(0),
                            Target(0, TargetType.FIGHTER, 75.0, 250.0))
@@ -32,8 +38,8 @@ def rand_state(rng: PortableRng) -> np.ndarray:
     return np.array(onehot + situational + config_features)
 
 
-def zero_mean_squares(params: AgentParams) -> dict:
-    return {name: np.zeros_like(a) for name, a in params.named_arrays()}
+def zero_mean_squares(params: AgentParams) -> np.ndarray:
+    return np.zeros_like(params.flat)
 
 
 def toy_case(seed: int):
@@ -59,22 +65,18 @@ def fd_worst_error(params, trajectory, h=1e-5) -> float:
     _, grads, metrics = loss_and_gradients(params, trajectory)
     adv = metrics["advantages"]
     worst = 0.0
-    for name, arr in params.named_arrays():
-        flat_grad = grads[name].ravel()
-        for i in range(arr.size):
-            plus = arr.copy().ravel()
-            plus[i] += h
-            lp, _, _ = loss_and_gradients(
-                replace(params, **{name: plus.reshape(arr.shape)}), trajectory,
-                advantages=adv)
-            minus = arr.copy().ravel()
-            minus[i] -= h
-            lm, _, _ = loss_and_gradients(
-                replace(params, **{name: minus.reshape(arr.shape)}), trajectory,
-                advantages=adv)
-            numeric = (lp - lm) / (2 * h)
-            worst = max(worst, abs(flat_grad[i] - numeric)
-                        / max(abs(flat_grad[i]), abs(numeric), 1e-6))
+    for i in range(params.flat.size):
+        plus = params.flat.copy()
+        plus[i] += h
+        lp, _, _ = loss_and_gradients(replace(params, flat=plus), trajectory,
+                                      advantages=adv)
+        minus = params.flat.copy()
+        minus[i] -= h
+        lm, _, _ = loss_and_gradients(replace(params, flat=minus), trajectory,
+                                      advantages=adv)
+        numeric = (lp - lm) / (2 * h)
+        worst = max(worst, abs(grads.flat[i] - numeric)
+                    / max(abs(grads.flat[i]), abs(numeric), 1e-6))
     return worst
 
 
@@ -125,13 +127,59 @@ def test_softmax_normalised():
 def test_head_separation():
     params = init_params(PortableRng(11))
     logits, value = forward(params, FIXED_STATE)
-    policy_only = replace(params, w_policy=params.w_policy + 0.5,
-                          b_policy=params.b_policy - 0.25)
+    policy_only = with_arrays(params, w_policy=params.w_policy + 0.5,
+                              b_policy=params.b_policy - 0.25)
     l2, v2 = forward(policy_only, FIXED_STATE)
     assert v2 == value and not np.array_equal(l2, logits)
-    value_only = replace(params, w_value=params.w_value * 2.0)
+    value_only = with_arrays(params, w_value=params.w_value * 2.0)
     l3, v3 = forward(value_only, FIXED_STATE)
     assert np.array_equal(l3, logits) and v3 != value
+
+
+# --------------------------------------------------------------------- buffer
+
+def test_named_arrays_are_views_of_flat_in_layout_order():
+    params, _ = toy_case(3)
+    layout = _shapes(params.situational_in, params.config_in, params.hidden,
+                     params.n_actions)
+    assert [name for name, _ in params.named_arrays()] == [n for n, _ in layout]
+    offset = 0
+    for (name, array), (_, shape) in zip(params.named_arrays(), layout):
+        assert array.shape == shape, name
+        assert np.shares_memory(array, params.flat), name
+        assert array.__array_interface__["data"][0] == (
+            params.flat.__array_interface__["data"][0] + 8 * offset), name
+        offset += math.prod(shape)
+    assert offset == params.flat.size
+
+
+def test_save_payload_is_the_flat_buffer(tmp_path):
+    params = init_params(PortableRng(21))
+    path = tmp_path / "weights.json"
+    save(params, path)
+    payload = base64.b64decode(json.loads(path.read_text())["weights_b64"])
+    assert payload == params.flat.astype("<f8").tobytes()
+
+
+def test_params_reject_a_buffer_of_the_wrong_size():
+    params = init_params(PortableRng(1), hidden=4, n_actions=5)
+    for size in (params.flat.size - 1, params.flat.size + 1, 0):
+        with pytest.raises(ValueError, match="expected"):
+            replace(params, flat=np.zeros(size))
+    with pytest.raises(ValueError, match="expected"):
+        replace(params, flat=params.flat.reshape(1, -1))
+
+
+def test_update_leaves_its_inputs_unchanged():
+    params, traj = toy_case(8)
+    mean_square = np.full_like(params.flat, 0.25)
+    flat_before, ms_before = params.flat.tobytes(), mean_square.tobytes()
+    new_params, new_ms, _ = a2c_update(params, mean_square, traj)
+    assert params.flat.tobytes() == flat_before
+    assert mean_square.tobytes() == ms_before
+    assert not np.shares_memory(new_params.flat, params.flat)
+    assert not np.shares_memory(new_ms, mean_square)
+    assert not np.array_equal(new_params.flat, params.flat)
 
 
 # -------------------------------------------------------------------- actions
@@ -259,6 +307,16 @@ def test_desk_scale_training_improves_rewards(trained_agent):
         assert rewards[-decile:].mean() > rewards[:decile].mean()
 
 
+@pytest.mark.slow
+def test_desk_scale_training_reproduces_the_frozen_weights(trained_agent,
+                                                           tmp_path):
+    # The shared seed-1 run, saved as ``qram train`` saves it, must be the
+    # benchmark's frozen weight file byte for byte.
+    path = tmp_path / "weights.json"
+    save(trained_agent[0], path, config_space=DEFAULT_CONFIG_SPACE)
+    assert path.read_bytes() == FROZEN_WEIGHTS.read_bytes()
+
+
 # ---------------------------------------------------------------- persistence
 
 def test_save_load_round_trip(tmp_path):
@@ -343,6 +401,6 @@ def test_load_rejects_non_finite_payload(bad, tmp_path):
     w_trunk = params.w_trunk.copy()
     w_trunk[0, 0] = bad
     path = tmp_path / "weights.json"
-    save(replace(params, w_trunk=w_trunk), path)
+    save(with_arrays(params, w_trunk=w_trunk), path)
     with pytest.raises(WeightFormatError, match="non-finite"):
         load(path)

@@ -1,12 +1,11 @@
 import argparse
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_WEIGHT_HEADERS
+from helpers import MALFORMED_WEIGHT_HEADERS, with_arrays
 from qram import agent
 from qram.agent import save, init_params
 from qram.cli import build_parser, main
@@ -205,7 +204,7 @@ def test_train_divergence_exit_code(monkeypatch, tmp_path, capsys):
 def test_solve_agent_rejects_non_finite_weights(scenario_file, tmp_path):
     params = init_params(PortableRng(0))
     weights = tmp_path / "nan.json"
-    save(replace(params, b_policy=np.full_like(params.b_policy, np.nan)),
+    save(with_arrays(params, b_policy=np.full_like(params.b_policy, np.nan)),
          weights, config_space=DEFAULT_CONFIG_SPACE)
     with pytest.raises(SystemExit) as err:
         run(["solve", "--scenario", str(scenario_file), "--method", "agent",
@@ -285,8 +284,8 @@ def test_rejects_weights_that_overflow(argv, scenario_file, tmp_path, capsys):
     # Finite weights whose forward pass overflows: the logits are inf/NaN.
     params = init_params(PortableRng(0))
     weights = tmp_path / "big.json"
-    save(replace(params, w_trunk=params.w_trunk * 1e300,
-                 w_policy=params.w_policy * 1e300),
+    save(with_arrays(params, w_trunk=params.w_trunk * 1e300,
+                     w_policy=params.w_policy * 1e300),
          weights, config_space=DEFAULT_CONFIG_SPACE)
     if argv[0] == "solve":
         argv = argv + ["--scenario", str(scenario_file)]

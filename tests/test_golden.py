@@ -4,7 +4,7 @@ Each digest is the sha256 of one CLI output.  A ``result.json`` is hashed
 after dropping its wall-clock ``timings`` and re-serialising it with
 ``json.dumps(doc, indent=1, sort_keys=True)``, so the digest depends on the
 result's content, not on how ``qram solve`` lays out the file; the remark1
-CSV is hashed as written.  A change
+CSV and the training outputs are hashed as written.  A change
 that alters any of these outputs on purpose must say why and update the
 digest in the same change.
 """
@@ -61,6 +61,14 @@ DP_STEP_DIGESTS = {
         "0219d7649b133517e3185708e79241456204fe9e368691b844e24a7653445eee",
 }
 
+#: ``qram train --steps 300 --seed 17``: the weight file and the learning
+#: curve, both hashed as written.  Every agent digest above solves with these
+#: weights, but only through argmax decisions.
+TRAIN_DIGESTS = {
+    "weights": "8ead372b3bcd7538ae0e4060a9cfc430461238997d350c486426f0e35165003c",
+    "curve": "477851887bfac16aab21f3ae3db92f31d6160ea557cd2ac415d51917ec32e83d",
+}
+
 REMARK1_DIGEST = (
     "5726d2f77f69b5850088c9d97085f78d51a245c950221673e46b6c58e8476b3b")
 
@@ -76,11 +84,18 @@ def _result_digest(path) -> str:
 
 
 @pytest.fixture(scope="module")
-def weight_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "weights.json"
+def trained_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    paths = {"weights": workdir / "weights.json", "curve": workdir / "curve.csv"}
     assert main(["train", "--steps", "300", "--seed", "17",
-                 "--out", str(path)]) == 0
-    return path
+                 "--out", str(paths["weights"]),
+                 "--curve", str(paths["curve"])]) == 0
+    return paths
+
+
+@pytest.fixture(scope="module")
+def weight_file(trained_files):
+    return trained_files["weights"]
 
 
 def solve_digest(method, targets, seed, weights, workdir, extra=()) -> str:
@@ -121,6 +136,11 @@ def test_solve_result_unchanged_on_coarse_dp_grid(method, targets, seed,
                                                   weight_file, tmp_path):
     got = solve_digest(method, targets, seed, weight_file, tmp_path, DP_STEP)
     assert got == DP_STEP_DIGESTS[(method, targets, seed)]
+
+
+@pytest.mark.parametrize("name", list(TRAIN_DIGESTS))
+def test_training_output_unchanged(name, trained_files):
+    assert _sha256(trained_files[name].read_bytes()) == TRAIN_DIGESTS[name]
 
 
 def test_remark1_csv_unchanged(tmp_path):
