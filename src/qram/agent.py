@@ -56,6 +56,10 @@ RMSPROP_EPSILON = 1e-5
 ENTROPY_COEFF = 0.01
 VALUE_COEFF = 0.5
 
+#: Rows per block of a batched forward pass: more rows per block save
+#: little time and hold more memory.
+FORWARD_BLOCK = 64
+
 #: The four sizes that fix the layout, in weight-file header order.
 ARCHITECTURE = ("situational_in", "config_in", "hidden", "n_actions")
 
@@ -143,17 +147,27 @@ def _forward_batch(params: AgentParams, x: np.ndarray):
     return logits, values, cache
 
 
-def forward(params: AgentParams, row: np.ndarray) -> tuple[np.ndarray, float]:
-    """Policy logits and state value for one observation row."""
-    if (row.shape != (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
+def forward(params: AgentParams, rows: np.ndarray):
+    """Policy logits and state value for one observation row, or for a
+    stack of rows (one logit row and one value per observation)."""
+    width = SITUATIONAL_WIDTH + CONFIG_WIDTH
+    if (rows.ndim not in (1, 2) or rows.shape[-1] != width
             or (params.situational_in, params.config_in)
             != (SITUATIONAL_WIDTH, CONFIG_WIDTH)):
         raise ValueError(
-            f"observation of {row.size} values ({SITUATIONAL_WIDTH}+"
+            f"observation of shape {rows.shape} (rows of {SITUATIONAL_WIDTH}+"
             f"{CONFIG_WIDTH} expected) does not match network inputs "
             f"({params.situational_in}+{params.config_in})")
-    logits, values, _ = _forward_batch(params, row[None, :])
-    return logits[0], float(values[0])
+    if rows.ndim == 1:
+        logits, values, _ = _forward_batch(params, rows[None, :])
+        return logits[0], float(values[0])
+    # Blocks of rows keep the hidden activations of one pass small.
+    logits = np.empty((len(rows), params.n_actions))
+    values = np.empty(len(rows))
+    for i in range(0, len(rows), FORWARD_BLOCK):
+        block = slice(i, i + FORWARD_BLOCK)
+        logits[block], values[block], _ = _forward_batch(params, rows[block])
+    return logits, values
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -166,15 +180,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def sample_action(logits: np.ndarray, rng: PortableRng) -> int:
-    """Draw an action index from the softmax distribution."""
-    probs = softmax(logits)
+    """Draw an action index from the softmax distribution: the first index
+    whose running probability sum exceeds a uniform draw."""
+    partial_sums = softmax(logits).cumsum()
     u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1  # guard against accumulated rounding
+    i = int(partial_sums.searchsorted(u, side="right"))
+    # Guard: rounding can leave the total below u, and NaN sums exceed
+    # nothing, so both fall to the last index.
+    last = len(partial_sums) - 1
+    return i if i <= last and u < partial_sums[i] else last
 
 
 def greedy_action(logits: np.ndarray) -> int:

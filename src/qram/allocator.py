@@ -1,59 +1,104 @@
 """Agent-driven global allocation: greedy upgrades without job lists.
 
 The greedy pass only ever needs "the next desirable configuration from the
-current one", which is exactly what the trained network proposes.  So the
-allocation runs the shared :func:`qram.classic.upgrade_loop` with one lazy
-step iterator per task: every task starts at its cheapest configuration,
-the iterator asks the proposer for the next configuration from the current
-one, and the loop applies the feasible upgrade with the best
-utility-to-resource quotient, drawing a task's next step only after its
-last one was accepted.  So the proposer is called in exactly the order the
-loop needs, one call per draw.
+current one", which is exactly what the trained network proposes.  Every
+task starts at its cheapest configuration, and the shared
+:func:`qram.classic.upgrade_loop` applies the feasible upgrade with the best
+utility-to-resource quotient.
 
-Unlike a job list, proposals come from an arbitrary function, so the
-iterator protects the loop: a stationary or non-improving proposal ends it,
-and it asks the proposer at most grid size + 1 times, which bounds the loop
-even under adversarial proposers.
+A task's proposal chain, start -> p(start) -> p(p(start)) -> ..., depends
+only on the task and its configuration, never on what the loop accepts for
+other tasks.  So once the loop knows which tasks it keeps, their chains
+grow in waves: one wave asks the proposer once about every chain still
+live, from the last configuration of each.  Tasks that share a grid form
+one call, so the network runs one batched forward pass per wave
+(:func:`next_config`).  The loop walks the chains like job lists, and a
+wave runs only when a draw reaches past the steps computed so far; a
+trained network needs about three.  The loop gets the same steps as from a
+proposer asked once per draw, as long as the proposer depends on (task,
+configuration) alone.
+
+Unlike a job list, proposals come from an arbitrary function, so the chains
+protect the loop: a stationary or non-improving proposal ends a chain, and a
+chain asks the proposer at most grid size + 1 times, which bounds the loop
+even under adversarial proposers.  A proposal may also be an exception (the
+network's answer to non-finite logits): it ends the chain and is raised
+only if the loop draws that step.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .agent import AgentParams, WeightFormatError, forward, greedy_action
+from .agent import AgentParams, WeightFormatError, forward
 from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
-from .core import Allocation, Configuration, Task
-from .env import encode_state, raw_quotient
+from .core import (Allocation, Configuration, ResourceBounds, Task,
+                   expanded_grids, grid_configurations)
+from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
+from .kernels import config_costs, utility
+from .perf import TYPE_UTILITY_WEIGHT
 from .problem import ProblemInstance
 
-#: propose(task, current_config) -> next configuration
-Proposer = Callable[[Task, Configuration], Configuration]
+#: The next configuration on the task's grid, or the exception to raise if
+#: the loop draws that step.
+Proposal = Configuration | Exception
+
+#: propose(tasks, currents) -> one proposal per task, in order.  The tasks
+#: of one call share a grid.
+Proposer = Callable[[list[Task], list[Configuration]], list[Proposal]]
 
 
-def next_config(params: AgentParams, task: Task,
-                current: Configuration) -> Configuration:
-    """Greedy network proposal for the task's next configuration."""
-    space = task.config_space
+def next_config(params: AgentParams, tasks: list[Task],
+                currents: list[Configuration],
+                rows: dict[int, tuple[Task, np.ndarray]] | None = None
+                ) -> list[Proposal]:
+    """Greedy network proposals for one wave of tasks on one grid.
+
+    One batched forward pass over the tasks' observation rows.  ``rows``
+    keeps each task's row across waves, by task id: ``encode_state`` runs
+    once per task, and a later wave rewrites only the configuration columns
+    from ``config_features``.  A task whose winning logit is not finite
+    gets a WeightFormatError in place of a configuration.
+    """
+    if not tasks:
+        return []
+    space = tasks[0].config_space
+    if any(t.config_space is not space and t.config_space != space
+           for t in tasks):
+        raise ValueError("one wave of proposals needs tasks on one grid")
     if params.n_actions != space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
-    logits, _ = forward(params, encode_state(space, current, task.target))
-    action = greedy_action(logits)
+    rows = {} if rows is None else rows
+    for task, current in zip(tasks, currents):
+        cached = rows.get(task.id)
+        if cached is None or cached[0] is not task:
+            rows[task.id] = (task, encode_state(space, current, task.target))
+    x = np.stack([rows[task.id][1] for task in tasks])
+    x[:, SITUATIONAL_WIDTH:] = config_features(space)[
+        [space.index_of(current) for current in currents]]
+    logits, _ = forward(params, x)
+    actions = logits.argmax(axis=1)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
-    if not math.isfinite(logits[action]):
-        raise WeightFormatError(
-            f"network logits are not finite (task {task.id}); the weights overflow")
-    return space.config_at(action)
+    finite = np.isfinite(logits[np.arange(len(tasks)), actions])
+    configs = grid_configurations(space)
+    return [configs[action] if ok else WeightFormatError(
+                f"network logits are not finite (task {task.id}); "
+                f"the weights overflow")
+            for task, action, ok in zip(tasks, actions.tolist(),
+                                        finite.tolist())]
 
 
 def network_proposer(params: AgentParams) -> Proposer:
-    def propose(task: Task, current: Configuration) -> Configuration:
-        return next_config(params, task, current)
+    """The network as a wave proposer; encodes each task's row once."""
+    rows: dict[int, tuple[Task, np.ndarray]] = {}
+
+    def propose(tasks: list[Task], currents: list[Configuration]):
+        return next_config(params, tasks, currents, rows)
     return propose
 
 
@@ -65,37 +110,128 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     """
     lists = {task.id: job_list_for(task, instance.bounds) for task in instance.tasks}
 
-    def propose(task: Task, current: Configuration) -> Configuration:
+    def next_point(task: Task, current: Configuration) -> Configuration:
         points = lists[task.id].points
         for i, p in enumerate(points):
             if p.config == current:
                 return points[i + 1].config if i + 1 < len(points) else current
         raise ValueError(f"task {task.id}: {current} is not on its frontier")
+
+    def propose(tasks: list[Task], currents: list[Configuration]):
+        return [next_point(task, current)
+                for task, current in zip(tasks, currents)]
     return propose
+
+
+class _ChainGroup:
+    """The proposal chains of the kept tasks on one grid, grown in waves.
+
+    A chain holds ``(config, ratio)`` steps and may end in an exception
+    proposal.  One wave asks the proposer once, over every live chain, from
+    the chain's last configuration, then appends one step to each chain or
+    retires it.  The utility change comes from one vectorised ``utility``
+    call and the compound change from the cached cost column; the scalar
+    ``quotient`` then rates each row, exactly as a step asked alone would.
+    A wave runs only once a draw reaches past the steps computed so far, so
+    no wave runs that no draw needs.
+    """
+
+    def __init__(self, propose: Proposer, tasks: list[Task],
+                 starts: list[Configuration], bounds: ResourceBounds):
+        space = tasks[0].config_space
+        self._propose, self._tasks = propose, tasks
+        self._configs = grid_configurations(space)
+        self._index_of = space.index_of
+        self._comp = config_costs(space, bounds)[0]
+        self._grids = expanded_grids(space)
+        self._targets = (np.array([t.target.range_km for t in tasks]),
+                         np.array([t.target.speed_mps for t in tasks]),
+                         np.array([TYPE_UTILITY_WEIGHT[t.target.ttype]
+                                   for t in tasks]))
+        self._waves_left = space.size + 1  # cycle guard
+        self._chains: list[list] = [[] for _ in tasks]
+        self._alive = [True] * len(tasks)
+        self._live = list(range(len(tasks)))  # positions of the live chains
+        self._cur = np.array([self._index_of(c) for c in starts], dtype=np.int64)
+        self._u_cur = self._utility(self._cur, self._live)
+
+    def _utility(self, configs: np.ndarray, rows: list[int]) -> np.ndarray:
+        dwell, tx, pw = self._grids
+        range_km, speed, weight = self._targets
+        return utility(dwell[configs], tx[configs], pw[configs],
+                       range_km[rows], speed[rows], weight[rows])
+
+    def _grow(self) -> None:
+        live, chains, cur_list = self._live, self._chains, self._cur.tolist()
+        proposals = self._propose([self._tasks[i] for i in live],
+                                  [self._configs[j] for j in cur_list])
+        new = np.array([j if isinstance(p, Exception) else self._index_of(p)
+                        for p, j in zip(proposals, cur_list)], dtype=np.int64)
+        u_new = self._utility(new, live)
+        keep = []
+        for k, (i, proposal, j_new, j_cur, du, dr) in enumerate(zip(
+                live, proposals, new.tolist(), cur_list,
+                (u_new - self._u_cur).tolist(),
+                (self._comp[new] - self._comp[self._cur]).tolist())):
+            if isinstance(proposal, Exception):
+                chains[i].append(proposal)
+            else:
+                ratio = quotient(du, dr)
+                if j_new != j_cur and ratio > 0.0:
+                    chains[i].append((proposal, ratio))
+                    keep.append(k)
+                    continue
+            self._alive[i] = False  # failed, stationary or non-improving
+        self._waves_left -= 1
+        if not self._waves_left:  # the guard ends every chain here
+            for k in keep:
+                self._alive[live[k]] = False
+            keep = []
+        self._live = [live[k] for k in keep]
+        self._cur, self._u_cur = new[keep], u_new[keep]
+
+    def drawn(self, pos: int) -> Iterator[tuple[Configuration, float]]:
+        """The steps of chain ``pos``, running waves as the draws need them;
+        a stored exception is raised when its step is drawn."""
+        chain = self._chains[pos]
+        k = 0
+        while True:
+            if k == len(chain) and self._alive[pos]:
+                self._grow()  # appends to this chain or retires it
+            if k == len(chain):
+                return
+            step = chain[k]
+            if isinstance(step, Exception):
+                raise step
+            yield step
+            k += 1
 
 
 def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
                             ) -> tuple[Allocation, AllocationTrace]:
-    """Greedy upgrade loop over proposals; never returns an infeasible result."""
+    """Greedy upgrade loop over proposal chains; never returns an infeasible
+    result.  The proposer is asked only about kept tasks, once per wave."""
     bounds = instance.bounds
+    start = {task.id: base_configuration(task.config_space, task.target, bounds)
+             for task in instance.tasks}
 
-    def steps(task: Task, current: Configuration):
-        for _ in range(task.config_space.size + 1):  # cycle guard
-            proposal = propose(task, current)
-            quotient = raw_quotient(current, proposal, task.target, bounds)
-            if proposal == current or quotient <= 0.0:
-                return  # stationary or non-improving: retire
-            yield proposal, quotient
-            current = proposal  # resumed only once the upgrade was accepted
+    def steps(kept: list[int]) -> dict[int, Iterator]:
+        by_grid: dict = {}
+        for tid in kept:
+            task = instance.task_by_id(tid)
+            by_grid.setdefault(task.config_space, []).append(task)
+        task_steps = {}
+        for tasks in by_grid.values():
+            group = _ChainGroup(propose, tasks, [start[t.id] for t in tasks],
+                                bounds)
+            for pos, task in enumerate(tasks):
+                task_steps[task.id] = group.drawn(pos)
+        return task_steps
 
-    start, task_steps = {}, {}
-    for task in instance.tasks:
-        start[task.id] = base_configuration(task.config_space, task.target, bounds)
-        task_steps[task.id] = steps(task, start[task.id])
     # Weights that overflow would warn on every forward pass; next_config
     # turns their non-finite logits into a WeightFormatError instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        return upgrade_loop(instance, start, task_steps)
+        return upgrade_loop(instance, start, steps)
 
 
 def allocate_with_agent(params: AgentParams, instance: ProblemInstance

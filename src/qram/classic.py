@@ -9,8 +9,9 @@ utility-to-resource ratio that still fits the resource bounds.
 That pass is :func:`upgrade_loop`, the one greedy loop in the package: it
 owns the resource ledger, the drop rule, the ratio order and the first-fit
 acceptance.  An allocator only supplies each task's start configuration
-and an iterator of its upgrade steps.  Here the steps walk the job list;
-:mod:`qram.allocator` draws them from a proposer instead.
+and, for the tasks kept after the drop, an iterator of their upgrade steps.
+Here the steps walk the job list; :mod:`qram.allocator` walks proposal
+chains that it computes in batched waves.
 
 The greedy pass is a heuristic: restricting choices to hull points can lose
 the true optimum, and refining a grid can even lower the greedy result (see
@@ -20,7 +21,7 @@ the regression instance in :mod:`qram.remark1`).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -262,21 +263,26 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
     return dropped
 
 
+#: steps(kept ids) -> {task id: iterator of (config, ratio) upgrade steps}
+Steps = Callable[[list[int]], dict[int, Iterator[tuple[Configuration, float]]]]
+
+
 def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
-                 steps: dict[int, Iterator[tuple[Configuration, float]]]
-                 ) -> tuple[Allocation, AllocationTrace]:
+                 steps: Steps) -> tuple[Allocation, AllocationTrace]:
     """The greedy upgrade loop shared by every allocator.
 
-    Starts each task at ``start[tid]`` (dropping the highest ids if even
-    those do not fit), then keeps one candidate upgrade per task, drawn
-    from ``steps[tid]``, an iterator of ``(config, ratio)``, and
+    Starts each task at ``start[tid]`` and drops the highest ids if even
+    those do not fit.  Then, and only then, it calls ``steps`` once with
+    the kept ids in ascending order; it returns one iterator of
+    ``(config, ratio)`` per kept id, so an allocator prepares steps for
+    kept tasks only.  The loop keeps one candidate upgrade per task and
     repeatedly applies the first candidate that fits, in order of
     decreasing ratio with ties to the lower task id.  Each kept task's
-    iterator is drawn once at the start and again only after its candidate
-    was accepted, so a lazy iterator sees every accepted upgrade before it
-    yields the next; an exhausted iterator retires the task.  Feasibility
-    is checked against the full resource vector even though ratios rank
-    by a scalar.
+    iterator is drawn once at the start, in id order, and again only after
+    its candidate was accepted; an exhausted iterator retires the task,
+    and an exception an iterator raises ends the loop.  Feasibility is
+    checked against the full resource vector even though ratios rank by a
+    scalar.
     """
     ledger = UsageLedger(instance)
     active = sorted(start)
@@ -284,6 +290,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
         ledger.set_row(tid, resource_of(start[tid]))
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
+    task_steps = steps(active)
 
     candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
     order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
@@ -291,7 +298,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     def refresh(tid: int) -> None:
         if tid in candidates:
             del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
-        step = next(steps[tid], None)
+        step = next(task_steps[tid], None)
         if step is not None:
             config, ratio = step
             candidates[tid] = (config, resource_of(config), ratio)
@@ -330,8 +337,9 @@ def greedy_allocate(job_lists: list[JobList],
         raise ValueError("need exactly one job list per task")
     return upgrade_loop(
         instance, {tid: jl.points[0].config for tid, jl in by_id.items()},
-        {tid: zip([p.config for p in jl.points[1:]], jl.ratios())
-         for tid, jl in by_id.items()})
+        lambda kept: {tid: zip([p.config for p in by_id[tid].points[1:]],
+                               by_id[tid].ratios())
+                      for tid in kept})
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Embed, build frontiers, run the greedy pass."""

@@ -214,11 +214,11 @@ def _timed_agent(params, instance: ProblemInstance):
     query_time = [0.0]
     inner = network_proposer(params)
 
-    def timed_propose(task, current):
+    def timed_propose(tasks, currents):
         q0 = time.perf_counter()
-        proposal = inner(task, current)
+        proposals = inner(tasks, currents)
         query_time[0] += time.perf_counter() - q0
-        return proposal
+        return proposals
 
     t0 = time.perf_counter()
     alloc, trace = allocate_with_proposals(timed_propose, instance)

@@ -24,7 +24,9 @@ reward by cycling around triangles in resource-utility space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +63,17 @@ class StepResult:
     done: bool
 
 
-def _grid_feature(index: int, length: int) -> float:
-    return index / (length - 1) if length > 1 else 0.0
+@lru_cache(maxsize=64)
+def config_features(space: ConfigSpace) -> np.ndarray:
+    """The configuration columns of an observation, one read-only row per
+    grid configuration in index order: the dwell, duration and power grid
+    indices, each divided by its axis length - 1 (0 on a one-point axis)."""
+    axes = [np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+            for n in (len(space.dwell_grid), len(space.tx_duration_grid),
+                      len(space.tx_power_grid))]
+    table = np.array(list(itertools.product(*axes)), dtype=np.float64)
+    table.setflags(write=False)
+    return table
 
 
 def encode_state(space: ConfigSpace, config: Configuration,
@@ -70,18 +81,16 @@ def encode_state(space: ConfigSpace, config: Configuration,
     """The observation: one float64 row of SITUATIONAL_WIDTH + CONFIG_WIDTH.
 
     Columns in order: the type one-hot (TYPE_ORDER), range / 150 km, speed /
-    1000 m/s, then the dwell, duration and power grid indices, each divided
-    by its axis length - 1.  Rows of several observations stack into the
-    batch the network reads.
+    1000 m/s, then the configuration's row of :func:`config_features`.  Rows
+    of several observations stack into the batch the network reads.
     """
-    i_d, i_t, i_p = space.grid_indices(config)
-    return np.array(
+    row = np.empty(SITUATIONAL_WIDTH + CONFIG_WIDTH)
+    row[:SITUATIONAL_WIDTH] = (
         [1.0 if target.ttype is t else 0.0 for t in TYPE_ORDER]
         + [target.range_km / RANGE_INTERVAL_KM[1],
-           target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1],
-           _grid_feature(i_d, len(space.dwell_grid)),
-           _grid_feature(i_t, len(space.tx_duration_grid)),
-           _grid_feature(i_p, len(space.tx_power_grid))], dtype=np.float64)
+           target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1]])
+    row[SITUATIONAL_WIDTH:] = config_features(space)[space.index_of(config)]
+    return row
 
 
 def quotient(delta_u: float, delta_r: float) -> float:

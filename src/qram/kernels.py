@@ -1,8 +1,8 @@
 """Hot numeric kernels: grid costs and metrics, exhaustive scan, knapsack table.
 
 Each kernel is one vectorised numpy implementation.  ``counters`` tallies
-single-configuration utility evaluations so runs can report how much work
-they did.
+the configurations :func:`config_metrics` evaluates so runs can report how
+much work they did.
 """
 
 from __future__ import annotations
@@ -70,16 +70,24 @@ def config_metrics(space, target, bounds):
     comp, occ, avg_pw, _ = config_costs(space, bounds)
     dwell, tx, pw = expanded_grids(space)
     counters["config_evals"] += len(dwell)
-    rr = target.range_km * target.range_km
+    util = utility(dwell, tx, pw, target.range_km, target.speed_mps,
+                   TYPE_UTILITY_WEIGHT[target.ttype])
+    return util, comp, occ, avg_pw
+
+
+def utility(dwell, tx, pw, range_km, speed_mps, weight):
+    """Element-wise ``task_utility``, bit for bit: configuration columns
+    (dwell, transmit duration, power) against target columns (range, speed,
+    type weight), any of which may be scalars that broadcast."""
+    rr = range_km * range_km
     r4 = rr * rr
     s = SNR_CONST * pw * tx / r4
     sigma = MEASUREMENT_COEFF_M / np.sqrt(s)
-    travel = target.speed_mps * (dwell / 1000.0)
+    travel = speed_mps * (dwell / 1000.0)
     ratio = travel / GROWTH_SCALE_M
     growth = np.sqrt(1.0 + ratio * ratio)
     err = sigma * growth
-    util = TYPE_UTILITY_WEIGHT[target.ttype] / (1.0 + err / ERROR_HALF_M)
-    return util, comp, occ, avg_pw
+    return weight / (1.0 + err / ERROR_HALF_M)
 
 
 # --------------------------------------------------------------------------

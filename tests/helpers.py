@@ -1,12 +1,15 @@
 """Shared test utilities: independent oracles and instance generators."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from qram.agent import AgentParams, init_params
-from qram.classic import JobPoint
+from qram.agent import (AgentParams, WeightFormatError, forward, greedy_action,
+                        init_params)
+from qram.classic import JobPoint, base_configuration, upgrade_loop
 from qram.core import Configuration, ConfigSpace, ResourceBounds, resource_of
+from qram.env import encode_state, raw_quotient
 from qram.perf import generate_scenario
 from qram.problem import build_tracking_instance
 from qram.rng import PortableRng
@@ -173,3 +176,45 @@ def argmax_knapsack_table(util, cost, ncfg, budget):
         if c < ncfg[i]:
             j -= int(cost[i, c])
     return dp, picks
+
+
+def lazy_allocate_with_proposals(propose, instance):
+    """Reference agent allocation: asks ``propose(task, current)`` once per
+    draw, from the accepted configuration.
+
+    Each task's step iterator asks the proposer only when the loop draws
+    it, retires the task on a stationary or non-improving proposal, and
+    asks at most grid size + 1 times.  The allocator's wave path must give
+    the same allocation and trace for any proposer that depends only on
+    (task, configuration).
+    """
+    bounds = instance.bounds
+
+    def steps(task, current):
+        for _ in range(task.config_space.size + 1):  # cycle guard
+            proposal = propose(task, current)
+            quotient = raw_quotient(current, proposal, task.target, bounds)
+            if proposal == current or quotient <= 0.0:
+                return  # stationary or non-improving: retire
+            yield proposal, quotient
+            current = proposal  # resumed only once the upgrade was accepted
+
+    start = {task.id: base_configuration(task.config_space, task.target, bounds)
+             for task in instance.tasks}
+    with np.errstate(over="ignore", invalid="ignore"):
+        return upgrade_loop(instance, start, lambda kept: {
+            tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
+
+
+def single_row_proposer(params):
+    """The network asked about one observation row at a time: a per-task
+    proposer for :func:`lazy_allocate_with_proposals`."""
+    def propose(task, current):
+        space = task.config_space
+        logits, _ = forward(params, encode_state(space, current, task.target))
+        action = greedy_action(logits)
+        if not math.isfinite(logits[action]):
+            raise WeightFormatError(f"network logits are not finite (task "
+                                    f"{task.id}); the weights overflow")
+        return space.config_at(action)
+    return propose

@@ -118,6 +118,28 @@ def test_forward_rejects_rows_the_network_does_not_read():
         forward(init_params(PortableRng(1)), FIXED_STATE[:7])
 
 
+def test_forward_takes_a_stack_of_rows():
+    # 150 rows run as three blocks; an empty stack gives empty outputs.
+    params = init_params(PortableRng(3))
+    target = Target(0, TargetType.HELICOPTER, 80.0, 60.0)
+    rows = np.stack([encode_state(DEFAULT_CONFIG_SPACE,
+                                  DEFAULT_CONFIG_SPACE.config_at(i % 90), target)
+                     for i in range(0, 750, 5)])
+    assert len(rows) > 2 * agent.FORWARD_BLOCK
+    logits, values = forward(params, rows)
+    assert logits.shape == (150, params.n_actions) and values.shape == (150,)
+    for row, row_logits, value in zip(rows, logits, values):
+        single, single_value = forward(params, row)
+        assert np.allclose(row_logits, single, rtol=1e-12, atol=1e-15)
+        assert math.isclose(value, single_value, rel_tol=1e-12, abs_tol=1e-15)
+    empty_logits, empty_values = forward(params, rows[:0])
+    assert empty_logits.shape == (0, params.n_actions) and empty_values.shape == (0,)
+    with pytest.raises(ValueError):
+        forward(params, rows[None])
+    with pytest.raises(ValueError):
+        forward(params, rows[:, :7])
+
+
 def test_softmax_normalised():
     params = init_params(PortableRng(9))
     logits, _ = forward(params, FIXED_STATE)
@@ -201,6 +223,51 @@ def test_sample_action_certain_choice():
     logits[6] = 1000.0
     rng = PortableRng(17)
     assert all(sample_action(logits, rng) == 6 for _ in range(50))
+
+
+def _loop_sample(logits, rng):
+    """The draw as a running sum over the probabilities, one at a time."""
+    probs = softmax(logits)
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+class _FixedDraw:
+    """Stands in for the rng: ``random`` returns one given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_action_matches_the_running_sum_loop():
+    gen = np.random.default_rng(11)
+    for seed in range(300):
+        logits = gen.normal(size=90) * gen.uniform(0.1, 40.0)
+        a, b = PortableRng(seed), PortableRng(seed)
+        assert [sample_action(logits, a) for _ in range(5)] \
+            == [_loop_sample(logits, b) for _ in range(5)]
+    # At a partial sum, just below it, and beyond a total that rounds below
+    # 1; NaN logits fall to the last index in both.
+    logits = gen.normal(size=90)
+    partial = np.cumsum(softmax(logits))
+    draws = [0.0, float(np.nextafter(partial[-1], 2.0)), 1.0 - 2**-53]
+    for s in partial[:-1]:
+        draws += [float(s), float(np.nextafter(s, -1.0))]
+    for u in draws:
+        assert sample_action(logits, _FixedDraw(u)) \
+            == _loop_sample(logits, _FixedDraw(u)), u
+    with np.errstate(invalid="ignore"):
+        nan = np.full(90, np.nan)
+        assert sample_action(nan, _FixedDraw(0.3)) \
+            == _loop_sample(nan, _FixedDraw(0.3)) == 89
 
 
 def test_greedy_action_tie_breaks_low():

@@ -1,19 +1,26 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_small_instance, zero_network
+from helpers import (lazy_allocate_with_proposals, random_small_instance,
+                     single_row_proposer, with_arrays, zero_network)
+from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             frontier_proposer, network_proposer, next_config)
 from qram.classic import base_configuration, job_list_for, solve_classic
-from qram.core import Allocation, Configuration, DEFAULT_CONFIG_SPACE, \
-    ResourceBounds
-from qram.agent import init_params
-from qram.perf import generate_scenario
+from qram.core import Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds, \
+    resource_of
+from qram.env import raw_quotient
+from qram.perf import TYPE_ORDER, generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility)
 from qram.rng import PortableRng
+
+#: The frozen weights the benchmark solves with.
+FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "weights" / "agent-seed1-30k.json")
 
 
 def _instance(n=5, seed=1, bounds=None):
@@ -23,25 +30,41 @@ def _instance(n=5, seed=1, bounds=None):
 
 
 def test_next_config_zero_params_picks_action_zero():
-    inst = _instance(n=1)
-    task = inst.tasks[0]
-    config = next_config(zero_network(), task, DEFAULT_CONFIG_SPACE.config_at(30))
-    assert config == DEFAULT_CONFIG_SPACE.config_at(0)
+    inst = _instance(n=3)
+    configs = [DEFAULT_CONFIG_SPACE.config_at(i) for i in (30, 0, 89)]
+    assert next_config(zero_network(), list(inst.tasks), configs) \
+        == [DEFAULT_CONFIG_SPACE.config_at(0)] * 3
 
 
 def test_next_config_deterministic():
-    inst = _instance(n=1)
-    task = inst.tasks[0]
+    inst = _instance(n=4)
+    tasks = list(inst.tasks)
     params = init_params(PortableRng(3))
-    current = DEFAULT_CONFIG_SPACE.config_at(10)
-    assert next_config(params, task, current) == next_config(params, task, current)
+    currents = [DEFAULT_CONFIG_SPACE.config_at(i) for i in (10, 20, 10, 5)]
+    assert next_config(params, tasks, currents) \
+        == next_config(params, tasks, currents)
+
+
+def test_next_config_row_cache_gives_the_uncached_proposals():
+    # A cached row keeps the task's situational columns and takes the
+    # configuration columns of the wave it is asked in.
+    inst = _instance(n=6, seed=4)
+    tasks = list(inst.tasks)
+    params = init_params(PortableRng(3))
+    rows = {}
+    for index in (0, 17, 44, 89):
+        currents = [DEFAULT_CONFIG_SPACE.config_at((index + 7 * k) % 90)
+                    for k in range(len(tasks))]
+        assert next_config(params, tasks, currents, rows) \
+            == next_config(params, tasks, currents)
+    assert sorted(rows) == [t.id for t in tasks]
 
 
 def test_next_config_rejects_mismatched_action_space():
     inst = _instance(n=1)
     params = init_params(PortableRng(1), n_actions=12)
     with pytest.raises(ValueError):
-        next_config(params, inst.tasks[0], DEFAULT_CONFIG_SPACE.config_at(0))
+        next_config(params, list(inst.tasks), [DEFAULT_CONFIG_SPACE.config_at(0)])
 
 
 def test_empty_instance_allocates_nothing():
@@ -72,37 +95,48 @@ def test_adversarial_proposer_terminates_feasibly():
     inst = _instance(n=4, seed=7)
 
     state = {"i": 0}
+    calls = Counter()
 
-    def chaotic(task, current):
-        state["i"] = (state["i"] + 13) % DEFAULT_CONFIG_SPACE.size
-        return DEFAULT_CONFIG_SPACE.config_at(state["i"])
+    def chaotic(tasks, currents):
+        proposals = []
+        for task in tasks:
+            calls[task.id] += 1
+            state["i"] = (state["i"] + 13) % DEFAULT_CONFIG_SPACE.size
+            proposals.append(DEFAULT_CONFIG_SPACE.config_at(state["i"]))
+        return proposals
 
     alloc, trace = allocate_with_proposals(chaotic, inst)
     assert is_feasible(alloc, inst)
+    assert max(calls.values()) <= DEFAULT_CONFIG_SPACE.size + 1
     assert len(trace.upgrades) <= len(inst.tasks) * (DEFAULT_CONFIG_SPACE.size + 1)
 
 
-def test_proposer_is_asked_once_per_draw_in_loop_order():
-    # The loop draws each kept task's step once, in id order, and then only
-    # after accepting that task's upgrade; the step asks the proposer once
-    # per draw, from the accepted configuration.  An eager chain or a draw
-    # after a rejection would reorder or add calls.
+def test_proposer_is_asked_once_per_wave_about_live_kept_chains():
+    # Under the frontier oracle a task's chain is its job list, live at wave
+    # k while the list has more than k points.  Wave k asks about every live
+    # chain once, in id order, from point k; dropped tasks are never asked.
+    # A wave runs only when a draw needs it: wave k once some task has k
+    # accepted upgrades.  An extra, missing or reordered call fails.
     inst = _instance(n=12, seed=3,
                      bounds=ResourceBounds((0.02, 0.5), (1.0, 1.0)))
     oracle = frontier_proposer(inst)
-    calls = []
+    waves = []
 
-    def recording(task, current):
-        calls.append((task.id, current))
-        return oracle(task, current)
+    def recording(tasks, currents):
+        waves.append(([t.id for t in tasks], list(currents)))
+        return oracle(tasks, currents)
 
     _, trace = allocate_with_proposals(recording, inst)
     assert trace.dropped and trace.upgrades  # bound-limited on both counts
-    start = {t.id: base_configuration(t.config_space, t.target, inst.bounds)
-             for t in inst.tasks}
-    kept = sorted(set(start) - set(trace.dropped))
-    assert calls == ([(tid, start[tid]) for tid in kept]
-                     + [(u.task_id, u.config) for u in trace.upgrades])
+    points = {t.id: [p.config for p in job_list_for(t, inst.bounds).points]
+              for t in inst.tasks}
+    kept = sorted(set(points) - set(trace.dropped))
+    depth = max(Counter(u.task_id for u in trace.upgrades).values())
+    assert depth + 1 < max(len(points[tid]) for tid in kept)  # waves saved
+    assert waves == [([tid for tid in kept if len(points[tid]) > k],
+                      [points[tid][k] for tid in kept if len(points[tid]) > k])
+                     for k in range(depth + 1)]
+    assert not set(trace.dropped) & {tid for ids, _ in waves for tid in ids}
 
 
 def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
@@ -117,10 +151,13 @@ def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
         ends[task.id] = (points[0].config, points[-1].config)
     calls = Counter()
 
-    def flip(task, current):
-        calls[task.id] += 1
-        low, high = ends[task.id]
-        return high if current == low else low
+    def flip(tasks, currents):
+        proposals = []
+        for task, current in zip(tasks, currents):
+            calls[task.id] += 1
+            low, high = ends[task.id]
+            proposals.append(high if current == low else low)
+        return proposals
 
     _, trace = allocate_with_proposals(flip, inst)
     size = DEFAULT_CONFIG_SPACE.size
@@ -160,10 +197,123 @@ def test_stationary_proposal_retires_task():
     inst = _instance(n=2, seed=5)
     base_cfg = {}
 
-    def stubborn(task, current):
-        base_cfg.setdefault(task.id, current)
-        return current  # never proposes anything new
+    def stubborn(tasks, currents):
+        for task, current in zip(tasks, currents):
+            base_cfg.setdefault(task.id, current)
+        return list(currents)  # never proposes anything new
 
     alloc, trace = allocate_with_proposals(stubborn, inst)
     assert trace.upgrades == ()
     assert alloc.assignment == base_cfg
+
+
+def _outcome(alloc, trace):
+    return (sorted(alloc.assignment.items()), trace.dropped,
+            [(u.task_id, u.config, repr(u.ratio)) for u in trace.upgrades])
+
+
+NETWORKS = {"frozen": lambda: load(FROZEN_WEIGHTS)[0],
+            "zero": zero_network,
+            "init": lambda: init_params(PortableRng(5))}
+
+BOUNDS = {"default": default_bounds,
+          "tight": lambda n: ResourceBounds((0.15, 0.5), (1.0, 1.0)),
+          "weights-1-2": lambda n: ResourceBounds(default_bounds(n).bounds,
+                                                  (1.0, 2.0))}
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+def test_waves_match_the_lazy_per_draw_reference(network, bounds):
+    # Allocations, dropped ids and traces (ratios by repr) of the wave path
+    # equal those of a proposer asked one row at a time, once per draw.
+    params = NETWORKS[network]()
+    for n in (3, 20, 150, 500, 1000):
+        inst = build_tracking_instance(generate_scenario(n, 1000 + n),
+                                       BOUNDS[bounds](n), DEFAULT_CONFIG_SPACE)
+        assert _outcome(*allocate_with_agent(params, inst)) == _outcome(
+            *lazy_allocate_with_proposals(single_row_proposer(params), inst)), n
+
+
+def test_next_config_stores_a_non_finite_row_as_an_error():
+    inst = _instance(n=3)
+    params = zero_network()
+    params = with_arrays(params, b_policy=np.where(
+        np.arange(params.n_actions) == 4, np.inf, 0.0))
+    proposals = next_config(params, list(inst.tasks),
+                            [DEFAULT_CONFIG_SPACE.config_at(0)] * 3)
+    assert [str(p) for p in proposals] == [
+        f"network logits are not finite (task {t.id}); the weights overflow"
+        for t in inst.tasks]
+    assert all(isinstance(p, WeightFormatError) for p in proposals)
+
+
+def _overflow_instance(type_of_top: bool):
+    """Six tasks that all propose the same first upgrade, bounds with room
+    for exactly one, and a network that overflows only for tasks of one
+    type once they run with a longer transmit duration.
+
+    Returns (params, instance, the overflowing type's task ids in ratio
+    order, the upgrade).  The type is the top-ranked task's type if
+    ``type_of_top``, else another type present in the scenario.
+    """
+    space = DEFAULT_CONFIG_SPACE
+    upgrade = Configuration(1100.0, 4.0, 1.0)
+    scenario = generate_scenario(6, 8)
+    start = base_configuration(space, scenario.targets[0],
+                               default_bounds(6))
+    room = 1.5 * (resource_of(upgrade) - resource_of(start))
+    bounds = ResourceBounds(tuple((6 * resource_of(start) + room).tolist()),
+                            (1.0, 1.0))
+    inst = build_tracking_instance(scenario, bounds, space)
+    by_ratio = sorted(inst.tasks, key=lambda t: (
+        -raw_quotient(start, upgrade, t.target, bounds), t.id))
+    top = by_ratio[0].target.ttype
+    ttype = top if type_of_top else next(
+        t.target.ttype for t in by_ratio if t.target.ttype is not top)
+    params = zero_network()
+    hot = np.zeros_like(params.w_trunk)
+    hot[0, 0] = hot[params.hidden, 0] = 1e200
+    params = with_arrays(
+        params,
+        w_sit1=np.outer(np.eye(params.situational_in)[TYPE_ORDER.index(ttype)],
+                        np.eye(params.hidden)[0]),
+        w_sit2=np.diag(np.eye(params.hidden)[0]),
+        w_cfg=np.outer([0.0, 1.0, 0.0], np.eye(params.hidden)[0]),
+        w_trunk=hot, b_trunk=-1e200 * np.eye(params.hidden)[0],
+        w_policy=np.outer(np.eye(params.hidden)[0], np.full(space.size, 1e200)),
+        b_policy=np.eye(space.size)[space.index_of(upgrade)])
+    overflowing = [t.id for t in by_ratio if t.target.ttype is ttype]
+    return params, inst, overflowing, upgrade
+
+
+def test_an_overflow_in_an_undrawn_step_is_never_raised():
+    # The top task's upgrade is accepted, so its second step is drawn and
+    # the second wave runs; it overflows for the other type's tasks, whose
+    # first upgrade no longer fits, so their failed steps are never drawn.
+    params, inst, overflowing, upgrade = _overflow_instance(type_of_top=False)
+    waves = []
+    inner = network_proposer(params)
+
+    def recording(tasks, currents):
+        waves.append(inner(tasks, currents))
+        return waves[-1]
+
+    alloc, trace = allocate_with_proposals(recording, inst)
+    assert len(waves) == 2
+    assert sorted(t.id for t, p in zip(inst.tasks, waves[1])
+                  if isinstance(p, WeightFormatError)) == sorted(overflowing)
+    assert [(u.task_id, u.config) for u in trace.upgrades] \
+        == [(trace.upgrades[0].task_id, upgrade)]
+    assert trace.upgrades[0].task_id not in overflowing
+    assert is_feasible(alloc, inst)
+
+
+def test_an_overflow_is_raised_when_its_step_is_drawn():
+    # Same network, but the top task overflows: its second step is drawn
+    # right after its upgrade is accepted and raises, naming the task.
+    params, inst, overflowing, _ = _overflow_instance(type_of_top=True)
+    with pytest.raises(WeightFormatError) as err:
+        allocate_with_agent(params, inst)
+    assert str(err.value) == (f"network logits are not finite (task "
+                              f"{overflowing[0]}); the weights overflow")

@@ -8,7 +8,7 @@ from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
 from qram import kernels
 from qram.classic import (JobList, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate, job_list_for, solve_classic,
-                          upper_frontier)
+                          upgrade_loop, upper_frontier)
 from qram.core import (Allocation, Configuration, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
                        resource_of)
@@ -210,6 +210,26 @@ def test_greedy_drops_highest_ids_on_overload():
     assert trace.dropped == (3, 2)[:len(trace.dropped)] or trace.dropped == (2, 3)
     assert sorted(alloc.assignment) == [0, 1]
     assert is_feasible(alloc, inst)
+
+
+def test_upgrade_loop_asks_for_steps_once_after_the_drop():
+    # Four single-configuration tasks, room for two: the steps function is
+    # called once, with the kept ids in ascending order, after the drop.
+    scenario = generate_scenario(4, 8)
+    space = ConfigSpace((1100.0,), (2.0,), (1.0,))
+    occ = resource_of(space.config_at(0))[0]
+    inst = build_tracking_instance(
+        scenario, ResourceBounds((occ * 2.5, 5.0), (1.0, 1.0)), space)
+    calls = []
+
+    def steps(kept):
+        calls.append(list(kept))
+        return {tid: iter(()) for tid in kept}
+
+    alloc, trace = upgrade_loop(
+        inst, {t.id: space.config_at(0) for t in inst.tasks}, steps)
+    assert calls == [[0, 1]] and trace.dropped == (2, 3)
+    assert sorted(alloc.assignment) == [0, 1] and trace.upgrades == ()
 
 
 def test_greedy_trace_ratios_match_job_lists():

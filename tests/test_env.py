@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qram.classic import base_configuration
-from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, compound_resource,
-                       resource_of)
+from qram.core import (Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
+                       compound_resource, resource_of)
 from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
-                      QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv, encode_state,
-                      quotient, raw_quotient, training_quotient)
+                      QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv,
+                      config_features, encode_state, quotient, raw_quotient,
+                      training_quotient)
 from qram.perf import Target, TargetType, task_utility
 from qram.rng import PortableRng
 
@@ -36,6 +37,24 @@ def test_observation_is_one_float64_row():
     assert row.shape == (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
     assert row.dtype == np.float64
     assert tuple(row) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
+
+
+def test_config_columns_are_the_feature_table_rows():
+    # Each grid index divided by its axis length - 1, 0 on a one-point axis.
+    target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
+    for space in (DEFAULT_CONFIG_SPACE,
+                  ConfigSpace((100.0,), (2.0, 4.0), (1.0, 2.0, 4.0))):
+        table = config_features(space)
+        assert table.shape == (space.size, CONFIG_WIDTH)
+        assert not table.flags.writeable
+        for config in space:
+            i_d, i_t, i_p = space.grid_indices(config)
+            lengths = (len(space.dwell_grid), len(space.tx_duration_grid),
+                       len(space.tx_power_grid))
+            expected = tuple(i / (n - 1) if n > 1 else 0.0
+                             for i, n in zip((i_d, i_t, i_p), lengths))
+            assert tuple(table[space.index_of(config)]) == expected
+            assert tuple(encode_state(space, config, target)[CONFIG]) == expected
 
 
 def test_reset_starts_at_cheapest_config():

@@ -10,7 +10,8 @@ from helpers import argmax_knapsack_table, random_small_space
 from qram import kernels
 from qram.core import (DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds,
                        compound_resource, resource_of)
-from qram.perf import Target, TargetType
+from qram.perf import (TYPE_UTILITY_WEIGHT, Target, TargetType,
+                       generate_scenario, task_utility)
 from qram.rng import PortableRng
 
 TARGET = Target(id=0, ttype=TargetType.FIGHTER, range_km=62.5, speed_mps=340.0)
@@ -32,6 +33,23 @@ def test_config_costs_match_scalar_model(weights):
         assert occ.tolist() == [float(v[0]) for v in vectors]
         assert pw.tolist() == [float(v[1]) for v in vectors]
         assert cheapest.tolist() == [i for i, r in enumerate(want) if r == min(want)]
+
+
+def test_utility_matches_scalar_model_row_by_row():
+    # One target per row, as a wave evaluates them, and one target against
+    # the whole grid, as config_metrics does.
+    targets = generate_scenario(200, 9).targets
+    configs = [DEFAULT_CONFIG_SPACE.config_at((7 * i) % 90) for i in range(200)]
+    got = kernels.utility(
+        np.array([c.dwell_length for c in configs]),
+        np.array([c.transmit_duration for c in configs]),
+        np.array([c.transmit_power for c in configs]),
+        np.array([t.range_km for t in targets]),
+        np.array([t.speed_mps for t in targets]),
+        np.array([TYPE_UTILITY_WEIGHT[t.ttype] for t in targets]))
+    assert got.tolist() == [task_utility(c, t) for c, t in zip(configs, targets)]
+    util = kernels.config_metrics(DEFAULT_CONFIG_SPACE, TARGET, BOUNDS)[0]
+    assert util.tolist() == [task_utility(c, TARGET) for c in DEFAULT_CONFIG_SPACE]
 
 
 def test_config_costs_are_read_only_and_cached_per_grid_and_bounds():
