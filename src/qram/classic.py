@@ -20,7 +20,7 @@ the regression instance in :mod:`qram.remark1`).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -283,6 +283,19 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     and an exception an iterator raises ends the loop.  Feasibility is
     checked against the full resource vector even though ratios rank by a
     scalar.
+
+    A refused candidate is parked: it leaves the ratio order and is not
+    asked about again until an accepted upgrade lowers some resource entry
+    of its own task's row.  Then every parked candidate goes back into the
+    order at once.  This is exact.  :meth:`UsageLedger.fits` gives, bit for
+    bit, the answer of a full sequential re-sum with the candidate's row
+    replaced (see the :class:`UsageLedger` docstring).  Rows are
+    non-negative and a sequential IEEE sum is monotone in each term, so
+    while no row entry decreases, a re-sum that exceeded a limit still
+    exceeds it.  First fit therefore picks what a rescan of every
+    candidate from the top would pick, and the allocation and trace are
+    the same; each refusal is asked once per lowering upgrade, not once
+    per accepted upgrade.
     """
     ledger = UsageLedger(instance)
     active = sorted(start)
@@ -294,10 +307,9 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
 
     candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
     order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
+    parked: list[tuple[float, int]] = []  # refused, off ``order``
 
     def refresh(tid: int) -> None:
-        if tid in candidates:
-            del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
         step = next(task_steps[tid], None)
         if step is not None:
             config, ratio = step
@@ -308,18 +320,24 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
         refresh(tid)
 
     upgrades: list[UpgradeStep] = []
-    while candidates:
-        for _, tid in order:
+    while True:
+        for i, (_, tid) in enumerate(order):
             config, vec, ratio = candidates[tid]
             if ledger.fits(tid, vec):
-                ledger.set_row(tid, vec)
-                current[tid] = config
-                upgrades.append(UpgradeStep(task_id=tid, config=config,
-                                            ratio=ratio))
-                refresh(tid)
                 break
         else:
             break  # no feasible upgrade anywhere
+        parked += order[:i]
+        del order[:i + 1]
+        # With nothing parked there is nothing to free: skip the compare.
+        if parked and (vec < resource_of(current[tid])).any():
+            order += parked
+            order.sort()
+            parked.clear()
+        ledger.set_row(tid, vec)
+        current[tid] = config
+        upgrades.append(UpgradeStep(task_id=tid, config=config, ratio=ratio))
+        refresh(tid)
 
     return (Allocation(assignment=current),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))

@@ -1,14 +1,18 @@
 """Shared test utilities: independent oracles and instance generators."""
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import replace
 
 import numpy as np
 
 from qram.agent import (AgentParams, WeightFormatError, forward, greedy_action,
                         init_params)
-from qram.classic import JobPoint, base_configuration, upgrade_loop
-from qram.core import Configuration, ConfigSpace, ResourceBounds, resource_of
+from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
+                          _drop_until_feasible, base_configuration,
+                          upgrade_loop)
+from qram.core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
+                       resource_of)
 from qram.env import encode_state, raw_quotient
 from qram.perf import generate_scenario
 from qram.problem import build_tracking_instance
@@ -137,6 +141,52 @@ def linear_drop_until_feasible(ledger, active):
         dropped.append(tid)
         ledger.clear_row(tid)
     return sorted(dropped)
+
+
+def rescan_upgrade_loop(instance, start, steps):
+    """Reference greedy loop: after every accepted upgrade it scans the
+    candidates again from the top, and asks the ledger about every
+    candidate it has already refused.  Same contract as
+    ``classic.upgrade_loop``, which parks refused candidates instead."""
+    ledger = UsageLedger(instance)
+    active = sorted(start)
+    for tid in active:
+        ledger.set_row(tid, resource_of(start[tid]))
+    dropped = _drop_until_feasible(ledger, active)
+    current = {tid: start[tid] for tid in active}
+    task_steps = steps(active)
+
+    candidates = {}
+    order = []  # (-ratio, tid), kept sorted
+
+    def refresh(tid):
+        if tid in candidates:
+            del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
+        step = next(task_steps[tid], None)
+        if step is not None:
+            config, ratio = step
+            candidates[tid] = (config, resource_of(config), ratio)
+            insort(order, (-ratio, tid))
+
+    for tid in active:
+        refresh(tid)
+
+    upgrades = []
+    while candidates:
+        for _, tid in order:
+            config, vec, ratio = candidates[tid]
+            if ledger.fits(tid, vec):
+                ledger.set_row(tid, vec)
+                current[tid] = config
+                upgrades.append(UpgradeStep(task_id=tid, config=config,
+                                            ratio=ratio))
+                refresh(tid)
+                break
+        else:
+            break  # no feasible upgrade anywhere
+
+    return (Allocation(assignment=current),
+            AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
 
 def argmax_knapsack_table(util, cost, ncfg, budget):

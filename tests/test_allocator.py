@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import (lazy_allocate_with_proposals, random_small_instance,
-                     single_row_proposer, with_arrays, zero_network)
+                     rescan_upgrade_loop, single_row_proposer, with_arrays,
+                     zero_network)
+from qram import allocator, classic
 from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             frontier_proposer, network_proposer, next_config)
-from qram.classic import base_configuration, job_list_for, solve_classic
+from qram.classic import (base_configuration, greedy_allocate, job_list_for,
+                          solve_classic)
 from qram.core import Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds, \
     resource_of
 from qram.env import raw_quotient
@@ -233,6 +236,45 @@ def test_waves_match_the_lazy_per_draw_reference(network, bounds):
                                        BOUNDS[bounds](n), DEFAULT_CONFIG_SPACE)
         assert _outcome(*allocate_with_agent(params, inst)) == _outcome(
             *lazy_allocate_with_proposals(single_row_proposer(params), inst)), n
+
+
+def _with_both_loops(monkeypatch, solve):
+    """``solve()`` with the parking ``upgrade_loop``, then with the
+    rescanning reference in its place, as outcomes."""
+    got = _outcome(*solve())
+    with monkeypatch.context() as patch:
+        patch.setattr(classic, "upgrade_loop", rescan_upgrade_loop)
+        patch.setattr(allocator, "upgrade_loop", rescan_upgrade_loop)
+        return got, _outcome(*solve())
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+def test_parking_loop_matches_the_rescanning_reference(bounds, monkeypatch):
+    # Classic and agent allocations, dropped ids and traces (ratios by repr)
+    # equal those of a loop that rescans every candidate after each upgrade.
+    networks = [NETWORKS["frozen"](), NETWORKS["zero"]()]
+    for n in (3, 20, 150, 500, 1000):
+        inst = build_tracking_instance(generate_scenario(n, 1000 + n),
+                                       BOUNDS[bounds](n), DEFAULT_CONFIG_SPACE)
+        lists = [job_list_for(task, inst.bounds) for task in inst.tasks]
+        got, want = _with_both_loops(monkeypatch,
+                                     lambda: greedy_allocate(lists, inst))
+        assert got == want, ("classic", n)
+        for params in networks:
+            got, want = _with_both_loops(
+                monkeypatch, lambda: allocate_with_agent(params, inst))
+            assert got == want, ("agent", n)
+
+
+def test_parking_loop_matches_the_rescanning_reference_on_small_instances(
+        monkeypatch):
+    for seed in range(40):
+        inst = random_small_instance(seed)
+        got, want = _with_both_loops(monkeypatch, lambda: solve_classic(inst))
+        assert got == want, seed
+        got, want = _with_both_loops(monkeypatch, lambda: allocate_with_proposals(
+            frontier_proposer(inst), inst))
+        assert got == want, seed
 
 
 def test_next_config_stores_a_non_finite_row_as_an_error():

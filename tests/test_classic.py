@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
-                     random_point_cloud, random_small_instance, synthetic_points)
+                     random_point_cloud, random_small_instance,
+                     rescan_upgrade_loop, synthetic_points)
 from qram import kernels
 from qram.classic import (JobList, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate, job_list_for, solve_classic,
@@ -245,6 +246,77 @@ def test_greedy_trace_ratios_match_job_lists():
         assert step.ratio == expected
         assert step.config == jl.points[pos + 1].config
         position[step.task_id] += 1
+
+
+def _count_fits(monkeypatch):
+    """Record every ``UsageLedger.fits`` call as (task id, answer)."""
+    asked = []
+    fits = UsageLedger.fits
+
+    def counted(self, task_id, vec):
+        answer = fits(self, task_id, vec)
+        asked.append((task_id, answer))
+        return answer
+    monkeypatch.setattr(UsageLedger, "fits", counted)
+    return asked
+
+
+def _trace(trace):
+    return [(u.task_id, u.config, repr(u.ratio)) for u in trace.upgrades]
+
+
+def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
+    # Power binds (limit 0.65); occupancy never does.  Tasks 1 and 2 ask
+    # for +0.29 kW at ratio 3 and are refused, so they are parked.  Task
+    # 0's first step lowers its power from 0.4 to 0.12 kW (and raises its
+    # occupancy), which frees room for one of them.  After the merge the
+    # three ratio-3 candidates go in task id order, until 2 does not fit,
+    # and only then task 3's ratio-0.5 step, which waited in the order.
+    # That step lowers power too, so task 2 is asked once more.
+    def config(tx, power):
+        return Configuration(100.0, tx, power)  # row: tx/100, power*tx/100
+
+    instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in range(4)],
+                               bounds=SimpleNamespace(bounds=(1.0, 0.65)))
+    start = {0: config(10.0, 4.0), 1: config(1.0, 1.0), 2: config(1.0, 1.0),
+             3: config(1.0, 4.0)}
+    plan = {0: [(config(12.0, 1.0), 1.0), (config(20.0, 1.0), 3.0)],
+            1: [(config(30.0, 1.0), 3.0)],
+            2: [(config(30.0, 1.0), 3.0)],
+            3: [(config(2.0, 1.0), 0.5)]}
+    assert (resource_of(plan[0][0][0]) < resource_of(start[0])).tolist() == [
+        False, True]
+
+    def steps(kept):
+        return {tid: iter(plan[tid]) for tid in kept}
+
+    ref_alloc, ref_trace = rescan_upgrade_loop(instance, start, steps)
+    asked = _count_fits(monkeypatch)
+    alloc, trace = upgrade_loop(instance, start, steps)
+    assert [(u.task_id, u.ratio) for u in trace.upgrades] == [
+        (0, 1.0), (0, 3.0), (1, 3.0), (3, 0.5)]
+    assert alloc.assignment == ref_alloc.assignment == {
+        0: plan[0][1][0], 1: plan[1][0][0], 2: start[2], 3: plan[3][0][0]}
+    assert trace.dropped == ref_trace.dropped == ()
+    assert _trace(trace) == _trace(ref_trace)
+    # Each refusal is asked once, and again only after a lowering upgrade.
+    assert asked == [(1, False), (2, False), (0, True), (0, True), (1, True),
+                     (2, False), (3, True), (2, False)]
+
+
+def test_classic_loop_asks_each_refusal_once_without_a_lowering_upgrade(
+        monkeypatch):
+    # The benchmark's first 500-target scenario (seed 11): no accepted
+    # upgrade lowers a resource, so the ledger refuses each kept task at
+    # most once.  A rescan from the top after every upgrade asked 22,432
+    # times for 1,067 upgrades.
+    inst = build_tracking_instance(generate_scenario(500, 11_050_000),
+                                   default_bounds(500), DEFAULT_CONFIG_SPACE)
+    lists = [job_list_for(task, inst.bounds) for task in inst.tasks]
+    asked = _count_fits(monkeypatch)
+    alloc, trace = greedy_allocate(lists, inst)
+    assert len(trace.upgrades) == 1067 and not trace.dropped
+    assert len(asked) <= len(trace.upgrades) + len(alloc.assignment)
 
 
 # --------------------------------------------------------------------- ledger
