@@ -1,8 +1,8 @@
 """Agent-driven global allocation: greedy upgrades without job lists.
 
 The greedy pass only ever needs "the next desirable configuration from the
-current one", which is exactly what the trained network proposes.  Every
-task starts at its cheapest configuration, and the shared
+current one", which is exactly what the trained network proposes, as a grid
+index.  Every task starts at its cheapest configuration, and the shared
 :func:`qram.classic.upgrade_loop` applies the feasible upgrade with the best
 utility-to-resource quotient.
 
@@ -10,7 +10,7 @@ A task's proposal chain, start -> p(start) -> p(p(start)) -> ..., depends
 only on the task and its configuration, never on what the loop accepts for
 other tasks.  So once the loop knows which tasks it keeps, their chains
 grow in waves: one wave asks the proposer once about every chain still
-live, from the last configuration of each.  Tasks that share a grid form
+live, from the last grid index of each.  Tasks that share a grid form
 one call, so the network runs one batched forward pass per wave
 (:func:`next_config`).  The loop walks the chains like job lists, and a
 wave runs only when a draw reaches past the steps computed so far; a
@@ -23,7 +23,8 @@ protect the loop: a stationary or non-improving proposal ends a chain, and a
 chain asks the proposer at most grid size + 1 times, which bounds the loop
 even under adversarial proposers.  A proposal may also be an exception (the
 network's answer to non-finite logits): it ends the chain and is raised
-only if the loop draws that step.
+only if the loop draws that step, as does an IndexError for a proposal that
+is not a grid index in [0, grid size).
 """
 
 from __future__ import annotations
@@ -35,24 +36,22 @@ import numpy as np
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
-from .core import (Allocation, Configuration, ResourceBounds, Task,
-                   expanded_grids, grid_configurations)
+from .core import Allocation, ResourceBounds, Task, expanded_grids
 from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
 from .kernels import config_costs, utility
 from .perf import TYPE_UTILITY_WEIGHT
 from .problem import ProblemInstance
 
-#: The next configuration on the task's grid, or the exception to raise if
+#: The grid index of the next configuration, or the exception to raise if
 #: the loop draws that step.
-Proposal = Configuration | Exception
+Proposal = int | Exception
 
 #: propose(tasks, currents) -> one proposal per task, in order.  The tasks
-#: of one call share a grid.
-Proposer = Callable[[list[Task], list[Configuration]], list[Proposal]]
+#: of one call share a grid, and ``currents`` are their grid indices.
+Proposer = Callable[[list[Task], list[int]], list[Proposal]]
 
 
-def next_config(params: AgentParams, tasks: list[Task],
-                currents: list[Configuration],
+def next_config(params: AgentParams, tasks: list[Task], currents: list[int],
                 rows: dict[int, tuple[Task, np.ndarray]] | None = None
                 ) -> list[Proposal]:
     """Greedy network proposals for one wave of tasks on one grid.
@@ -60,8 +59,8 @@ def next_config(params: AgentParams, tasks: list[Task],
     One batched forward pass over the tasks' observation rows.  ``rows``
     keeps each task's row across waves, by task id: ``encode_state`` runs
     once per task, and a later wave rewrites only the configuration columns
-    from ``config_features``.  A task whose winning logit is not finite
-    gets a WeightFormatError in place of a configuration.
+    from ``config_features``.  A proposal is the winning logit's index, or
+    a WeightFormatError if that logit is not finite.
     """
     if not tasks:
         return []
@@ -78,15 +77,13 @@ def next_config(params: AgentParams, tasks: list[Task],
         if cached is None or cached[0] is not task:
             rows[task.id] = (task, encode_state(space, current, task.target))
     x = np.stack([rows[task.id][1] for task in tasks])
-    x[:, SITUATIONAL_WIDTH:] = config_features(space)[
-        [space.index_of(current) for current in currents]]
+    x[:, SITUATIONAL_WIDTH:] = config_features(space)[currents]
     logits, _ = forward(params, x)
     actions = logits.argmax(axis=1)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
     finite = np.isfinite(logits[np.arange(len(tasks)), actions])
-    configs = grid_configurations(space)
-    return [configs[action] if ok else WeightFormatError(
+    return [action if ok else WeightFormatError(
                 f"network logits are not finite (task {task.id}); "
                 f"the weights overflow")
             for task, action, ok in zip(tasks, actions.tolist(),
@@ -97,7 +94,7 @@ def network_proposer(params: AgentParams) -> Proposer:
     """The network as a wave proposer; encodes each task's row once."""
     rows: dict[int, tuple[Task, np.ndarray]] = {}
 
-    def propose(tasks: list[Task], currents: list[Configuration]):
+    def propose(tasks: list[Task], currents: list[int]):
         return next_config(params, tasks, currents, rows)
     return propose
 
@@ -110,14 +107,14 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     """
     lists = {task.id: job_list_for(task, instance.bounds) for task in instance.tasks}
 
-    def next_point(task: Task, current: Configuration) -> Configuration:
+    def next_point(task: Task, current: int) -> int:
         points = lists[task.id].points
         for i, p in enumerate(points):
-            if p.config == current:
-                return points[i + 1].config if i + 1 < len(points) else current
+            if p.index == current:
+                return points[i + 1].index if i + 1 < len(points) else current
         raise ValueError(f"task {task.id}: {current} is not on its frontier")
 
-    def propose(tasks: list[Task], currents: list[Configuration]):
+    def propose(tasks: list[Task], currents: list[int]):
         return [next_point(task, current)
                 for task, current in zip(tasks, currents)]
     return propose
@@ -126,10 +123,10 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
 class _ChainGroup:
     """The proposal chains of the kept tasks on one grid, grown in waves.
 
-    A chain holds ``(config, ratio)`` steps and may end in an exception
-    proposal.  One wave asks the proposer once, over every live chain, from
-    the chain's last configuration, then appends one step to each chain or
-    retires it.  The utility change comes from one vectorised ``utility``
+    A chain holds ``(index, ratio)`` steps and may end in an exception
+    proposal or an IndexError.  One wave asks the proposer once, over every
+    live chain, from the chain's last index, then appends one step to each
+    chain or retires it.  The utility change comes from one vectorised ``utility``
     call and the compound change from the cached cost column; the scalar
     ``quotient`` then rates each row, exactly as a step asked alone would.
     A wave runs only once a draw reaches past the steps computed so far, so
@@ -137,11 +134,9 @@ class _ChainGroup:
     """
 
     def __init__(self, propose: Proposer, tasks: list[Task],
-                 starts: list[Configuration], bounds: ResourceBounds):
+                 starts: list[int], bounds: ResourceBounds):
         space = tasks[0].config_space
-        self._propose, self._tasks = propose, tasks
-        self._configs = grid_configurations(space)
-        self._index_of = space.index_of
+        self._propose, self._tasks, self._size = propose, tasks, space.size
         self._comp = config_costs(space, bounds)[0]
         self._grids = expanded_grids(space)
         self._targets = (np.array([t.target.range_km for t in tasks]),
@@ -152,7 +147,7 @@ class _ChainGroup:
         self._chains: list[list] = [[] for _ in tasks]
         self._alive = [True] * len(tasks)
         self._live = list(range(len(tasks)))  # positions of the live chains
-        self._cur = np.array([self._index_of(c) for c in starts], dtype=np.int64)
+        self._cur = np.array(starts, dtype=np.int64)
         self._u_cur = self._utility(self._cur, self._live)
 
     def _utility(self, configs: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -163,9 +158,13 @@ class _ChainGroup:
 
     def _grow(self) -> None:
         live, chains, cur_list = self._live, self._chains, self._cur.tolist()
-        proposals = self._propose([self._tasks[i] for i in live],
-                                  [self._configs[j] for j in cur_list])
-        new = np.array([j if isinstance(p, Exception) else self._index_of(p)
+        tasks, size = [self._tasks[i] for i in live], self._size
+        proposals = [p if isinstance(p, Exception) or (
+                         isinstance(p, (int, np.integer)) and 0 <= p < size)
+                     else IndexError(f"task {task.id}: proposal {p!r} is not "
+                                     f"a configuration index in [0, {size})")
+                     for task, p in zip(tasks, self._propose(tasks, cur_list))]
+        new = np.array([j if isinstance(p, Exception) else p
                         for p, j in zip(proposals, cur_list)], dtype=np.int64)
         u_new = self._utility(new, live)
         keep = []
@@ -178,7 +177,7 @@ class _ChainGroup:
             else:
                 ratio = quotient(du, dr)
                 if j_new != j_cur and ratio > 0.0:
-                    chains[i].append((proposal, ratio))
+                    chains[i].append((j_new, ratio))
                     keep.append(k)
                     continue
             self._alive[i] = False  # failed, stationary or non-improving
@@ -190,7 +189,7 @@ class _ChainGroup:
         self._live = [live[k] for k in keep]
         self._cur, self._u_cur = new[keep], u_new[keep]
 
-    def drawn(self, pos: int) -> Iterator[tuple[Configuration, float]]:
+    def drawn(self, pos: int) -> Iterator[tuple[int, float]]:
         """The steps of chain ``pos``, running waves as the draws need them;
         a stored exception is raised when its step is drawn."""
         chain = self._chains[pos]

@@ -13,6 +13,10 @@ and, for the tasks kept after the drop, an iterator of their upgrade steps.
 Here the steps walk the job list; :mod:`qram.allocator` walks proposal
 chains that it computes in batched waves.
 
+Inside the solvers a choice is a grid index, whose order is the
+lexicographic order of configurations.  ``Configuration`` objects appear
+only in the returned ``Allocation``, read from the cached grid tuple.
+
 The greedy pass is a heuristic: restricting choices to hull points can lose
 the true optimum, and refining a grid can even lower the greedy result (see
 the regression instance in :mod:`qram.remark1`).
@@ -28,17 +32,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
-                   Task, grid_configurations, resource_of)
+from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
+                   grid_configurations)
 from .perf import Target, task_utility
 from .problem import ProblemInstance
 
 
 class JobPoint(NamedTuple):
-    """One configuration embedded into (compound resource, utility) space.
+    """A grid index embedded into (compound resource, utility) space.
     A plain record: :class:`JobList` checks the resource is non-negative."""
 
-    config: Configuration
+    index: int
     resource: float
     utility: float
 
@@ -85,20 +89,19 @@ def embed_task(task: Task, bounds: ResourceBounds) -> list[JobPoint]:
     """Evaluate every configuration of the task: one JobPoint per grid cell."""
     space = task.config_space
     util, comp, _, _ = kernels.config_metrics(space, task.target, bounds)
-    return list(map(JobPoint, grid_configurations(space), comp.tolist(),
-                    util.tolist()))
+    return list(map(JobPoint, range(space.size), comp.tolist(), util.tolist()))
 
 
 def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
     """Concave majorant of a point cloud in resource-utility space.
 
-    Keeps the best point per resource level (ties to the lexicographically
-    smallest configuration), runs a monotone-chain upper hull over them, and
-    cuts the hull back to its strictly-increasing-utility prefix.
+    Keeps the best point per resource level (ties to the lowest index, the
+    lexicographically smallest configuration), runs a monotone-chain upper
+    hull over them, and cuts the hull back to its strictly-increasing-utility prefix.
     """
     if not points:
         raise ValueError("cannot build a frontier from zero points")
-    ordered = sorted(points, key=lambda p: (p.resource, -p.utility, p.config))
+    ordered = sorted(points, key=lambda p: (p.resource, -p.utility, p.index))
     best_per_r = []
     for p in ordered:
         if best_per_r and best_per_r[-1].resource == p.resource:
@@ -123,20 +126,20 @@ def job_list_for(task: Task, bounds: ResourceBounds) -> JobList:
 
 
 def base_configuration(space: ConfigSpace, target: Target,
-                       bounds: ResourceBounds) -> Configuration:
-    """Cheapest configuration by compound resource (ties: higher utility,
-    then lexicographic).  This is the first point of the task's job list.
-    The least-compound set is cached per (grid, bounds), in index order, and
-    ``max`` keeps the first of equal utilities."""
+                       bounds: ResourceBounds) -> int:
+    """Grid index of the cheapest configuration by compound resource (ties:
+    higher utility, then lower index).  This is the first point of the
+    task's job list.  The least-compound set is cached per (grid, bounds),
+    in index order, and ``max`` keeps the first of equal utilities."""
     configs = grid_configurations(space)
-    return max((configs[i] for i in kernels.config_costs(space, bounds)[3]),
-               key=lambda config: task_utility(config, target))
+    return max(kernels.config_costs(space, bounds)[3].tolist(),
+               key=lambda i: task_utility(configs[i], target))
 
 
 @dataclass(frozen=True)
 class UpgradeStep:
     task_id: int
-    config: Configuration
+    index: int  # the grid index the task moved to
     ratio: float
 
 
@@ -263,26 +266,26 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
     return dropped
 
 
-#: steps(kept ids) -> {task id: iterator of (config, ratio) upgrade steps}
-Steps = Callable[[list[int]], dict[int, Iterator[tuple[Configuration, float]]]]
+#: steps(kept ids) -> {task id: iterator of (grid index, ratio) upgrade steps}
+Steps = Callable[[list[int]], dict[int, Iterator[tuple[int, float]]]]
 
 
-def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
+def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
                  steps: Steps) -> tuple[Allocation, AllocationTrace]:
     """The greedy upgrade loop shared by every allocator.
 
-    Starts each task at ``start[tid]`` and drops the highest ids if even
-    those do not fit.  Then, and only then, it calls ``steps`` once with
-    the kept ids in ascending order; it returns one iterator of
-    ``(config, ratio)`` per kept id, so an allocator prepares steps for
+    Starts each task at the grid index ``start[tid]`` and drops the highest
+    ids if even those do not fit.  Then, and only then, it calls ``steps``
+    once with the kept ids in ascending order; it returns one iterator of
+    ``(index, ratio)`` per kept id, so an allocator prepares steps for
     kept tasks only.  The loop keeps one candidate upgrade per task and
     repeatedly applies the first candidate that fits, in order of
     decreasing ratio with ties to the lower task id.  Each kept task's
     iterator is drawn once at the start, in id order, and again only after
     its candidate was accepted; an exhausted iterator retires the task,
     and an exception an iterator raises ends the loop.  Feasibility is
-    checked against the full resource vector even though ratios rank by a
-    scalar.
+    checked against the full resource vector, read from the grid's
+    ``config_costs`` columns, even though ratios rank by a scalar.
 
     A refused candidate is parked: it leaves the ratio order and is not
     asked about again until an accepted upgrade lowers some resource entry
@@ -297,23 +300,28 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     the same; each refusal is asked once per lowering upgrade, not once
     per accepted upgrade.
     """
+    grid = {task.id: task.config_space for task in instance.tasks}
+    # The (occupancy, power) row of each grid index, bit for bit resource_of.
+    tables = {space: np.column_stack(kernels.config_costs(
+        space, instance.bounds)[1:3]) for space in set(grid.values())}
+    rows = {tid: tables[space] for tid, space in grid.items()}
     ledger = UsageLedger(instance)
     active = sorted(start)
     for tid in active:
-        ledger.set_row(tid, resource_of(start[tid]))
+        ledger.set_row(tid, rows[tid][start[tid]])
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
 
-    candidates: dict[int, tuple[Configuration, np.ndarray, float]] = {}
+    candidates: dict[int, tuple[int, np.ndarray, float]] = {}
     order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
     parked: list[tuple[float, int]] = []  # refused, off ``order``
 
     def refresh(tid: int) -> None:
         step = next(task_steps[tid], None)
         if step is not None:
-            config, ratio = step
-            candidates[tid] = (config, resource_of(config), ratio)
+            index, ratio = step
+            candidates[tid] = (index, rows[tid][index], ratio)
             insort(order, (-ratio, tid))
 
     for tid in active:
@@ -322,7 +330,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
     upgrades: list[UpgradeStep] = []
     while True:
         for i, (_, tid) in enumerate(order):
-            config, vec, ratio = candidates[tid]
+            index, vec, ratio = candidates[tid]
             if ledger.fits(tid, vec):
                 break
         else:
@@ -330,16 +338,17 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, Configuration],
         parked += order[:i]
         del order[:i + 1]
         # With nothing parked there is nothing to free: skip the compare.
-        if parked and (vec < resource_of(current[tid])).any():
+        if parked and (vec < rows[tid][current[tid]]).any():
             order += parked
             order.sort()
             parked.clear()
         ledger.set_row(tid, vec)
-        current[tid] = config
-        upgrades.append(UpgradeStep(task_id=tid, config=config, ratio=ratio))
+        current[tid] = index
+        upgrades.append(UpgradeStep(task_id=tid, index=index, ratio=ratio))
         refresh(tid)
 
-    return (Allocation(assignment=current),
+    return (Allocation(assignment={tid: grid_configurations(grid[tid])[j]
+                                   for tid, j in current.items()}),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
 
@@ -354,8 +363,8 @@ def greedy_allocate(job_lists: list[JobList],
     if sorted(by_id) != sorted(t.id for t in instance.tasks):
         raise ValueError("need exactly one job list per task")
     return upgrade_loop(
-        instance, {tid: jl.points[0].config for tid, jl in by_id.items()},
-        lambda kept: {tid: zip([p.config for p in by_id[tid].points[1:]],
+        instance, {tid: jl.points[0].index for tid, jl in by_id.items()},
+        lambda kept: {tid: zip([p.index for p in by_id[tid].points[1:]],
                                by_id[tid].ratios())
                       for tid in kept})
 

@@ -265,7 +265,7 @@ def cmd_solve(args) -> int:
         "dropped": sorted(set(t.id for t in instance.tasks)
                           - set(alloc.assignment)),
         "trace": [{"task_id": u.task_id, "ratio": u.ratio,
-                   "config": _config_dict(u.config)}
+                   "config": _config_dict(space.config_at(u.index))}
                   for u in (trace.upgrades if trace else [])],
         "timings": timings,
         **extra,
@@ -401,7 +401,7 @@ def cmd_bench_runtime(args) -> int:
     for c in args.configs:
         refined = _refined_space(c)
         task = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, refined.config_at(0), task.target)
+        state = encode_state(refined, 0, task.target)
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):

@@ -30,8 +30,8 @@ N_RESOURCES = 2
 class Configuration:
     """One operating point of a task.  Durations in ms, power in kW.
 
-    Ordering is lexicographic over (dwell, transmit duration, power), which
-    doubles as the deterministic tie-break everywhere in the solvers.
+    Ordering is lexicographic over (dwell, transmit duration, power): the
+    order of grid indices, by which the solvers break ties.
     """
 
     dwell_length: float
@@ -105,10 +105,6 @@ class ConfigSpace:
             raise IndexError(f"configuration index {index} out of range [0, {self.size})")
         return grid_configurations(self)[index]
 
-    def index_of(self, config: Configuration) -> int:
-        i_dwell, i_tx, i_pw = self.grid_indices(config)
-        return (i_dwell * len(self.tx_duration_grid) + i_tx) * len(self.tx_power_grid) + i_pw
-
     def __contains__(self, config: Configuration) -> bool:
         return (config.dwell_length in self.dwell_grid
                 and config.transmit_duration in self.tx_duration_grid
@@ -116,14 +112,6 @@ class ConfigSpace:
 
     def __iter__(self) -> Iterator[Configuration]:
         return iter(grid_configurations(self))
-
-    def grid_indices(self, config: Configuration) -> tuple[int, int, int]:
-        try:
-            return (self.dwell_grid.index(config.dwell_length),
-                    self.tx_duration_grid.index(config.transmit_duration),
-                    self.tx_power_grid.index(config.transmit_power))
-        except ValueError:
-            raise ValueError(f"{config} is not on the grid of {self}") from None
 
     def to_dict(self) -> dict:
         return {"dwell_grid": list(self.dwell_grid),

@@ -3,8 +3,8 @@
 An episode looks at one randomly drawn target.  The observation is the
 network's input row (:func:`encode_state`): the task type (one-hot) and the
 situational picture (normalised range and speed), then the current
-configuration (normalised grid indices).  An action names the next
-configuration; the reward is the utility-to-resource difference quotient
+configuration (normalised grid indices).  An action is the grid index of the
+next configuration; the reward is the utility-to-resource difference quotient
 between old and new configuration, clipped and scaled to [-1, 1].
 
 The training reward divides the utility change by the *magnitude* of the
@@ -76,20 +76,23 @@ def config_features(space: ConfigSpace) -> np.ndarray:
     return table
 
 
-def encode_state(space: ConfigSpace, config: Configuration,
-                 target: Target) -> np.ndarray:
+def encode_state(space: ConfigSpace, index: int, target: Target) -> np.ndarray:
     """The observation: one float64 row of SITUATIONAL_WIDTH + CONFIG_WIDTH.
 
     Columns in order: the type one-hot (TYPE_ORDER), range / 150 km, speed /
-    1000 m/s, then the configuration's row of :func:`config_features`.  Rows
-    of several observations stack into the batch the network reads.
+    1000 m/s, then row ``index`` of :func:`config_features`, the current
+    configuration's.  Rows of several observations stack into the batch the
+    network reads.  An index outside [0, grid size) raises IndexError.
     """
+    if not 0 <= index < space.size:
+        raise IndexError(f"configuration index {index} out of range "
+                         f"[0, {space.size})")
     row = np.empty(SITUATIONAL_WIDTH + CONFIG_WIDTH)
     row[:SITUATIONAL_WIDTH] = (
         [1.0 if target.ttype is t else 0.0 for t in TYPE_ORDER]
         + [target.range_km / RANGE_INTERVAL_KM[1],
            target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1]])
-    row[SITUATIONAL_WIDTH:] = config_features(space)[space.index_of(config)]
+    row[SITUATIONAL_WIDTH:] = config_features(space)[index]
     return row
 
 
@@ -164,10 +167,11 @@ class TrackingEnv:
     def reset(self) -> np.ndarray:
         self._target = draw_target(self._rng, self._serial)
         self._serial += 1
-        self._config = base_configuration(self.space, self._target, self.bounds)
+        index = base_configuration(self.space, self._target, self.bounds)
+        self._config = self.space.config_at(index)
         self._steps = 0
         self._done = False
-        return encode_state(self.space, self._config, self._target)
+        return encode_state(self.space, index, self._target)
 
     def step(self, action: int) -> StepResult:
         if self._done:
@@ -180,6 +184,6 @@ class TrackingEnv:
         self._config = new_config
         self._steps += 1
         self._done = self._steps >= EPISODE_LENGTH
-        return StepResult(next_state=encode_state(self.space, new_config,
+        return StepResult(next_state=encode_state(self.space, action,
                                                   self._target),
                           reward=reward, done=self._done)

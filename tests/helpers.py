@@ -11,8 +11,7 @@ from qram.agent import (AgentParams, WeightFormatError, forward, greedy_action,
 from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
                           _drop_until_feasible, base_configuration,
                           upgrade_loop)
-from qram.core import (Allocation, Configuration, ConfigSpace, ResourceBounds,
-                       resource_of)
+from qram.core import Allocation, ConfigSpace, ResourceBounds, resource_of
 from qram.env import encode_state, raw_quotient
 from qram.perf import generate_scenario
 from qram.problem import build_tracking_instance
@@ -27,9 +26,9 @@ def gift_wrap_frontier(points):
     best = {}
     for p in points:
         held = best.get(p.resource)
-        if held is None or (-p.utility, p.config) < (-held.utility, held.config):
+        if held is None or (-p.utility, p.index) < (-held.utility, held.index):
             best[p.resource] = p
-    start = min(best.values(), key=lambda p: (p.resource, -p.utility, p.config))
+    start = min(best.values(), key=lambda p: (p.resource, -p.utility, p.index))
     chain = [start]
     while True:
         cur = chain[-1]
@@ -42,10 +41,9 @@ def gift_wrap_frontier(points):
 
 
 def synthetic_points(values):
-    """JobPoints from (resource, utility) pairs; configs are distinct grid
-    cells whose lexicographic order follows the input order."""
-    return [JobPoint(config=Configuration(100.0 + i, 1.0, 1.0),
-                     resource=float(r), utility=float(u))
+    """JobPoints from (resource, utility) pairs; grid indices are distinct
+    and follow the input order."""
+    return [JobPoint(index=i, resource=float(r), utility=float(u))
             for i, (r, u) in enumerate(values)]
 
 
@@ -147,11 +145,18 @@ def rescan_upgrade_loop(instance, start, steps):
     """Reference greedy loop: after every accepted upgrade it scans the
     candidates again from the top, and asks the ledger about every
     candidate it has already refused.  Same contract as
-    ``classic.upgrade_loop``, which parks refused candidates instead."""
+    ``classic.upgrade_loop``, which parks refused candidates instead.  A
+    row is read from the scalar model, ``resource_of(config_at(index))``,
+    not from the cost table the loop reads."""
+    grid = {task.id: task.config_space for task in instance.tasks}
+
+    def row(tid, index):
+        return resource_of(grid[tid].config_at(index))
+
     ledger = UsageLedger(instance)
     active = sorted(start)
     for tid in active:
-        ledger.set_row(tid, resource_of(start[tid]))
+        ledger.set_row(tid, row(tid, start[tid]))
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
@@ -164,8 +169,8 @@ def rescan_upgrade_loop(instance, start, steps):
             del order[bisect_left(order, (-candidates.pop(tid)[2], tid))]
         step = next(task_steps[tid], None)
         if step is not None:
-            config, ratio = step
-            candidates[tid] = (config, resource_of(config), ratio)
+            index, ratio = step
+            candidates[tid] = (index, row(tid, index), ratio)
             insort(order, (-ratio, tid))
 
     for tid in active:
@@ -174,18 +179,19 @@ def rescan_upgrade_loop(instance, start, steps):
     upgrades = []
     while candidates:
         for _, tid in order:
-            config, vec, ratio = candidates[tid]
+            index, vec, ratio = candidates[tid]
             if ledger.fits(tid, vec):
                 ledger.set_row(tid, vec)
-                current[tid] = config
-                upgrades.append(UpgradeStep(task_id=tid, config=config,
+                current[tid] = index
+                upgrades.append(UpgradeStep(task_id=tid, index=index,
                                             ratio=ratio))
                 refresh(tid)
                 break
         else:
             break  # no feasible upgrade anywhere
 
-    return (Allocation(assignment=current),
+    return (Allocation(assignment={tid: grid[tid].config_at(index)
+                                   for tid, index in current.items()}),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
 
@@ -230,7 +236,7 @@ def argmax_knapsack_table(util, cost, ncfg, budget):
 
 def lazy_allocate_with_proposals(propose, instance):
     """Reference agent allocation: asks ``propose(task, current)`` once per
-    draw, from the accepted configuration.
+    draw, from the accepted grid index, for the next grid index.
 
     Each task's step iterator asks the proposer only when the loop draws
     it, retires the task on a stationary or non-improving proposal, and
@@ -241,9 +247,12 @@ def lazy_allocate_with_proposals(propose, instance):
     bounds = instance.bounds
 
     def steps(task, current):
-        for _ in range(task.config_space.size + 1):  # cycle guard
+        space = task.config_space
+        for _ in range(space.size + 1):  # cycle guard
             proposal = propose(task, current)
-            quotient = raw_quotient(current, proposal, task.target, bounds)
+            quotient = raw_quotient(space.config_at(current),
+                                    space.config_at(proposal), task.target,
+                                    bounds)
             if proposal == current or quotient <= 0.0:
                 return  # stationary or non-improving: retire
             yield proposal, quotient
@@ -266,5 +275,5 @@ def single_row_proposer(params):
         if not math.isfinite(logits[action]):
             raise WeightFormatError(f"network logits are not finite (task "
                                     f"{task.id}); the weights overflow")
-        return space.config_at(action)
+        return action
     return propose

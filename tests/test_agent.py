@@ -24,7 +24,7 @@ from qram.rng import PortableRng
 FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
                   / "agent-seed1-30k.json")
 
-FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, DEFAULT_CONFIG_SPACE.config_at(0),
+FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, 0,
                            Target(0, TargetType.FIGHTER, 75.0, 250.0))
 
 
@@ -122,8 +122,7 @@ def test_forward_takes_a_stack_of_rows():
     # 150 rows run as three blocks; an empty stack gives empty outputs.
     params = init_params(PortableRng(3))
     target = Target(0, TargetType.HELICOPTER, 80.0, 60.0)
-    rows = np.stack([encode_state(DEFAULT_CONFIG_SPACE,
-                                  DEFAULT_CONFIG_SPACE.config_at(i % 90), target)
+    rows = np.stack([encode_state(DEFAULT_CONFIG_SPACE, i % 90, target)
                      for i in range(0, 750, 5)])
     assert len(rows) > 2 * agent.FORWARD_BLOCK
     logits, values = forward(params, rows)

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from helpers import (lazy_allocate_with_proposals, random_small_instance,
-                     rescan_upgrade_loop, single_row_proposer, with_arrays,
-                     zero_network)
+                     random_small_space, rescan_upgrade_loop,
+                     single_row_proposer, with_arrays, zero_network)
 from qram import allocator, classic
 from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             frontier_proposer, network_proposer, next_config)
 from qram.classic import (base_configuration, greedy_allocate, job_list_for,
                           solve_classic)
-from qram.core import Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds, \
-    resource_of
+from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds,
+                       Task, grid_configurations, resource_of)
 from qram.env import raw_quotient
 from qram.perf import TYPE_ORDER, generate_scenario
-from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
-                          system_utility)
+from qram.problem import (ProblemInstance, build_tracking_instance,
+                          default_bounds, is_feasible, system_utility)
 from qram.rng import PortableRng
 
 #: The frozen weights the benchmark solves with.
@@ -34,16 +34,15 @@ def _instance(n=5, seed=1, bounds=None):
 
 def test_next_config_zero_params_picks_action_zero():
     inst = _instance(n=3)
-    configs = [DEFAULT_CONFIG_SPACE.config_at(i) for i in (30, 0, 89)]
-    assert next_config(zero_network(), list(inst.tasks), configs) \
-        == [DEFAULT_CONFIG_SPACE.config_at(0)] * 3
+    assert next_config(zero_network(), list(inst.tasks), [30, 0, 89]) \
+        == [0] * 3
 
 
 def test_next_config_deterministic():
     inst = _instance(n=4)
     tasks = list(inst.tasks)
     params = init_params(PortableRng(3))
-    currents = [DEFAULT_CONFIG_SPACE.config_at(i) for i in (10, 20, 10, 5)]
+    currents = [10, 20, 10, 5]
     assert next_config(params, tasks, currents) \
         == next_config(params, tasks, currents)
 
@@ -56,8 +55,7 @@ def test_next_config_row_cache_gives_the_uncached_proposals():
     params = init_params(PortableRng(3))
     rows = {}
     for index in (0, 17, 44, 89):
-        currents = [DEFAULT_CONFIG_SPACE.config_at((index + 7 * k) % 90)
-                    for k in range(len(tasks))]
+        currents = [(index + 7 * k) % 90 for k in range(len(tasks))]
         assert next_config(params, tasks, currents, rows) \
             == next_config(params, tasks, currents)
     assert sorted(rows) == [t.id for t in tasks]
@@ -67,7 +65,7 @@ def test_next_config_rejects_mismatched_action_space():
     inst = _instance(n=1)
     params = init_params(PortableRng(1), n_actions=12)
     with pytest.raises(ValueError):
-        next_config(params, list(inst.tasks), [DEFAULT_CONFIG_SPACE.config_at(0)])
+        next_config(params, list(inst.tasks), [0])
 
 
 def test_empty_instance_allocates_nothing():
@@ -89,8 +87,8 @@ def test_frontier_oracle_reproduces_classic_exactly():
         assert system_utility(agent_alloc, inst) \
             == system_utility(classic_alloc, inst)
         assert agent_trace.dropped == classic_trace.dropped
-        assert [ (u.task_id, u.config) for u in agent_trace.upgrades] \
-            == [(u.task_id, u.config) for u in classic_trace.upgrades]
+        assert [(u.task_id, u.index) for u in agent_trace.upgrades] \
+            == [(u.task_id, u.index) for u in classic_trace.upgrades]
 
 
 def test_adversarial_proposer_terminates_feasibly():
@@ -105,7 +103,7 @@ def test_adversarial_proposer_terminates_feasibly():
         for task in tasks:
             calls[task.id] += 1
             state["i"] = (state["i"] + 13) % DEFAULT_CONFIG_SPACE.size
-            proposals.append(DEFAULT_CONFIG_SPACE.config_at(state["i"]))
+            proposals.append(state["i"])
         return proposals
 
     alloc, trace = allocate_with_proposals(chaotic, inst)
@@ -131,7 +129,7 @@ def test_proposer_is_asked_once_per_wave_about_live_kept_chains():
 
     _, trace = allocate_with_proposals(recording, inst)
     assert trace.dropped and trace.upgrades  # bound-limited on both counts
-    points = {t.id: [p.config for p in job_list_for(t, inst.bounds).points]
+    points = {t.id: [p.index for p in job_list_for(t, inst.bounds).points]
               for t in inst.tasks}
     kept = sorted(set(points) - set(trace.dropped))
     depth = max(Counter(u.task_id for u in trace.upgrades).values())
@@ -151,7 +149,7 @@ def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
     ends = {}
     for task in inst.tasks:
         points = job_list_for(task, inst.bounds).points
-        ends[task.id] = (points[0].config, points[-1].config)
+        ends[task.id] = (points[0].index, points[-1].index)
     calls = Counter()
 
     def flip(tasks, currents):
@@ -202,7 +200,7 @@ def test_stationary_proposal_retires_task():
 
     def stubborn(tasks, currents):
         for task, current in zip(tasks, currents):
-            base_cfg.setdefault(task.id, current)
+            base_cfg.setdefault(task.id, task.config_space.config_at(current))
         return list(currents)  # never proposes anything new
 
     alloc, trace = allocate_with_proposals(stubborn, inst)
@@ -212,7 +210,7 @@ def test_stationary_proposal_retires_task():
 
 def _outcome(alloc, trace):
     return (sorted(alloc.assignment.items()), trace.dropped,
-            [(u.task_id, u.config, repr(u.ratio)) for u in trace.upgrades])
+            [(u.task_id, u.index, repr(u.ratio)) for u in trace.upgrades])
 
 
 NETWORKS = {"frozen": lambda: load(FROZEN_WEIGHTS)[0],
@@ -282,8 +280,7 @@ def test_next_config_stores_a_non_finite_row_as_an_error():
     params = zero_network()
     params = with_arrays(params, b_policy=np.where(
         np.arange(params.n_actions) == 4, np.inf, 0.0))
-    proposals = next_config(params, list(inst.tasks),
-                            [DEFAULT_CONFIG_SPACE.config_at(0)] * 3)
+    proposals = next_config(params, list(inst.tasks), [0] * 3)
     assert [str(p) for p in proposals] == [
         f"network logits are not finite (task {t.id}); the weights overflow"
         for t in inst.tasks]
@@ -296,14 +293,15 @@ def _overflow_instance(type_of_top: bool):
     type once they run with a longer transmit duration.
 
     Returns (params, instance, the overflowing type's task ids in ratio
-    order, the upgrade).  The type is the top-ranked task's type if
+    order, the upgrade's grid index).  The type is the top-ranked task's type if
     ``type_of_top``, else another type present in the scenario.
     """
     space = DEFAULT_CONFIG_SPACE
     upgrade = Configuration(1100.0, 4.0, 1.0)
+    up = grid_configurations(space).index(upgrade)
     scenario = generate_scenario(6, 8)
-    start = base_configuration(space, scenario.targets[0],
-                               default_bounds(6))
+    start = space.config_at(base_configuration(space, scenario.targets[0],
+                                               default_bounds(6)))
     room = 1.5 * (resource_of(upgrade) - resource_of(start))
     bounds = ResourceBounds(tuple((6 * resource_of(start) + room).tolist()),
                             (1.0, 1.0))
@@ -324,9 +322,9 @@ def _overflow_instance(type_of_top: bool):
         w_cfg=np.outer([0.0, 1.0, 0.0], np.eye(params.hidden)[0]),
         w_trunk=hot, b_trunk=-1e200 * np.eye(params.hidden)[0],
         w_policy=np.outer(np.eye(params.hidden)[0], np.full(space.size, 1e200)),
-        b_policy=np.eye(space.size)[space.index_of(upgrade)])
+        b_policy=np.eye(space.size)[up])
     overflowing = [t.id for t in by_ratio if t.target.ttype is ttype]
-    return params, inst, overflowing, upgrade
+    return params, inst, overflowing, up
 
 
 def test_an_overflow_in_an_undrawn_step_is_never_raised():
@@ -345,7 +343,7 @@ def test_an_overflow_in_an_undrawn_step_is_never_raised():
     assert len(waves) == 2
     assert sorted(t.id for t, p in zip(inst.tasks, waves[1])
                   if isinstance(p, WeightFormatError)) == sorted(overflowing)
-    assert [(u.task_id, u.config) for u in trace.upgrades] \
+    assert [(u.task_id, u.index) for u in trace.upgrades] \
         == [(trace.upgrades[0].task_id, upgrade)]
     assert trace.upgrades[0].task_id not in overflowing
     assert is_feasible(alloc, inst)
@@ -359,3 +357,69 @@ def test_an_overflow_is_raised_when_its_step_is_drawn():
         allocate_with_agent(params, inst)
     assert str(err.value) == (f"network logits are not finite (task "
                               f"{overflowing[0]}); the weights overflow")
+
+
+@pytest.mark.parametrize("bad", [-1, DEFAULT_CONFIG_SPACE.size,
+                                 DEFAULT_CONFIG_SPACE.config_at(5)],
+                         ids=["negative", "size", "configuration"])
+def test_a_proposal_that_is_not_a_grid_index_raises_when_drawn(bad):
+    # A negative index would wrap to the end of the grid, one past it would
+    # read past the tables, and a Configuration is the old protocol.  Each
+    # ends its chain with an IndexError, which the first draw raises.
+    inst = _instance(n=4, seed=7)
+    with pytest.raises(IndexError) as err:
+        allocate_with_proposals(lambda tasks, currents: [bad] * len(tasks),
+                                inst)
+    assert str(err.value) == (f"task {inst.tasks[0].id}: proposal {bad!r} is "
+                              f"not a configuration index in [0, 90)")
+
+
+@pytest.mark.parametrize("bounds", ["default", "tight"])
+def test_mixed_grids_match_the_rescanning_reference(bounds, monkeypatch):
+    # Every third task runs on a small random grid, the others on the
+    # default grid: two row tables in the loop and two chain groups in the
+    # allocator.  Classic and the frontier oracle give the same outcome as
+    # the rescanning reference, which reads rows from the scalar model.
+    # Tasks on both grids take upgrades for these seeds, and under tight
+    # bounds seeds 8 and 11 also drop tasks.
+    drops = 0
+    for seed in (1, 4, 5, 8, 11):
+        small = random_small_space(PortableRng(seed))
+        targets = generate_scenario(60, 500 + seed).targets
+        inst = ProblemInstance(
+            tasks=tuple(Task(id=t.id, target=t, config_space=small
+                             if t.id % 3 == 0 else DEFAULT_CONFIG_SPACE)
+                        for t in targets),
+            bounds=BOUNDS[bounds](60))
+        got, want = _with_both_loops(monkeypatch, lambda: solve_classic(inst))
+        assert got == want, seed
+        assert {tid % 3 == 0 for tid, _, _ in got[2]} == {True, False}, seed
+        oracle = _with_both_loops(monkeypatch, lambda: allocate_with_proposals(
+            frontier_proposer(inst), inst))
+        assert oracle == (got, want), seed
+        drops += len(got[1])
+    assert drops or bounds == "default"
+
+
+def test_solvers_construct_no_configuration_after_warm_up(monkeypatch):
+    # Inside the solvers a choice is a grid index; the allocation reads
+    # its configurations from the cached grid tuple.
+    inst = _instance(n=150, seed=11)
+    params = load(FROZEN_WEIGHTS)[0]
+    solves = (lambda: solve_classic(inst),
+              lambda: allocate_with_agent(params, inst))
+    for solve in solves:
+        solve()  # fills the per-grid caches
+    built = []
+    post_init = Configuration.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    Configuration(100.0, 2.0, 1.0)
+    assert len(built) == 1  # the count sees a construction
+    built.clear()
+    for solve in solves:
+        solve()
+    assert built == []

@@ -10,7 +10,7 @@ from qram import kernels
 from qram.classic import (JobList, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate, job_list_for, solve_classic,
                           upgrade_loop, upper_frontier)
-from qram.core import (Allocation, Configuration, ConfigSpace,
+from qram.core import (Allocation, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
                        resource_of)
 from qram.exact import optimal_allocation
@@ -47,8 +47,9 @@ def test_embed_matches_scalar_model_bitwise():
     inst = _instance()
     task = inst.tasks[0]
     for p in embed_task(task, inst.bounds):
-        assert p.utility == task_utility(p.config, task.target)
-        assert p.resource == compound_resource(resource_of(p.config), inst.bounds)
+        config = task.config_space.config_at(p.index)
+        assert p.utility == task_utility(config, task.target)
+        assert p.resource == compound_resource(resource_of(config), inst.bounds)
 
 
 # ------------------------------------------------------------------- frontier
@@ -146,7 +147,7 @@ def test_base_configuration_is_first_frontier_point(weights):
     for task in inst.tasks:
         jl = job_list_for(task, inst.bounds)
         assert base_configuration(task.config_space, task.target, inst.bounds) \
-            == jl.points[0].config
+            == jl.points[0].index
 
 
 # --------------------------------------------------------------------- greedy
@@ -157,7 +158,8 @@ def test_greedy_single_task_ample_resources_maxes_out():
     task = inst.tasks[0]
     jl = job_list_for(task, bounds)
     alloc, trace = greedy_allocate([jl], inst)
-    assert alloc.assignment[task.id] == jl.points[-1].config
+    assert alloc.assignment[task.id] == task.config_space.config_at(
+        jl.points[-1].index)
     assert len(trace.upgrades) == len(jl.points) - 1
 
 
@@ -171,9 +173,9 @@ def test_greedy_tie_breaks_to_lower_task_id():
     space = ConfigSpace((500.0, 1100.0), (2.0, 4.0), (1.0,))
     probe = build_tracking_instance(
         scenario, ResourceBounds((10.0, 10.0), (1.0, 1.0)), space)
-    base = base_configuration(space, t0, probe.bounds)
+    base = space.config_at(base_configuration(space, t0, probe.bounds))
     jl = job_list_for(probe.tasks[0], probe.bounds)
-    first_upgrade = jl.points[1].config
+    first_upgrade = space.config_at(jl.points[1].index)
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]
     inst = build_tracking_instance(
         scenario, ResourceBounds((r1, 10.0), (1.0, 1.0)), space)
@@ -227,8 +229,7 @@ def test_upgrade_loop_asks_for_steps_once_after_the_drop():
         calls.append(list(kept))
         return {tid: iter(()) for tid in kept}
 
-    alloc, trace = upgrade_loop(
-        inst, {t.id: space.config_at(0) for t in inst.tasks}, steps)
+    alloc, trace = upgrade_loop(inst, {t.id: 0 for t in inst.tasks}, steps)
     assert calls == [[0, 1]] and trace.dropped == (2, 3)
     assert sorted(alloc.assignment) == [0, 1] and trace.upgrades == ()
 
@@ -244,7 +245,7 @@ def test_greedy_trace_ratios_match_job_lists():
         expected = ((jl.points[pos + 1].utility - jl.points[pos].utility)
                     / (jl.points[pos + 1].resource - jl.points[pos].resource))
         assert step.ratio == expected
-        assert step.config == jl.points[pos + 1].config
+        assert step.index == jl.points[pos + 1].index
         position[step.task_id] += 1
 
 
@@ -262,7 +263,7 @@ def _count_fits(monkeypatch):
 
 
 def _trace(trace):
-    return [(u.task_id, u.config, repr(u.ratio)) for u in trace.upgrades]
+    return [(u.task_id, u.index, repr(u.ratio)) for u in trace.upgrades]
 
 
 def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
@@ -273,19 +274,26 @@ def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
     # three ratio-3 candidates go in task id order, until 2 does not fit,
     # and only then task 3's ratio-0.5 step, which waited in the order.
     # That step lowers power too, so task 2 is asked once more.
-    def config(tx, power):
-        return Configuration(100.0, tx, power)  # row: tx/100, power*tx/100
+    space = ConfigSpace((100.0,), (1.0, 2.0, 10.0, 12.0, 20.0, 30.0),
+                        (1.0, 4.0))
 
-    instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in range(4)],
-                               bounds=SimpleNamespace(bounds=(1.0, 0.65)))
+    def config(tx, power):  # the grid index; row: tx/100, power*tx/100
+        return (space.tx_duration_grid.index(tx) * len(space.tx_power_grid)
+                + space.tx_power_grid.index(power))
+
+    def row(index):
+        return resource_of(space.config_at(index))
+
+    instance = SimpleNamespace(
+        tasks=[SimpleNamespace(id=tid, config_space=space) for tid in range(4)],
+        bounds=ResourceBounds((1.0, 0.65), (1.0, 1.0)))
     start = {0: config(10.0, 4.0), 1: config(1.0, 1.0), 2: config(1.0, 1.0),
              3: config(1.0, 4.0)}
     plan = {0: [(config(12.0, 1.0), 1.0), (config(20.0, 1.0), 3.0)],
             1: [(config(30.0, 1.0), 3.0)],
             2: [(config(30.0, 1.0), 3.0)],
             3: [(config(2.0, 1.0), 0.5)]}
-    assert (resource_of(plan[0][0][0]) < resource_of(start[0])).tolist() == [
-        False, True]
+    assert (row(plan[0][0][0]) < row(start[0])).tolist() == [False, True]
 
     def steps(kept):
         return {tid: iter(plan[tid]) for tid in kept}
@@ -295,8 +303,9 @@ def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
     alloc, trace = upgrade_loop(instance, start, steps)
     assert [(u.task_id, u.ratio) for u in trace.upgrades] == [
         (0, 1.0), (0, 3.0), (1, 3.0), (3, 0.5)]
+    want = {0: plan[0][1][0], 1: plan[1][0][0], 2: start[2], 3: plan[3][0][0]}
     assert alloc.assignment == ref_alloc.assignment == {
-        0: plan[0][1][0], 1: plan[1][0][0], 2: start[2], 3: plan[3][0][0]}
+        tid: space.config_at(index) for tid, index in want.items()}
     assert trace.dropped == ref_trace.dropped == ()
     assert _trace(trace) == _trace(ref_trace)
     # Each refusal is asked once, and again only after a lowering upgrade.

@@ -32,8 +32,7 @@ def test_reset_is_deterministic():
 
 def test_observation_is_one_float64_row():
     target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
-    row = encode_state(DEFAULT_CONFIG_SPACE, DEFAULT_CONFIG_SPACE.config_at(89),
-                       target)
+    row = encode_state(DEFAULT_CONFIG_SPACE, 89, target)
     assert row.shape == (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
     assert row.dtype == np.float64
     assert tuple(row) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
@@ -47,22 +46,35 @@ def test_config_columns_are_the_feature_table_rows():
         table = config_features(space)
         assert table.shape == (space.size, CONFIG_WIDTH)
         assert not table.flags.writeable
-        for config in space:
-            i_d, i_t, i_p = space.grid_indices(config)
-            lengths = (len(space.dwell_grid), len(space.tx_duration_grid),
-                       len(space.tx_power_grid))
-            expected = tuple(i / (n - 1) if n > 1 else 0.0
-                             for i, n in zip((i_d, i_t, i_p), lengths))
-            assert tuple(table[space.index_of(config)]) == expected
-            assert tuple(encode_state(space, config, target)[CONFIG]) == expected
+        for index, config in enumerate(space):
+            axes = ((space.dwell_grid, config.dwell_length),
+                    (space.tx_duration_grid, config.transmit_duration),
+                    (space.tx_power_grid, config.transmit_power))
+            expected = tuple(grid.index(x) / (len(grid) - 1)
+                             if len(grid) > 1 else 0.0 for grid, x in axes)
+            assert tuple(table[index]) == expected
+            assert tuple(encode_state(space, index, target)[CONFIG]) == expected
+
+
+def test_encode_state_rejects_an_index_off_the_grid():
+    # A negative index would otherwise wrap to the end of the grid.
+    target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
+    space = DEFAULT_CONFIG_SPACE
+    for index in (-1, space.size):
+        with pytest.raises(IndexError) as err:
+            encode_state(space, index, target)
+        with pytest.raises(IndexError) as want:
+            space.config_at(index)
+        assert str(err.value) == str(want.value)
 
 
 def test_reset_starts_at_cheapest_config():
     env = make_env(11)
     state = env.reset()
     base = base_configuration(env.space, env.target, env.bounds)
-    assert env.current_config == base
-    i_d, i_t, i_p = env.space.grid_indices(base)
+    assert env.current_config == env.space.config_at(base)
+    i_d, rest = divmod(base, 15)  # row-major over 6 x 5 x 3
+    i_t, i_p = divmod(rest, 3)
     assert tuple(state[CONFIG]) == (i_d / 5.0, i_t / 4.0, i_p / 2.0)
 
 
@@ -108,7 +120,8 @@ def test_raw_quotient_same_config_is_zero():
 def test_raw_quotient_argmax_matches_exhaustive_scan():
     target = Target(0, TargetType.MISSILE, 45.0, 700.0)
     bounds = DEFAULT_ENV_BOUNDS
-    base = base_configuration(DEFAULT_CONFIG_SPACE, target, bounds)
+    base = DEFAULT_CONFIG_SPACE.config_at(
+        base_configuration(DEFAULT_CONFIG_SPACE, target, bounds))
     # independent scan: recompute the quotient per config from the model
     best, best_q = None, -np.inf
     for config in DEFAULT_CONFIG_SPACE:
@@ -144,7 +157,7 @@ def test_training_quotient_sign_flips_for_downgrades():
 def test_step_noop_action_rewards_zero():
     env = make_env(3)
     env.reset()
-    action = env.space.index_of(env.current_config)
+    action = list(env.space).index(env.current_config)
     assert env.step(action).reward == 0.0
 
 

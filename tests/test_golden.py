@@ -11,6 +11,7 @@ digest in the same change.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,23 @@ DP_STEP = ["--dp-step", "0.01"]
 DP_STEP_DIGESTS = {
     ("dp", 150, 1):
         "0219d7649b133517e3185708e79241456204fe9e368691b844e24a7653445eee",
+}
+
+#: At the benchmark's sizes, seed 1, default bounds, the agent solving with
+#: the frozen weights ``perfbench/weights/agent-seed1-30k.json`` (read
+#: only).  Classic takes 1,069 and 1,102 upgrades.  At 1000 targets even
+#: the start configurations do not fit, so both allocators drop 451 tasks.
+FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "weights" / "agent-seed1-30k.json")
+LARGE_DIGESTS = {
+    ("classic", 500, 1):
+        "00be6084e78bc7a6aa9d2c7204b114344efe6a1606ae9be20d9b1fef876956e4",
+    ("classic", 1000, 1):
+        "af375ea5c5dfccadd9d585e87358d795c4915002adf1a4f6c5546991643a696c",
+    ("agent", 500, 1):
+        "80bee6bb653d124acb2f4dd3c2f0b2d3e3cdadb27f20fdeec449d40764698509",
+    ("agent", 1000, 1):
+        "13856735a807b3764417ed33cd00be2b4966a32e8a7c9e6556c29b54f08497af",
 }
 
 #: ``qram train --steps 300 --seed 17``: the weight file and the learning
@@ -136,6 +154,12 @@ def test_solve_result_unchanged_on_coarse_dp_grid(method, targets, seed,
                                                   weight_file, tmp_path):
     got = solve_digest(method, targets, seed, weight_file, tmp_path, DP_STEP)
     assert got == DP_STEP_DIGESTS[(method, targets, seed)]
+
+
+@pytest.mark.parametrize("method,targets,seed", list(LARGE_DIGESTS))
+def test_solve_result_unchanged_at_bench_size(method, targets, seed, tmp_path):
+    got = solve_digest(method, targets, seed, FROZEN_WEIGHTS, tmp_path)
+    assert got == LARGE_DIGESTS[(method, targets, seed)]
 
 
 @pytest.mark.parametrize("name", list(TRAIN_DIGESTS))
