@@ -10,8 +10,8 @@ A task's proposal chain, start -> p(start) -> p(p(start)) -> ..., depends
 only on the task and its configuration, never on what the loop accepts for
 other tasks.  So once the loop knows which tasks it keeps, their chains
 grow in waves: one wave asks the proposer once about every chain still
-live, from the last grid index of each.  Tasks that share a grid form
-one call, so the network runs one batched forward pass per wave
+live, from the last grid index of each.  Every task of an instance runs
+on its one grid, so the network runs one batched forward pass per wave
 (:func:`next_config`).  The loop walks the chains like job lists, and a
 wave runs only when a draw reaches past the steps computed so far; a
 trained network needs about three.  The loop gets the same steps as from a
@@ -36,7 +36,7 @@ import numpy as np
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
-from .core import Allocation, ResourceBounds, Task, expanded_grids
+from .core import Allocation, ConfigSpace, ResourceBounds, Task, expanded_grids
 from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
 from .kernels import config_costs, utility
 from .perf import TYPE_UTILITY_WEIGHT
@@ -46,15 +46,16 @@ from .problem import ProblemInstance
 #: the loop draws that step.
 Proposal = int | Exception
 
-#: propose(tasks, currents) -> one proposal per task, in order.  The tasks
-#: of one call share a grid, and ``currents`` are their grid indices.
+#: propose(tasks, currents) -> one proposal per task, in order.
+#: ``currents`` are the tasks' indices on the instance's grid.
 Proposer = Callable[[list[Task], list[int]], list[Proposal]]
 
 
-def next_config(params: AgentParams, tasks: list[Task], currents: list[int],
+def next_config(params: AgentParams, space: ConfigSpace, tasks: list[Task],
+                currents: list[int],
                 rows: dict[int, tuple[Task, np.ndarray]] | None = None
                 ) -> list[Proposal]:
-    """Greedy network proposals for one wave of tasks on one grid.
+    """Greedy network proposals for one wave of tasks on the grid ``space``.
 
     One batched forward pass over the tasks' observation rows.  ``rows``
     keeps each task's row across waves, by task id: ``encode_state`` runs
@@ -64,10 +65,6 @@ def next_config(params: AgentParams, tasks: list[Task], currents: list[int],
     """
     if not tasks:
         return []
-    space = tasks[0].config_space
-    if any(t.config_space is not space and t.config_space != space
-           for t in tasks):
-        raise ValueError("one wave of proposals needs tasks on one grid")
     if params.n_actions != space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
@@ -90,12 +87,13 @@ def next_config(params: AgentParams, tasks: list[Task], currents: list[int],
                                         finite.tolist())]
 
 
-def network_proposer(params: AgentParams) -> Proposer:
-    """The network as a wave proposer; encodes each task's row once."""
+def network_proposer(params: AgentParams, space: ConfigSpace) -> Proposer:
+    """The network as a wave proposer on the grid ``space``; encodes each
+    task's row once."""
     rows: dict[int, tuple[Task, np.ndarray]] = {}
 
     def propose(tasks: list[Task], currents: list[int]):
-        return next_config(params, tasks, currents, rows)
+        return next_config(params, space, tasks, currents, rows)
     return propose
 
 
@@ -105,7 +103,8 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     Driving the allocation loop with this oracle reproduces the classical
     greedy result exactly; it pins down the loop's semantics in tests.
     """
-    lists = {task.id: job_list_for(task, instance.bounds) for task in instance.tasks}
+    lists = {task.id: job_list_for(task, instance.space, instance.bounds)
+             for task in instance.tasks}
 
     def next_point(task: Task, current: int) -> int:
         points = lists[task.id].points
@@ -121,7 +120,8 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
 
 
 class _ChainGroup:
-    """The proposal chains of the kept tasks on one grid, grown in waves.
+    """The proposal chains of the kept tasks, grown in waves on the grid
+    ``space``.
 
     A chain holds ``(index, ratio)`` steps and may end in an exception
     proposal or an IndexError.  One wave asks the proposer once, over every
@@ -134,8 +134,7 @@ class _ChainGroup:
     """
 
     def __init__(self, propose: Proposer, tasks: list[Task],
-                 starts: list[int], bounds: ResourceBounds):
-        space = tasks[0].config_space
+                 starts: list[int], space: ConfigSpace, bounds: ResourceBounds):
         self._propose, self._tasks, self._size = propose, tasks, space.size
         self._comp = config_costs(space, bounds)[0]
         self._grids = expanded_grids(space)
@@ -210,22 +209,15 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
                             ) -> tuple[Allocation, AllocationTrace]:
     """Greedy upgrade loop over proposal chains; never returns an infeasible
     result.  The proposer is asked only about kept tasks, once per wave."""
-    bounds = instance.bounds
-    start = {task.id: base_configuration(task.config_space, task.target, bounds)
+    space, bounds = instance.space, instance.bounds
+    start = {task.id: base_configuration(space, task.target, bounds)
              for task in instance.tasks}
 
     def steps(kept: list[int]) -> dict[int, Iterator]:
-        by_grid: dict = {}
-        for tid in kept:
-            task = instance.task_by_id(tid)
-            by_grid.setdefault(task.config_space, []).append(task)
-        task_steps = {}
-        for tasks in by_grid.values():
-            group = _ChainGroup(propose, tasks, [start[t.id] for t in tasks],
-                                bounds)
-            for pos, task in enumerate(tasks):
-                task_steps[task.id] = group.drawn(pos)
-        return task_steps
+        tasks = [instance.task_by_id(tid) for tid in kept]
+        group = _ChainGroup(propose, tasks, [start[tid] for tid in kept],
+                            space, bounds)
+        return {tid: group.drawn(pos) for pos, tid in enumerate(kept)}
 
     # Weights that overflow would warn on every forward pass; next_config
     # turns their non-finite logits into a WeightFormatError instead.
@@ -235,4 +227,5 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
 
 def allocate_with_agent(params: AgentParams, instance: ProblemInstance
                         ) -> tuple[Allocation, AllocationTrace]:
-    return allocate_with_proposals(network_proposer(params), instance)
+    return allocate_with_proposals(network_proposer(params, instance.space),
+                                   instance)

@@ -85,9 +85,10 @@ class JobList:
                 for a, b in zip(self.points, self.points[1:])]
 
 
-def embed_task(task: Task, bounds: ResourceBounds) -> list[JobPoint]:
-    """Evaluate every configuration of the task: one JobPoint per grid cell."""
-    space = task.config_space
+def embed_task(task: Task, space: ConfigSpace,
+               bounds: ResourceBounds) -> list[JobPoint]:
+    """Evaluate every configuration of ``space`` against the task's target:
+    one JobPoint per grid cell."""
     util, comp, _, _ = kernels.config_metrics(space, task.target, bounds)
     return list(map(JobPoint, range(space.size), comp.tolist(), util.tolist()))
 
@@ -121,8 +122,9 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
     return JobList(task_id=task_id, points=tuple(frontier))
 
 
-def job_list_for(task: Task, bounds: ResourceBounds) -> JobList:
-    return upper_frontier(embed_task(task, bounds), task_id=task.id)
+def job_list_for(task: Task, space: ConfigSpace,
+                 bounds: ResourceBounds) -> JobList:
+    return upper_frontier(embed_task(task, space, bounds), task_id=task.id)
 
 
 def base_configuration(space: ConfigSpace, target: Target,
@@ -300,15 +302,13 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     the same; each refusal is asked once per lowering upgrade, not once
     per accepted upgrade.
     """
-    grid = {task.id: task.config_space for task in instance.tasks}
     # The (occupancy, power) row of each grid index, bit for bit resource_of.
-    tables = {space: np.column_stack(kernels.config_costs(
-        space, instance.bounds)[1:3]) for space in set(grid.values())}
-    rows = {tid: tables[space] for tid, space in grid.items()}
+    rows = np.column_stack(kernels.config_costs(instance.space,
+                                                instance.bounds)[1:3])
     ledger = UsageLedger(instance)
     active = sorted(start)
     for tid in active:
-        ledger.set_row(tid, rows[tid][start[tid]])
+        ledger.set_row(tid, rows[start[tid]])
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
@@ -321,7 +321,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
         step = next(task_steps[tid], None)
         if step is not None:
             index, ratio = step
-            candidates[tid] = (index, rows[tid][index], ratio)
+            candidates[tid] = (index, rows[index], ratio)
             insort(order, (-ratio, tid))
 
     for tid in active:
@@ -338,7 +338,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
         parked += order[:i]
         del order[:i + 1]
         # With nothing parked there is nothing to free: skip the compare.
-        if parked and (vec < rows[tid][current[tid]]).any():
+        if parked and (vec < rows[current[tid]]).any():
             order += parked
             order.sort()
             parked.clear()
@@ -347,7 +347,8 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
         upgrades.append(UpgradeStep(task_id=tid, index=index, ratio=ratio))
         refresh(tid)
 
-    return (Allocation(assignment={tid: grid_configurations(grid[tid])[j]
+    configs = grid_configurations(instance.space)
+    return (Allocation(assignment={tid: configs[j]
                                    for tid, j in current.items()}),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
@@ -370,5 +371,6 @@ def greedy_allocate(job_lists: list[JobList],
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Embed, build frontiers, run the greedy pass."""
-    job_lists = [job_list_for(task, instance.bounds) for task in instance.tasks]
+    job_lists = [job_list_for(task, instance.space, instance.bounds)
+                 for task in instance.tasks]
     return greedy_allocate(job_lists, instance)

@@ -199,7 +199,8 @@ def cmd_gen(args) -> int:
 
 def _timed_classic(instance: ProblemInstance):
     t0 = time.perf_counter()
-    embedded = [(task, embed_task(task, instance.bounds)) for task in instance.tasks]
+    embedded = [(task, embed_task(task, instance.space, instance.bounds))
+                for task in instance.tasks]
     t1 = time.perf_counter()
     job_lists = [upper_frontier(points, task_id=task.id)
                  for task, points in embedded]
@@ -212,7 +213,7 @@ def _timed_classic(instance: ProblemInstance):
 
 def _timed_agent(params, instance: ProblemInstance):
     query_time = [0.0]
-    inner = network_proposer(params)
+    inner = network_proposer(params, instance.space)
 
     def timed_propose(tasks, currents):
         q0 = time.perf_counter()
@@ -407,7 +408,7 @@ def cmd_bench_runtime(args) -> int:
         if not np.all(np.isfinite(logits)):
             raise WeightFormatError(f"network logits are not finite ({c} "
                                     f"configurations); the weights overflow")
-        cases += [partial(job_list_for, task, bounds),
+        cases += [partial(job_list_for, task, refined, bounds),
                   partial(agent_mod.forward, params, state)]
     times = _median_times(cases, args.runs)
     rows = []

@@ -189,11 +189,11 @@ class ResourceBounds:
 
 @dataclass(frozen=True)
 class Task:
-    """A radar tracking task: the target it tracks and the grid it runs on."""
+    """A radar tracking task: the target it tracks.  Every task of an
+    instance runs on the instance's one grid."""
 
     id: int
     target: Target
-    config_space: ConfigSpace
 
 
 @dataclass(frozen=True)

@@ -45,24 +45,24 @@ class CapacityError(RuntimeError):
 
 
 def _metric_table(instance: ProblemInstance):
-    """Each task's grid configurations, their counts ``ncfg`` and one
-    (4, tasks, widest grid) float64 array of utility, compound, occupancy
-    and power in grid order, padded with 0.0 beyond ``ncfg[i]``."""
-    configs = [grid_configurations(task.config_space) for task in instance.tasks]
-    ncfg = np.array([len(c) for c in configs], dtype=np.int64)
-    table = np.zeros((4, len(configs), int(ncfg.max(initial=0))))
+    """The instance grid's configurations, the per-task counts ``ncfg`` (the
+    grid size for every task, the kernels' argument) and one (4, tasks,
+    grid size) float64 array of utility, compound, occupancy and power in
+    grid order."""
+    configs = grid_configurations(instance.space)
+    ncfg = np.full(len(instance.tasks), len(configs), dtype=np.int64)
+    table = np.zeros((4, len(instance.tasks), len(configs)))
     for i, task in enumerate(instance.tasks):
-        table[:, i, :ncfg[i]] = kernels.config_metrics(
-            task.config_space, task.target, instance.bounds)
+        table[:, i] = kernels.config_metrics(
+            instance.space, task.target, instance.bounds)
     return configs, ncfg, table
 
 
 def _allocation(instance: ProblemInstance, configs, picks) -> Allocation:
-    """Task i gets ``configs[i][picks[i]]``; a pick past its grid drops it."""
+    """Task i gets ``configs[picks[i]]``; a pick past the grid drops it."""
     return Allocation(assignment={
-        task.id: grid[pick]
-        for task, grid, pick in zip(instance.tasks, configs, picks)
-        if pick < len(grid)})
+        task.id: configs[pick]
+        for task, pick in zip(instance.tasks, picks) if pick < len(configs)})
 
 
 def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:

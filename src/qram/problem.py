@@ -1,9 +1,10 @@
-"""Problem instances: tasks plus bounds.
+"""Problem instances: tasks, bounds and one configuration grid.
 
 The instance is the object every solver consumes: each task carries the
-target it tracks and its configuration grid.  It is built in memory, one
-tracking task per target (:func:`build_tracking_instance`); on disk a
-problem is its scenario file plus the bounds given on the command line.
+target it tracks, and every task picks from the instance's one grid.  It
+is built in memory, one tracking task per target
+(:func:`build_tracking_instance`); on disk a problem is its scenario file
+plus the bounds given on the command line.
 """
 
 from __future__ import annotations
@@ -23,18 +24,19 @@ from .perf import Scenario, snr, task_utility
 class ProblemInstance:
     tasks: tuple[Task, ...]
     bounds: ResourceBounds
+    space: ConfigSpace
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = {t.id: t for t in self.tasks}
         if len(by_id) != len(self.tasks):
             raise ValueError("task ids must be unique")
-        # SNR is monotone in P*tx, so a finite, positive SNR at a grid's
+        # SNR is monotone in P*tx, so a finite, positive SNR at the grid's
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
+        configs = grid_configurations(self.space)
         for task in self.tasks:
             target = task.target
-            configs = grid_configurations(task.config_space)
             try:
                 low, high = snr(configs[0], target), snr(configs[-1], target)
             except ZeroDivisionError:  # range^4 underflows to 0
@@ -42,8 +44,7 @@ class ProblemInstance:
             if not 0.0 < low <= high < math.inf:
                 raise ValueError(f"target {target.id} at {target.range_km} km is "
                                  f"outside the range the radar model can evaluate")
-        for space in {task.config_space for task in self.tasks}:
-            config_costs(space, self.bounds)  # raises if a compound is not finite
+        config_costs(self.space, self.bounds)  # raises if a compound is not finite
         object.__setattr__(self, "_by_id", by_id)
 
     def task_by_id(self, task_id: int) -> Task:
@@ -56,9 +57,8 @@ class ProblemInstance:
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                             space: ConfigSpace) -> ProblemInstance:
     """One tracking task per target, task id equal to target id."""
-    tasks = tuple(Task(id=t.id, target=t, config_space=space)
-                  for t in scenario.targets)
-    return ProblemInstance(tasks=tasks, bounds=bounds)
+    tasks = tuple(Task(id=t.id, target=t) for t in scenario.targets)
+    return ProblemInstance(tasks=tasks, bounds=bounds, space=space)
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:
@@ -74,8 +74,8 @@ def default_bounds(n_targets: int) -> ResourceBounds:
 
 def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
     for tid, config in alloc.assignment.items():
-        task = instance.task_by_id(tid)  # raises KeyError on unknown ids
-        if config not in task.config_space:
+        instance.task_by_id(tid)  # raises KeyError on unknown ids
+        if config not in instance.space:
             raise ValueError(f"task {tid}: {config} is not on its grid")
 
 

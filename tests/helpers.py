@@ -148,15 +148,15 @@ def rescan_upgrade_loop(instance, start, steps):
     ``classic.upgrade_loop``, which parks refused candidates instead.  A
     row is read from the scalar model, ``resource_of(config_at(index))``,
     not from the cost table the loop reads."""
-    grid = {task.id: task.config_space for task in instance.tasks}
+    space = instance.space
 
-    def row(tid, index):
-        return resource_of(grid[tid].config_at(index))
+    def row(index):
+        return resource_of(space.config_at(index))
 
     ledger = UsageLedger(instance)
     active = sorted(start)
     for tid in active:
-        ledger.set_row(tid, row(tid, start[tid]))
+        ledger.set_row(tid, row(start[tid]))
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
@@ -170,7 +170,7 @@ def rescan_upgrade_loop(instance, start, steps):
         step = next(task_steps[tid], None)
         if step is not None:
             index, ratio = step
-            candidates[tid] = (index, row(tid, index), ratio)
+            candidates[tid] = (index, row(index), ratio)
             insort(order, (-ratio, tid))
 
     for tid in active:
@@ -190,7 +190,7 @@ def rescan_upgrade_loop(instance, start, steps):
         else:
             break  # no feasible upgrade anywhere
 
-    return (Allocation(assignment={tid: grid[tid].config_at(index)
+    return (Allocation(assignment={tid: space.config_at(index)
                                    for tid, index in current.items()}),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
@@ -244,10 +244,9 @@ def lazy_allocate_with_proposals(propose, instance):
     the same allocation and trace for any proposer that depends only on
     (task, configuration).
     """
-    bounds = instance.bounds
+    space, bounds = instance.space, instance.bounds
 
     def steps(task, current):
-        space = task.config_space
         for _ in range(space.size + 1):  # cycle guard
             proposal = propose(task, current)
             quotient = raw_quotient(space.config_at(current),
@@ -258,18 +257,17 @@ def lazy_allocate_with_proposals(propose, instance):
             yield proposal, quotient
             current = proposal  # resumed only once the upgrade was accepted
 
-    start = {task.id: base_configuration(task.config_space, task.target, bounds)
+    start = {task.id: base_configuration(space, task.target, bounds)
              for task in instance.tasks}
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
             tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
 
 
-def single_row_proposer(params):
-    """The network asked about one observation row at a time: a per-task
-    proposer for :func:`lazy_allocate_with_proposals`."""
+def single_row_proposer(params, space):
+    """The network asked about one observation row at a time on the grid
+    ``space``: a per-task proposer for :func:`lazy_allocate_with_proposals`."""
     def propose(task, current):
-        space = task.config_space
         logits, _ = forward(params, encode_state(space, current, task.target))
         action = greedy_action(logits)
         if not math.isfinite(logits[action]):

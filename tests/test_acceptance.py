@@ -165,7 +165,7 @@ def test_criterion_5_agent_quality(trained_agent):
         logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, base,
                                                  target))
         config = DEFAULT_CONFIG_SPACE.config_at(greedy_action(logits))
-        frontier = job_list_for(task, bounds)
+        frontier = job_list_for(task, DEFAULT_CONFIG_SPACE, bounds)
         r = compound_resource(resource_of(config), bounds)
         u = task_utility(config, target)
         attainable = max((p.utility for p in frontier.points if p.resource <= r),

@@ -5,15 +5,20 @@ them up (``owner.__dict__[attr]``), so renaming or moving one of them
 silently breaks the per-layer report, and its counter hooks read positional
 arguments and results, so a signature change breaks them.  The module is
 loaded read-only from its file; patches last for one traced call only.
+The benchmark's own self-test runs here too, so a change to the program
+that breaks ``perfbench/`` fails this suite.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -105,3 +110,13 @@ def test_traced_train_records_spans(tmp_path):
     assert {"cli.train", "env.reset", "classic.base_configuration", "env.step",
             "agent.forward", "agent.a2c_update"} <= recorded
     assert "kernels.config_metrics" not in recorded
+
+
+def test_benchmark_self_test_passes():
+    # Every workload once on toy inputs, untraced and traced, in a fresh
+    # interpreter: the self-test imports the program from src/ itself.
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]

@@ -31,7 +31,7 @@ def _instance(n=4, seed=42, bounds=BOUNDS, space=DEFAULT_CONFIG_SPACE):
 def test_embed_task_one_point_per_config():
     inst = _instance()
     kernels.counters["config_evals"] = 0
-    points = embed_task(inst.tasks[0], inst.bounds)
+    points = embed_task(inst.tasks[0], inst.space, inst.bounds)
     assert len(points) == 90
     assert kernels.counters["config_evals"] == 90
 
@@ -39,15 +39,15 @@ def test_embed_task_one_point_per_config():
 def test_embed_task_single_cell_grid():
     space = ConfigSpace((500.0,), (6.0,), (2.0,))
     inst = _instance(space=space)
-    points = embed_task(inst.tasks[0], inst.bounds)
+    points = embed_task(inst.tasks[0], space, inst.bounds)
     assert len(points) == 1
 
 
 def test_embed_matches_scalar_model_bitwise():
     inst = _instance()
     task = inst.tasks[0]
-    for p in embed_task(task, inst.bounds):
-        config = task.config_space.config_at(p.index)
+    for p in embed_task(task, inst.space, inst.bounds):
+        config = inst.space.config_at(p.index)
         assert p.utility == task_utility(config, task.target)
         assert p.resource == compound_resource(resource_of(config), inst.bounds)
 
@@ -113,7 +113,7 @@ def test_negative_resource_is_rejected_by_the_job_list():
 def test_job_list_ratios_strictly_decreasing():
     inst = _instance()
     for task in inst.tasks:
-        jl = job_list_for(task, inst.bounds)
+        jl = job_list_for(task, inst.space, inst.bounds)
         ratios = jl.ratios()
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert all(r > 0 for r in ratios)
@@ -145,8 +145,8 @@ def test_base_configuration_is_first_frontier_point(weights):
     assert ties == (len(DEFAULT_CONFIG_SPACE.tx_power_grid)
                     if weights == (1.0, 0.0) else 1)
     for task in inst.tasks:
-        jl = job_list_for(task, inst.bounds)
-        assert base_configuration(task.config_space, task.target, inst.bounds) \
+        jl = job_list_for(task, inst.space, inst.bounds)
+        assert base_configuration(inst.space, task.target, inst.bounds) \
             == jl.points[0].index
 
 
@@ -156,9 +156,9 @@ def test_greedy_single_task_ample_resources_maxes_out():
     bounds = ResourceBounds(bounds=(1.0, 5.0), compound_weights=(1.0, 1.0))
     inst = _instance(n=1, seed=3, bounds=bounds)
     task = inst.tasks[0]
-    jl = job_list_for(task, bounds)
+    jl = job_list_for(task, inst.space, bounds)
     alloc, trace = greedy_allocate([jl], inst)
-    assert alloc.assignment[task.id] == task.config_space.config_at(
+    assert alloc.assignment[task.id] == inst.space.config_at(
         jl.points[-1].index)
     assert len(trace.upgrades) == len(jl.points) - 1
 
@@ -174,12 +174,12 @@ def test_greedy_tie_breaks_to_lower_task_id():
     probe = build_tracking_instance(
         scenario, ResourceBounds((10.0, 10.0), (1.0, 1.0)), space)
     base = space.config_at(base_configuration(space, t0, probe.bounds))
-    jl = job_list_for(probe.tasks[0], probe.bounds)
+    jl = job_list_for(probe.tasks[0], space, probe.bounds)
     first_upgrade = space.config_at(jl.points[1].index)
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]
     inst = build_tracking_instance(
         scenario, ResourceBounds((r1, 10.0), (1.0, 1.0)), space)
-    lists = [job_list_for(task, inst.bounds) for task in inst.tasks]
+    lists = [job_list_for(task, space, inst.bounds) for task in inst.tasks]
     alloc, trace = greedy_allocate(lists, inst)
     upgraded = [u.task_id for u in trace.upgrades]
     assert upgraded and upgraded[0] == 0
@@ -188,7 +188,7 @@ def test_greedy_tie_breaks_to_lower_task_id():
 
 def test_greedy_requires_matching_job_lists():
     inst = _instance(n=2)
-    jl = job_list_for(inst.tasks[0], inst.bounds)
+    jl = job_list_for(inst.tasks[0], inst.space, inst.bounds)
     with pytest.raises(ValueError):
         greedy_allocate([jl], inst)
 
@@ -236,7 +236,7 @@ def test_upgrade_loop_asks_for_steps_once_after_the_drop():
 
 def test_greedy_trace_ratios_match_job_lists():
     inst = _instance(n=3, seed=21)
-    lists = {t.id: job_list_for(t, inst.bounds) for t in inst.tasks}
+    lists = {t.id: job_list_for(t, inst.space, inst.bounds) for t in inst.tasks}
     _, trace = greedy_allocate(list(lists.values()), inst)
     position = {tid: 0 for tid in lists}
     for step in trace.upgrades:
@@ -285,8 +285,8 @@ def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
         return resource_of(space.config_at(index))
 
     instance = SimpleNamespace(
-        tasks=[SimpleNamespace(id=tid, config_space=space) for tid in range(4)],
-        bounds=ResourceBounds((1.0, 0.65), (1.0, 1.0)))
+        tasks=[SimpleNamespace(id=tid) for tid in range(4)],
+        bounds=ResourceBounds((1.0, 0.65), (1.0, 1.0)), space=space)
     start = {0: config(10.0, 4.0), 1: config(1.0, 1.0), 2: config(1.0, 1.0),
              3: config(1.0, 4.0)}
     plan = {0: [(config(12.0, 1.0), 1.0), (config(20.0, 1.0), 3.0)],
@@ -321,7 +321,7 @@ def test_classic_loop_asks_each_refusal_once_without_a_lowering_upgrade(
     # times for 1,067 upgrades.
     inst = build_tracking_instance(generate_scenario(500, 11_050_000),
                                    default_bounds(500), DEFAULT_CONFIG_SPACE)
-    lists = [job_list_for(task, inst.bounds) for task in inst.tasks]
+    lists = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
     asked = _count_fits(monkeypatch)
     alloc, trace = greedy_allocate(lists, inst)
     assert len(trace.upgrades) == 1067 and not trace.dropped

@@ -59,24 +59,27 @@ def test_optimal_result_is_feasible_and_deterministic():
         assert u1 == system_utility(a1, inst)
 
 
-def _mixed_grid_instance(bounds):
-    """Tasks 10, 7, 4 (in that order) on grids of 2, 6 and 12 configurations."""
-    spaces = (ConfigSpace((400.0,), (4.0,), (1.0, 3.0)),
-              ConfigSpace((200.0, 600.0), (2.0, 5.0, 8.0), (2.0,)),
-              ConfigSpace((150.0, 300.0, 900.0), (3.0, 9.0), (1.5, 4.0)))
+#: Grids of 2, 6 and 12 configurations.
+GRIDS_OF_DIFFERENT_SIZES = (
+    ConfigSpace((400.0,), (4.0,), (1.0, 3.0)),
+    ConfigSpace((200.0, 600.0), (2.0, 5.0, 8.0), (2.0,)),
+    ConfigSpace((150.0, 300.0, 900.0), (3.0, 9.0), (1.5, 4.0)))
+
+
+def _three_task_instance(bounds, space):
+    """Tasks 10, 7, 4 (in that order), all on ``space``."""
     targets = (Target(10, TargetType.MISSILE, 80.0, 700.0),
                Target(7, TargetType.HELICOPTER, 30.0, 40.0),
                Target(4, TargetType.FIGHTER, 120.0, 300.0))
-    tasks = tuple(Task(id=t.id, target=t, config_space=space)
-                  for t, space in zip(targets, spaces))
-    return ProblemInstance(tasks=tasks, bounds=bounds)
+    return ProblemInstance(tasks=tuple(Task(id=t.id, target=t) for t in targets),
+                           bounds=bounds, space=space)
 
 
 def _literal_optimum(inst):
     """Every assignment in code order (dropping is each task's last digit),
     sums added in task order, the first maximum winning."""
     r1, r2 = inst.bounds.bounds
-    options = [list(task.config_space) + [None] for task in inst.tasks]
+    options = [list(inst.space) + [None] for _ in inst.tasks]
     best_u, best = -1.0, None
     for choice in itertools.product(*options):
         tu = to = tp = 0.0
@@ -94,16 +97,16 @@ def _literal_optimum(inst):
 @pytest.mark.parametrize("r1", [0.005, 0.02, 0.04, 0.07, 0.1, 0.2])
 @pytest.mark.parametrize("r2", [0.01, 0.05, 0.1, 0.2, 0.5])
 def test_oracles_on_grids_of_different_sizes(r1, r2):
-    inst = _mixed_grid_instance(ResourceBounds((r1, r2), (1.0, 1.0)))
-    alloc, best = optimal_allocation(inst)
-    assert (alloc.assignment, best) == _literal_optimum(inst)
-    assert is_feasible(alloc, inst)
-    assert best == system_utility(alloc, inst)
+    for space in GRIDS_OF_DIFFERENT_SIZES:
+        inst = _three_task_instance(ResourceBounds((r1, r2), (1.0, 1.0)), space)
+        alloc, best = optimal_allocation(inst)
+        assert (alloc.assignment, best) == _literal_optimum(inst)
+        assert is_feasible(alloc, inst)
+        assert best == system_utility(alloc, inst)
 
-    alloc, dp = optimal_allocation_dp(inst)
-    assert dp == system_utility(alloc, inst)
-    for tid, config in alloc.assignment.items():
-        assert config in inst.task_by_id(tid).config_space
+        alloc, dp = optimal_allocation_dp(inst)
+        assert dp == system_utility(alloc, inst)
+        assert all(config in space for config in alloc.assignment.values())
 
 
 # ------------------------------------------------------------------ knapsack

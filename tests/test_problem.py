@@ -23,7 +23,8 @@ def test_default_bounds_rule():
 def test_instance_validates_task_ids_and_targets():
     inst = _instance()
     with pytest.raises(ValueError):
-        ProblemInstance(tasks=inst.tasks + (inst.tasks[0],), bounds=inst.bounds)
+        ProblemInstance(tasks=inst.tasks + (inst.tasks[0],), bounds=inst.bounds,
+                        space=inst.space)
 
 
 def test_lookups_with_unsorted_non_contiguous_ids():
@@ -43,9 +44,9 @@ def test_lookups_with_unsorted_non_contiguous_ids():
     assert is_feasible(alloc, inst)
     # Task ids need not equal the ids of the targets they track.
     renumbered = ProblemInstance(
-        tasks=tuple(type(t)(id=i, target=t.target, config_space=t.config_space)
+        tasks=tuple(type(t)(id=i, target=t.target)
                     for i, t in enumerate(inst.tasks)),
-        bounds=inst.bounds)
+        bounds=inst.bounds, space=inst.space)
     new_id = {t.id: i for i, t in enumerate(inst.tasks)}
     assert [t.target for t in renumbered.tasks] == list(targets)
     assert system_utility(Allocation(assignment={i: config for i in range(3)}),
