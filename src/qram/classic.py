@@ -13,6 +13,15 @@ and, for the tasks kept after the drop, an iterator of their upgrade steps.
 Here the steps walk the job list; :mod:`qram.allocator` walks proposal
 chains that it computes in batched waves.
 
+Job lists are built two ways, point for point equal.  :func:`job_list_for`
+builds one task's list from a point per configuration (:func:`embed_task`,
+then :func:`upper_frontier`); it is the per-task cost the paper compares
+against.  A solve builds the lists of a whole instance in two array stages:
+:func:`utility_table` evaluates every (task, configuration) pair in one
+kernel call, and :func:`instance_job_lists` sweeps the grid's compound
+levels once for all tasks, which share the grid, and makes JobPoints only
+for frontier points.
+
 Inside the solvers a choice is a grid index, whose order is the
 lexicographic order of configurations.  ``Configuration`` objects appear
 only in the returned ``Allocation``, read from the cached grid tuple.
@@ -27,14 +36,15 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
-                   grid_configurations)
-from .perf import Target, task_utility
+                   expanded_grids, grid_configurations)
+from .perf import TYPE_UTILITY_WEIGHT, Target, task_utility
 from .problem import ProblemInstance
 
 
@@ -125,6 +135,98 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
 def job_list_for(task: Task, space: ConfigSpace,
                  bounds: ResourceBounds) -> JobList:
     return upper_frontier(embed_task(task, space, bounds), task_id=task.id)
+
+
+@lru_cache(maxsize=64)
+def _compound_levels(space: ConfigSpace, bounds: ResourceBounds):
+    """The grid's compound order and its distinct levels, once per (grid,
+    bounds): ``order`` sorts the ``config_costs`` compound column stably,
+    so a level lists its grid indices in ascending order, and ``starts``
+    holds the position in ``order`` where each level begins."""
+    comp = kernels.config_costs(space, bounds)[0]
+    order = np.argsort(comp, kind="stable")
+    ranked = comp[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    for column in (order, starts):
+        column.setflags(write=False)
+    return order, starts
+
+
+def utility_table(instance: ProblemInstance) -> np.ndarray:
+    """Utility of every task on every grid index: a (tasks x grid) array in
+    instance order, row i bit for bit the ``config_metrics`` utility of
+    task i, from one kernel call.  Counts tasks x grid size evaluations."""
+    dwell, tx, pw = expanded_grids(instance.space)
+    targets = [task.target for task in instance.tasks]
+    kernels.counters["config_evals"] += len(targets) * len(dwell)
+
+    def column(values):
+        return np.array(values, dtype=np.float64)[:, None]
+
+    return kernels.utility(dwell, tx, pw,
+                           column([t.range_km for t in targets]),
+                           column([t.speed_mps for t in targets]),
+                           column([TYPE_UTILITY_WEIGHT[t.ttype] for t in targets]))
+
+
+def instance_job_lists(instance: ProblemInstance,
+                       table: np.ndarray) -> list[JobList]:
+    """Every task's job list from its row of :func:`utility_table`, in
+    instance order, point for point equal to :func:`job_list_for`.
+
+    The tasks share the grid, so they share its compound levels.  Each
+    level keeps its best utility, ties to the lowest grid index, as
+    :func:`upper_frontier`'s sort does.  One monotone-chain sweep over the
+    levels then pops, for all tasks at once, every hull top whose
+    ``_cross`` with the new level is >= 0, computed from the same operands
+    in the same order, so every float matches the per-task path.  Only the
+    strictly-increasing-utility prefix of each hull becomes JobPoints.
+    """
+    comp = kernels.config_costs(instance.space, instance.bounds)[0]
+    order, starts = _compound_levels(instance.space, instance.bounds)
+    ranked = table[:, order]
+    best = np.maximum.reduceat(ranked, starts, axis=1)  # (tasks, levels)
+    widths = np.diff(starts, append=len(order))
+    tied = np.where(ranked == np.repeat(best, widths, axis=1), order, len(order))
+    index = np.minimum.reduceat(tied, starts, axis=1)  # grid index per level
+    level = comp[order[starts]]
+
+    # A level stack per task.  The first two levels go on unexamined; a pop
+    # leaves at least one level and a push follows, so from then on every
+    # stack holds two or more when a level arrives.
+    n_tasks, n_levels = best.shape
+    hull = np.zeros((n_tasks, n_levels), dtype=np.intp)
+    hull[:, :2] = np.arange(min(2, n_levels))
+    height = np.full(n_tasks, min(2, n_levels))
+    every = np.arange(n_tasks)
+    for c in range(2, n_levels):
+        live = every
+        while len(live):
+            top = height[live]
+            a, b = hull[live, top - 2], hull[live, top - 1]
+            ra, ua, ub = level[a], best[live, a], best[live, b]
+            cross = ((level[b] - ra) * (best[live, c] - ua)
+                     - (level[c] - ra) * (ub - ua))
+            pop = cross >= 0
+            live, top = live[pop], top[pop] - 1
+            height[live] = top
+            live = live[top >= 2]
+        hull[every, height] = c
+        height += 1
+
+    # Hull slopes only decrease, so utility stops rising for good once it
+    # fails to rise: the frontier is the rising prefix.
+    hull_u = np.take_along_axis(best, hull, axis=1)
+    rises = ((hull_u[:, 1:] > hull_u[:, :-1])
+             & (np.arange(1, n_levels) < height[:, None]))
+    length = 1 + np.cumprod(rises, axis=1).sum(axis=1)
+    picks = np.take_along_axis(index, hull[:, :int(length.max(initial=1))], axis=1)
+    rows = zip(instance.tasks, length.tolist(), picks.tolist(),
+               comp[picks].tolist(),
+               np.take_along_axis(table, picks, axis=1).tolist())
+    return [JobList(task_id=task.id,
+                    points=tuple(map(JobPoint, i[:k], r[:k], u[:k])))
+            for task, k, i, r, u in rows]
 
 
 def base_configuration(space: ConfigSpace, target: Target,
@@ -370,7 +472,6 @@ def greedy_allocate(job_lists: list[JobList],
                       for tid in kept})
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
-    """Embed, build frontiers, run the greedy pass."""
-    job_lists = [job_list_for(task, instance.space, instance.bounds)
-                 for task in instance.tasks]
-    return greedy_allocate(job_lists, instance)
+    """Utility table, one frontier sweep for all tasks, the greedy pass."""
+    return greedy_allocate(instance_job_lists(instance, utility_table(instance)),
+                           instance)

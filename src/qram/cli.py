@@ -22,8 +22,9 @@ from . import agent as agent_mod
 from . import remark1
 from .agent import TrainingError, WeightFormatError
 from .allocator import allocate_with_agent, allocate_with_proposals, network_proposer
-from .classic import (embed_task, greedy_allocate, job_list_for, solve_classic,
-                      upper_frontier)
+# perfbench/tracing.py wraps embed_task and upper_frontier here, by name.
+from .classic import (embed_task, greedy_allocate, instance_job_lists,
+                      job_list_for, solve_classic, upper_frontier, utility_table)
 from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
                   TrackingEnv, encode_state)
@@ -198,12 +199,12 @@ def cmd_gen(args) -> int:
 
 
 def _timed_classic(instance: ProblemInstance):
+    """``solve_classic`` stage by stage: embed_s times the utility table,
+    hull_s the frontier sweep and optimize_s the greedy pass."""
     t0 = time.perf_counter()
-    embedded = [(task, embed_task(task, instance.space, instance.bounds))
-                for task in instance.tasks]
+    table = utility_table(instance)
     t1 = time.perf_counter()
-    job_lists = [upper_frontier(points, task_id=task.id)
-                 for task, points in embedded]
+    job_lists = instance_job_lists(instance, table)
     t2 = time.perf_counter()
     alloc, trace = greedy_allocate(job_lists, instance)
     t3 = time.perf_counter()

@@ -48,13 +48,15 @@ def test_config_eval_counter_exists():
 
 #: Per method: the spans a traced solve records, the spans it must not
 #: record, and the counter-hook counts.  The agent finds each task's start
-#: in the cached ``config_costs``, so it evaluates no grid.
+#: in the cached ``config_costs``, so it evaluates no grid.  A classic solve
+#: builds its job lists in one batched pass, not through the per-task
+#: embed_task / upper_frontier / config_metrics path.
 TRACED_SOLVE = {
-    "classic": ({"classic.embed_task", "classic.upper_frontier",
-                 "kernels.config_metrics", "classic.greedy_allocate",
-                 "classic.ledger.fits", "problem.system_utility"},
-                set(),
-                {"classic.upgrades", "classic.dropped", "classic.frontier_points"}),
+    "classic": ({"classic.greedy_allocate", "classic.ledger.fits",
+                 "problem.system_utility"},
+                {"classic.embed_task", "classic.upper_frontier",
+                 "kernels.config_metrics"},
+                {"classic.upgrades", "classic.dropped"}),
     "agent": ({"allocator.allocate_with_proposals", "classic.base_configuration",
                "allocator.next_config", "agent.forward",
                "env.encode_state", "problem.system_utility"},

@@ -5,11 +5,12 @@ import pytest
 
 from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
                      random_point_cloud, random_small_instance,
-                     rescan_upgrade_loop, synthetic_points)
-from qram import kernels
-from qram.classic import (JobList, UsageLedger, _drop_until_feasible,
-                          base_configuration, embed_task, greedy_allocate, job_list_for, solve_classic,
-                          upgrade_loop, upper_frontier)
+                     random_small_space, rescan_upgrade_loop, synthetic_points)
+from qram import cli, kernels, remark1
+from qram.classic import (JobList, JobPoint, UsageLedger, _drop_until_feasible,
+                          base_configuration, embed_task, greedy_allocate,
+                          instance_job_lists, job_list_for, solve_classic,
+                          upgrade_loop, upper_frontier, utility_table)
 from qram.core import (Allocation, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
                        resource_of)
@@ -148,6 +149,84 @@ def test_base_configuration_is_first_frontier_point(weights):
         jl = job_list_for(task, inst.space, inst.bounds)
         assert base_configuration(inst.space, task.target, inst.bounds) \
             == jl.points[0].index
+
+
+# ------------------------------------------------- job lists of an instance
+
+def _instance_cases():
+    """(instance, label): the benchmark sizes under four bound settings,
+    random sub-grids and the remark1 grid chain."""
+    for n in (20, 150, 500, 1000):
+        default = default_bounds(n)
+        for label, bounds in (
+                ("default", default),
+                ("0.15,0.5", ResourceBounds((0.15, 0.5), default.compound_weights)),
+                ("w1,2", ResourceBounds(default.bounds, (1.0, 2.0))),
+                ("w1,0", ResourceBounds(default.bounds, (1.0, 0.0)))):
+            yield _instance(n=n, seed=11, bounds=bounds), f"{n} {label}"
+    for seed in range(20):
+        space = random_small_space(PortableRng(seed))
+        yield _instance(n=30, seed=seed, bounds=default_bounds(30),
+                        space=space), f"small grid {seed}"
+    scenario = generate_scenario(remark1.N_TARGETS, remark1.SCENARIO_SEED)
+    for space in remark1.config_space_chain():
+        yield (build_tracking_instance(scenario, remark1.BOUNDS, space),
+               f"remark1 {space.size}")
+
+
+def test_instance_job_lists_equal_the_per_task_path():
+    for inst, label in _instance_cases():
+        got = instance_job_lists(inst, utility_table(inst))
+        want = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
+        assert got == want, label
+        assert repr(got) == repr(want), label
+
+
+def test_instance_job_lists_keep_the_tie_rules():
+    # Coarse utilities tie within and across compound levels; each level
+    # must keep its lowest grid index, as upper_frontier's sort does.  A
+    # table equal to the compound column puts every level on one line
+    # (each cross is exactly 0), so the hull keeps only the two ends.
+    bounds = ResourceBounds(default_bounds(8).bounds, (1.0, 0.0))
+    for space in (DEFAULT_CONFIG_SPACE, *remark1.config_space_chain()):
+        inst = _instance(n=8, seed=3, bounds=bounds, space=space)
+        comp = kernels.config_costs(space, bounds)[0]
+        util = utility_table(inst)
+        tables = [np.round(util / step) * step for step in (0.5, 0.1, 0.02)]
+        for table in (*tables, np.broadcast_to(comp, util.shape)):
+            want = [upper_frontier(list(map(JobPoint, range(space.size),
+                                            comp.tolist(), row.tolist())),
+                                   task_id=task.id)
+                    for task, row in zip(inst.tasks, table)]
+            assert repr(instance_job_lists(inst, table)) == repr(want)
+
+
+def test_instance_job_lists_count_every_configuration():
+    inst = _instance(n=500, seed=11, bounds=default_bounds(500))
+    kernels.counters["config_evals"] = 0
+    for task in inst.tasks:
+        job_list_for(task, inst.space, inst.bounds)
+    per_task = kernels.counters["config_evals"]
+    kernels.counters["config_evals"] = 0
+    solve_classic(inst)
+    assert kernels.counters["config_evals"] == per_task == 500 * 90
+
+
+def test_classic_solve_builds_no_point_per_configuration(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a classic solve built a point per configuration")
+
+    for owner in ("qram.classic", "qram.cli"):
+        monkeypatch.setattr(f"{owner}.embed_task", refuse)
+        monkeypatch.setattr(f"{owner}.upper_frontier", refuse)
+    inst = _instance(n=150, seed=11, bounds=default_bounds(150))
+    alloc, _ = solve_classic(inst)
+    assert is_feasible(alloc, inst)
+    scenario = tmp_path / "scenario.json"
+    assert cli.main(["gen", "--targets", "150", "--seed", "11",
+                     "--out", str(scenario)]) == 0
+    assert cli.main(["solve", "--scenario", str(scenario), "--method", "classic",
+                     "--out", str(tmp_path / "result.json")]) == 0
 
 
 # --------------------------------------------------------------------- greedy
