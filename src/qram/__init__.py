@@ -7,7 +7,7 @@ plus exact oracles and a benchmarking CLI (``qram``).
 """
 
 from .core import (Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                   ResourceBounds, Task, compound_resource, resource_of)
+                   ResourceBounds, compound_resource, resource_of)
 from .perf import (QualityValue, Scenario, Target, TargetType, generate_scenario,
                    quality, snr, task_utility, utility_from_quality)
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "Configuration", "ConfigSpace", "DEFAULT_CONFIG_SPACE",
-    "ResourceBounds", "Task", "compound_resource", "resource_of",
+    "ResourceBounds", "compound_resource", "resource_of",
     "QualityValue", "Scenario", "Target", "TargetType", "generate_scenario",
     "quality", "snr", "task_utility", "utility_from_quality",
     "ProblemInstance", "build_tracking_instance", "default_bounds",

@@ -6,17 +6,22 @@ index.  Every task starts at its cheapest configuration, and the shared
 :func:`qram.classic.upgrade_loop` applies the feasible upgrade with the best
 utility-to-resource quotient.
 
-A task's proposal chain, start -> p(start) -> p(p(start)) -> ..., depends
-only on the task and its configuration, never on what the loop accepts for
-other tasks.  So once the loop knows which tasks it keeps, their chains
-grow in waves: one wave asks the proposer once about every chain still
-live, from the last grid index of each.  Every task of an instance runs
-on its one grid, so the network runs one batched forward pass per wave
+A proposer sees each task as the :class:`~qram.perf.Target` it tracks,
+with its current grid index.  A task's proposal chain, start -> p(start) ->
+p(p(start)) -> ..., never depends on what the loop accepts for other
+tasks.  So once the loop knows which tasks it keeps, their chains grow in
+waves: one wave asks the proposer once about every chain still live, from
+the last grid index of each.  Every task of an instance runs on its one
+grid, so the network runs one batched forward pass per wave
 (:func:`next_config`).  The loop walks the chains like job lists, and a
 wave runs only when a draw reaches past the steps computed so far; a
-trained network needs about three.  The loop gets the same steps as from a
-proposer asked once per draw, as long as the proposer depends on (task,
-configuration) alone.
+trained network needs about three.
+
+For a proposer that depends on (task, configuration) alone, the loop gets
+exactly the steps of a proposer asked once per draw.  A row's network
+logits can differ in the last bits between a stacked and a single-row
+forward pass, so for the network only a logit tie within a few ulps could
+make the two paths differ.
 
 Unlike a job list, proposals come from an arbitrary function, so the chains
 protect the loop: a stationary or non-improving proposal ends a chain, and a
@@ -36,24 +41,24 @@ import numpy as np
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import (AllocationTrace, base_configuration, job_list_for,
                       upgrade_loop)
-from .core import Allocation, ConfigSpace, ResourceBounds, Task, expanded_grids
+from .core import Allocation, ConfigSpace, ResourceBounds, expanded_grids
 from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
 from .kernels import config_costs, utility
-from .perf import TYPE_UTILITY_WEIGHT
-from .problem import ProblemInstance
+from .perf import Target
+from .problem import ProblemInstance, target_columns
 
 #: The grid index of the next configuration, or the exception to raise if
 #: the loop draws that step.
 Proposal = int | Exception
 
-#: propose(tasks, currents) -> one proposal per task, in order.
+#: propose(targets, currents) -> one proposal per task, in order.
 #: ``currents`` are the tasks' indices on the instance's grid.
-Proposer = Callable[[list[Task], list[int]], list[Proposal]]
+Proposer = Callable[[list[Target], list[int]], list[Proposal]]
 
 
-def next_config(params: AgentParams, space: ConfigSpace, tasks: list[Task],
+def next_config(params: AgentParams, space: ConfigSpace, targets: list[Target],
                 currents: list[int],
-                rows: dict[int, tuple[Task, np.ndarray]] | None = None
+                rows: dict[int, tuple[Target, np.ndarray]] | None = None
                 ) -> list[Proposal]:
     """Greedy network proposals for one wave of tasks on the grid ``space``.
 
@@ -63,37 +68,37 @@ def next_config(params: AgentParams, space: ConfigSpace, tasks: list[Task],
     from ``config_features``.  A proposal is the winning logit's index, or
     a WeightFormatError if that logit is not finite.
     """
-    if not tasks:
+    if not targets:
         return []
     if params.n_actions != space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
     rows = {} if rows is None else rows
-    for task, current in zip(tasks, currents):
-        cached = rows.get(task.id)
-        if cached is None or cached[0] is not task:
-            rows[task.id] = (task, encode_state(space, current, task.target))
-    x = np.stack([rows[task.id][1] for task in tasks])
+    for target, current in zip(targets, currents):
+        cached = rows.get(target.id)
+        if cached is None or cached[0] is not target:
+            rows[target.id] = (target, encode_state(space, current, target))
+    x = np.stack([rows[target.id][1] for target in targets])
     x[:, SITUATIONAL_WIDTH:] = config_features(space)[currents]
     logits, _ = forward(params, x)
     actions = logits.argmax(axis=1)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
-    finite = np.isfinite(logits[np.arange(len(tasks)), actions])
+    finite = np.isfinite(logits[np.arange(len(targets)), actions])
     return [action if ok else WeightFormatError(
-                f"network logits are not finite (task {task.id}); "
+                f"network logits are not finite (task {target.id}); "
                 f"the weights overflow")
-            for task, action, ok in zip(tasks, actions.tolist(),
-                                        finite.tolist())]
+            for target, action, ok in zip(targets, actions.tolist(),
+                                          finite.tolist())]
 
 
 def network_proposer(params: AgentParams, space: ConfigSpace) -> Proposer:
     """The network as a wave proposer on the grid ``space``; encodes each
     task's row once."""
-    rows: dict[int, tuple[Task, np.ndarray]] = {}
+    rows: dict[int, tuple[Target, np.ndarray]] = {}
 
-    def propose(tasks: list[Task], currents: list[int]):
-        return next_config(params, space, tasks, currents, rows)
+    def propose(targets: list[Target], currents: list[int]):
+        return next_config(params, space, targets, currents, rows)
     return propose
 
 
@@ -103,19 +108,19 @@ def frontier_proposer(instance: ProblemInstance) -> Proposer:
     Driving the allocation loop with this oracle reproduces the classical
     greedy result exactly; it pins down the loop's semantics in tests.
     """
-    lists = {task.id: job_list_for(task, instance.space, instance.bounds)
-             for task in instance.tasks}
+    lists = {target.id: job_list_for(target, instance.space, instance.bounds)
+             for target in instance.tasks}
 
-    def next_point(task: Task, current: int) -> int:
-        points = lists[task.id].points
+    def next_point(target: Target, current: int) -> int:
+        points = lists[target.id].points
         for i, p in enumerate(points):
             if p.index == current:
                 return points[i + 1].index if i + 1 < len(points) else current
-        raise ValueError(f"task {task.id}: {current} is not on its frontier")
+        raise ValueError(f"task {target.id}: {current} is not on its frontier")
 
-    def propose(tasks: list[Task], currents: list[int]):
-        return [next_point(task, current)
-                for task, current in zip(tasks, currents)]
+    def propose(targets: list[Target], currents: list[int]):
+        return [next_point(target, current)
+                for target, current in zip(targets, currents)]
     return propose
 
 
@@ -133,36 +138,33 @@ class _ChainGroup:
     no wave runs that no draw needs.
     """
 
-    def __init__(self, propose: Proposer, tasks: list[Task],
+    def __init__(self, propose: Proposer, targets: list[Target],
                  starts: list[int], space: ConfigSpace, bounds: ResourceBounds):
-        self._propose, self._tasks, self._size = propose, tasks, space.size
+        self._propose, self._targets, self._size = propose, targets, space.size
         self._comp = config_costs(space, bounds)[0]
         self._grids = expanded_grids(space)
-        self._targets = (np.array([t.target.range_km for t in tasks]),
-                         np.array([t.target.speed_mps for t in tasks]),
-                         np.array([TYPE_UTILITY_WEIGHT[t.target.ttype]
-                                   for t in tasks]))
+        self._columns = target_columns(targets)
         self._waves_left = space.size + 1  # cycle guard
-        self._chains: list[list] = [[] for _ in tasks]
-        self._alive = [True] * len(tasks)
-        self._live = list(range(len(tasks)))  # positions of the live chains
+        self._chains: list[list] = [[] for _ in targets]
+        self._alive = [True] * len(targets)
+        self._live = list(range(len(targets)))  # positions of the live chains
         self._cur = np.array(starts, dtype=np.int64)
         self._u_cur = self._utility(self._cur, self._live)
 
     def _utility(self, configs: np.ndarray, rows: list[int]) -> np.ndarray:
         dwell, tx, pw = self._grids
-        range_km, speed, weight = self._targets
         return utility(dwell[configs], tx[configs], pw[configs],
-                       range_km[rows], speed[rows], weight[rows])
+                       *self._columns[:, rows])
 
     def _grow(self) -> None:
         live, chains, cur_list = self._live, self._chains, self._cur.tolist()
-        tasks, size = [self._tasks[i] for i in live], self._size
+        targets, size = [self._targets[i] for i in live], self._size
         proposals = [p if isinstance(p, Exception) or (
                          isinstance(p, (int, np.integer)) and 0 <= p < size)
-                     else IndexError(f"task {task.id}: proposal {p!r} is not "
+                     else IndexError(f"task {target.id}: proposal {p!r} is not "
                                      f"a configuration index in [0, {size})")
-                     for task, p in zip(tasks, self._propose(tasks, cur_list))]
+                     for target, p in zip(targets,
+                                          self._propose(targets, cur_list))]
         new = np.array([j if isinstance(p, Exception) else p
                         for p, j in zip(proposals, cur_list)], dtype=np.int64)
         u_new = self._utility(new, live)
@@ -210,13 +212,12 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
     """Greedy upgrade loop over proposal chains; never returns an infeasible
     result.  The proposer is asked only about kept tasks, once per wave."""
     space, bounds = instance.space, instance.bounds
-    start = {task.id: base_configuration(space, task.target, bounds)
-             for task in instance.tasks}
+    start = {target.id: base_configuration(space, target, bounds)
+             for target in instance.tasks}
 
     def steps(kept: list[int]) -> dict[int, Iterator]:
-        tasks = [instance.task_by_id(tid) for tid in kept]
-        group = _ChainGroup(propose, tasks, [start[tid] for tid in kept],
-                            space, bounds)
+        group = _ChainGroup(propose, [instance.task_by_id(tid) for tid in kept],
+                            [start[tid] for tid in kept], space, bounds)
         return {tid: group.drawn(pos) for pos, tid in enumerate(kept)}
 
     # Weights that overflow would warn on every forward pass; next_config

@@ -17,10 +17,10 @@ Job lists are built two ways, point for point equal.  :func:`job_list_for`
 builds one task's list from a point per configuration (:func:`embed_task`,
 then :func:`upper_frontier`); it is the per-task cost the paper compares
 against.  A solve builds the lists of a whole instance in two array stages:
-:func:`utility_table` evaluates every (task, configuration) pair in one
-kernel call, and :func:`instance_job_lists` sweeps the grid's compound
-levels once for all tasks, which share the grid, and makes JobPoints only
-for frontier points.
+:func:`qram.problem.utility_table` evaluates every (task, configuration)
+pair in one kernel call, and :func:`instance_job_lists` sweeps the grid's
+compound levels once for all tasks, which share the grid, and makes
+JobPoints only for frontier points.
 
 Inside the solvers a choice is a grid index, whose order is the
 lexicographic order of configurations.  ``Configuration`` objects appear
@@ -42,10 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
-                   expanded_grids, grid_configurations)
-from .perf import TYPE_UTILITY_WEIGHT, Target, task_utility
-from .problem import ProblemInstance
+from .core import Allocation, ConfigSpace, ResourceBounds, grid_configurations
+from .perf import Target, task_utility
+from .problem import ProblemInstance, utility_table
 
 
 class JobPoint(NamedTuple):
@@ -95,11 +94,11 @@ class JobList:
                 for a, b in zip(self.points, self.points[1:])]
 
 
-def embed_task(task: Task, space: ConfigSpace,
+def embed_task(target: Target, space: ConfigSpace,
                bounds: ResourceBounds) -> list[JobPoint]:
     """Evaluate every configuration of ``space`` against the task's target:
     one JobPoint per grid cell."""
-    util, comp, _, _ = kernels.config_metrics(space, task.target, bounds)
+    util, comp, _, _ = kernels.config_metrics(space, target, bounds)
     return list(map(JobPoint, range(space.size), comp.tolist(), util.tolist()))
 
 
@@ -132,9 +131,9 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
     return JobList(task_id=task_id, points=tuple(frontier))
 
 
-def job_list_for(task: Task, space: ConfigSpace,
+def job_list_for(target: Target, space: ConfigSpace,
                  bounds: ResourceBounds) -> JobList:
-    return upper_frontier(embed_task(task, space, bounds), task_id=task.id)
+    return upper_frontier(embed_task(target, space, bounds), task_id=target.id)
 
 
 @lru_cache(maxsize=64)
@@ -152,26 +151,9 @@ def _compound_levels(space: ConfigSpace, bounds: ResourceBounds):
     return order, starts
 
 
-def utility_table(instance: ProblemInstance) -> np.ndarray:
-    """Utility of every task on every grid index: a (tasks x grid) array in
-    instance order, row i bit for bit the ``config_metrics`` utility of
-    task i, from one kernel call.  Counts tasks x grid size evaluations."""
-    dwell, tx, pw = expanded_grids(instance.space)
-    targets = [task.target for task in instance.tasks]
-    kernels.counters["config_evals"] += len(targets) * len(dwell)
-
-    def column(values):
-        return np.array(values, dtype=np.float64)[:, None]
-
-    return kernels.utility(dwell, tx, pw,
-                           column([t.range_km for t in targets]),
-                           column([t.speed_mps for t in targets]),
-                           column([TYPE_UTILITY_WEIGHT[t.ttype] for t in targets]))
-
-
 def instance_job_lists(instance: ProblemInstance,
                        table: np.ndarray) -> list[JobList]:
-    """Every task's job list from its row of :func:`utility_table`, in
+    """Every task's job list from its row of ``utility_table``, in
     instance order, point for point equal to :func:`job_list_for`.
 
     The tasks share the grid, so they share its compound levels.  Each
@@ -224,9 +206,9 @@ def instance_job_lists(instance: ProblemInstance,
     rows = zip(instance.tasks, length.tolist(), picks.tolist(),
                comp[picks].tolist(),
                np.take_along_axis(table, picks, axis=1).tolist())
-    return [JobList(task_id=task.id,
+    return [JobList(task_id=target.id,
                     points=tuple(map(JobPoint, i[:k], r[:k], u[:k])))
-            for task, k, i, r, u in rows]
+            for target, k, i, r, u in rows]
 
 
 def base_configuration(space: ConfigSpace, target: Target,

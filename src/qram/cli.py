@@ -24,14 +24,14 @@ from .agent import TrainingError, WeightFormatError
 from .allocator import allocate_with_agent, allocate_with_proposals, network_proposer
 # perfbench/tracing.py wraps embed_task and upper_frontier here, by name.
 from .classic import (embed_task, greedy_allocate, instance_job_lists,
-                      job_list_for, solve_classic, upper_frontier, utility_table)
+                      job_list_for, solve_classic, upper_frontier)
 from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
                   TrackingEnv, encode_state)
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                      evaluate_allocation, system_utility)
+                      evaluate_allocation, system_utility, utility_table)
 from .rng import PortableRng
 
 #: Default sweep of configurations-per-task for the by-configs benchmark.
@@ -402,14 +402,14 @@ def cmd_bench_runtime(args) -> int:
     cases = []
     for c in args.configs:
         refined = _refined_space(c)
-        task = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, 0, task.target)
+        target = _instance(scenario, bounds, refined).tasks[0]
+        state = encode_state(refined, 0, target)
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):
             raise WeightFormatError(f"network logits are not finite ({c} "
                                     f"configurations); the weights overflow")
-        cases += [partial(job_list_for, task, refined, bounds),
+        cases += [partial(job_list_for, target, refined, bounds),
                   partial(agent_mod.forward, params, state)]
     times = _median_times(cases, args.runs)
     rows = []

@@ -6,6 +6,9 @@ transmit power) drawn from a discrete grid.  Each configuration consumes a
 that must jointly stay below global bounds.  A weighted, bound-normalised sum
 scalarises the vector into the *compound resource* used to rank upgrades.
 
+There is no task type: a task is the :class:`qram.perf.Target` it tracks,
+and an :class:`Allocation` is keyed by target id.
+
 All types here are immutable value objects and all operations are pure.
 """
 
@@ -15,12 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .perf import Target
 
 #: Number of resource components: [time occupancy, average power in kW].
 N_RESOURCES = 2
@@ -185,15 +185,6 @@ class ResourceBounds:
     def to_dict(self) -> dict:
         return {"bounds": list(self.bounds),
                 "compound_weights": list(self.compound_weights)}
-
-
-@dataclass(frozen=True)
-class Task:
-    """A radar tracking task: the target it tracks.  Every task of an
-    instance runs on the instance's one grid."""
-
-    id: int
-    target: Target
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ one nonzero compound weight that is the problem for that resource alone, a
 multiple-choice knapsack; with several, every allocation within both bounds
 is also within the compound budget.
 
-Both oracles read one metric table per instance (``_metric_table``) and
-decode their per-task picks into an allocation the same way.
+Both oracles read one metric table per instance (``_metric_table``): the
+instance's utility table, shared with the classic solver, beside the grid's
+cost columns.  Both decode their per-task picks into an allocation the
+same way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .core import Allocation, grid_configurations
-from .problem import ProblemInstance
+from .problem import ProblemInstance, utility_table
 
 #: Refuse exhaustive enumeration above this many combined configuration states.
 ENUMERATION_CAP = 10**8
@@ -45,24 +47,22 @@ class CapacityError(RuntimeError):
 
 
 def _metric_table(instance: ProblemInstance):
-    """The instance grid's configurations, the per-task counts ``ncfg`` (the
-    grid size for every task, the kernels' argument) and one (4, tasks,
-    grid size) float64 array of utility, compound, occupancy and power in
-    grid order."""
+    """The instance grid's configurations, ``ncfg`` (the grid size for every
+    task, as the kernels take it) and one (4, tasks, grid size) float64
+    array: :func:`utility_table` and the grid's compound, occupancy and
+    power columns, broadcast to every task."""
     configs = grid_configurations(instance.space)
     ncfg = np.full(len(instance.tasks), len(configs), dtype=np.int64)
-    table = np.zeros((4, len(instance.tasks), len(configs)))
-    for i, task in enumerate(instance.tasks):
-        table[:, i] = kernels.config_metrics(
-            instance.space, task.target, instance.bounds)
+    comp, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
+    table = np.stack(np.broadcast_arrays(utility_table(instance), comp, occ, pw))
     return configs, ncfg, table
 
 
 def _allocation(instance: ProblemInstance, configs, picks) -> Allocation:
     """Task i gets ``configs[picks[i]]``; a pick past the grid drops it."""
     return Allocation(assignment={
-        task.id: configs[pick]
-        for task, pick in zip(instance.tasks, picks) if pick < len(configs)})
+        target.id: configs[pick]
+        for target, pick in zip(instance.tasks, picks) if pick < len(configs)})
 
 
 def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:

@@ -1,8 +1,8 @@
 """Hot numeric kernels: grid costs and metrics, exhaustive scan, knapsack table.
 
 Each kernel is one vectorised numpy implementation.  ``counters`` tallies
-the configurations :func:`config_metrics` evaluates so runs can report how
-much work they did.
+the (target, configuration) utilities evaluated so runs can report how much
+work they did.
 """
 
 from __future__ import annotations
@@ -132,12 +132,14 @@ def _outer_sums(base, vectors):
 def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     """Return (best utility, picks) over every assignment.
 
-    ``util/occ/pw`` are (n_tasks, max_configs) arrays padded per row beyond
-    ``ncfg[i]``.  ``picks[i]`` is task i's configuration in the first
-    assignment, in code order, that attains the best feasible utility, and
-    ``ncfg[i]`` drops the task.  Empty allocations are part of the search,
-    so a result is always found.  The scan is exhaustive; no block it
-    evaluates holds more than max(_SCAN_CHUNK, largest radix) states.
+    Row i of ``util/occ/pw`` starts with task i's ``ncfg[i]``
+    configurations; the oracle passes the grid size for every task, and
+    ``ncfg`` stays because the benchmark's counter hooks read it.
+    ``picks[i]`` is task i's configuration in the first assignment, in code
+    order, that attains the best feasible utility, and ``ncfg[i]`` drops
+    the task.  Empty allocations are part of the search, so a result is
+    always found.  No block the scan evaluates holds more than
+    max(_SCAN_CHUNK, largest radix) states.
     """
     util = np.asarray(util, dtype=np.float64)
     occ = np.asarray(occ, dtype=np.float64)
@@ -224,10 +226,12 @@ def _undominated(util, cost, budget, earlier):
 def fill_knapsack_table(util, cost, ncfg, budget):
     """Fill the quantised multiple-choice knapsack table.
 
-    ``util`` and ``cost`` (per-configuration integer costs) are padded per
-    row beyond ``ncfg[i]``.  Returns (dp, picks): ``dp[j]`` is the best
-    utility within budget j, and ``picks[i]`` is task i's configuration on
-    the backtrack from the full budget (``ncfg[i]`` = dropped).
+    Row i of ``util`` and ``cost`` (integer costs) starts with task i's
+    ``ncfg[i]`` configurations; the oracle passes the grid size for every
+    task, and ``ncfg`` stays because the benchmark's counter hooks read it.
+    Returns (dp, picks): ``dp[j]`` is the best utility within budget j, and
+    ``picks[i]`` is task i's configuration on the backtrack from the full
+    budget (``ncfg[i]`` = dropped).
     """
     util = np.ascontiguousarray(util, dtype=np.float64)
     cost = np.ascontiguousarray(cost, dtype=np.int64)

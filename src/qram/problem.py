@@ -1,8 +1,9 @@
 """Problem instances: tasks, bounds and one configuration grid.
 
-The instance is the object every solver consumes: each task carries the
-target it tracks, and every task picks from the instance's one grid.  It
-is built in memory, one tracking task per target
+The instance is the object every solver consumes.  A task is the
+:class:`~qram.perf.Target` it tracks, and every task picks from the
+instance's one grid, whose (tasks x grid) :func:`utility_table` the classic
+solver and both exact oracles read.  It is built in memory from a scenario
 (:func:`build_tracking_instance`); on disk a problem is its scenario file
 plus the bounds given on the command line.
 """
@@ -14,15 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Allocation, ConfigSpace, ResourceBounds, Task,
+from . import kernels
+from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
                    grid_configurations, resource_of)
-from .kernels import config_costs
-from .perf import Scenario, snr, task_utility
+from .perf import TYPE_UTILITY_WEIGHT, Scenario, Target, snr, task_utility
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    tasks: tuple[Task, ...]
+    tasks: tuple[Target, ...]
     bounds: ResourceBounds
     space: ConfigSpace
     _by_id: dict = field(init=False, repr=False, compare=False)
@@ -35,8 +36,7 @@ class ProblemInstance:
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
         configs = grid_configurations(self.space)
-        for task in self.tasks:
-            target = task.target
+        for target in self.tasks:
             try:
                 low, high = snr(configs[0], target), snr(configs[-1], target)
             except ZeroDivisionError:  # range^4 underflows to 0
@@ -44,10 +44,10 @@ class ProblemInstance:
             if not 0.0 < low <= high < math.inf:
                 raise ValueError(f"target {target.id} at {target.range_km} km is "
                                  f"outside the range the radar model can evaluate")
-        config_costs(self.space, self.bounds)  # raises if a compound is not finite
+        kernels.config_costs(self.space, self.bounds)  # raises if a compound is not finite
         object.__setattr__(self, "_by_id", by_id)
 
-    def task_by_id(self, task_id: int) -> Task:
+    def task_by_id(self, task_id: int) -> Target:
         try:
             return self._by_id[task_id]
         except KeyError:
@@ -56,9 +56,26 @@ class ProblemInstance:
 
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                             space: ConfigSpace) -> ProblemInstance:
-    """One tracking task per target, task id equal to target id."""
-    tasks = tuple(Task(id=t.id, target=t) for t in scenario.targets)
-    return ProblemInstance(tasks=tasks, bounds=bounds, space=space)
+    """One tracking task per target: the scenario's targets are the tasks."""
+    return ProblemInstance(tasks=tuple(scenario.targets), bounds=bounds,
+                           space=space)
+
+
+def target_columns(targets) -> np.ndarray:
+    """The target arguments of ``kernels.utility``: a (3, targets) float64
+    array whose rows are the range, speed and type weight columns."""
+    return np.array([(t.range_km, t.speed_mps, TYPE_UTILITY_WEIGHT[t.ttype])
+                     for t in targets], dtype=np.float64).reshape(-1, 3).T
+
+
+def utility_table(instance: ProblemInstance) -> np.ndarray:
+    """Utility of every task on every grid index: a (tasks x grid) array in
+    instance order, row i bit for bit the ``config_metrics`` utility of
+    task i, from one kernel call.  Counts tasks x grid size evaluations."""
+    dwell, tx, pw = expanded_grids(instance.space)
+    kernels.counters["config_evals"] += len(instance.tasks) * len(dwell)
+    columns = target_columns(instance.tasks)[:, :, None]
+    return kernels.utility(dwell, tx, pw, *columns)
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:
@@ -80,15 +97,15 @@ def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
 
 
 def _assigned(alloc: Allocation, instance: ProblemInstance):
-    """(task, config) of every assigned task, in instance order."""
+    """(target, config) of every assigned task, in instance order."""
     _check_assignment(alloc, instance)
     return [(t, alloc.assignment[t.id]) for t in instance.tasks
             if t.id in alloc.assignment]
 
 
 def _utilities(assigned) -> dict[int, float]:
-    return {task.id: task_utility(config, task.target)
-            for task, config in assigned}
+    return {target.id: task_utility(config, target)
+            for target, config in assigned}
 
 
 def _usage(assigned, instance: ProblemInstance) -> np.ndarray:

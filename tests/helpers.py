@@ -250,14 +250,14 @@ def lazy_allocate_with_proposals(propose, instance):
         for _ in range(space.size + 1):  # cycle guard
             proposal = propose(task, current)
             quotient = raw_quotient(space.config_at(current),
-                                    space.config_at(proposal), task.target,
+                                    space.config_at(proposal), task,
                                     bounds)
             if proposal == current or quotient <= 0.0:
                 return  # stationary or non-improving: retire
             yield proposal, quotient
             current = proposal  # resumed only once the upgrade was accepted
 
-    start = {task.id: base_configuration(space, task.target, bounds)
+    start = {task.id: base_configuration(space, task, bounds)
              for task in instance.tasks}
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
@@ -268,7 +268,7 @@ def single_row_proposer(params, space):
     """The network asked about one observation row at a time on the grid
     ``space``: a per-task proposer for :func:`lazy_allocate_with_proposals`."""
     def propose(task, current):
-        logits, _ = forward(params, encode_state(space, current, task.target))
+        logits, _ = forward(params, encode_state(space, current, task))
         action = greedy_action(logits)
         if not math.isfinite(logits[action]):
             raise WeightFormatError(f"network logits are not finite (task "

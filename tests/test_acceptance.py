@@ -56,8 +56,7 @@ def _equality_instance(seed: int, upgrades: int):
 
     gains = []
     for task in probe.tasks:
-        target = task.target
-        utils = [task_utility(c, target) for c in space]
+        utils = [task_utility(c, task) for c in space]
         for level in range(len(utils) - 1):
             gains.append((utils[level + 1] - utils[level], task.id, level))
     gains.sort(reverse=True)

@@ -310,10 +310,10 @@ def _overflow_instance(type_of_top: bool):
                             (1.0, 1.0))
     inst = build_tracking_instance(scenario, bounds, space)
     by_ratio = sorted(inst.tasks, key=lambda t: (
-        -raw_quotient(start, upgrade, t.target, bounds), t.id))
-    top = by_ratio[0].target.ttype
+        -raw_quotient(start, upgrade, t, bounds), t.id))
+    top = by_ratio[0].ttype
     ttype = top if type_of_top else next(
-        t.target.ttype for t in by_ratio if t.target.ttype is not top)
+        t.ttype for t in by_ratio if t.ttype is not top)
     params = zero_network()
     hot = np.zeros_like(params.w_trunk)
     hot[0, 0] = hot[params.hidden, 0] = 1e200
@@ -326,7 +326,7 @@ def _overflow_instance(type_of_top: bool):
         w_trunk=hot, b_trunk=-1e200 * np.eye(params.hidden)[0],
         w_policy=np.outer(np.eye(params.hidden)[0], np.full(space.size, 1e200)),
         b_policy=np.eye(space.size)[up])
-    overflowing = [t.id for t in by_ratio if t.target.ttype is ttype]
+    overflowing = [t.id for t in by_ratio if t.ttype is ttype]
     return params, inst, overflowing, up
 
 

@@ -50,7 +50,8 @@ def test_config_eval_counter_exists():
 #: record, and the counter-hook counts.  The agent finds each task's start
 #: in the cached ``config_costs``, so it evaluates no grid.  A classic solve
 #: builds its job lists in one batched pass, not through the per-task
-#: embed_task / upper_frontier / config_metrics path.
+#: embed_task / upper_frontier / config_metrics path, and both exact oracles
+#: read the instance's utility table, not one config_metrics call per task.
 TRACED_SOLVE = {
     "classic": ({"classic.greedy_allocate", "classic.ledger.fits",
                  "problem.system_utility"},
@@ -62,13 +63,13 @@ TRACED_SOLVE = {
                "env.encode_state", "problem.system_utility"},
               {"kernels.config_metrics"},
               {"allocator.upgrades", "allocator.dropped"}),
-    "dp": ({"exact.optimal_allocation_dp", "kernels.config_metrics",
+    "dp": ({"exact.optimal_allocation_dp",
             "kernels.fill_knapsack_table", "problem.system_utility"},
-           set(),
+           {"kernels.config_metrics"},
            {"kernels.fill_knapsack_table.cells"}),
-    "brute": ({"exact.optimal_allocation", "kernels.config_metrics",
+    "brute": ({"exact.optimal_allocation",
                "kernels.scan_best_feasible", "problem.system_utility"},
-              set(),
+              {"kernels.config_metrics"},
               {"kernels.scan_best_feasible.states"}),
 }
 

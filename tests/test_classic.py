@@ -49,7 +49,7 @@ def test_embed_matches_scalar_model_bitwise():
     task = inst.tasks[0]
     for p in embed_task(task, inst.space, inst.bounds):
         config = inst.space.config_at(p.index)
-        assert p.utility == task_utility(config, task.target)
+        assert p.utility == task_utility(config, task)
         assert p.resource == compound_resource(resource_of(config), inst.bounds)
 
 
@@ -147,7 +147,7 @@ def test_base_configuration_is_first_frontier_point(weights):
                     if weights == (1.0, 0.0) else 1)
     for task in inst.tasks:
         jl = job_list_for(task, inst.space, inst.bounds)
-        assert base_configuration(inst.space, task.target, inst.bounds) \
+        assert base_configuration(inst.space, task, inst.bounds) \
             == jl.points[0].index
 
 

@@ -4,14 +4,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_small_instance
+from helpers import random_small_instance, random_small_space
+from qram import kernels, remark1
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds, Task, resource_of)
-from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
-                        optimal_allocation_dp)
+                       ResourceBounds, resource_of)
+from qram.exact import (DP_TABLE_CAP, CapacityError, _metric_table,
+                        optimal_allocation, optimal_allocation_dp)
 from qram.perf import Target, TargetType, generate_scenario, task_utility
-from qram.problem import (ProblemInstance, build_tracking_instance, is_feasible,
-                          system_utility)
+from qram.problem import (ProblemInstance, build_tracking_instance,
+                          default_bounds, is_feasible, system_utility)
+from qram.rng import PortableRng
 
 SMALL_SPACE = ConfigSpace((100.0, 500.0, 1100.0), (2.0, 6.0, 10.0), (1.0, 4.0))
 
@@ -23,7 +25,7 @@ def _instance(n, seed, bounds, space=SMALL_SPACE):
 def test_single_task_is_argmax_over_feasible_configs():
     bounds = ResourceBounds(bounds=(0.05, 0.2), compound_weights=(1.0, 1.0))
     inst = _instance(1, 3, bounds)
-    target = inst.tasks[0].target
+    target = inst.tasks[0]
     alloc, best = optimal_allocation(inst)
     utilities = [(task_utility(c, target), c) for c in SMALL_SPACE
                  if np.all(resource_of(c) <= np.asarray(bounds.bounds))]
@@ -71,8 +73,7 @@ def _three_task_instance(bounds, space):
     targets = (Target(10, TargetType.MISSILE, 80.0, 700.0),
                Target(7, TargetType.HELICOPTER, 30.0, 40.0),
                Target(4, TargetType.FIGHTER, 120.0, 300.0))
-    return ProblemInstance(tasks=tuple(Task(id=t.id, target=t) for t in targets),
-                           bounds=bounds, space=space)
+    return ProblemInstance(tasks=targets, bounds=bounds, space=space)
 
 
 def _literal_optimum(inst):
@@ -85,7 +86,7 @@ def _literal_optimum(inst):
         tu = to = tp = 0.0
         for task, config in zip(inst.tasks, choice):
             if config is not None:
-                tu += task_utility(config, task.target)
+                tu += task_utility(config, task)
                 occ, pw = resource_of(config)
                 to += occ
                 tp += pw
@@ -107,6 +108,39 @@ def test_oracles_on_grids_of_different_sizes(r1, r2):
         alloc, dp = optimal_allocation_dp(inst)
         assert dp == system_utility(alloc, inst)
         assert all(config in space for config in alloc.assignment.values())
+
+
+def _metric_table_cases():
+    """The default grid at 20 and 150 targets under four bound settings,
+    random sub-grids and the remark1 grid chain."""
+    for n in (20, 150):
+        default = default_bounds(n)
+        for bounds in (default,
+                       ResourceBounds((0.15, 0.5), default.compound_weights),
+                       ResourceBounds(default.bounds, (1.0, 2.0)),
+                       ResourceBounds(default.bounds, (1.0, 0.0))):
+            yield _instance(n, 11, bounds, space=DEFAULT_CONFIG_SPACE)
+    for seed in range(20):
+        yield _instance(30, seed, default_bounds(30),
+                        space=random_small_space(PortableRng(seed)))
+    scenario = generate_scenario(remark1.N_TARGETS, remark1.SCENARIO_SEED)
+    for space in remark1.config_space_chain():
+        yield build_tracking_instance(scenario, remark1.BOUNDS, space)
+
+
+def test_metric_table_equals_the_per_task_kernel():
+    for inst in _metric_table_cases():
+        kernels.counters["config_evals"] = 0
+        configs, ncfg, table = _metric_table(inst)
+        evals = kernels.counters["config_evals"]
+        assert evals == len(inst.tasks) * inst.space.size
+        assert configs == tuple(inst.space)
+        assert ncfg.tolist() == [inst.space.size] * len(inst.tasks)
+        assert table.shape == (4, len(inst.tasks), inst.space.size)
+        for i, target in enumerate(inst.tasks):
+            want = kernels.config_metrics(inst.space, target, inst.bounds)
+            for got_row, want_row in zip(table[:, i], want):
+                assert got_row.tobytes() == want_row.tobytes()
 
 
 # ------------------------------------------------------------------ knapsack

@@ -4,7 +4,6 @@ from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPA
     ResourceBounds, resource_of
 from qram.perf import Scenario, Target, TargetType, generate_scenario, task_utility
 from qram import problem
-from qram.classic import solve_classic
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           evaluate_allocation, is_feasible, resource_usage,
                           system_utility, task_utilities)
@@ -36,24 +35,12 @@ def test_lookups_with_unsorted_non_contiguous_ids():
     config = DEFAULT_CONFIG_SPACE.config_at(0)
     expected = 0.0
     for target, task in zip(targets, inst.tasks):
-        assert task.target is target
+        assert task is target
         assert inst.task_by_id(target.id) is task
         expected += task_utility(config, target)
     alloc = Allocation(assignment={t.id: config for t in targets})
     assert system_utility(alloc, inst) == expected
     assert is_feasible(alloc, inst)
-    # Task ids need not equal the ids of the targets they track.
-    renumbered = ProblemInstance(
-        tasks=tuple(type(t)(id=i, target=t.target)
-                    for i, t in enumerate(inst.tasks)),
-        bounds=inst.bounds, space=inst.space)
-    new_id = {t.id: i for i, t in enumerate(inst.tasks)}
-    assert [t.target for t in renumbered.tasks] == list(targets)
-    assert system_utility(Allocation(assignment={i: config for i in range(3)}),
-                          renumbered) == expected
-    classic, _ = solve_classic(inst)
-    assert solve_classic(renumbered)[0].assignment == {
-        new_id[tid]: c for tid, c in classic.assignment.items()}
     for unknown in (0, 4, 12):
         with pytest.raises(KeyError):
             inst.task_by_id(unknown)
@@ -70,7 +57,7 @@ def test_system_utility_single_task():
     task = inst.tasks[2]
     config = DEFAULT_CONFIG_SPACE.config_at(17)
     alloc = Allocation(assignment={task.id: config})
-    assert system_utility(alloc, inst) == task_utility(config, task.target)
+    assert system_utility(alloc, inst) == task_utility(config, task)
 
 
 def test_system_utility_is_termwise_sum():
@@ -79,7 +66,7 @@ def test_system_utility_is_termwise_sum():
                                    for t in inst.tasks})
     expected = 0.0
     for task in inst.tasks:
-        expected += task_utility(alloc.assignment[task.id], task.target)
+        expected += task_utility(alloc.assignment[task.id], task)
     assert system_utility(alloc, inst) == expected
 
 
