@@ -9,10 +9,10 @@ one nonzero compound weight that is the problem for that resource alone, a
 multiple-choice knapsack; with several, every allocation within both bounds
 is also within the compound budget.
 
-Both oracles read one metric table per instance (``_metric_table``): the
-instance's utility table, shared with the classic solver, beside the grid's
-cost columns.  Both decode their per-task picks into an allocation the
-same way.
+Both oracles read the instance's one utility table
+(:func:`~qram.problem.utility_table`, shared with the classic solver) and
+pass it to their kernel beside the grid's cost columns, one copy for every
+task.  Both decode their per-task picks into an allocation the same way.
 """
 
 from __future__ import annotations
@@ -46,18 +46,6 @@ class CapacityError(RuntimeError):
         self.cap = cap
 
 
-def _metric_table(instance: ProblemInstance):
-    """The instance grid's configurations, ``ncfg`` (the grid size for every
-    task, as the kernels take it) and one (4, tasks, grid size) float64
-    array: :func:`utility_table` and the grid's compound, occupancy and
-    power columns, broadcast to every task."""
-    configs = grid_configurations(instance.space)
-    ncfg = np.full(len(instance.tasks), len(configs), dtype=np.int64)
-    comp, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
-    table = np.stack(np.broadcast_arrays(utility_table(instance), comp, occ, pw))
-    return configs, ncfg, table
-
-
 def _allocation(instance: ProblemInstance, configs, picks) -> Allocation:
     """Task i gets ``configs[picks[i]]``; a pick past the grid drops it."""
     return Allocation(assignment={
@@ -70,15 +58,17 @@ def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
 
     Ties go to the lexicographically smallest assignment vector (task 0 digit
     first; dropping sorts after every configuration).  Raises
-    :class:`CapacityError` when the combined state count exceeds
-    ``ENUMERATION_CAP``.
+    :class:`CapacityError` when the states the scan enumerates, (grid size
+    + 1) per task with dropping included, exceed ``ENUMERATION_CAP``.
     """
-    configs, ncfg, (util, _, occ, pw) = _metric_table(instance)
-    product = math.prod(ncfg.tolist())
-    if product > ENUMERATION_CAP:
-        raise CapacityError(product, ENUMERATION_CAP)
+    configs = grid_configurations(instance.space)
+    states = (len(configs) + 1) ** len(instance.tasks)
+    if states > ENUMERATION_CAP:
+        raise CapacityError(states, ENUMERATION_CAP)
+    _, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
     best_u, picks = kernels.scan_best_feasible(
-        util, occ, pw, ncfg, instance.bounds.bounds[0], instance.bounds.bounds[1])
+        utility_table(instance), occ, pw, [len(configs)] * len(instance.tasks),
+        *instance.bounds.bounds)
     return _allocation(instance, configs, picks), best_u
 
 
@@ -100,8 +90,9 @@ def optimal_allocation_dp(instance: ProblemInstance,
     budget_value = sum(instance.bounds.compound_weights)  # compound of the bounds
     if resource_grid_step is None:
         resource_grid_step = budget_value / DP_DEFAULT_CELLS
-    if resource_grid_step <= 0:
-        raise ValueError("resource grid step must be positive")
+    if not (math.isfinite(resource_grid_step) and resource_grid_step > 0):
+        raise ValueError(f"resource grid step must be positive and finite, "
+                         f"got {resource_grid_step!r}")
 
     budget = np.floor(budget_value / resource_grid_step + 1e-9)
     cells = (len(instance.tasks) + 1) * (budget + 1)
@@ -110,7 +101,8 @@ def optimal_allocation_dp(instance: ProblemInstance,
                             DP_TABLE_CAP, "knapsack table cells")
     budget = int(budget)
 
-    configs, ncfg, (util, comp, _, _) = _metric_table(instance)
+    configs = grid_configurations(instance.space)
+    comp, _, _, _ = kernels.config_costs(instance.space, instance.bounds)
     # Every cost above the budget prunes its configuration alike, so costs
     # are clipped to budget + 1: a huge compound / step (even one that
     # overflows to inf) must not wrap around in the int64 cast.  A positive
@@ -119,5 +111,6 @@ def optimal_allocation_dp(instance: ProblemInstance,
     with np.errstate(over="ignore"):
         cost = np.ceil(np.minimum(comp / resource_grid_step, budget + 1) - 1e-9)
     cost = np.maximum(cost, comp > 0).astype(np.int64)
-    dp, picks = kernels.fill_knapsack_table(util, cost, ncfg, budget)
+    dp, picks = kernels.fill_knapsack_table(
+        utility_table(instance), cost, [len(configs)] * len(instance.tasks), budget)
     return _allocation(instance, configs, picks), float(dp[budget])

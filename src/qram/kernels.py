@@ -1,8 +1,10 @@
 """Hot numeric kernels: grid costs and metrics, exhaustive scan, knapsack table.
 
-Each kernel is one vectorised numpy implementation.  ``counters`` tallies
-the (target, configuration) utilities evaluated so runs can report how much
-work they did.
+Each kernel is one vectorised numpy implementation.  The scan and the
+knapsack take a (tasks x grid) utility table beside the grid's cost columns,
+one copy shared by every task: a configuration's cost does not depend on
+its target.  ``counters`` tallies the (target, configuration) utilities
+evaluated so runs can report how much work they did.
 """
 
 from __future__ import annotations
@@ -132,14 +134,16 @@ def _outer_sums(base, vectors):
 def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     """Return (best utility, picks) over every assignment.
 
-    Row i of ``util/occ/pw`` starts with task i's ``ncfg[i]``
-    configurations; the oracle passes the grid size for every task, and
-    ``ncfg`` stays because the benchmark's counter hooks read it.
-    ``picks[i]`` is task i's configuration in the first assignment, in code
-    order, that attains the best feasible utility, and ``ncfg[i]`` drops
-    the task.  Empty allocations are part of the search, so a result is
-    always found.  No block the scan evaluates holds more than
-    max(_SCAN_CHUNK, largest radix) states.
+    ``occ`` and ``pw`` are the grid's occupancy and power columns, shared by
+    every task; row i of ``util`` holds task i's utilities on the grid.
+    Task i picks from the first ``ncfg[i]`` grid configurations; the oracle
+    passes the grid size for every task, and ``ncfg`` stays because the
+    benchmark's counter hooks read it.  ``picks[i]`` is task i's
+    configuration in the first assignment, in code order, that attains the
+    best feasible utility, and ``ncfg[i]`` drops the task.  Empty
+    allocations are part of the search, so a result is always found.  No
+    block the scan evaluates holds more than max(_SCAN_CHUNK, largest radix)
+    states.
     """
     util = np.asarray(util, dtype=np.float64)
     occ = np.asarray(occ, dtype=np.float64)
@@ -148,11 +152,9 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     ncfg = [int(k) for k in ncfg]
     n = len(ncfg)
     radix = [k + 1 for k in ncfg]
-
-    def values(table):
-        return [np.append(table[i, :ncfg[i]], 0.0) for i in range(n)]
-
-    vu, vo, vp = values(util), values(occ), values(pw)
+    vu = [np.append(util[i, :k], 0.0) for i, k in enumerate(ncfg)]
+    vo = [np.append(occ[:k], 0.0) for k in ncfg]
+    vp = [np.append(pw[:k], 0.0) for k in ncfg]
     split, block = max(n - 1, 0), radix[-1] if n else 1
     while split > 0 and block * radix[split - 1] <= _SCAN_CHUNK:
         split -= 1
@@ -193,7 +195,11 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
 # row c in every column and c' wins every tie.  A dominator passes the
 # first two tests whenever c does, and if it is dominated in turn, its own
 # earlier dominator also dominates c: so every pruned c has an unpruned
-# earlier dominator.  The check is one K x K mask per task.
+# earlier dominator.  The costs are the grid's, shared by every task, so the
+# cost half of dominance (c' < c and w_c' <= w_c) is one mask per call over
+# the affordable configurations; per task only the utility compare is
+# built.  A dominator of a c with u_c > 0 has u_c' > 0 too, so the compare
+# may run over every affordable configuration before the utility test.
 #
 # Fill.  The surviving rows are one fancy index into a sliding window over
 # a -inf-padded copy of hist[i], plus the utilities in one broadcast; the
@@ -209,29 +215,17 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
 # argmax, so the picks are those of the full argmax table.
 # --------------------------------------------------------------------------
 
-def _undominated(util, cost, budget, earlier):
-    """Indices of the configurations that can be a first column maximum.
-
-    ``earlier[a, b]`` is True for a < b, at least len(cost) square.
-    """
-    # A dominator of a live configuration is live itself (cost <=, util >=),
-    # so dominance is only checked among the live ones, in index order.
-    live = np.flatnonzero((cost <= budget) & (util > 0.0))
-    w, u, m = cost[live], util[live], len(live)
-    dominated = ((w[:, None] <= w) & (u[:, None] >= u)
-                 & earlier[:m, :m]).any(axis=0)
-    return live[~dominated]
-
-
 def fill_knapsack_table(util, cost, ncfg, budget):
     """Fill the quantised multiple-choice knapsack table.
 
-    Row i of ``util`` and ``cost`` (integer costs) starts with task i's
-    ``ncfg[i]`` configurations; the oracle passes the grid size for every
-    task, and ``ncfg`` stays because the benchmark's counter hooks read it.
-    Returns (dp, picks): ``dp[j]`` is the best utility within budget j, and
-    ``picks[i]`` is task i's configuration on the backtrack from the full
-    budget (``ncfg[i]`` = dropped).
+    ``cost`` is the grid's one column of integer costs, shared by every
+    task; row i of ``util`` holds task i's utilities on the grid.  Task i
+    picks from the first ``ncfg[i]`` grid configurations; the oracle passes
+    the grid size for every task, and ``ncfg`` stays because the
+    benchmark's counter hooks read it.  Returns (dp, picks): ``dp[j]`` is
+    the best utility within budget j, and ``picks[i]`` is task i's
+    configuration on the backtrack from the full budget (``ncfg[i]`` =
+    dropped).
     """
     util = np.ascontiguousarray(util, dtype=np.float64)
     cost = np.ascontiguousarray(cost, dtype=np.int64)
@@ -244,19 +238,22 @@ def fill_knapsack_table(util, cost, ncfg, budget):
     # previous row shifted right by w.
     padded = np.full(2 * budget + 1, -np.inf)
     window = np.lib.stride_tricks.sliding_window_view(padded, budget + 1)
-    width = int(ncfg.max(initial=0))
-    earlier = np.triu(np.ones((width, width), dtype=bool), 1)
+    # The affordable configurations in index order, and the cost half of
+    # dominance among them: cheaper[a, b] for a < b no dearer than b.
+    affordable = np.flatnonzero(cost[:ncfg.max(initial=0)] <= budget)
+    cheaper = np.triu(cost[affordable, None] <= cost[affordable], 1)
     kept = []
-    for i in range(n):
-        w, u = cost[i, :ncfg[i]], util[i, :ncfg[i]]
-        keep = _undominated(u, w, budget, earlier)
+    for i, m in enumerate(np.searchsorted(affordable, ncfg)):
+        u = util[i, affordable[:m]]
+        live = (u > 0.0) & ~(cheaper[:m, :m] & (u[:, None] >= u)).any(axis=0)
+        keep = affordable[:m][live]
         kept.append(keep)
         prev, nxt = hist[i], hist[i + 1]
         if len(keep) == 0:
             nxt[:] = prev
             continue
         padded[budget:] = prev
-        shift, gain = budget - w[keep], u[keep][:, None]
+        shift, gain = budget - cost[keep], u[live][:, None]
         block = max(1, _TABLE_CHUNK // len(keep))
         for a in range(0, budget + 1, block):
             rows = window[shift, a:a + block]
@@ -266,8 +263,8 @@ def fill_knapsack_table(util, cost, ncfg, budget):
     picks = np.empty(n, dtype=np.int64)
     j = budget
     for i in range(n - 1, -1, -1):
-        fits = kept[i][cost[i, kept[i]] <= j]
-        w = cost[i, fits]
+        fits = kept[i][cost[kept[i]] <= j]
+        w = cost[fits]
         best = int(np.argmax(np.concatenate(
             ((hist[i, j],), hist[i, j - w] + util[i, fits]))))
         if best == 0:

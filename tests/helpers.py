@@ -198,10 +198,11 @@ def rescan_upgrade_loop(instance, start, steps):
 def argmax_knapsack_table(util, cost, ncfg, budget):
     """Reference knapsack: the full argmax choice table and its backtrack.
 
-    Returns (dp, picks) like ``kernels.fill_knapsack_table``: every task
-    builds one candidate row per configuration plus the drop row, takes the
-    column argmax (ties to dropping, then the lowest index) and records it;
-    the picks are read back from the full budget.
+    Returns (dp, picks) like ``kernels.fill_knapsack_table``, with ``cost``
+    one column shared by every task: every task builds one candidate row per
+    configuration plus the drop row, takes the column argmax (ties to
+    dropping, then the lowest index) and records it; the picks are read
+    back from the full budget.
     """
     util = np.ascontiguousarray(util, dtype=np.float64)
     cost = np.ascontiguousarray(cost, dtype=np.int64)
@@ -216,7 +217,7 @@ def argmax_knapsack_table(util, cost, ncfg, budget):
         rows.fill(-np.inf)
         rows[0] = dp  # drop the task
         for c in range(ncfg[i]):
-            w = int(cost[i, c])
+            w = int(cost[c])
             if w > budget:
                 continue
             rows[1 + c, w:] = dp[:budget + 1 - w] + util[i, c]
@@ -230,7 +231,7 @@ def argmax_knapsack_table(util, cost, ncfg, budget):
         c = int(choice[i, j])
         picks[i] = c
         if c < ncfg[i]:
-            j -= int(cost[i, c])
+            j -= int(cost[c])
     return dp, picks
 
 

@@ -8,11 +8,12 @@ from helpers import random_small_instance, random_small_space
 from qram import kernels, remark1
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
                        ResourceBounds, resource_of)
-from qram.exact import (DP_TABLE_CAP, CapacityError, _metric_table,
-                        optimal_allocation, optimal_allocation_dp)
+from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
+                        optimal_allocation_dp)
 from qram.perf import Target, TargetType, generate_scenario, task_utility
 from qram.problem import (ProblemInstance, build_tracking_instance,
-                          default_bounds, is_feasible, system_utility)
+                          default_bounds, is_feasible, system_utility,
+                          utility_table)
 from qram.rng import PortableRng
 
 SMALL_SPACE = ConfigSpace((100.0, 500.0, 1100.0), (2.0, 6.0, 10.0), (1.0, 4.0))
@@ -44,11 +45,21 @@ def test_starved_bound_drops_everything():
 
 
 def test_capacity_cap_raises_with_product():
-    inst = _instance(6, 1, ResourceBounds((0.5, 5.0), (1.0, 1.0)),
-                     space=DEFAULT_CONFIG_SPACE)
+    # The cap counts the states the scan enumerates: every task also has
+    # its drop digit, so 90 configurations are 91 states per task.
+    bounds = ResourceBounds((0.5, 5.0), (1.0, 1.0))
+    inst = _instance(6, 1, bounds, space=DEFAULT_CONFIG_SPACE)
     with pytest.raises(CapacityError) as err:
         optimal_allocation(inst)
-    assert err.value.product == 90**6
+    assert err.value.product == 91**6
+    # 5 tasks x 39 configurations: 39**5 (90.2M) is under the cap, but the
+    # scan would enumerate 40**5 (102.4M) states.
+    space = ConfigSpace((100.0, 300.0, 500.0),
+                        tuple(2.0 * k for k in range(1, 14)), (1.0,))
+    assert space.size == 39
+    with pytest.raises(CapacityError) as err:
+        optimal_allocation(_instance(5, 1, bounds, space=space))
+    assert err.value.product == 40**5
 
 
 def test_optimal_result_is_feasible_and_deterministic():
@@ -110,7 +121,7 @@ def test_oracles_on_grids_of_different_sizes(r1, r2):
         assert all(config in space for config in alloc.assignment.values())
 
 
-def _metric_table_cases():
+def _utility_table_cases():
     """The default grid at 20 and 150 targets under four bound settings,
     random sub-grids and the remark1 grid chain."""
     for n in (20, 150):
@@ -128,19 +139,42 @@ def _metric_table_cases():
         yield build_tracking_instance(scenario, remark1.BOUNDS, space)
 
 
-def test_metric_table_equals_the_per_task_kernel():
-    for inst in _metric_table_cases():
+def test_utility_table_equals_the_per_task_kernel():
+    for inst in _utility_table_cases():
         kernels.counters["config_evals"] = 0
-        configs, ncfg, table = _metric_table(inst)
-        evals = kernels.counters["config_evals"]
-        assert evals == len(inst.tasks) * inst.space.size
-        assert configs == tuple(inst.space)
-        assert ncfg.tolist() == [inst.space.size] * len(inst.tasks)
-        assert table.shape == (4, len(inst.tasks), inst.space.size)
-        for i, target in enumerate(inst.tasks):
-            want = kernels.config_metrics(inst.space, target, inst.bounds)
-            for got_row, want_row in zip(table[:, i], want):
-                assert got_row.tobytes() == want_row.tobytes()
+        table = utility_table(inst)
+        assert kernels.counters["config_evals"] == len(inst.tasks) * inst.space.size
+        assert table.shape == (len(inst.tasks), inst.space.size)
+        for row, target in zip(table, inst.tasks):
+            want = kernels.config_metrics(inst.space, target, inst.bounds)[0]
+            assert row.tobytes() == want.tobytes()
+
+
+def test_oracles_pass_their_kernels_the_grid_cost_columns(monkeypatch):
+    """Only utility is per task: occupancy, power and cost reach the kernels
+    as the grid's columns, and every task picks from the whole grid."""
+    calls = {}
+
+    def recorder(name):
+        kernel = getattr(kernels, name)
+
+        def record(*args):
+            calls[name] = args
+            return kernel(*args)
+        return record
+
+    for name in ("scan_best_feasible", "fill_knapsack_table"):
+        monkeypatch.setattr(kernels, name, recorder(name))
+    for space in GRIDS_OF_DIFFERENT_SIZES:
+        inst = _three_task_instance(ResourceBounds((0.04, 0.2), (1.0, 1.0)), space)
+        optimal_allocation(inst)
+        optimal_allocation_dp(inst)
+        util, occ, pw, ncfg = calls["scan_best_feasible"][:4]
+        dp_util, cost, dp_ncfg = calls["fill_knapsack_table"][:3]
+        grid, tasks = space.size, len(inst.tasks)
+        assert [np.shape(a) for a in (occ, pw, cost)] == [(grid,)] * 3
+        assert np.shape(util) == np.shape(dp_util) == (tasks, grid)
+        assert list(ncfg) == list(dp_ncfg) == [grid] * tasks
 
 
 # ------------------------------------------------------------------ knapsack
@@ -195,6 +229,15 @@ def test_dp_value_is_system_utility_of_its_allocation():
                          space=DEFAULT_CONFIG_SPACE)
         alloc, dp = optimal_allocation_dp(inst)
         assert dp == system_utility(alloc, inst)
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"),
+                                  0.0, -0.5])
+def test_dp_rejects_a_step_that_is_not_positive_and_finite(step):
+    inst = _single_resource_instance(3, 1, 0.05)
+    with pytest.raises(ValueError, match="resource grid step must be positive "
+                                         "and finite"):
+        optimal_allocation_dp(inst, resource_grid_step=step)
 
 
 def test_dp_table_cap_raises_before_solving():

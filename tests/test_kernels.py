@@ -85,13 +85,14 @@ def _scan_case(seed):
     n, cmax = 4, 6
     ncfg = rng.integers(1, cmax + 1, size=n)
     util = rng.uniform(0.1, 1.5, size=(n, cmax))
-    occ = rng.uniform(0.0, 0.1, size=(n, cmax))
-    pw = rng.uniform(0.0, 0.4, size=(n, cmax))
+    occ = rng.uniform(0.0, 0.1, size=cmax)
+    pw = rng.uniform(0.0, 0.4, size=cmax)
     return util, occ, pw, ncfg
 
 
 def _brute_scan(util, occ, pw, ncfg, r1, r2):
-    """Literal python enumeration of every assignment in code order."""
+    """Literal python enumeration of every assignment in code order; ``occ``
+    and ``pw`` are the grid's columns, shared by every task."""
     best_u, best_picks = -1.0, None
     radix = [int(k) + 1 for k in ncfg]
     for digits in itertools.product(*(range(r) for r in radix)):
@@ -99,8 +100,8 @@ def _brute_scan(util, occ, pw, ncfg, r1, r2):
         for i, d in enumerate(digits):
             if d < ncfg[i]:
                 tu += util[i, d]
-                to += occ[i, d]
-                tp += pw[i, d]
+                to += occ[d]
+                tp += pw[d]
         if to <= r1 and tp <= r2 and tu > best_u:
             best_u, best_picks = tu, list(digits)
     return best_u, best_picks
@@ -123,7 +124,8 @@ def test_scan_brute_reference():
 def _quarter_case(rng, n, cmax):
     """Values on a quarter grid: equal totals, hence tied optima, are common."""
     ncfg = rng.integers(1, cmax + 1, size=n)
-    util, occ, pw = (rng.integers(1, 9, size=(n, cmax)) / 4.0 for _ in range(3))
+    util = rng.integers(1, 9, size=(n, cmax)) / 4.0
+    occ, pw = (rng.integers(1, 9, size=cmax) / 4.0 for _ in range(2))
     return util, occ, pw, ncfg
 
 
@@ -142,8 +144,8 @@ def test_scan_matches_enumeration(chunk, seed, monkeypatch):
         else:
             ncfg = rng.integers(1, cmax + 1, size=n)
             util = rng.uniform(0.1, 1.5, size=(n, cmax))
-            occ = rng.uniform(0.0, 0.1, size=(n, cmax))
-            pw = rng.uniform(0.0, 0.4, size=(n, cmax))
+            occ = rng.uniform(0.0, 0.1, size=cmax)
+            pw = rng.uniform(0.0, 0.4, size=cmax)
             r1, r2 = rng.uniform(0.0, 0.1 * n), rng.uniform(0.0, 0.4 * n)
         _assert_scan_matches(util, occ, pw, ncfg, r1, r2)
 
@@ -155,7 +157,7 @@ def test_scan_ties_resolve_to_lowest_code(chunk, monkeypatch):
     monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
     ncfg = np.array([3, 4, 5])
     ones = np.ones((3, 5))
-    best_u, best_picks = _assert_scan_matches(ones, ones, ones, ncfg, 1.0, 1.0)
+    best_u, best_picks = _assert_scan_matches(ones, ones[0], ones[0], ncfg, 1.0, 1.0)
     assert (best_u, best_picks) == (1.0, [0, 4, 5])
 
 
@@ -175,7 +177,8 @@ def test_scan_radix_above_chunk(ncfg, monkeypatch):
     monkeypatch.setattr(kernels, "_SCAN_CHUNK", 16)
     rng = np.random.default_rng(len(ncfg))
     ncfg = np.array(ncfg)
-    util, occ, pw = (rng.uniform(0.1, 1.0, size=(len(ncfg), 40)) for _ in range(3))
+    util = rng.uniform(0.1, 1.0, size=(len(ncfg), 40))
+    occ, pw = (rng.uniform(0.1, 1.0, size=40) for _ in range(2))
     _assert_scan_matches(util, occ, pw, ncfg, 0.9, 1.1)
 
 
@@ -196,7 +199,7 @@ def test_scan_blocks_are_bounded_and_cover_every_state(chunk, monkeypatch):
         sizes.clear()
         ncfg = np.array(ncfg)
         util = np.ones((len(ncfg), int(ncfg.max())))
-        kernels.scan_best_feasible(util, util, util, ncfg, 2.0, 2.0)
+        kernels.scan_best_feasible(util, util[0], util[0], ncfg, 2.0, 2.0)
         radix = (ncfg + 1).tolist()
         assert sum(sizes) == int(np.prod(radix))
         assert max(sizes) <= max(chunk, max(radix))
@@ -207,7 +210,7 @@ def _dp_case(seed):
     n, cmax = 3, 5
     ncfg = rng.integers(1, cmax + 1, size=n)
     util = rng.uniform(0.1, 1.5, size=(n, cmax))
-    cost = rng.integers(0, 40, size=(n, cmax))
+    cost = rng.integers(0, 40, size=cmax)
     return util, cost, ncfg
 
 
@@ -219,23 +222,24 @@ def test_dp_table_monotone_in_budget():
 
 def _knapsack_case(rng):
     """Random table inputs: quarter-grid or continuous utilities (some <= 0),
-    zero costs, costs at and above the budget, duplicated (cost, utility)
-    pairs at other indices and garbage in the padding beyond ``ncfg``."""
+    one shared cost column with zero costs and costs at and above the
+    budget, duplicated (cost, utility) pairs at other indices and garbage
+    utilities beyond each task's ``ncfg``."""
     n, cmax, budget = (int(rng.integers(lo, hi)) for lo, hi in ((0, 7), (1, 9), (0, 31)))
     ncfg = rng.integers(0, cmax + 1, size=n)
     if rng.random() < 0.5:
         util = rng.integers(-2, 9, size=(n, cmax)) / 4.0
     else:
         util = rng.uniform(-0.2, 1.5, size=(n, cmax))
-    cost = rng.integers(0, budget + 4, size=(n, cmax))
-    cost[rng.random(size=(n, cmax)) < 0.15] = budget
+    cost = rng.integers(0, budget + 4, size=cmax)
+    cost[rng.random(size=cmax) < 0.15] = budget
+    for _ in range(cmax // 2):  # copy a cost to another index ...
+        a, b = rng.integers(0, cmax, size=2)
+        cost[b] = cost[a]
+        copies = rng.random(size=n) < 0.5  # ... and, for some tasks, its utility
+        util[copies, b] = util[copies, a]
     for i in range(n):
-        k = int(ncfg[i])
-        for _ in range(k // 2):  # copy a pair to another index
-            a, b = rng.integers(0, k, size=2)
-            util[i, b], cost[i, b] = util[i, a], cost[i, a]
-        util[i, k:] = 100.0
-        cost[i, k:] = rng.integers(-3, 2, size=cmax - k)
+        util[i, ncfg[i]:] = 100.0
     return util, cost, ncfg, budget
 
 
@@ -252,13 +256,15 @@ def test_knapsack_matches_argmax_table(chunk, monkeypatch):
     rng = np.random.default_rng(2024)
     for _ in range(400):
         _assert_knapsack_matches(*_knapsack_case(rng))
-    quarter = np.array([[0.5, 0.5, 0.25, 0.75, 0.0],
-                        [0.25, 0.5, 0.5, 0.75, -0.25]])
-    cost = np.array([[2, 1, 1, 3, 0], [0, 1, 1, 3, 2]])
+    quarter = np.array([[0.5, 0.5, 0.25, 0.75, 0.0, 0.25],
+                        [0.25, 0.5, 0.5, 0.75, -0.25, 0.5],
+                        [0.5, 0.25, 0.5, 0.5, 0.25, 0.5]])
+    cost = np.array([2, 1, 1, 3, 0, 1])
     for budget in (0, 1, 2, 3, 4, 6):
-        _assert_knapsack_matches(quarter, cost, [5, 5], budget)
-    _assert_knapsack_matches(np.zeros((0, 3)), np.zeros((0, 3)), [], 5)
-    _assert_knapsack_matches(np.zeros((0, 0)), np.zeros((0, 0)), [], 0)
+        _assert_knapsack_matches(quarter, cost, [6, 6, 6], budget)
+        _assert_knapsack_matches(quarter, cost, [3, 6, 5], budget)
+    _assert_knapsack_matches(np.zeros((0, 3)), np.zeros(3), [], 5)
+    _assert_knapsack_matches(np.zeros((0, 0)), np.zeros(0), [], 0)
 
 
 def test_eval_counter_accumulates():
