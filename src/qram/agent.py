@@ -191,11 +191,6 @@ def sample_action(logits: np.ndarray, rng: PortableRng) -> int:
     return i if i <= last and u < partial_sums[i] else last
 
 
-def greedy_action(logits: np.ndarray) -> int:
-    """Argmax action; ties go to the lowest index."""
-    return int(np.argmax(logits))
-
-
 @dataclass(frozen=True)
 class Transition:
     state: np.ndarray

@@ -39,8 +39,7 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from .agent import AgentParams, WeightFormatError, forward
-from .classic import (AllocationTrace, base_configuration, job_list_for,
-                      upgrade_loop)
+from .classic import AllocationTrace, base_configuration, upgrade_loop
 from .core import Allocation, ConfigSpace, ResourceBounds, expanded_grids
 from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
 from .kernels import config_costs, utility
@@ -99,28 +98,6 @@ def network_proposer(params: AgentParams, space: ConfigSpace) -> Proposer:
 
     def propose(targets: list[Target], currents: list[int]):
         return next_config(params, space, targets, currents, rows)
-    return propose
-
-
-def frontier_proposer(instance: ProblemInstance) -> Proposer:
-    """Perfect proposer: the next job-list point (itself when exhausted).
-
-    Driving the allocation loop with this oracle reproduces the classical
-    greedy result exactly; it pins down the loop's semantics in tests.
-    """
-    lists = {target.id: job_list_for(target, instance.space, instance.bounds)
-             for target in instance.tasks}
-
-    def next_point(target: Target, current: int) -> int:
-        points = lists[target.id].points
-        for i, p in enumerate(points):
-            if p.index == current:
-                return points[i + 1].index if i + 1 < len(points) else current
-        raise ValueError(f"task {target.id}: {current} is not on its frontier")
-
-    def propose(targets: list[Target], currents: list[int]):
-        return [next_point(target, current)
-                for target, current in zip(targets, currents)]
     return propose
 
 
@@ -212,8 +189,8 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
     """Greedy upgrade loop over proposal chains; never returns an infeasible
     result.  The proposer is asked only about kept tasks, once per wave."""
     space, bounds = instance.space, instance.bounds
-    start = {target.id: base_configuration(space, target, bounds)
-             for target in instance.tasks}
+    start = dict(zip([target.id for target in instance.tasks],
+                     base_configuration(space, instance.tasks, bounds)))
 
     def steps(kept: list[int]) -> dict[int, Iterator]:
         group = _ChainGroup(propose, [instance.task_by_id(tid) for tid in kept],

@@ -34,7 +34,7 @@ the regression instance in :mod:`qram.remark1`).
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,9 +42,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import Allocation, ConfigSpace, ResourceBounds, grid_configurations
-from .perf import Target, task_utility
-from .problem import ProblemInstance, utility_table
+from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
+                   grid_configurations)
+from .perf import Target
+from .problem import ProblemInstance, target_columns, utility_table
 
 
 class JobPoint(NamedTuple):
@@ -211,15 +212,20 @@ def instance_job_lists(instance: ProblemInstance,
             for target, k, i, r, u in rows]
 
 
-def base_configuration(space: ConfigSpace, target: Target,
-                       bounds: ResourceBounds) -> int:
-    """Grid index of the cheapest configuration by compound resource (ties:
-    higher utility, then lower index).  This is the first point of the
-    task's job list.  The least-compound set is cached per (grid, bounds),
-    in index order, and ``max`` keeps the first of equal utilities."""
-    configs = grid_configurations(space)
-    return max(kernels.config_costs(space, bounds)[3].tolist(),
-               key=lambda i: task_utility(configs[i], target))
+def base_configuration(space: ConfigSpace, targets: Sequence[Target],
+                       bounds: ResourceBounds) -> list[int]:
+    """Grid index of each target's cheapest configuration by compound
+    resource (ties: higher utility, then lower index), in target order.
+    This is the first point of the task's job list.  The least-compound set
+    is cached per (grid, bounds), in index order.  A set of one needs no
+    utility; otherwise one ``kernels.utility`` call evaluates it for every
+    target, and ``argmax`` keeps the first of equal utilities."""
+    cheapest = kernels.config_costs(space, bounds)[3]
+    if len(cheapest) == 1:
+        return [int(cheapest[0])] * len(targets)
+    dwell, tx, pw = (column[cheapest] for column in expanded_grids(space))
+    util = kernels.utility(dwell, tx, pw, *target_columns(targets)[:, :, None])
+    return cheapest[util.argmax(axis=1)].tolist()
 
 
 @dataclass(frozen=True)

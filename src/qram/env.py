@@ -31,11 +31,11 @@ from functools import lru_cache
 import numpy as np
 
 from .classic import base_configuration
-from .core import (Configuration, ConfigSpace, ResourceBounds,
-                   compound_resource, resource_of)
-from .kernels import config_costs
+from .core import ConfigSpace, ResourceBounds, expanded_grids
+from .kernels import config_costs, utility
 from .perf import (RANGE_INTERVAL_KM, TYPE_ORDER, TYPE_SPEED_RANGE, Target,
-                   draw_target, task_utility)
+                   draw_target)
+from .problem import target_columns
 from .rng import PortableRng
 
 #: Episode length in environment steps.
@@ -110,45 +110,25 @@ def quotient(delta_u: float, delta_r: float) -> float:
     return delta_u / delta_r
 
 
-def _deltas(c_in: Configuration, c: Configuration, target: Target,
-            bounds: ResourceBounds) -> tuple[float, float]:
-    """Utility and compound-resource change of the move from c_in to c."""
-    du = task_utility(c, target) - task_utility(c_in, target)
-    dr = (compound_resource(resource_of(c), bounds)
-          - compound_resource(resource_of(c_in), bounds))
-    return du, dr
-
-
-def raw_quotient(c_in: Configuration, c: Configuration, target: Target,
-                 bounds: ResourceBounds) -> float:
-    """Utility-to-resource difference quotient between two configurations."""
-    return quotient(*_deltas(c_in, c, target, bounds))
-
-
-def training_quotient(c_in: Configuration, c: Configuration, target: Target,
-                      bounds: ResourceBounds) -> float:
-    """Reward quotient: utility change per unit of resource *moved*.
-
-    Same as :func:`raw_quotient` for upgrades; sign-flipped for moves that
-    free resource, so downgrades can never outscore upgrades (see the module
-    docstring).
-    """
-    du, dr = _deltas(c_in, c, target, bounds)
-    return quotient(du, abs(dr))
-
-
 class TrackingEnv:
-    """Seeded episode stream; one instance is single-threaded."""
+    """Seeded episode stream; one instance is single-threaded.
+
+    ``reset`` evaluates the episode's target on the whole grid once, with
+    one ``kernels.utility`` call; a step reads the utility change from that
+    row and the compound change from the grid's ``config_costs`` column.
+    """
 
     def __init__(self, space: ConfigSpace, bounds: ResourceBounds = DEFAULT_ENV_BOUNDS,
                  seed: int = 0):
-        config_costs(space, bounds)  # raises if a compound is not finite
+        # config_costs raises if a compound is not finite.
+        self._comp = config_costs(space, bounds)[0].tolist()
         self.space = space
         self.bounds = bounds
         self._rng = PortableRng(seed)
         self._serial = 0
         self._target: Target | None = None
-        self._config: Configuration | None = None
+        self._utility: list[float] = []
+        self._index = 0
         self._steps = 0
         self._done = True
 
@@ -158,30 +138,31 @@ class TrackingEnv:
             raise RuntimeError("reset the environment first")
         return self._target
 
-    @property
-    def current_config(self) -> Configuration:
-        if self._config is None:
-            raise RuntimeError("reset the environment first")
-        return self._config
-
     def reset(self) -> np.ndarray:
         self._target = draw_target(self._rng, self._serial)
         self._serial += 1
-        index = base_configuration(self.space, self._target, self.bounds)
-        self._config = self.space.config_at(index)
+        self._index = base_configuration(self.space, [self._target],
+                                         self.bounds)[0]
+        self._utility = utility(*expanded_grids(self.space),
+                                *target_columns([self._target])).tolist()
         self._steps = 0
         self._done = False
-        return encode_state(self.space, index, self._target)
+        return encode_state(self.space, self._index, self._target)
 
     def step(self, action: int) -> StepResult:
+        """Move to grid index ``action``.  The reward is the utility change
+        per unit of compound resource *moved*: the quotient of the utility
+        and the magnitude of the compound change, so downgrades can never
+        outscore upgrades (see the module docstring)."""
         if self._done:
             raise RuntimeError("episode is finished; call reset")
         if not 0 <= action < self.space.size:
             raise ValueError(f"action {action} outside [0, {self.space.size})")
-        new_config = self.space.config_at(action)
-        raw = training_quotient(self._config, new_config, self._target, self.bounds)
+        du = self._utility[action] - self._utility[self._index]
+        dr = self._comp[action] - self._comp[self._index]
+        raw = quotient(du, abs(dr))
         reward = max(-QUOTIENT_CAP, min(QUOTIENT_CAP, raw)) / QUOTIENT_CAP
-        self._config = new_config
+        self._index = action
         self._steps += 1
         self._done = self._steps >= EPISODE_LENGTH
         return StepResult(next_state=encode_state(self.space, action,

@@ -1,10 +1,13 @@
-"""Hot numeric kernels: grid costs and metrics, exhaustive scan, knapsack table.
+"""Hot numeric kernels: the utility model, grid costs and metrics,
+exhaustive scan, knapsack table.
 
-Each kernel is one vectorised numpy implementation.  The scan and the
-knapsack take a (tasks x grid) utility table beside the grid's cost columns,
-one copy shared by every task: a configuration's cost does not depend on
-its target.  ``counters`` tallies the (target, configuration) utilities
-evaluated so runs can report how much work they did.
+Each kernel is one vectorised numpy implementation, and :func:`utility`
+(with :func:`snr`) is the package's one implementation of the radar model.
+The scan and the knapsack take a (tasks x grid) utility table beside the
+grid's cost columns, one copy shared by every task: a configuration's cost
+does not depend on its target.  ``counters`` tallies the (target,
+configuration) utilities evaluated so runs can report how much work they
+did.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ def config_costs(space, bounds):
     """Cost columns of every grid configuration under ``bounds``.
 
     Returns (compound, occupancy, avg_power, cheapest): three read-only
-    float64 arrays in grid order, bit for bit equal to ``resource_of`` and
-    ``compound_resource`` of the scalar model, and the read-only indices
-    of least compound in ascending order.  Raises ValueError naming the
-    first configuration whose compound is not finite.
+    float64 arrays in grid order, bit for bit equal to ``core.resource_of``
+    and ``core.compound_resource`` of each configuration, and the read-only
+    indices of least compound in ascending order.  Raises ValueError naming
+    the first configuration whose compound is not finite.
     """
     dwell, tx, pw = expanded_grids(space)
     (r1, r2), (w1, w2) = bounds.bounds, bounds.compound_weights
@@ -65,9 +68,8 @@ def config_metrics(space, target, bounds):
     """Evaluate every configuration of a grid against one target.
 
     Returns (utility, compound, occupancy, avg_power) float64 arrays in grid
-    order, bit for bit equal to ``task_utility``, ``resource_of`` and
-    ``compound_resource`` of the scalar model.  Only utility is computed
-    here; the other three are the read-only ``config_costs`` columns.
+    order.  Only utility is computed here, by :func:`utility`; the other
+    three are the read-only ``config_costs`` columns.
     """
     comp, occ, avg_pw, _ = config_costs(space, bounds)
     dwell, tx, pw = expanded_grids(space)
@@ -77,14 +79,25 @@ def config_metrics(space, target, bounds):
     return util, comp, occ, avg_pw
 
 
-def utility(dwell, tx, pw, range_km, speed_mps, weight):
-    """Element-wise ``task_utility``, bit for bit: configuration columns
-    (dwell, transmit duration, power) against target columns (range, speed,
-    type weight), any of which may be scalars that broadcast."""
+def snr(tx, pw, range_km):
+    """Signal-to-noise ratio by the range equation, element-wise: energy on
+    target (power x transmit duration) over the fourth power of range."""
     rr = range_km * range_km
     r4 = rr * rr
-    s = SNR_CONST * pw * tx / r4
-    sigma = MEASUREMENT_COEFF_M / np.sqrt(s)
+    return SNR_CONST * pw * tx / r4
+
+
+def utility(dwell, tx, pw, range_km, speed_mps, weight):
+    """Utility of configuration columns (dwell, transmit duration, power)
+    against target columns (range, speed, type weight), element-wise; any
+    argument may be a scalar that broadcasts.
+
+    The tracking error is the measurement error 100 m / sqrt(SNR), grown by
+    the target's travel per revisit (the dwell); utility saturates as
+    ``weight / (1 + error / ERROR_HALF_M)``.  ``tests/helpers.py`` keeps a
+    one-float-at-a-time reference that pins it bit for bit.
+    """
+    sigma = MEASUREMENT_COEFF_M / np.sqrt(snr(tx, pw, range_km))
     travel = speed_mps * (dwell / 1000.0)
     ratio = travel / GROWTH_SCALE_M
     growth = np.sqrt(1.0 + ratio * ratio)

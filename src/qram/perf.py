@@ -1,11 +1,12 @@
-"""Tracking scenario generation and the quality/utility performance model.
+"""Tracking scenarios and the constants of the quality/utility model.
 
 The model is deliberately minimal but physically shaped: signal-to-noise
 follows the radar range equation (energy on target over range^4), the
 steady-state tracking error is a measurement error inflated by target motion
 between revisits, and utility saturates as the error shrinks.  What matters
 for the solvers is the structure this induces: spending more resource on a
-task buys more utility with diminishing returns.
+task buys more utility with diminishing returns.  The constants live here;
+:func:`qram.kernels.utility` evaluates the model.
 
 Dwell length doubles as the revisit interval of the track, which is why a
 longer dwell cheapens the task (lower duty cycle) but degrades the error.
@@ -17,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import Configuration, _json_int, _json_number
+from .core import _json_int, _json_number
 from .rng import PortableRng
 
 
@@ -129,40 +130,3 @@ def generate_scenario(n_targets: int, seed: int) -> Scenario:
     rng = PortableRng(seed)
     return Scenario(targets=tuple(draw_target(rng, i) for i in range(n_targets)),
                     seed=seed)
-
-
-@dataclass(frozen=True)
-class QualityValue:
-    """Expected steady-state tracking error in meters (smaller is better)."""
-
-    track_error: float
-
-    def __post_init__(self):
-        if self.track_error <= 0:
-            raise ValueError(f"track error must be positive: {self.track_error}")
-
-
-def snr(config: Configuration, target: Target) -> float:
-    """Signal-to-noise ratio: energy on target over the fourth power of range."""
-    r2 = target.range_km * target.range_km
-    r4 = r2 * r2
-    return SNR_CONST * config.transmit_power * config.transmit_duration / r4
-
-
-def quality(config: Configuration, target: Target) -> QualityValue:
-    """Tracking error: measurement error grown by target travel per revisit."""
-    sigma = MEASUREMENT_COEFF_M / math.sqrt(snr(config, target))
-    travel = target.speed_mps * (config.dwell_length / 1000.0)
-    ratio = travel / GROWTH_SCALE_M
-    growth = math.sqrt(1.0 + ratio * ratio)
-    return QualityValue(track_error=sigma * growth)
-
-
-def utility_from_quality(q: QualityValue, target: Target) -> float:
-    """Saturating utility in (0, type weight], halved at ERROR_HALF_M."""
-    weight = TYPE_UTILITY_WEIGHT[target.ttype]
-    return weight / (1.0 + q.track_error / ERROR_HALF_M)
-
-
-def task_utility(config: Configuration, target: Target) -> float:
-    return utility_from_quality(quality(config, target), target)

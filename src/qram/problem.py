@@ -10,15 +10,14 @@ plus the bounds given on the command line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
-                   grid_configurations, resource_of)
-from .perf import TYPE_UTILITY_WEIGHT, Scenario, Target, snr, task_utility
+                   resource_of)
+from .perf import TYPE_UTILITY_WEIGHT, Scenario, Target
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,17 @@ class ProblemInstance:
         # SNR is monotone in P*tx, so a finite, positive SNR at the grid's
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
-        configs = grid_configurations(self.space)
-        for target in self.tasks:
-            try:
-                low, high = snr(configs[0], target), snr(configs[-1], target)
-            except ZeroDivisionError:  # range^4 underflows to 0
-                low = high = math.inf
-            if not 0.0 < low <= high < math.inf:
-                raise ValueError(f"target {target.id} at {target.range_km} km is "
-                                 f"outside the range the radar model can evaluate")
+        # A range^4 that underflows to 0 gives an infinite SNR.
+        _, tx, pw = expanded_grids(self.space)
+        range_km = target_columns(self.tasks)[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            low = kernels.snr(tx[0], pw[0], range_km)
+            high = kernels.snr(tx[-1], pw[-1], range_km)
+        bad = np.flatnonzero(~((0.0 < low) & (low <= high) & (high < np.inf)))
+        if len(bad):
+            target = self.tasks[bad[0]]
+            raise ValueError(f"target {target.id} at {target.range_km} km is "
+                             f"outside the range the radar model can evaluate")
         kernels.config_costs(self.space, self.bounds)  # raises if a compound is not finite
         object.__setattr__(self, "_by_id", by_id)
 
@@ -104,8 +105,12 @@ def _assigned(alloc: Allocation, instance: ProblemInstance):
 
 
 def _utilities(assigned) -> dict[int, float]:
-    return {target.id: task_utility(config, target)
-            for target, config in assigned}
+    """Utility of every assigned (target, config) pair from one kernel call."""
+    columns = np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
+                        for _, c in assigned], dtype=np.float64).reshape(-1, 3).T
+    utilities = kernels.utility(*columns,
+                                *target_columns([t for t, _ in assigned]))
+    return dict(zip([t.id for t, _ in assigned], utilities.tolist()))
 
 
 def _usage(assigned, instance: ProblemInstance) -> np.ndarray:

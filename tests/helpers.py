@@ -2,20 +2,87 @@
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qram.agent import (AgentParams, WeightFormatError, forward, greedy_action,
-                        init_params)
+from qram.agent import AgentParams, WeightFormatError, forward, init_params
 from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
                           _drop_until_feasible, base_configuration,
-                          upgrade_loop)
-from qram.core import Allocation, ConfigSpace, ResourceBounds, resource_of
-from qram.env import encode_state, raw_quotient
-from qram.perf import generate_scenario
+                          job_list_for, upgrade_loop)
+from qram.core import (Allocation, ConfigSpace, Configuration, ResourceBounds,
+                       compound_resource, resource_of)
+from qram.env import encode_state, quotient
+from qram.perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M,
+                       SNR_CONST, TYPE_UTILITY_WEIGHT, Target,
+                       generate_scenario)
 from qram.problem import build_tracking_instance
 from qram.rng import PortableRng
+
+
+# --------------------------------------------------------------------------
+# The scalar utility model: one (configuration, target) pair at a time, in
+# Python floats and ``math``.  It is the reference ``kernels.utility`` must
+# equal bit for bit.
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QualityValue:
+    """Expected steady-state tracking error in meters (smaller is better)."""
+
+    track_error: float
+
+    def __post_init__(self):
+        if self.track_error <= 0:
+            raise ValueError(f"track error must be positive: {self.track_error}")
+
+
+def snr(config: Configuration, target: Target) -> float:
+    """Signal-to-noise ratio: energy on target over the fourth power of range."""
+    r2 = target.range_km * target.range_km
+    r4 = r2 * r2
+    return SNR_CONST * config.transmit_power * config.transmit_duration / r4
+
+
+def quality(config: Configuration, target: Target) -> QualityValue:
+    """Tracking error: measurement error grown by target travel per revisit."""
+    sigma = MEASUREMENT_COEFF_M / math.sqrt(snr(config, target))
+    travel = target.speed_mps * (config.dwell_length / 1000.0)
+    ratio = travel / GROWTH_SCALE_M
+    growth = math.sqrt(1.0 + ratio * ratio)
+    return QualityValue(track_error=sigma * growth)
+
+
+def utility_from_quality(q: QualityValue, target: Target) -> float:
+    """Saturating utility in (0, type weight], halved at ERROR_HALF_M."""
+    weight = TYPE_UTILITY_WEIGHT[target.ttype]
+    return weight / (1.0 + q.track_error / ERROR_HALF_M)
+
+
+def task_utility(config: Configuration, target: Target) -> float:
+    return utility_from_quality(quality(config, target), target)
+
+
+def compound_of(config: Configuration, bounds: ResourceBounds) -> float:
+    """Compound resource of one configuration, from the scalar cost model."""
+    return compound_resource(resource_of(config), bounds)
+
+
+def raw_quotient(c_in: Configuration, c: Configuration, target: Target,
+                 bounds: ResourceBounds) -> float:
+    """Utility-to-resource difference quotient between two configurations,
+    from the scalar model."""
+    return quotient(task_utility(c, target) - task_utility(c_in, target),
+                    compound_of(c, bounds) - compound_of(c_in, bounds))
+
+
+def scalar_base_configuration(space: ConfigSpace, target: Target,
+                              bounds: ResourceBounds) -> int:
+    """Reference start index: over the least-compound configurations, in
+    index order, the first of highest scalar utility."""
+    costs = [compound_of(c, bounds) for c in space]
+    cheapest = [i for i, r in enumerate(costs) if r == min(costs)]
+    return max(cheapest, key=lambda i: task_utility(space.config_at(i), target))
 
 
 def gift_wrap_frontier(points):
@@ -258,8 +325,8 @@ def lazy_allocate_with_proposals(propose, instance):
             yield proposal, quotient
             current = proposal  # resumed only once the upgrade was accepted
 
-    start = {task.id: base_configuration(space, task, bounds)
-             for task in instance.tasks}
+    start = dict(zip([task.id for task in instance.tasks],
+                     base_configuration(space, instance.tasks, bounds)))
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
             tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
@@ -270,9 +337,31 @@ def single_row_proposer(params, space):
     ``space``: a per-task proposer for :func:`lazy_allocate_with_proposals`."""
     def propose(task, current):
         logits, _ = forward(params, encode_state(space, current, task))
-        action = greedy_action(logits)
+        action = int(np.argmax(logits))
         if not math.isfinite(logits[action]):
             raise WeightFormatError(f"network logits are not finite (task "
                                     f"{task.id}); the weights overflow")
         return action
+    return propose
+
+
+def frontier_proposer(instance):
+    """Perfect wave proposer: the next job-list point (itself when exhausted).
+
+    Driving the allocation loop with this oracle reproduces the classical
+    greedy result exactly; it pins down the loop's semantics.
+    """
+    lists = {target.id: job_list_for(target, instance.space, instance.bounds)
+             for target in instance.tasks}
+
+    def next_point(target, current):
+        points = lists[target.id].points
+        for i, p in enumerate(points):
+            if p.index == current:
+                return points[i + 1].index if i + 1 < len(points) else current
+        raise ValueError(f"task {target.id}: {current} is not on its frontier")
+
+    def propose(targets, currents):
+        return [next_point(target, current)
+                for target, current in zip(targets, currents)]
     return propose

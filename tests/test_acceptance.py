@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from helpers import (gift_wrap_frontier, random_point_cloud,
-                     random_small_instance)
-from qram.agent import forward, greedy_action
-from qram.allocator import allocate_with_agent, allocate_with_proposals, \
-    frontier_proposer
+from helpers import (frontier_proposer, gift_wrap_frontier,
+                     random_point_cloud, random_small_instance, task_utility)
+from qram.agent import forward
+from qram.allocator import allocate_with_agent, allocate_with_proposals
 from qram.classic import (base_configuration, embed_task, job_list_for,
                           solve_classic, upper_frontier)
 from qram.cli import main as cli_main
@@ -22,7 +21,7 @@ from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
                        ResourceBounds, compound_resource, resource_of)
 from qram.env import DEFAULT_ENV_BOUNDS, encode_state
 from qram.exact import optimal_allocation
-from qram.perf import generate_scenario, task_utility
+from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility)
 from qram.rng import PortableRng
@@ -160,10 +159,10 @@ def test_criterion_5_agent_quality(trained_agent):
             type(scenario)(targets=(target,), seed=0), bounds,
             DEFAULT_CONFIG_SPACE)
         task = inst.tasks[0]
-        base = base_configuration(DEFAULT_CONFIG_SPACE, target, bounds)
+        base, = base_configuration(DEFAULT_CONFIG_SPACE, [target], bounds)
         logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, base,
                                                  target))
-        config = DEFAULT_CONFIG_SPACE.config_at(greedy_action(logits))
+        config = DEFAULT_CONFIG_SPACE.config_at(int(np.argmax(logits)))
         frontier = job_list_for(task, DEFAULT_CONFIG_SPACE, bounds)
         r = compound_resource(resource_of(config), bounds)
         u = task_utility(config, target)

@@ -12,7 +12,7 @@ from conftest import train_agent
 from helpers import MALFORMED_WEIGHT_HEADERS, with_arrays, zero_network
 from qram import agent
 from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
-                        a2c_update, forward, greedy_action, init_params, load,
+                        a2c_update, forward, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
                         train, _forward_batch, _shapes)
 from qram.core import DEFAULT_CONFIG_SPACE
@@ -267,12 +267,6 @@ def test_sample_action_matches_the_running_sum_loop():
         nan = np.full(90, np.nan)
         assert sample_action(nan, _FixedDraw(0.3)) \
             == _loop_sample(nan, _FixedDraw(0.3)) == 89
-
-
-def test_greedy_action_tie_breaks_low():
-    logits = np.zeros(9)
-    logits[3] = logits[7] = 2.5
-    assert greedy_action(logits) == 3
 
 
 # -------------------------------------------------------------------- updates

@@ -4,18 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (lazy_allocate_with_proposals, random_small_instance,
-                     random_small_space, rescan_upgrade_loop,
-                     single_row_proposer, with_arrays, zero_network)
+from helpers import (frontier_proposer, lazy_allocate_with_proposals,
+                     random_small_instance, random_small_space, raw_quotient,
+                     rescan_upgrade_loop, single_row_proposer, with_arrays,
+                     zero_network)
 from qram import allocator, classic
 from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
-                            frontier_proposer, network_proposer, next_config)
+                            network_proposer, next_config)
 from qram.classic import (base_configuration, greedy_allocate, job_list_for,
                           solve_classic)
 from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds,
                        grid_configurations, resource_of)
-from qram.env import raw_quotient
 from qram.perf import TYPE_ORDER, generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility)
@@ -303,8 +303,8 @@ def _overflow_instance(type_of_top: bool):
     upgrade = Configuration(1100.0, 4.0, 1.0)
     up = grid_configurations(space).index(upgrade)
     scenario = generate_scenario(6, 8)
-    start = space.config_at(base_configuration(space, scenario.targets[0],
-                                               default_bounds(6)))
+    start = space.config_at(base_configuration(space, scenario.targets[:1],
+                                               default_bounds(6))[0])
     room = 1.5 * (resource_of(upgrade) - resource_of(start))
     bounds = ResourceBounds(tuple((6 * resource_of(start) + room).tolist()),
                             (1.0, 1.0))

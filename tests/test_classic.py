@@ -5,7 +5,8 @@ import pytest
 
 from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
                      random_point_cloud, random_small_instance,
-                     random_small_space, rescan_upgrade_loop, synthetic_points)
+                     random_small_space, rescan_upgrade_loop,
+                     scalar_base_configuration, synthetic_points, task_utility)
 from qram import cli, kernels, remark1
 from qram.classic import (JobList, JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
@@ -15,7 +16,7 @@ from qram.core import (Allocation, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
                        resource_of)
 from qram.exact import optimal_allocation
-from qram.perf import generate_scenario, task_utility
+from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility)
 from qram.rng import PortableRng
@@ -139,16 +140,22 @@ def test_frontier_subset_of_input_and_majorises():
                          ids=lambda w: f"{w[0]:g},{w[1]:g}")
 def test_base_configuration_is_first_frontier_point(weights):
     # Under (1, 0) the compound is occupancy alone, so the cheapest compound
-    # ties across the power axis and utility breaks the tie.
+    # ties across the power axis and utility breaks the tie.  The batched
+    # lookup must also pick what the scalar first-max rule picks.
     bounds = ResourceBounds(default_bounds(10).bounds, weights)
-    inst = _instance(n=10, seed=5, bounds=bounds)
-    ties = len(kernels.config_costs(DEFAULT_CONFIG_SPACE, bounds)[3])
-    assert ties == (len(DEFAULT_CONFIG_SPACE.tx_power_grid)
-                    if weights == (1.0, 0.0) else 1)
-    for task in inst.tasks:
-        jl = job_list_for(task, inst.space, inst.bounds)
-        assert base_configuration(inst.space, task, inst.bounds) \
-            == jl.points[0].index
+    rng = PortableRng(19)
+    spaces = [DEFAULT_CONFIG_SPACE] + [random_small_space(rng) for _ in range(20)]
+    for space in spaces:
+        ties = len(kernels.config_costs(space, bounds)[3])
+        assert ties == (len(space.tx_power_grid)
+                        if weights == (1.0, 0.0) else 1)
+        inst = _instance(n=10, seed=5, bounds=bounds, space=space)
+        got = base_configuration(space, inst.tasks, bounds)
+        assert got == [scalar_base_configuration(space, task, bounds)
+                       for task in inst.tasks]
+        assert got == [job_list_for(task, space, bounds).points[0].index
+                       for task in inst.tasks]
+    assert base_configuration(DEFAULT_CONFIG_SPACE, [], bounds) == []
 
 
 # ------------------------------------------------- job lists of an instance
@@ -252,7 +259,7 @@ def test_greedy_tie_breaks_to_lower_task_id():
     space = ConfigSpace((500.0, 1100.0), (2.0, 4.0), (1.0,))
     probe = build_tracking_instance(
         scenario, ResourceBounds((10.0, 10.0), (1.0, 1.0)), space)
-    base = space.config_at(base_configuration(space, t0, probe.bounds))
+    base = space.config_at(base_configuration(space, [t0], probe.bounds)[0])
     jl = job_list_for(probe.tasks[0], space, probe.bounds)
     first_upgrade = space.config_at(jl.points[1].index)
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]

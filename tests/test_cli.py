@@ -260,10 +260,13 @@ def test_solve_rejects_ranges_the_model_cannot_evaluate(range_km, method,
                                                         capsys):
     # range^4 underflows to 0 (1e-100), the SNR overflows (1e-80) or the
     # SNR underflows to 0 (1e300): no tracking error exists to evaluate.
+    # Of two such targets the error names the first in scenario order, not
+    # the lowest id.
     scenario = tmp_path / "far.json"
     scenario.write_text(json.dumps({"format": 1, "seed": 0, "targets": [
-        {"id": 0, "ttype": "Fighter", "range_km": 50.0, "speed_mps": 200.0},
-        {"id": 1, "ttype": "Fighter", "range_km": range_km, "speed_mps": 200.0}]}))
+        {"id": 2, "ttype": "Fighter", "range_km": 50.0, "speed_mps": 200.0},
+        {"id": 1, "ttype": "Fighter", "range_km": range_km, "speed_mps": 200.0},
+        {"id": 0, "ttype": "Missile", "range_km": range_km, "speed_mps": 600.0}]}))
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as err:
         run(["solve", "--scenario", str(scenario), "--method", method,
@@ -271,7 +274,7 @@ def test_solve_rejects_ranges_the_model_cannot_evaluate(range_km, method,
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith("error: ") and message.count("\n") == 1
-    assert "target 1" in message
+    assert "target 1 at" in message
     assert not out.exists()
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import (compound_of, raw_quotient, scalar_base_configuration,
+                     task_utility)
 from qram.classic import base_configuration
 from qram.core import (Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       compound_resource, resource_of)
+                       ResourceBounds, compound_resource, resource_of)
 from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
                       QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv,
-                      config_features, encode_state, quotient, raw_quotient,
-                      training_quotient)
-from qram.perf import Target, TargetType, task_utility
+                      config_features, encode_state, quotient)
+from qram.perf import Target, TargetType
 from qram.rng import PortableRng
 
 
@@ -20,6 +21,20 @@ CONFIG = slice(SITUATIONAL_WIDTH, SITUATIONAL_WIDTH + CONFIG_WIDTH)
 
 def make_env(seed=5):
     return TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=seed)
+
+
+def grid_index(state):
+    """The default grid's index of an observation's configuration columns."""
+    i_d, i_t, i_p = np.rint(state[CONFIG] * (5.0, 4.0, 2.0)).astype(int)
+    return int(i_d * 15 + i_t * 3 + i_p)  # row-major over 6 x 5 x 3
+
+
+def scalar_reward(c_in, c, target, bounds):
+    """The step reward from the scalar model: the utility change over the
+    magnitude of the compound change, clipped and scaled to [-1, 1]."""
+    du = task_utility(c, target) - task_utility(c_in, target)
+    dr = compound_of(c, bounds) - compound_of(c_in, bounds)
+    return max(-QUOTIENT_CAP, min(QUOTIENT_CAP, quotient(du, abs(dr)))) / QUOTIENT_CAP
 
 
 # -------------------------------------------------------------------- resets
@@ -71,8 +86,9 @@ def test_encode_state_rejects_an_index_off_the_grid():
 def test_reset_starts_at_cheapest_config():
     env = make_env(11)
     state = env.reset()
-    base = base_configuration(env.space, env.target, env.bounds)
-    assert env.current_config == env.space.config_at(base)
+    base, = base_configuration(env.space, [env.target], env.bounds)
+    assert base == scalar_base_configuration(env.space, env.target, env.bounds)
+    assert grid_index(state) == base
     i_d, rest = divmod(base, 15)  # row-major over 6 x 5 x 3
     i_t, i_p = divmod(rest, 3)
     assert tuple(state[CONFIG]) == (i_d / 5.0, i_t / 4.0, i_p / 2.0)
@@ -121,7 +137,7 @@ def test_raw_quotient_argmax_matches_exhaustive_scan():
     target = Target(0, TargetType.MISSILE, 45.0, 700.0)
     bounds = DEFAULT_ENV_BOUNDS
     base = DEFAULT_CONFIG_SPACE.config_at(
-        base_configuration(DEFAULT_CONFIG_SPACE, target, bounds))
+        base_configuration(DEFAULT_CONFIG_SPACE, [target], bounds)[0])
     # independent scan: recompute the quotient per config from the model
     best, best_q = None, -np.inf
     for config in DEFAULT_CONFIG_SPACE:
@@ -141,24 +157,48 @@ def test_raw_quotient_argmax_matches_exhaustive_scan():
 
 
 def test_training_quotient_sign_flips_for_downgrades():
-    target = Target(0, TargetType.FIGHTER, 60.0, 300.0)
+    # The reward divides by the compound moved: an upgrade scores its raw
+    # quotient, and the downgrade back scores the same, negated.
     bounds = DEFAULT_ENV_BOUNDS
     cheap = Configuration(1100.0, 2.0, 1.0)
     rich = Configuration(100.0, 10.0, 4.0)
-    up = training_quotient(cheap, rich, target, bounds)
-    down = training_quotient(rich, cheap, target, bounds)
+    space = DEFAULT_CONFIG_SPACE
+    env = make_env(43)
+    assert space.config_at(grid_index(env.reset())) == cheap
+    target = env.target
+    up = env.step(list(space).index(rich)).reward
+    down = env.step(list(space).index(cheap)).reward
     assert up > 0 > down
-    assert up == raw_quotient(cheap, rich, target, bounds)
-    assert down == -raw_quotient(rich, cheap, target, bounds)
+    assert up == raw_quotient(cheap, rich, target, bounds) / QUOTIENT_CAP
+    assert down == -raw_quotient(rich, cheap, target, bounds) / QUOTIENT_CAP
 
 
 # --------------------------------------------------------------------- steps
 
 def test_step_noop_action_rewards_zero():
     env = make_env(3)
-    env.reset()
-    action = list(env.space).index(env.current_config)
+    action = grid_index(env.reset())
     assert env.step(action).reward == 0.0
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_ENV_BOUNDS,
+                                    ResourceBounds((0.15, 0.5), (1.0, 1.0))],
+                         ids=["default", "tight"])
+def test_step_rewards_match_the_scalar_model(bounds):
+    # Every action from the reset start, then a second step from there, for
+    # several seeded targets: each reward equals the scalar model's bit for
+    # bit.
+    space = DEFAULT_CONFIG_SPACE
+    for seed in range(6):
+        for action in range(space.size):
+            env = TrackingEnv(space, bounds, seed=seed)
+            start = space.config_at(grid_index(env.reset()))
+            config = space.config_at(action)
+            assert env.step(action).reward == scalar_reward(
+                start, config, env.target, bounds), (seed, action)
+            nxt = (7 * action + seed) % space.size
+            assert env.step(nxt).reward == scalar_reward(
+                config, space.config_at(nxt), env.target, bounds), (seed, action)
 
 
 def test_step_caps_the_reward():

@@ -4,13 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_small_instance, random_small_space
+from helpers import random_small_instance, random_small_space, task_utility
 from qram import kernels, remark1
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
                        ResourceBounds, resource_of)
 from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
                         optimal_allocation_dp)
-from qram.perf import Target, TargetType, generate_scenario, task_utility
+from qram.perf import Target, TargetType, generate_scenario
 from qram.problem import (ProblemInstance, build_tracking_instance,
                           default_bounds, is_feasible, system_utility,
                           utility_table)

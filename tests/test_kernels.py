@@ -6,12 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import argmax_knapsack_table, random_small_space
+from helpers import argmax_knapsack_table, random_small_space, snr, task_utility
 from qram import kernels
 from qram.core import (DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds,
                        compound_resource, resource_of)
-from qram.perf import (TYPE_UTILITY_WEIGHT, Target, TargetType,
-                       generate_scenario, task_utility)
+from qram.perf import TYPE_UTILITY_WEIGHT, Target, TargetType, generate_scenario
 from qram.rng import PortableRng
 
 TARGET = Target(id=0, ttype=TargetType.FIGHTER, range_km=62.5, speed_mps=340.0)
@@ -50,6 +49,15 @@ def test_utility_matches_scalar_model_row_by_row():
     assert got.tolist() == [task_utility(c, t) for c, t in zip(configs, targets)]
     util = kernels.config_metrics(DEFAULT_CONFIG_SPACE, TARGET, BOUNDS)[0]
     assert util.tolist() == [task_utility(c, TARGET) for c in DEFAULT_CONFIG_SPACE]
+
+
+def test_snr_matches_scalar_model():
+    targets = generate_scenario(200, 9).targets
+    configs = [DEFAULT_CONFIG_SPACE.config_at((7 * i) % 90) for i in range(200)]
+    got = kernels.snr(np.array([c.transmit_duration for c in configs]),
+                      np.array([c.transmit_power for c in configs]),
+                      np.array([t.range_km for t in targets]))
+    assert got.tolist() == [snr(c, t) for c, t in zip(configs, targets)]
 
 
 def test_config_costs_are_read_only_and_cached_per_grid_and_bounds():

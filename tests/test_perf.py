@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from helpers import (QualityValue, quality, snr, task_utility,
+                     utility_from_quality)
 from qram.core import Configuration, DEFAULT_CONFIG_SPACE
-from qram.perf import (ERROR_HALF_M, QualityValue, Scenario, Target, TargetType,
-                       TYPE_SPEED_RANGE, TYPE_UTILITY_WEIGHT, generate_scenario,
-                       quality, snr, task_utility, utility_from_quality)
+from qram.perf import (ERROR_HALF_M, Scenario, Target, TargetType,
+                       TYPE_SPEED_RANGE, TYPE_UTILITY_WEIGHT, generate_scenario)
 
 CAL_CONFIG = Configuration(500.0, 6.0, 2.0)
 

@@ -1,8 +1,9 @@
 import pytest
 
+from helpers import task_utility
 from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
     ResourceBounds, resource_of
-from qram.perf import Scenario, Target, TargetType, generate_scenario, task_utility
+from qram.perf import Scenario, Target, TargetType, generate_scenario
 from qram import problem
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           evaluate_allocation, is_feasible, resource_usage,
