@@ -6,6 +6,12 @@ job-list/greedy method and a trained actor-critic agent proposing upgrades,
 plus exact oracles and a benchmarking CLI (``qram``).
 """
 
+import os
+
+# One BLAS thread unless the user chose; numpy reads these on first import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .core import (Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
                    ResourceBounds, compound_resource, resource_of)
 from .perf import Scenario, Target, TargetType, generate_scenario

@@ -19,8 +19,8 @@ then :func:`upper_frontier`); it is the per-task cost the paper compares
 against.  A solve builds the lists of a whole instance in two array stages:
 :func:`qram.problem.utility_table` evaluates every (task, configuration)
 pair in one kernel call, and :func:`instance_job_lists` sweeps the grid's
-compound levels once for all tasks, which share the grid, and makes
-JobPoints only for frontier points.
+compound levels once for all tasks, which share the grid, and fills each
+task's frontier columns straight from the sweep's rows, with no point object.
 
 Inside the solvers a choice is a grid index, whose order is the
 lexicographic order of configurations.  ``Configuration`` objects appear
@@ -49,8 +49,7 @@ from .problem import ProblemInstance, target_columns, utility_table
 
 
 class JobPoint(NamedTuple):
-    """A grid index embedded into (compound resource, utility) space.
-    A plain record: :class:`JobList` checks the resource is non-negative."""
+    """A grid index embedded into (compound resource, utility) space."""
 
     index: int
     resource: float
@@ -63,36 +62,29 @@ def _cross(a: JobPoint, b: JobPoint, c: JobPoint) -> float:
             - (c.resource - a.resource) * (b.utility - a.utility))
 
 
-@dataclass(frozen=True)
-class JobList:
-    """A task's frontier: strictly better jobs at strictly decreasing rates.
+class JobList(NamedTuple):
+    """A task's frontier as three equal-length columns in frontier order:
+    strictly better jobs at strictly decreasing rates.
 
-    Resources strictly increase along the list, so checking that the first
-    is non-negative covers every point.
+    Both builders guarantee that shape by construction: the same ``_cross``
+    decides every hull pop.
     """
 
     task_id: int
-    points: tuple[JobPoint, ...]
+    index: tuple[int, ...]
+    resource: tuple[float, ...]
+    utility: tuple[float, ...]
 
-    def __post_init__(self):
-        pts = self.points
-        if not pts:
-            raise ValueError("a job list needs at least one point")
-        if pts[0].resource < 0:
-            raise ValueError(f"resource must be non-negative: {pts[0].resource}")
-        for a, b in zip(pts, pts[1:]):
-            if not (b.resource > a.resource and b.utility > a.utility):
-                raise ValueError("job list must strictly increase in resource "
-                                 "and utility")
-        for a, b, c in zip(pts, pts[1:], pts[2:]):
-            if _cross(a, b, c) >= 0:
-                raise ValueError("marginal ratios along a job list must be "
-                                 "strictly decreasing")
+    @property
+    def points(self) -> tuple[JobPoint, ...]:
+        """The jobs as JobPoints, for readers that walk point by point."""
+        return tuple(map(JobPoint, self.index, self.resource, self.utility))
 
     def ratios(self) -> list[float]:
         """Utility-to-resource slope of each step along the frontier."""
-        return [(b.utility - a.utility) / (b.resource - a.resource)
-                for a, b in zip(self.points, self.points[1:])]
+        r, u = self.resource, self.utility
+        return [(u1 - u0) / (r1 - r0)
+                for r0, r1, u0, u1 in zip(r, r[1:], u, u[1:])]
 
 
 def embed_task(target: Target, space: ConfigSpace,
@@ -109,10 +101,13 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
     Keeps the best point per resource level (ties to the lowest index, the
     lexicographically smallest configuration), runs a monotone-chain upper
     hull over them, and cuts the hull back to its strictly-increasing-utility prefix.
+    The cheapest point opens the frontier, so its resource must be >= 0.
     """
     if not points:
         raise ValueError("cannot build a frontier from zero points")
     ordered = sorted(points, key=lambda p: (p.resource, -p.utility, p.index))
+    if ordered[0].resource < 0:
+        raise ValueError(f"resource must be non-negative: {ordered[0].resource}")
     best_per_r = []
     for p in ordered:
         if best_per_r and best_per_r[-1].resource == p.resource:
@@ -129,7 +124,7 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
             frontier.append(p)
         else:
             break  # hull slopes only decrease; utility cannot rise again
-    return JobList(task_id=task_id, points=tuple(frontier))
+    return JobList(task_id, *zip(*frontier))
 
 
 def job_list_for(target: Target, space: ConfigSpace,
@@ -162,8 +157,8 @@ def instance_job_lists(instance: ProblemInstance,
     :func:`upper_frontier`'s sort does.  One monotone-chain sweep over the
     levels then pops, for all tasks at once, every hull top whose
     ``_cross`` with the new level is >= 0, computed from the same operands
-    in the same order, so every float matches the per-task path.  Only the
-    strictly-increasing-utility prefix of each hull becomes JobPoints.
+    in the same order, so every float matches the per-task path.  The
+    strictly-increasing-utility prefix of each hull fills the columns.
     """
     comp = kernels.config_costs(instance.space, instance.bounds)[0]
     order, starts = _compound_levels(instance.space, instance.bounds)
@@ -207,8 +202,7 @@ def instance_job_lists(instance: ProblemInstance,
     rows = zip(instance.tasks, length.tolist(), picks.tolist(),
                comp[picks].tolist(),
                np.take_along_axis(table, picks, axis=1).tolist())
-    return [JobList(task_id=target.id,
-                    points=tuple(map(JobPoint, i[:k], r[:k], u[:k])))
+    return [JobList(target.id, tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
             for target, k, i, r, u in rows]
 
 
@@ -454,9 +448,8 @@ def greedy_allocate(job_lists: list[JobList],
     if sorted(by_id) != sorted(t.id for t in instance.tasks):
         raise ValueError("need exactly one job list per task")
     return upgrade_loop(
-        instance, {tid: jl.points[0].index for tid, jl in by_id.items()},
-        lambda kept: {tid: zip([p.index for p in by_id[tid].points[1:]],
-                               by_id[tid].ratios())
+        instance, {tid: jl.index[0] for tid, jl in by_id.items()},
+        lambda kept: {tid: zip(by_id[tid].index[1:], by_id[tid].ratios())
                       for tid in kept})
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:

@@ -107,6 +107,20 @@ def gift_wrap_frontier(points):
         chain.append(max(cands, key=lambda p: (slope(p), p.resource)))
 
 
+def assert_frontier_shape(job_list):
+    """The shape both job-list builders guarantee: equal columns of at least
+    one job, a non-negative first resource, strictly rising resource and
+    utility, and positive, strictly falling step ratios."""
+    index, resource, utility = job_list.index, job_list.resource, job_list.utility
+    assert len(index) == len(resource) == len(utility) >= 1
+    assert resource[0] >= 0
+    for column in (resource, utility):
+        assert all(a < b for a, b in zip(column, column[1:]))
+    ratios = job_list.ratios()
+    assert all(r > 0 for r in ratios)
+    assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
 def synthetic_points(values):
     """JobPoints from (resource, utility) pairs; grid indices are distinct
     and follow the input order."""

@@ -3,12 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (gift_wrap_frontier, linear_drop_until_feasible,
+from helpers import (assert_frontier_shape, gift_wrap_frontier,
+                     linear_drop_until_feasible,
                      random_point_cloud, random_small_instance,
                      random_small_space, rescan_upgrade_loop,
                      scalar_base_configuration, synthetic_points, task_utility)
 from qram import cli, kernels, remark1
-from qram.classic import (JobList, JobPoint, UsageLedger, _drop_until_feasible,
+from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
                           instance_job_lists, job_list_for, solve_classic,
                           upgrade_loop, upper_frontier, utility_table)
@@ -86,30 +87,18 @@ def test_frontier_matches_exhaustive_oracle():
     rng = PortableRng(2024)
     for _ in range(300):
         cloud = random_point_cloud(rng)
-        got = upper_frontier(cloud).points
-        want = gift_wrap_frontier(cloud)
-        assert list(got) == want
-
-
-def test_job_list_invariants_enforced():
-    bad = synthetic_points([(1.0, 1.0), (2.0, 1.0)])  # utility not increasing
-    with pytest.raises(ValueError):
-        JobList(task_id=0, points=tuple(bad))
-    not_concave = synthetic_points([(1.0, 1.0), (2.0, 1.5), (3.0, 3.0)])
-    with pytest.raises(ValueError):
-        JobList(task_id=0, points=tuple(not_concave))
+        frontier = upper_frontier(cloud)
+        assert_frontier_shape(frontier)
+        assert list(frontier.points) == gift_wrap_frontier(cloud)
 
 
 def test_negative_resource_is_rejected_by_the_job_list():
     # The cheapest point of a cloud always opens its frontier, even at the
-    # lowest utility, and resources increase along the list, so the check
-    # on the first point covers every point.
+    # lowest utility, and resources increase along the list, so
+    # upper_frontier's check on the cheapest point covers every point.
     cloud = synthetic_points([(2.0, 3.0), (-0.5, 0.0), (1.0, 2.0)])
     with pytest.raises(ValueError, match=r"resource must be non-negative: -0\.5"):
         upper_frontier(cloud)
-    first_negative = synthetic_points([(-1.0, 1.0), (2.0, 3.0)])
-    with pytest.raises(ValueError, match=r"resource must be non-negative: -1\.0"):
-        JobList(task_id=0, points=tuple(first_negative))
 
 
 def test_job_list_ratios_strictly_decreasing():
@@ -189,6 +178,14 @@ def test_instance_job_lists_equal_the_per_task_path():
         assert repr(got) == repr(want), label
 
 
+def test_job_lists_of_both_builders_have_the_frontier_shape():
+    for inst, _ in _instance_cases():
+        for jl in instance_job_lists(inst, utility_table(inst)):
+            assert_frontier_shape(jl)
+        for task in inst.tasks:
+            assert_frontier_shape(job_list_for(task, inst.space, inst.bounds))
+
+
 def test_instance_job_lists_keep_the_tie_rules():
     # Coarse utilities tie within and across compound levels; each level
     # must keep its lowest grid index, as upper_frontier's sort does.  A
@@ -223,9 +220,13 @@ def test_classic_solve_builds_no_point_per_configuration(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a classic solve built a point per configuration")
 
+    def refuse_point(*args, **kwargs):
+        raise AssertionError("a classic solve built a JobPoint")
+
     for owner in ("qram.classic", "qram.cli"):
         monkeypatch.setattr(f"{owner}.embed_task", refuse)
         monkeypatch.setattr(f"{owner}.upper_frontier", refuse)
+    monkeypatch.setattr("qram.classic.JobPoint", refuse_point)
     inst = _instance(n=150, seed=11, bounds=default_bounds(150))
     alloc, _ = solve_classic(inst)
     assert is_feasible(alloc, inst)

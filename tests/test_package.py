@@ -1,4 +1,8 @@
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qram
 
@@ -22,3 +26,19 @@ def test_removed_names_stay_out_of_the_package():
     assert not set(REMOVED) & set(qram.__all__)
     assert not [name for name in REMOVED
                 if hasattr(qram, name) or hasattr(qram.perf, name)]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_import_defaults_blas_to_one_thread_and_keeps_a_user_value():
+    # A fresh interpreter: numpy reads these only when it is first imported.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["OMP_NUM_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(qram.__file__).parents[1]), env.get("PYTHONPATH")]))
+    probe = ("import os, qram; print(*(os.environ[v] for v in "
+             f"{BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["1", "3", "1"]
