@@ -251,48 +251,85 @@ class UsageLedger:
     uses (a sequential sum over tasks in instance order), otherwise float
     drift from incremental updates can leave a "feasible" result that the
     recheck rejects by one ulp.  cumsum reproduces that sequential order.
+    Every entry is >= 0, as a resource vector of a valid configuration is.
 
-    Invariant: between writes the ledger holds that sequential sum, the
-    usage :func:`qram.problem.is_feasible` computes.  A write only marks it
-    stale; it is re-summed once, before the next check, so the initial fill
-    costs one sum, not one per row.
+    The ledger holds a usage ``s`` and a drift ``d`` per resource.  A
+    re-sum sets ``s`` to the sequential sum ``S`` of the T rows and ``d``
+    to 0.  A write of a row from ``old`` to ``new`` is O(1):
+    ``s <- (s - old) + new`` and ``d += u * (T * old + 2 * (|s| + old +
+    new))``, with ``u = 2**-53`` and ``s`` read before the write.
 
-    :meth:`fits` answers in O(1) from the held usage ``s``: per resource,
-    the candidate total ``s - old + new`` is within
-    ``band = (2T + 8) * 2**-52 * (s + old + new)`` (T rows) of the sum a
-    full re-sum with the row replaced would give.  So a total above its
-    limit by more than ``band`` cannot fit, and totals below every limit
-    by more than ``band`` fit; only a total inside the band falls back to
-    the full re-sum.  The bound holds because every entry is >= 0 (a
-    resource vector of a valid configuration is): a sequential
-    sum of T non-negative terms errs by at most (T - 1) * 2**-53 times its
-    exact total, which bounds the error of the held usage and of the
-    re-summed candidate, and ``s - old + new`` adds two roundings of at
-    most 2**-53 each.  Together that is about T * 2**-52 * (s + old + new);
-    the rest of ``band`` covers rounding ``band`` itself.  Every answer is
-    therefore the one the full re-sum gives, bit for bit.
+    Invariant: ``|s - E| <= g * E + d``, where ``E`` is the exact sum of
+    the rows and ``g = (T - 1) * u / (1 - (T - 1) * u)`` bounds the
+    relative error of a sequential sum of T non-negative terms (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 4); for T below
+    10**8, ``g <= T * u``.  A re-sum makes the invariant hold with
+    ``d = 0``.  A write moves ``E`` by ``new - old`` and ``s`` by that plus
+    two roundings, each at most ``u`` times a value <= ``|s| + old + new``.
+    The error ``g * E`` carried from the last re-sum may exceed ``g`` times
+    the new exact sum, but by at most ``g * old``.  The increment of ``d``
+    covers both terms.
+
+    :meth:`fits` asks whether the totals ``t = s - old + new`` are within
+    their limits.  The sequential sum ``S'`` that a full re-sum with the
+    row replaced would give is within
+    ``band = (2T + 8) * 2**-52 * (s + old + new) + 2 * d`` of ``t``.  This
+    bound adds the invariant, ``|S' - E'| <= g * E'`` for the new exact
+    sum ``E' <= E + new``, and the two roundings of ``t``.  The invariant
+    gives ``s >= -d`` and ``E <= (s + d) / (1 - g)``, so the terms are
+    about ``T * 2**-52 * (s + old + new)`` plus ``(1 + 2g) * d``.  The rest
+    of ``band`` covers rounding in ``band`` and ``d``.  So a total above
+    its limit by more than ``band`` cannot fit, and totals below every
+    limit by more than ``band`` fit.  Such a verdict is that of the full
+    re-sum, bit for bit, and costs O(1).
+
+    A total inside its band while ``d > 0`` makes the ledger re-sum once
+    and decide again with ``d = 0``.  A total still inside its band sums a
+    copy with the row replaced.  Every answer is therefore the one the full
+    re-sum gives.
     """
 
     def __init__(self, instance: ProblemInstance):
         self._row = {t.id: i for i, t in enumerate(instance.tasks)}
         self._mat = np.zeros((len(instance.tasks), len(instance.bounds.bounds)))
         self._limits = tuple(float(b) for b in instance.bounds.bounds)
-        self._band = (2 * len(instance.tasks) + 8) * 2.0**-52
-        self._usage: tuple[float, ...] | None = None  # None after a write
+        self._tasks = len(instance.tasks)
+        self._band = (2 * self._tasks + 8) * 2.0**-52
+        self._usage = [0.0] * len(self._limits)  # the sum of zero rows
+        self._drift = [0.0] * len(self._limits)
+        self._exact = True  # no write since the last re-sum: d == 0
+
+    def _resum(self) -> None:
+        self._usage = _sequential_sum(self._mat).tolist()
+        self._drift = [0.0] * len(self._usage)
+        self._exact = True
+
+    def _write(self, row: int, vec) -> None:
+        old = self._mat[row].tolist()
+        self._mat[row] = vec
+        s, d = self._usage, self._drift
+        for k, (o, n) in enumerate(zip(old, self._mat[row].tolist())):
+            held = s[k]
+            s[k] = held - o + n
+            d[k] += 2.0**-53 * (self._tasks * o + 2.0 * (abs(held) + o + n))
+        self._exact = False
 
     def set_row(self, task_id: int, vec) -> None:
-        self._mat[self._row[task_id]] = vec
-        self._usage = None
+        self._write(self._row[task_id], vec)
 
     def clear_row(self, task_id: int) -> None:
-        self._mat[self._row[task_id]] = 0.0
-        self._usage = None
+        self._write(self._row[task_id], 0.0)
+
+    def set_rows(self, task_ids, values) -> None:
+        """Write these tasks' rows as one block, then re-sum once."""
+        self._mat[[self._row[tid] for tid in task_ids]] = values
+        self._resum()
 
     def usage(self) -> tuple[float, ...]:
-        """The sequential sum of all rows, re-summed only after a write."""
-        if self._usage is None:
-            self._usage = tuple(_sequential_sum(self._mat).tolist())
-        return self._usage
+        """The sequential sum of all rows, re-summed if a write drifted it."""
+        if not self._exact:
+            self._resum()
+        return tuple(self._usage)
 
     def feasible(self) -> bool:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
@@ -308,31 +345,41 @@ class UsageLedger:
         """Would the rows fit with these tasks' rows cleared?"""
         return self._fits_with([self._row[tid] for tid in task_ids], 0.0)
 
-    def fits(self, task_id: int, vec) -> bool:
-        """Would replacing the task's row keep the total within limits?"""
-        row = self._row[task_id]
-        new = np.asarray(vec, dtype=np.float64)
+    def _decide(self, olds, news) -> bool | None:
+        """The band's verdict on the totals ``s - old + new``, or None when
+        one of them lies inside its band."""
         decided = True
-        for s, old, n, lim in zip(self.usage(), self._mat[row].tolist(),
-                                  new.tolist(), self._limits):
+        for s, d, old, n, lim in zip(self._usage, self._drift, olds, news,
+                                     self._limits):
             total = s - old + n
-            band = self._band * (s + old + n)
+            band = self._band * (s + old + n) + 2.0 * d
             if total - band > lim:
                 return False
             if not total + band < lim:
                 decided = False
-        return decided or self._fits_with([row], new)
+        return True if decided else None
+
+    def fits(self, task_id: int, vec) -> bool:
+        """Would replacing the task's row keep the total within limits?"""
+        row = self._row[task_id]
+        new = np.asarray(vec, dtype=np.float64)
+        olds, news = self._mat[row].tolist(), new.tolist()
+        verdict = self._decide(olds, news)
+        if verdict is None and not self._exact:
+            self._resum()
+            verdict = self._decide(olds, news)
+        return self._fits_with([row], new) if verdict is None else verdict
 
 
 def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
     """Drop tasks from the highest id down until the base load fits.
 
     Returns the dropped ids, sorted, after removing them from ``active``
-    and clearing their rows: the fewest highest ids whose removal makes the
-    ledger feasible, or all of them.  Rows are >= 0 and rounding is
-    monotone, so the sequential usage after clearing the top k ids never
-    grows with k; the smallest such k is found by bisection, with
-    O(log T) re-sums instead of one per drop.
+    and clearing their rows as one block: the fewest highest ids whose
+    removal makes the ledger feasible, or all of them.  Rows are >= 0 and
+    rounding is monotone, so the sequential usage after clearing the top k
+    ids never grows with k; the smallest such k is found by bisection,
+    with O(log T) re-sums instead of one per drop.
     """
     if ledger.feasible():
         return []
@@ -345,8 +392,7 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
         else:
             lo = mid
     dropped = by_id[len(by_id) - hi:]
-    for tid in dropped:
-        ledger.clear_row(tid)
+    ledger.set_rows(dropped, 0.0)
     gone = set(dropped)
     active[:] = [tid for tid in active if tid not in gone]
     return dropped
@@ -391,8 +437,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
                                                 instance.bounds)[1:3])
     ledger = UsageLedger(instance)
     active = sorted(start)
-    for tid in active:
-        ledger.set_row(tid, rows[start[tid]])
+    ledger.set_rows(active, rows[[start[tid] for tid in active]])
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
@@ -444,9 +489,10 @@ def greedy_allocate(job_lists: list[JobList],
     Runs :func:`upgrade_loop` from each task's first frontier point, one
     frontier step at a time, ranked by the step's utility-to-resource ratio.
     """
-    by_id = {jl.task_id: jl for jl in job_lists}
-    if sorted(by_id) != sorted(t.id for t in instance.tasks):
+    if (sorted(jl.task_id for jl in job_lists)
+            != sorted(t.id for t in instance.tasks)):
         raise ValueError("need exactly one job list per task")
+    by_id = {jl.task_id: jl for jl in job_lists}
     return upgrade_loop(
         instance, {tid: jl.index[0] for tid, jl in by_id.items()},
         lambda kept: {tid: zip(by_id[tid].index[1:], by_id[tid].ratios())

@@ -37,11 +37,15 @@ DP_DEFAULT_CELLS = 2000
 
 
 class CapacityError(RuntimeError):
-    """Instance too large to solve exactly; carries the offending product."""
+    """Instance too large to solve exactly; carries the offending product.
+
+    ``shown`` is how the message writes the product, for one too long to
+    print in full (``91^2300``)."""
 
     def __init__(self, product: int, cap: int,
-                 what: str = "combined configuration states"):
-        super().__init__(f"{product} {what} exceed the cap of {cap}")
+                 what: str = "combined configuration states",
+                 shown: str | None = None):
+        super().__init__(f"{shown or product} {what} exceed the cap of {cap}")
         self.product = product
         self.cap = cap
 
@@ -62,9 +66,10 @@ def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
     + 1) per task with dropping included, exceed ``ENUMERATION_CAP``.
     """
     configs = grid_configurations(instance.space)
-    states = (len(configs) + 1) ** len(instance.tasks)
+    base, tasks = len(configs) + 1, len(instance.tasks)
+    states = base ** tasks
     if states > ENUMERATION_CAP:
-        raise CapacityError(states, ENUMERATION_CAP)
+        raise CapacityError(states, ENUMERATION_CAP, shown=f"{base}^{tasks}")
     _, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
     best_u, picks = kernels.scan_best_feasible(
         utility_table(instance), occ, pw, [len(configs)] * len(instance.tasks),

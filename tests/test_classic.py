@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from helpers import (assert_frontier_shape, gift_wrap_frontier,
                      random_point_cloud, random_small_instance,
                      random_small_space, rescan_upgrade_loop,
                      scalar_base_configuration, synthetic_points, task_utility)
-from qram import cli, kernels, remark1
+from qram import classic, cli, kernels, remark1
 from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
                           instance_job_lists, job_list_for, solve_classic,
@@ -275,9 +276,11 @@ def test_greedy_tie_breaks_to_lower_task_id():
 
 def test_greedy_requires_matching_job_lists():
     inst = _instance(n=2)
-    jl = job_list_for(inst.tasks[0], inst.space, inst.bounds)
-    with pytest.raises(ValueError):
-        greedy_allocate([jl], inst)
+    lists = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
+    # Task 1 without a list; every task with a list, but task 0 with two.
+    for bad in (lists[:1], lists + lists[:1]):
+        with pytest.raises(ValueError, match="exactly one job list per task"):
+            greedy_allocate(bad, inst)
 
 
 def test_greedy_never_infeasible_and_below_optimum():
@@ -415,6 +418,39 @@ def test_classic_loop_asks_each_refusal_once_without_a_lowering_upgrade(
     assert len(asked) <= len(trace.upgrades) + len(alloc.assignment)
 
 
+def test_classic_solve_resums_the_ledger_a_handful_of_times(monkeypatch):
+    # A write is O(1).  The ledger re-sums its rows after a block write
+    # (the start rows, the drop) and when a check lands inside its band
+    # while drifted; a check still inside the band sums a copy.  Re-summing
+    # after every accepted upgrade took 1,070 sums at 500 targets and
+    # 1,114 at 1000.
+    sums, resums = [], []
+    total, resum = classic._sequential_sum, UsageLedger._resum
+
+    def counted_sum(mat):
+        sums.append(mat.shape)
+        return total(mat)
+
+    def counted_resum(self):
+        resums.append(self)
+        resum(self)
+    monkeypatch.setattr(classic, "_sequential_sum", counted_sum)
+    monkeypatch.setattr(UsageLedger, "_resum", counted_resum)
+    inst = build_tracking_instance(generate_scenario(500, 11_050_000),
+                                   default_bounds(500), DEFAULT_CONFIG_SPACE)
+    _, trace = solve_classic(inst)
+    assert len(trace.upgrades) == 1067 and not trace.dropped
+    assert len(resums) <= 2 and len(sums) <= 4
+    # Over the fixed 5 kW of default_bounds, 1000 targets drop tasks: the
+    # drop bisects, then clears the dropped rows as one block.
+    sums.clear()
+    inst = build_tracking_instance(generate_scenario(1000, 11_100_000),
+                                   default_bounds(1000), DEFAULT_CONFIG_SPACE)
+    _, trace = solve_classic(inst)
+    assert trace.dropped
+    assert len(sums) <= math.ceil(math.log2(1000)) + 2
+
+
 # --------------------------------------------------------------------- ledger
 
 def _sequential_sum(rows):
@@ -501,6 +537,64 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                         ledger.set_row(ids[i], vec)
                         mirror[i] = vec
                     check_feasible()
+
+
+def test_ledger_long_write_chain_matches_replace_and_resum():
+    """Thousands of O(1) writes, few re-sums: every fits, feasible and usage
+    answer equals the full replace-cumsum-compare check.  A unit entry
+    carries the error of a sum taken while it was held, and entries of 3/4
+    ulp(1) round up on every add (see ``_drift_rows``), so clearing a unit
+    leaves the held usage off by many ulps.  Each check moves the limits to
+    within two ulps of the sequential sum it asks about."""
+    rng = np.random.default_rng(23)
+    n = 160
+    ids = [int(i) for i in rng.permutation(n) * 2 + 5]
+    instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in ids],
+                               bounds=SimpleNamespace(bounds=(1.0, 1.0)))
+    ledger = UsageLedger(instance)
+    mirror = np.zeros((n, 2))
+    entries = np.array([1.0, 0.25, 3 * 2.0**-54, 0.0])
+
+    def draw():
+        return rng.choice(entries, size=2, p=[0.02, 0.03, 0.85, 0.1])
+
+    def limits_near(total):  # stands in for bounds that change per check
+        ledger._limits = tuple(float(_ulps(s, int(k))) for s, k in
+                               zip(total, rng.integers(-2, 3, size=2)))
+        return np.array(ledger._limits)
+
+    def check_fits(i, vec, limits=None):
+        replaced = mirror.copy()
+        replaced[i] = vec
+        total = _sequential_sum(replaced)
+        if limits is None:
+            limits = limits_near(total)
+        assert ledger.fits(ids[i], vec) == bool(np.all(total <= limits))
+
+    # A sum taken with a unit entry first, then the unit cleared in O(1).
+    mirror[:] = 3 * 2.0**-54
+    mirror[0] = 1.0
+    for tid, row in zip(ids, mirror):
+        ledger.set_row(tid, row)
+    assert ledger.usage() == tuple(_sequential_sum(mirror).tolist())
+    for step in range(3000):
+        i = 0 if step == 0 else int(rng.integers(n))
+        if step == 0 or rng.random() < 0.2:
+            ledger.clear_row(ids[i])
+            mirror[i] = 0.0
+        else:
+            mirror[i] = draw()
+            ledger.set_row(ids[i], mirror[i])
+        limits = limits_near(_sequential_sum(mirror))
+        j = int(rng.integers(n))
+        check_fits(j, mirror[j].copy(), limits)
+        check_fits(j, draw(), limits)
+        check_fits(j, draw())
+        if step % 100 == 99:  # both re-sum a drifted ledger
+            limits = limits_near(_sequential_sum(mirror))
+            assert ledger.feasible() == bool(np.all(_sequential_sum(mirror)
+                                                    <= limits))
+            assert ledger.usage() == tuple(_sequential_sum(mirror).tolist())
 
 
 def _ledger(ids, rows, limits):

@@ -332,11 +332,20 @@ def test_solve_dp_keeps_its_budget_on_a_coarse_step(tmp_path):
     assert doc["dropped"] == [0, 1, 2]
 
 
-def test_solve_brute_capacity_exit_code(tmp_path):
-    big = tmp_path / "big.json"
-    run(["gen", "--targets", "30", "--seed", "1", "--out", str(big)])
-    assert run(["solve", "--scenario", str(big), "--method", "brute",
-                "--out", str(tmp_path / "x.json")]) == 3
+def test_solve_brute_capacity_exit_code(tmp_path, capsys):
+    # 91**2300 has 4,506 digits, past Python's integer-to-text limit, so
+    # the message writes the count as a power.
+    for targets in (30, 2300):
+        big = tmp_path / f"big{targets}.json"
+        run(["gen", "--targets", str(targets), "--seed", "1", "--out", str(big)])
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        assert run(["solve", "--scenario", str(big), "--method", "brute",
+                    "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: 91^{targets} combined configuration states exceed the "
+            f"cap of 100000000\n")
+        assert not out.exists()
 
 
 def test_solve_dp_table_capacity_exit_code(scenario_file, tmp_path, capsys):
