@@ -14,9 +14,9 @@ the buffer as it is.
 Training is single-worker advantage actor-critic over three-step episodes:
 discounted returns, advantage-weighted log-likelihood, squared value error
 and an entropy bonus, with gradients derived by hand and applied via RMSprop
-as a few whole-buffer ufuncs.  Everything is float64 and driven by
-:class:`~qram.rng.PortableRng`, so a seed pins the full training run bit for
-bit.
+as a few whole-buffer ufuncs, in buffers the train loop allocates once.
+Everything is float64 and driven by :class:`~qram.rng.PortableRng`, so a
+seed pins the full training run bit for bit.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ def init_params(rng: PortableRng, situational_in: int = SITUATIONAL_WIDTH,
     for name, view in params.named_arrays():
         if name.startswith("w_"):
             limit = math.sqrt(6.0 / sum(view.shape))
-            view[...] = np.reshape([rng.uniform(-limit, limit)
-                                    for _ in range(view.size)], view.shape)
+            view[...] = rng.uniforms(-limit, limit, view.size).reshape(view.shape)
     return params
 
 
@@ -208,13 +207,15 @@ def _returns(rewards: list[float]) -> np.ndarray:
 
 
 def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
-                       advantages: np.ndarray | None = None):
+                       advantages: np.ndarray | None = None,
+                       grads: AgentParams | None = None):
     """Actor-critic loss and its analytic gradients for one episode.
 
     The advantage weighting the log-likelihood is a constant of the
     optimisation (no gradient flows through it); passing ``advantages``
     pins it explicitly, which is what a finite-difference probe of this
-    loss must do.
+    loss must do.  The gradients are written to ``grads``, laid out like
+    ``params``, or to a new buffer if it is None.
     """
     actions = np.array([tr.action for tr in trajectory])
     rewards = [tr.reward for tr in trajectory]
@@ -253,7 +254,8 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     d_h1 = d_z2 @ params.w_sit2.T
     d_z1 = d_h1 * (z1 > 0.0)
 
-    grads = replace(params, flat=np.empty_like(params.flat))
+    if grads is None:
+        grads = replace(params, flat=np.empty_like(params.flat))
     for w, b, inputs, delta in ((grads.w_sit1, grads.b_sit1, x_sit, d_z1),
                                 (grads.w_sit2, grads.b_sit2, h1, d_z2),
                                 (grads.w_cfg, grads.b_cfg, x_cfg, d_zc),
@@ -270,18 +272,46 @@ def loss_and_gradients(params: AgentParams, trajectory: list[Transition],
     return total, grads, metrics
 
 
+@dataclass
+class UpdateBuffers:
+    """Storage for one :func:`a2c_update`, owned by its caller.
+
+    The update writes its new parameters to ``params`` and its new mean
+    squares to ``mean_square``; ``grads`` and ``scratch`` are work space.
+    Every buffer is laid out like ``AgentParams.flat``, and none may
+    overlap the parameters or mean squares the update reads.
+    """
+
+    params: AgentParams
+    mean_square: np.ndarray
+    grads: AgentParams
+    scratch: np.ndarray
+
+    @classmethod
+    def like(cls, params: AgentParams) -> UpdateBuffers:
+        return cls(replace(params, flat=np.empty_like(params.flat)),
+                   np.empty_like(params.flat),
+                   replace(params, flat=np.empty_like(params.flat)),
+                   np.empty_like(params.flat))
+
+
 def a2c_update(params: AgentParams, mean_square: np.ndarray,
-               trajectory: list[Transition]):
+               trajectory: list[Transition], out: UpdateBuffers | None = None):
     """One RMSprop step on one episode.
 
     ``mean_square`` is the running mean square of the gradient, one array
     laid out like ``params.flat``; returns new params, new mean squares and
-    metrics, and leaves both inputs unchanged.
+    metrics, and leaves both inputs unchanged.  The new params and mean
+    squares are ``out.params`` and ``out.mean_square`` when ``out`` is
+    given, and new buffers otherwise.
     """
     if len(trajectory) != EPISODE_LENGTH:
         raise ValueError(f"expected {EPISODE_LENGTH} transitions, "
                          f"got {len(trajectory)}")
-    total, grads, metrics = loss_and_gradients(params, trajectory)
+    if out is None:
+        out = UpdateBuffers.like(params)
+    total, grads, metrics = loss_and_gradients(params, trajectory,
+                                               grads=out.grads)
     if not math.isfinite(total):
         raise TrainingError(
             f"non-finite loss {total!r} (policy {metrics['policy_loss']!r}, "
@@ -290,17 +320,17 @@ def a2c_update(params: AgentParams, mean_square: np.ndarray,
 
     # ms = D*ms + (1-D)*g*g and p - LR*g / sqrt(ms + eps), evaluated in that
     # element-wise order so that seeded runs stay bit-identical.
-    g = grads.flat
-    ms = np.multiply(RMSPROP_DECAY, mean_square)
-    scratch = np.multiply(1.0 - RMSPROP_DECAY, g)
+    g, ms, scratch, flat = grads.flat, out.mean_square, out.scratch, out.params.flat
+    np.multiply(RMSPROP_DECAY, mean_square, out=ms)
+    np.multiply(1.0 - RMSPROP_DECAY, g, out=scratch)
     scratch *= g
     ms += scratch
     np.add(ms, RMSPROP_EPSILON, out=scratch)
     np.sqrt(scratch, out=scratch)
-    flat = np.multiply(LEARNING_RATE, g)
+    np.multiply(LEARNING_RATE, g, out=flat)
     flat /= scratch
     np.subtract(params.flat, flat, out=flat)
-    return replace(params, flat=flat), ms, metrics
+    return out.params, ms, metrics
 
 
 @dataclass(frozen=True)
@@ -314,16 +344,20 @@ class TrainLogEntry:
 def train(env: TrackingEnv, total_steps: int, seed: int = 0):
     """Run ``total_steps`` environment steps (one update per episode).
 
-    Returns the final parameters and the per-episode learning curve.  The
-    parameter init and the action sampling share one stream seeded with
-    ``seed``, the environment owns its own, so an (env seed, seed) pair fixes
-    the run.
+    Training runs whole episodes only: a remainder of fewer than
+    ``EPISODE_LENGTH`` (3) steps is not run.  Returns the final parameters
+    and the per-episode learning curve.  The parameter init and the action
+    sampling share one stream seeded with ``seed``, the environment owns its
+    own, so an (env seed, seed) pair fixes the run.
     """
     if total_steps < 0:
         raise ValueError(f"total_steps must be non-negative: {total_steps}")
     rng = PortableRng(seed)
     params = init_params(rng, n_actions=env.space.size)
     mean_square = np.zeros_like(params.flat)
+    # Each update writes into the spare buffers, whose old contents are no
+    # longer read; the inputs it read become the next update's spares.
+    spare = UpdateBuffers.like(params)
     curve: list[TrainLogEntry] = []
     episodes = total_steps // EPISODE_LENGTH
     for episode in range(episodes):
@@ -336,7 +370,10 @@ def train(env: TrackingEnv, total_steps: int, seed: int = 0):
             trajectory.append(Transition(state=state, action=action,
                                          reward=result.reward))
             state = result.next_state
-        params, mean_square, metrics = a2c_update(params, mean_square, trajectory)
+        new_params, new_mean_square, metrics = a2c_update(
+            params, mean_square, trajectory, out=spare)
+        spare.params, spare.mean_square = params, mean_square
+        params, mean_square = new_params, new_mean_square
         curve.append(TrainLogEntry(step=(episode + 1) * EPISODE_LENGTH,
                                    episode=episode,
                                    mean_reward=metrics["mean_reward"],

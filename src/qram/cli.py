@@ -290,7 +290,8 @@ def cmd_train(args) -> int:
         _write_csv(args.curve, ["step", "episode", "mean_reward", "loss"],
                    [[c.step, c.episode, repr(c.mean_reward), repr(c.loss)]
                     for c in curve])
-    print(f"trained {args.steps} steps ({len(curve)} episodes) in {elapsed:.1f}s "
+    steps = curve[-1].step if curve else 0
+    print(f"trained {steps} steps ({len(curve)} episodes) in {elapsed:.1f}s "
           f"-> {args.out}")
     return 0
 

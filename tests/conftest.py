@@ -16,6 +16,6 @@ def train_agent(seed: int, steps: int = DESK_TRAIN_STEPS):
 @pytest.fixture(scope="session")
 def trained_agent():
     """One desk-scale training run shared by every test that needs a
-    competent network (seed 1, 30k steps, ~10 s)."""
+    competent network (seed 1, 30k steps, 7-8 s)."""
     params, curve = train_agent(seed=1)
     return params, curve

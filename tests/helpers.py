@@ -6,13 +6,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qram.agent import AgentParams, WeightFormatError, forward, init_params
+from qram.agent import (AgentParams, Transition, WeightFormatError, a2c_update,
+                        forward, init_params, sample_action)
 from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
                           _drop_until_feasible, base_configuration,
                           job_list_for, upgrade_loop)
 from qram.core import (Allocation, ConfigSpace, Configuration, ResourceBounds,
                        compound_resource, resource_of)
-from qram.env import encode_state, quotient
+from qram.env import EPISODE_LENGTH, encode_state, quotient
 from qram.perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M,
                        SNR_CONST, TYPE_UTILITY_WEIGHT, Target,
                        generate_scenario)
@@ -344,6 +345,28 @@ def lazy_allocate_with_proposals(propose, instance):
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
             tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
+
+
+def allocating_train(env, total_steps: int, seed: int):
+    """``agent.train`` as a loop that lets every update allocate its own
+    outputs: the reference for the train loop's reused buffers."""
+    rng = PortableRng(seed)
+    params = init_params(rng, n_actions=env.space.size)
+    mean_square = np.zeros_like(params.flat)
+    curve = []
+    for _ in range(total_steps // EPISODE_LENGTH):
+        state = env.reset()
+        trajectory = []
+        for _ in range(EPISODE_LENGTH):
+            logits, _ = forward(params, state)
+            action = sample_action(logits, rng)
+            result = env.step(action)
+            trajectory.append(Transition(state, action, result.reward))
+            state = result.next_state
+        params, mean_square, metrics = a2c_update(params, mean_square,
+                                                  trajectory)
+        curve.append((metrics["mean_reward"], metrics["loss"]))
+    return params, mean_square, curve
 
 
 def single_row_proposer(params, space):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from helpers import MALFORMED_WEIGHT_HEADERS, with_arrays, zero_network
+from helpers import (MALFORMED_WEIGHT_HEADERS, allocating_train, with_arrays,
+                     zero_network)
 from qram import agent
-from qram.agent import (AgentParams, TrainingError, Transition, WeightFormatError,
-                        a2c_update, forward, init_params, load,
+from qram.agent import (AgentParams, TrainingError, Transition, UpdateBuffers,
+                        WeightFormatError, a2c_update, forward, init_params, load,
                         loss_and_gradients, sample_action, save, softmax,
                         train, _forward_batch, _shapes)
 from qram.core import DEFAULT_CONFIG_SPACE
@@ -203,6 +204,28 @@ def test_update_leaves_its_inputs_unchanged():
     assert not np.array_equal(new_params.flat, params.flat)
 
 
+def test_update_into_caller_buffers_matches_a_fresh_update():
+    params, traj = toy_case(8)
+    mean_square = np.full_like(params.flat, 0.25)
+    fresh_params, fresh_ms, fresh_metrics = a2c_update(params, mean_square, traj)
+    # Stale contents in every buffer must not leak into the outputs.
+    out = UpdateBuffers.like(params)
+    for buffer in (out.params.flat, out.mean_square, out.grads.flat, out.scratch):
+        buffer.fill(np.nan)
+    new_params, new_ms, metrics = a2c_update(params, mean_square, traj, out=out)
+    assert new_params is out.params and new_ms is out.mean_square
+    assert new_params.flat.tobytes() == fresh_params.flat.tobytes()
+    assert new_ms.tobytes() == fresh_ms.tobytes()
+    assert metrics["loss"] == fresh_metrics["loss"]
+    for output in (new_params.flat, new_ms):
+        for given in (params.flat, mean_square):
+            assert not np.shares_memory(output, given)
+    # The same buffers serve a second update, as in the train loop.
+    again, again_ms, _ = a2c_update(params, mean_square, traj, out=out)
+    assert again.flat.tobytes() == fresh_params.flat.tobytes()
+    assert again_ms.tobytes() == fresh_ms.tobytes()
+
+
 # -------------------------------------------------------------------- actions
 
 def test_sample_action_uniform_statistics():
@@ -334,6 +357,18 @@ def test_train_is_seed_deterministic():
     for (name, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
         assert np.array_equal(a, b), name
     assert c1 == c2
+
+
+def test_train_matches_a_loop_that_allocates_every_update():
+    # The train loop swaps two sets of buffers; ten updates cover both
+    # parities of the swap.
+    def env():
+        return TrackingEnv(DEFAULT_CONFIG_SPACE, DEFAULT_ENV_BOUNDS, seed=9)
+
+    params, curve = train(env(), 30, seed=9)
+    ref_params, _, ref_curve = allocating_train(env(), 30, seed=9)
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+    assert [(c.mean_reward, c.loss) for c in curve] == ref_curve
 
 
 def test_train_curve_row_per_episode():

@@ -411,6 +411,15 @@ def test_train_deterministic_and_curve_rows(tmp_path):
     assert len(rows) == 50  # one row per episode
 
 
+def test_train_reports_the_steps_it_ran(tmp_path, capsys):
+    # Training runs whole 3-step episodes: of 4 steps asked, 3 run.
+    out, curve = tmp_path / "w.json", tmp_path / "curve.csv"
+    assert run(["train", "--steps", "4", "--seed", "2", "--out", str(out),
+                "--curve", str(curve)]) == 0
+    assert capsys.readouterr().out.startswith("trained 3 steps (1 episodes)")
+    assert [row["step"] for row in read_csv(curve)] == ["3"]
+
+
 def test_bench_utility_schema_and_envelope(weight_file, tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "utility", "--targets", "4..8", "--step", "2",

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qram.rng import PortableRng
 
@@ -41,3 +42,17 @@ def test_randint_range_and_coverage():
     r = PortableRng(5)
     draws = [r.randint(3) for _ in range(300)]
     assert set(draws) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_array_draw_is_the_scalar_stream(seed):
+    # Sizes below, at and beyond the 64 states stepped one by one, at and
+    # beyond each doubling, and the 39,900 weights of the default network;
+    # the next scalar draw checks the state left behind (unchanged at n = 0).
+    for n in (0, 1, 63, 64, 65, 127, 128, 129, 4097, 39_900):
+        a, b = PortableRng(seed), PortableRng(seed)
+        draws = a.uniforms(-0.25, 0.75, n)
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        expected = np.array([b.uniform(-0.25, 0.75) for _ in range(n)])
+        assert draws.tobytes() == expected.tobytes(), n
+        assert a.next_u64() == b.next_u64(), n
