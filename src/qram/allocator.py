@@ -12,10 +12,10 @@ p(p(start)) -> ..., never depends on what the loop accepts for other
 tasks.  So once the loop knows which tasks it keeps, their chains grow in
 waves: one wave asks the proposer once about every chain still live, from
 the last grid index of each.  Every task of an instance runs on its one
-grid, so the network runs one batched forward pass per wave
-(:func:`next_config`).  The loop walks the chains like job lists, and a
-wave runs only when a draw reaches past the steps computed so far; a
-trained network needs about three.
+grid, so the network encodes each wave as one input block and runs one
+batched forward pass over it (:func:`next_config`).  The loop walks the
+chains like job lists, and a wave runs only when a draw reaches past the
+steps computed so far; a trained network needs about three.
 
 For a proposer that depends on (task, configuration) alone, the loop gets
 exactly the steps of a proposer asked once per draw.  A row's network
@@ -35,13 +35,14 @@ is not a grid index in [0, grid size).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from functools import partial
 
 import numpy as np
 
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import AllocationTrace, base_configuration, upgrade_loop
 from .core import Allocation, ConfigSpace, ResourceBounds, expanded_grids
-from .env import SITUATIONAL_WIDTH, config_features, encode_state, quotient
+from .env import encode_state, quotient
 from .kernels import config_costs, utility
 from .perf import Target
 from .problem import ProblemInstance, target_columns
@@ -56,30 +57,19 @@ Proposer = Callable[[list[Target], list[int]], list[Proposal]]
 
 
 def next_config(params: AgentParams, space: ConfigSpace, targets: list[Target],
-                currents: list[int],
-                rows: dict[int, tuple[Target, np.ndarray]] | None = None
-                ) -> list[Proposal]:
+                currents: list[int]) -> list[Proposal]:
     """Greedy network proposals for one wave of tasks on the grid ``space``.
 
-    One batched forward pass over the tasks' observation rows.  ``rows``
-    keeps each task's row across waves, by task id: ``encode_state`` runs
-    once per task, and a later wave rewrites only the configuration columns
-    from ``config_features``.  A proposal is the winning logit's index, or
-    a WeightFormatError if that logit is not finite.
+    One ``encode_state`` call builds the wave's input block and one batched
+    forward pass reads it.  A proposal is the winning logit's index, or a
+    WeightFormatError if that logit is not finite.
     """
     if not targets:
         return []
     if params.n_actions != space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
                          f"has {space.size} configurations")
-    rows = {} if rows is None else rows
-    for target, current in zip(targets, currents):
-        cached = rows.get(target.id)
-        if cached is None or cached[0] is not target:
-            rows[target.id] = (target, encode_state(space, current, target))
-    x = np.stack([rows[target.id][1] for target in targets])
-    x[:, SITUATIONAL_WIDTH:] = config_features(space)[currents]
-    logits, _ = forward(params, x)
+    logits, _ = forward(params, encode_state(space, currents, targets))
     actions = logits.argmax(axis=1)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
@@ -92,13 +82,8 @@ def next_config(params: AgentParams, space: ConfigSpace, targets: list[Target],
 
 
 def network_proposer(params: AgentParams, space: ConfigSpace) -> Proposer:
-    """The network as a wave proposer on the grid ``space``; encodes each
-    task's row once."""
-    rows: dict[int, tuple[Target, np.ndarray]] = {}
-
-    def propose(targets: list[Target], currents: list[int]):
-        return next_config(params, space, targets, currents, rows)
-    return propose
+    """The network as a wave proposer on the grid ``space``."""
+    return partial(next_config, params, space)
 
 
 class _ChainGroup:

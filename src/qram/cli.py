@@ -330,6 +330,8 @@ def cmd_bench_utility(args) -> int:
 
 #: Iterations of the pure-Python loop that gauges the machine's speed.
 _PROBE_ITERATIONS = 20_000
+#: Each timing sample loops one call for at least this long (s).
+_MIN_SAMPLE_S = 20e-3
 
 
 def _probe_s() -> float:
@@ -341,10 +343,10 @@ def _probe_s() -> float:
     return time.perf_counter() - t0
 
 
-def _median_times(fns, runs: int, min_sample_s: float = 20e-3) -> list[float]:
+def _median_times(fns, runs: int) -> list[float]:
     """Median of ``runs`` samples of the per-call time of each of ``fns``.
 
-    Each sample loops one call for at least ``min_sample_s`` so timer
+    Each sample loops one call for at least ``_MIN_SAMPLE_S`` so timer
     resolution does not matter.  Samples are taken round-robin over ``fns``
     so slow and fast spells of a shared machine hit every function alike,
     and each sample is divided by the speed probe timed around it, which
@@ -356,7 +358,7 @@ def _median_times(fns, runs: int, min_sample_s: float = 20e-3) -> list[float]:
         t0 = time.perf_counter()
         fn()
         single = max(time.perf_counter() - t0, 1e-9)
-        repeats.append(max(1, int(math.ceil(min_sample_s / single))))
+        repeats.append(max(1, int(math.ceil(_MIN_SAMPLE_S / single))))
     samples = [[] for _ in fns]
     probes = []
     before = _probe_s()
@@ -404,7 +406,7 @@ def cmd_bench_runtime(args) -> int:
     for c in args.configs:
         refined = _refined_space(c)
         target = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, 0, target)
+        state = encode_state(refined, [0], [target])[0]
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):

@@ -1,11 +1,12 @@
 """Single-task training environment for the configuration-proposal agent.
 
-An episode looks at one randomly drawn target.  The observation is the
-network's input row (:func:`encode_state`): the task type (one-hot) and the
-situational picture (normalised range and speed), then the current
-configuration (normalised grid indices).  An action is the grid index of the
-next configuration; the reward is the utility-to-resource difference quotient
-between old and new configuration, clipped and scaled to [-1, 1].
+An episode looks at one randomly drawn target.  The observation is one row
+of the network's input block (:func:`encode_state`): the task type
+(one-hot) and the situational picture (normalised range and speed), then
+the current configuration (normalised grid indices).  An action is the grid
+index of the next configuration; the reward is the utility-to-resource
+difference quotient between old and new configuration, clipped and scaled
+to [-1, 1].
 
 The training reward divides the utility change by the *magnitude* of the
 resource change.  With the signed quotient, walking back down a concave
@@ -24,7 +25,6 @@ reward by cycling around triangles in resource-utility space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,33 +67,45 @@ class StepResult:
 def config_features(space: ConfigSpace) -> np.ndarray:
     """The configuration columns of an observation, one read-only row per
     grid configuration in index order: the dwell, duration and power grid
-    indices, each divided by its axis length - 1 (0 on a one-point axis)."""
-    axes = [np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-            for n in (len(space.dwell_grid), len(space.tx_duration_grid),
-                      len(space.tx_power_grid))]
-    table = np.array(list(itertools.product(*axes)), dtype=np.float64)
+    indices, each divided by its axis length - 1 (0 on a one-point axis).
+    The rows follow ``expanded_grids``, the grid's one enumeration."""
+    table = np.column_stack([
+        np.searchsorted(grid, values) / max(len(grid) - 1, 1)
+        for grid, values in zip((space.dwell_grid, space.tx_duration_grid,
+                                 space.tx_power_grid), expanded_grids(space))])
     table.setflags(write=False)
     return table
 
 
-def encode_state(space: ConfigSpace, index: int, target: Target) -> np.ndarray:
-    """The observation: one float64 row of SITUATIONAL_WIDTH + CONFIG_WIDTH.
+#: The target half of an observation: type one-hot, range and speed scales.
+_ONE_HOT = {ttype: tuple(float(ttype is t) for t in TYPE_ORDER) for ttype in TYPE_ORDER}
+_RANGE_SCALE_KM = RANGE_INTERVAL_KM[1]
+_SPEED_SCALE_MPS = TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1]
+
+
+def encode_state(space: ConfigSpace, indices: list[int],
+                 targets: list[Target]) -> np.ndarray:
+    """The network's input block: one float64 row of SITUATIONAL_WIDTH +
+    CONFIG_WIDTH per (grid index, target) pair, in order.
 
     Columns in order: the type one-hot (TYPE_ORDER), range / 150 km, speed /
-    1000 m/s, then row ``index`` of :func:`config_features`, the current
-    configuration's.  Rows of several observations stack into the batch the
-    network reads.  An index outside [0, grid size) raises IndexError.
+    1000 m/s, then the :func:`config_features` row of the grid index, the
+    current configuration's.  An index that is not an integer in [0, grid
+    size) raises IndexError, naming the first such index, and a different
+    number of indices and targets raises ValueError.
     """
-    if not 0 <= index < space.size:
-        raise IndexError(f"configuration index {index} out of range "
-                         f"[0, {space.size})")
-    row = np.empty(SITUATIONAL_WIDTH + CONFIG_WIDTH)
-    row[:SITUATIONAL_WIDTH] = (
-        [1.0 if target.ttype is t else 0.0 for t in TYPE_ORDER]
-        + [target.range_km / RANGE_INTERVAL_KM[1],
-           target.speed_mps / TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1]])
-    row[SITUATIONAL_WIDTH:] = config_features(space)[index]
-    return row
+    size = space.size
+    for index in indices:
+        if not (isinstance(index, (int, np.integer)) and 0 <= index < size):
+            raise IndexError(f"configuration index {index} out of range "
+                             f"[0, {size})")
+    block = np.empty((len(targets), SITUATIONAL_WIDTH + CONFIG_WIDTH))
+    config_features(space).take(indices, axis=0, out=block[:, SITUATIONAL_WIDTH:])
+    if targets:  # an empty list does not broadcast to a block of no rows
+        block[:, :SITUATIONAL_WIDTH] = [
+            (*_ONE_HOT[t.ttype], t.range_km / _RANGE_SCALE_KM,
+             t.speed_mps / _SPEED_SCALE_MPS) for t in targets]
+    return block
 
 
 def quotient(delta_u: float, delta_r: float) -> float:
@@ -147,7 +159,7 @@ class TrackingEnv:
                                 *target_columns([self._target])).tolist()
         self._steps = 0
         self._done = False
-        return encode_state(self.space, self._index, self._target)
+        return encode_state(self.space, [self._index], [self._target])[0]
 
     def step(self, action: int) -> StepResult:
         """Move to grid index ``action``.  The reward is the utility change
@@ -165,6 +177,6 @@ class TrackingEnv:
         self._index = action
         self._steps += 1
         self._done = self._steps >= EPISODE_LENGTH
-        return StepResult(next_state=encode_state(self.space, action,
-                                                  self._target),
+        return StepResult(next_state=encode_state(self.space, [action],
+                                                  [self._target])[0],
                           reward=reward, done=self._done)

@@ -373,7 +373,7 @@ def single_row_proposer(params, space):
     """The network asked about one observation row at a time on the grid
     ``space``: a per-task proposer for :func:`lazy_allocate_with_proposals`."""
     def propose(task, current):
-        logits, _ = forward(params, encode_state(space, current, task))
+        logits, _ = forward(params, encode_state(space, [current], [task])[0])
         action = int(np.argmax(logits))
         if not math.isfinite(logits[action]):
             raise WeightFormatError(f"network logits are not finite (task "

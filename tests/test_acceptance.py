@@ -160,8 +160,8 @@ def test_criterion_5_agent_quality(trained_agent):
             DEFAULT_CONFIG_SPACE)
         task = inst.tasks[0]
         base, = base_configuration(DEFAULT_CONFIG_SPACE, [target], bounds)
-        logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, base,
-                                                 target))
+        logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, [base],
+                                                 [target])[0])
         config = DEFAULT_CONFIG_SPACE.config_at(int(np.argmax(logits)))
         frontier = job_list_for(task, DEFAULT_CONFIG_SPACE, bounds)
         r = compound_resource(resource_of(config), bounds)

@@ -25,8 +25,8 @@ from qram.rng import PortableRng
 FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
                   / "agent-seed1-30k.json")
 
-FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, 0,
-                           Target(0, TargetType.FIGHTER, 75.0, 250.0))
+FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, [0],
+                           [Target(0, TargetType.FIGHTER, 75.0, 250.0)])[0]
 
 
 def rand_state(rng: PortableRng) -> np.ndarray:
@@ -123,8 +123,8 @@ def test_forward_takes_a_stack_of_rows():
     # 150 rows run as three blocks; an empty stack gives empty outputs.
     params = init_params(PortableRng(3))
     target = Target(0, TargetType.HELICOPTER, 80.0, 60.0)
-    rows = np.stack([encode_state(DEFAULT_CONFIG_SPACE, i % 90, target)
-                     for i in range(0, 750, 5)])
+    rows = encode_state(DEFAULT_CONFIG_SPACE, [i % 90 for i in range(0, 750, 5)],
+                        [target] * 150)
     assert len(rows) > 2 * agent.FORWARD_BLOCK
     logits, values = forward(params, rows)
     assert logits.shape == (150, params.n_actions) and values.shape == (150,)

@@ -47,20 +47,6 @@ def test_next_config_deterministic():
         == next_config(params, inst.space, tasks, currents)
 
 
-def test_next_config_row_cache_gives_the_uncached_proposals():
-    # A cached row keeps the task's situational columns and takes the
-    # configuration columns of the wave it is asked in.
-    inst = _instance(n=6, seed=4)
-    tasks = list(inst.tasks)
-    params = init_params(PortableRng(3))
-    rows = {}
-    for index in (0, 17, 44, 89):
-        currents = [(index + 7 * k) % 90 for k in range(len(tasks))]
-        assert next_config(params, inst.space, tasks, currents, rows) \
-            == next_config(params, inst.space, tasks, currents)
-    assert sorted(rows) == [t.id for t in tasks]
-
-
 def test_next_config_rejects_mismatched_action_space():
     inst = _instance(n=1)
     params = init_params(PortableRng(1), n_actions=12)

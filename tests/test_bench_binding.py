@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,23 @@ def test_traced_solve_records_spans_and_counts(method, tmp_path):
     assert spans <= recorded, spans - recorded
     assert not absent & recorded, absent & recorded
     assert counts <= set(tracer.counts), counts - set(tracer.counts)
+
+
+def test_traced_agent_solve_encodes_once_per_wave(tmp_path):
+    # Each wave's input block comes from one encode_state call, so the two
+    # span counts match however many tasks a wave asks about.
+    from qram import cli
+
+    scenario = tmp_path / "scenario.json"
+    assert cli.main(["gen", "--targets", "40", "--seed", "11",
+                     "--out", str(scenario)]) == 0
+    _, tracer = _traced(["solve", "--scenario", str(scenario),
+                         "--method", "agent", "--weights",
+                         str(ROOT / "perfbench" / "weights" / "agent-seed1-30k.json"),
+                         "--out", str(tmp_path / "result.json")])
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["allocator.next_config"] > 1
+    assert spans["env.encode_state"] == spans["allocator.next_config"]
 
 
 def test_traced_train_records_spans(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from qram.core import (Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
 from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
                       QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv,
                       config_features, encode_state, quotient)
-from qram.perf import Target, TargetType
+from qram.perf import Target, TargetType, generate_scenario
 from qram.rng import PortableRng
 
 
@@ -47,10 +49,10 @@ def test_reset_is_deterministic():
 
 def test_observation_is_one_float64_row():
     target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
-    row = encode_state(DEFAULT_CONFIG_SPACE, 89, target)
-    assert row.shape == (SITUATIONAL_WIDTH + CONFIG_WIDTH,)
-    assert row.dtype == np.float64
-    assert tuple(row) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
+    block = encode_state(DEFAULT_CONFIG_SPACE, [89], [target])
+    assert block.shape == (1, SITUATIONAL_WIDTH + CONFIG_WIDTH)
+    assert block.dtype == np.float64
+    assert tuple(block[0]) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
 
 
 def test_config_columns_are_the_feature_table_rows():
@@ -68,19 +70,70 @@ def test_config_columns_are_the_feature_table_rows():
             expected = tuple(grid.index(x) / (len(grid) - 1)
                              if len(grid) > 1 else 0.0 for grid, x in axes)
             assert tuple(table[index]) == expected
-            assert tuple(encode_state(space, index, target)[CONFIG]) == expected
+            assert tuple(encode_state(space, [index], [target])[0, CONFIG]) == expected
+
+
+def reference_row(space, index, target):
+    """An observation row from the README's column definitions: the type
+    one-hot (helicopter, fighter, missile), range / 150 km, speed / 1000 m/s,
+    then the dwell, duration and power grid indices, each divided by its
+    axis length - 1 (0 on a one-point axis)."""
+    config = space.config_at(index)
+    onehot = [1.0 if target.ttype is t else 0.0 for t in
+              (TargetType.HELICOPTER, TargetType.FIGHTER, TargetType.MISSILE)]
+    axes = ((space.dwell_grid, config.dwell_length),
+            (space.tx_duration_grid, config.transmit_duration),
+            (space.tx_power_grid, config.transmit_power))
+    return (onehot + [target.range_km / 150.0, target.speed_mps / 1000.0]
+            + [grid.index(x) / (len(grid) - 1) if len(grid) > 1 else 0.0
+               for grid, x in axes])
+
+
+def test_encode_state_block_matches_the_per_row_reference():
+    # Every grid index once, in a scrambled order, paired with targets of
+    # all three types; the block equals the reference rows bit for bit.
+    targets = list(generate_scenario(40, 3).targets)
+    assert {t.ttype for t in targets} == set(TargetType)
+    for space in (DEFAULT_CONFIG_SPACE,
+                  ConfigSpace((100.0,), (2.0, 4.0), (1.0, 2.0, 4.0))):
+        indices = [(7 * k + 3) % space.size for k in range(space.size)]
+        paired = [targets[k % len(targets)] for k in range(space.size)]
+        block = encode_state(space, indices, paired)
+        want = np.array([reference_row(space, index, target)
+                         for index, target in zip(indices, paired)])
+        assert block.shape == want.shape == (space.size, 8)
+        assert block.tobytes() == want.tobytes()
+
+
+def test_encode_state_pairs_indices_with_targets():
+    # An empty batch is a block of no rows; unpaired inputs raise.
+    block = encode_state(DEFAULT_CONFIG_SPACE, [], [])
+    assert block.shape == (0, 8) and block.dtype == np.float64
+    target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
+    for indices, targets in (([0, 1], [target]), ([0], [target, target])):
+        with pytest.raises(ValueError):
+            encode_state(DEFAULT_CONFIG_SPACE, indices, targets)
 
 
 def test_encode_state_rejects_an_index_off_the_grid():
-    # A negative index would otherwise wrap to the end of the grid.
-    target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
+    # A negative index would otherwise wrap to the end of the grid, and a
+    # fractional one would be truncated.  The message names the first bad
+    # index of the batch, in config_at's words.
     space = DEFAULT_CONFIG_SPACE
-    for index in (-1, space.size):
-        with pytest.raises(IndexError) as err:
-            encode_state(space, index, target)
-        with pytest.raises(IndexError) as want:
-            space.config_at(index)
-        assert str(err.value) == str(want.value)
+    targets = [Target(k, TargetType.FIGHTER, 75.0, 250.0) for k in range(3)]
+    for bad in (-1, space.size, 2.5):
+        want = f"configuration index {bad} out of range [0, {space.size})"
+        if bad != 2.5:
+            with pytest.raises(IndexError, match=re.escape(want)):
+                space.config_at(bad)
+        for pos in range(3):
+            indices = [4, 5, 6]
+            indices[pos] = bad
+            if pos < 2:
+                indices[2] = space.size + 5  # a later bad index is not named
+            with pytest.raises(IndexError) as err:
+                encode_state(space, indices, targets)
+            assert str(err.value) == want, (bad, pos)
 
 
 def test_reset_starts_at_cheapest_config():

@@ -1,3 +1,4 @@
+import ast
 import collections
 import os
 import subprocess
@@ -42,3 +43,18 @@ def test_import_defaults_blas_to_one_thread_and_keeps_a_user_value():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["1", "3", "1"]
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # The package needs only numpy: no optional accelerator or twin.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qram"}
+    found = set()
+    for path in sorted(Path(qram.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module))
+    assert found
+    assert not [(name, module) for name, module in found
+                if module.partition(".")[0] not in allowed]
