@@ -6,8 +6,8 @@ index.  Every task starts at its cheapest configuration, and the shared
 :func:`qram.classic.upgrade_loop` applies the feasible upgrade with the best
 utility-to-resource quotient.
 
-A proposer sees each task as the :class:`~qram.perf.Target` it tracks,
-with its current grid index.  A task's proposal chain, start -> p(start) ->
+A proposer sees each task as its position in ``instance.tasks``, with its
+current grid index.  A task's proposal chain, start -> p(start) ->
 p(p(start)) -> ..., never depends on what the loop accepts for other
 tasks.  So once the loop knows which tasks it keeps, their chains grow in
 waves: one wave asks the proposer once about every chain still live, from
@@ -41,54 +41,53 @@ import numpy as np
 
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import AllocationTrace, base_configuration, upgrade_loop
-from .core import Allocation, ConfigSpace, ResourceBounds, expanded_grids
+from .core import Allocation, expanded_grids
 from .env import encode_state, quotient
 from .kernels import config_costs, utility
-from .perf import Target
-from .problem import ProblemInstance, target_columns
+from .problem import SITUATIONAL_WIDTH, ProblemInstance
 
 #: The grid index of the next configuration, or the exception to raise if
 #: the loop draws that step.
 Proposal = int | Exception
 
-#: propose(targets, currents) -> one proposal per task, in order.
-#: ``currents`` are the tasks' indices on the instance's grid.
-Proposer = Callable[[list[Target], list[int]], list[Proposal]]
+#: propose(positions, currents) -> one proposal per task, in order.
+#: ``positions`` index ``instance.tasks``; ``currents`` are grid indices.
+Proposer = Callable[[list[int], list[int]], list[Proposal]]
 
 
-def next_config(params: AgentParams, space: ConfigSpace, targets: list[Target],
-                currents: list[int]) -> list[Proposal]:
-    """Greedy network proposals for one wave of tasks on the grid ``space``.
+def next_config(params: AgentParams, instance: ProblemInstance,
+                positions: list[int], currents: list[int]) -> list[Proposal]:
+    """Greedy network proposals for one wave of tasks of ``instance``.
 
-    One ``encode_state`` call builds the wave's input block and one batched
-    forward pass reads it.  A proposal is the winning logit's index, or a
-    WeightFormatError if that logit is not finite.
+    One ``encode_state`` call builds the wave's input block from the tasks'
+    ``instance.block`` rows and one batched forward pass reads it.  A
+    proposal is the winning logit's index, or a WeightFormatError if that
+    logit is not finite.
     """
-    if not targets:
-        return []
-    if params.n_actions != space.size:
+    if params.n_actions != instance.space.size:
         raise ValueError(f"network has {params.n_actions} actions but the grid "
-                         f"has {space.size} configurations")
-    logits, _ = forward(params, encode_state(space, currents, targets))
+                         f"has {instance.space.size} configurations")
+    logits, _ = forward(params, encode_state(instance.space, currents,
+                                             instance.block[positions]))
     actions = logits.argmax(axis=1)
     # argmax returns the first NaN, and an overflow to +inf wins it, so a
     # finite winner means a usable proposal.
-    finite = np.isfinite(logits[np.arange(len(targets)), actions])
+    finite = np.isfinite(logits[np.arange(len(positions)), actions])
     return [action if ok else WeightFormatError(
-                f"network logits are not finite (task {target.id}); "
+                f"network logits are not finite (task {instance.tasks[pos].id}); "
                 f"the weights overflow")
-            for target, action, ok in zip(targets, actions.tolist(),
-                                          finite.tolist())]
+            for pos, action, ok in zip(positions, actions.tolist(),
+                                       finite.tolist())]
 
 
-def network_proposer(params: AgentParams, space: ConfigSpace) -> Proposer:
-    """The network as a wave proposer on the grid ``space``."""
-    return partial(next_config, params, space)
+def network_proposer(params: AgentParams, instance: ProblemInstance) -> Proposer:
+    """The network as a wave proposer for the tasks of ``instance``."""
+    return partial(next_config, params, instance)
 
 
 class _ChainGroup:
-    """The proposal chains of the kept tasks, grown in waves on the grid
-    ``space``.
+    """The proposal chains of the kept tasks, known by position in
+    ``instance.tasks``, grown in waves on the instance's grid.
 
     A chain holds ``(index, ratio)`` steps and may end in an exception
     proposal or an IndexError.  One wave asks the proposer once, over every
@@ -100,33 +99,30 @@ class _ChainGroup:
     no wave runs that no draw needs.
     """
 
-    def __init__(self, propose: Proposer, targets: list[Target],
-                 starts: list[int], space: ConfigSpace, bounds: ResourceBounds):
-        self._propose, self._targets, self._size = propose, targets, space.size
-        self._comp = config_costs(space, bounds)[0]
-        self._grids = expanded_grids(space)
-        self._columns = target_columns(targets)
-        self._waves_left = space.size + 1  # cycle guard
-        self._chains: list[list] = [[] for _ in targets]
-        self._alive = [True] * len(targets)
-        self._live = list(range(len(targets)))  # positions of the live chains
-        self._cur = np.array(starts, dtype=np.int64)
+    def __init__(self, propose: Proposer, instance: ProblemInstance,
+                 starts: list[int], positions: list[int]):
+        self._propose, self._instance = propose, instance
+        self._comp = config_costs(instance.space, instance.bounds)[0]
+        self._waves_left = instance.space.size + 1  # cycle guard
+        self._chains: list[list] = [[] for _ in instance.tasks]
+        self._alive = [True] * len(instance.tasks)
+        self._live = list(positions)  # positions of the live chains
+        self._cur = np.array(starts, dtype=np.int64)[self._live]
         self._u_cur = self._utility(self._cur, self._live)
 
-    def _utility(self, configs: np.ndarray, rows: list[int]) -> np.ndarray:
-        dwell, tx, pw = self._grids
+    def _utility(self, configs: np.ndarray, positions: list[int]) -> np.ndarray:
+        dwell, tx, pw = expanded_grids(self._instance.space)
         return utility(dwell[configs], tx[configs], pw[configs],
-                       *self._columns[:, rows])
+                       *self._instance.block[positions].T[SITUATIONAL_WIDTH:])
 
     def _grow(self) -> None:
         live, chains, cur_list = self._live, self._chains, self._cur.tolist()
-        targets, size = [self._targets[i] for i in live], self._size
-        proposals = [p if isinstance(p, Exception) or (
-                         isinstance(p, (int, np.integer)) and 0 <= p < size)
-                     else IndexError(f"task {target.id}: proposal {p!r} is not "
-                                     f"a configuration index in [0, {size})")
-                     for target, p in zip(targets,
-                                          self._propose(targets, cur_list))]
+        tasks, space = self._instance.tasks, self._instance.space
+        proposals = [p if isinstance(p, Exception) or space.is_index(p)
+                     else IndexError(f"task {tasks[i].id}: proposal {p!r} is "
+                                     f"not a configuration index in "
+                                     f"[0, {space.size})")
+                     for i, p in zip(live, self._propose(live, cur_list))]
         new = np.array([j if isinstance(p, Exception) else p
                         for p, j in zip(proposals, cur_list)], dtype=np.int64)
         u_new = self._utility(new, live)
@@ -173,22 +169,19 @@ def allocate_with_proposals(propose: Proposer, instance: ProblemInstance
                             ) -> tuple[Allocation, AllocationTrace]:
     """Greedy upgrade loop over proposal chains; never returns an infeasible
     result.  The proposer is asked only about kept tasks, once per wave."""
-    space, bounds = instance.space, instance.bounds
-    start = dict(zip([target.id for target in instance.tasks],
-                     base_configuration(space, instance.tasks, bounds)))
+    starts = base_configuration(instance.space, instance.block, instance.bounds)
 
     def steps(kept: list[int]) -> dict[int, Iterator]:
-        group = _ChainGroup(propose, [instance.task_by_id(tid) for tid in kept],
-                            [start[tid] for tid in kept], space, bounds)
-        return {tid: group.drawn(pos) for pos, tid in enumerate(kept)}
+        positions = [instance.position[tid] for tid in kept]
+        group = _ChainGroup(propose, instance, starts, positions)
+        return {tid: group.drawn(pos) for tid, pos in zip(kept, positions)}
 
     # Weights that overflow would warn on every forward pass; next_config
     # turns their non-finite logits into a WeightFormatError instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        return upgrade_loop(instance, start, steps)
+        return upgrade_loop(instance, dict(zip(instance.position, starts)), steps)
 
 
 def allocate_with_agent(params: AgentParams, instance: ProblemInstance
                         ) -> tuple[Allocation, AllocationTrace]:
-    return allocate_with_proposals(network_proposer(params, instance.space),
-                                   instance)
+    return allocate_with_proposals(network_proposer(params, instance), instance)

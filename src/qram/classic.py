@@ -34,7 +34,7 @@ the regression instance in :mod:`qram.remark1`).
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,7 +45,7 @@ from . import kernels
 from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
                    grid_configurations)
 from .perf import Target
-from .problem import ProblemInstance, target_columns, utility_table
+from .problem import SITUATIONAL_WIDTH, ProblemInstance, utility_table
 
 
 class JobPoint(NamedTuple):
@@ -206,19 +206,19 @@ def instance_job_lists(instance: ProblemInstance,
             for target, k, i, r, u in rows]
 
 
-def base_configuration(space: ConfigSpace, targets: Sequence[Target],
+def base_configuration(space: ConfigSpace, rows: np.ndarray,
                        bounds: ResourceBounds) -> list[int]:
-    """Grid index of each target's cheapest configuration by compound
-    resource (ties: higher utility, then lower index), in target order.
+    """Grid index of each target block row's cheapest configuration by
+    compound resource (ties: higher utility, then lower index), in order.
     This is the first point of the task's job list.  The least-compound set
     is cached per (grid, bounds), in index order.  A set of one needs no
     utility; otherwise one ``kernels.utility`` call evaluates it for every
-    target, and ``argmax`` keeps the first of equal utilities."""
+    row, and ``argmax`` keeps the first of equal utilities."""
     cheapest = kernels.config_costs(space, bounds)[3]
     if len(cheapest) == 1:
-        return [int(cheapest[0])] * len(targets)
+        return [int(cheapest[0])] * len(rows)
     dwell, tx, pw = (column[cheapest] for column in expanded_grids(space))
-    util = kernels.utility(dwell, tx, pw, *target_columns(targets)[:, :, None])
+    util = kernels.utility(dwell, tx, pw, *rows.T[SITUATIONAL_WIDTH:, :, None])
     return cheapest[util.argmax(axis=1)].tolist()
 
 

@@ -31,7 +31,8 @@ from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                      evaluate_allocation, system_utility, utility_table)
+                      evaluate_allocation, system_utility, target_block,
+                      utility_table)
 from .rng import PortableRng
 
 #: Default sweep of configurations-per-task for the by-configs benchmark.
@@ -214,11 +215,11 @@ def _timed_classic(instance: ProblemInstance):
 
 def _timed_agent(params, instance: ProblemInstance):
     query_time = [0.0]
-    inner = network_proposer(params, instance.space)
+    inner = network_proposer(params, instance)
 
-    def timed_propose(tasks, currents):
+    def timed_propose(positions, currents):
         q0 = time.perf_counter()
-        proposals = inner(tasks, currents)
+        proposals = inner(positions, currents)
         query_time[0] += time.perf_counter() - q0
         return proposals
 
@@ -406,7 +407,7 @@ def cmd_bench_runtime(args) -> int:
     for c in args.configs:
         refined = _refined_space(c)
         target = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, [0], [target])[0]
+        state = encode_state(refined, [0], target_block([target]))[0]
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):

@@ -100,8 +100,15 @@ class ConfigSpace:
     def size(self) -> int:
         return len(self.dwell_grid) * len(self.tx_duration_grid) * len(self.tx_power_grid)
 
+    def is_index(self, index) -> bool:
+        """Whether ``index`` is a grid index: an ``int`` (so not a bool) or a
+        numpy integer, in [0, size).  Every index that enters the package
+        from a caller or a proposer passes this check."""
+        return ((type(index) is int or isinstance(index, np.integer))
+                and 0 <= index < self.size)
+
     def config_at(self, index: int) -> Configuration:
-        if not 0 <= index < self.size:
+        if not self.is_index(index):
             raise IndexError(f"configuration index {index} out of range [0, {self.size})")
         return grid_configurations(self)[index]
 

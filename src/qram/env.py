@@ -1,12 +1,12 @@
 """Single-task training environment for the configuration-proposal agent.
 
 An episode looks at one randomly drawn target.  The observation is one row
-of the network's input block (:func:`encode_state`): the task type
-(one-hot) and the situational picture (normalised range and speed), then
-the current configuration (normalised grid indices).  An action is the grid
-index of the next configuration; the reward is the utility-to-resource
-difference quotient between old and new configuration, clipped and scaled
-to [-1, 1].
+of the network's input block (:func:`encode_state`): the situational
+columns of the target's block row (the type one-hot, normalised range and
+speed), then the current configuration (normalised grid indices).  An
+action is the grid index of the next configuration; the reward is the
+utility-to-resource difference quotient between old and new
+configuration, clipped and scaled to [-1, 1].
 
 The training reward divides the utility change by the *magnitude* of the
 resource change.  With the signed quotient, walking back down a concave
@@ -33,9 +33,8 @@ import numpy as np
 from .classic import base_configuration
 from .core import ConfigSpace, ResourceBounds, expanded_grids
 from .kernels import config_costs, utility
-from .perf import (RANGE_INTERVAL_KM, TYPE_ORDER, TYPE_SPEED_RANGE, Target,
-                   draw_target)
-from .problem import target_columns
+from .perf import Target, draw_target
+from .problem import SITUATIONAL_WIDTH, target_block
 from .rng import PortableRng
 
 #: Episode length in environment steps.
@@ -47,9 +46,7 @@ EPS_RESOURCE = 1e-9
 #: Below this utility difference a degenerate quotient counts as zero.
 EPS_UTILITY = 1e-12
 
-#: Widths of the two halves of an observation row: the type one-hot plus
-#: (range, speed), then the three normalised grid indices.
-SITUATIONAL_WIDTH = len(TYPE_ORDER) + 2
+#: Width of an observation row's configuration half: three grid indices.
 CONFIG_WIDTH = 3
 
 #: Bounds used for training and single-task evaluation: full timeline, 5 kW.
@@ -77,34 +74,22 @@ def config_features(space: ConfigSpace) -> np.ndarray:
     return table
 
 
-#: The target half of an observation: type one-hot, range and speed scales.
-_ONE_HOT = {ttype: tuple(float(ttype is t) for t in TYPE_ORDER) for ttype in TYPE_ORDER}
-_RANGE_SCALE_KM = RANGE_INTERVAL_KM[1]
-_SPEED_SCALE_MPS = TYPE_SPEED_RANGE[TYPE_ORDER[-1]][1]
-
-
 def encode_state(space: ConfigSpace, indices: list[int],
-                 targets: list[Target]) -> np.ndarray:
+                 rows: np.ndarray) -> np.ndarray:
     """The network's input block: one float64 row of SITUATIONAL_WIDTH +
-    CONFIG_WIDTH per (grid index, target) pair, in order.
-
-    Columns in order: the type one-hot (TYPE_ORDER), range / 150 km, speed /
-    1000 m/s, then the :func:`config_features` row of the grid index, the
-    current configuration's.  An index that is not an integer in [0, grid
-    size) raises IndexError, naming the first such index, and a different
-    number of indices and targets raises ValueError.
-    """
-    size = space.size
+    CONFIG_WIDTH per (grid index, target block row) pair, in order: the
+    block row's situational columns, then the :func:`config_features` row
+    of the grid index, the current configuration's.  An index that
+    ``ConfigSpace.is_index`` rejects raises IndexError, naming the first
+    such index, and a different number of indices and rows raises
+    ValueError."""
     for index in indices:
-        if not (isinstance(index, (int, np.integer)) and 0 <= index < size):
+        if not space.is_index(index):
             raise IndexError(f"configuration index {index} out of range "
-                             f"[0, {size})")
-    block = np.empty((len(targets), SITUATIONAL_WIDTH + CONFIG_WIDTH))
+                             f"[0, {space.size})")
+    block = np.empty((len(rows), SITUATIONAL_WIDTH + CONFIG_WIDTH))
     config_features(space).take(indices, axis=0, out=block[:, SITUATIONAL_WIDTH:])
-    if targets:  # an empty list does not broadcast to a block of no rows
-        block[:, :SITUATIONAL_WIDTH] = [
-            (*_ONE_HOT[t.ttype], t.range_km / _RANGE_SCALE_KM,
-             t.speed_mps / _SPEED_SCALE_MPS) for t in targets]
+    block[:, :SITUATIONAL_WIDTH] = rows[:, :SITUATIONAL_WIDTH]
     return block
 
 
@@ -125,8 +110,9 @@ def quotient(delta_u: float, delta_r: float) -> float:
 class TrackingEnv:
     """Seeded episode stream; one instance is single-threaded.
 
-    ``reset`` evaluates the episode's target on the whole grid once, with
-    one ``kernels.utility`` call; a step reads the utility change from that
+    ``reset`` builds the episode target's block row, which its observations
+    read, and evaluates it on the whole grid once, with one
+    ``kernels.utility`` call; a step reads the utility change from that
     row and the compound change from the grid's ``config_costs`` column.
     """
 
@@ -153,13 +139,13 @@ class TrackingEnv:
     def reset(self) -> np.ndarray:
         self._target = draw_target(self._rng, self._serial)
         self._serial += 1
-        self._index = base_configuration(self.space, [self._target],
-                                         self.bounds)[0]
+        self._row = target_block([self._target])
+        self._index = base_configuration(self.space, self._row, self.bounds)[0]
         self._utility = utility(*expanded_grids(self.space),
-                                *target_columns([self._target])).tolist()
+                                *self._row.T[SITUATIONAL_WIDTH:]).tolist()
         self._steps = 0
         self._done = False
-        return encode_state(self.space, [self._index], [self._target])[0]
+        return encode_state(self.space, [self._index], self._row)[0]
 
     def step(self, action: int) -> StepResult:
         """Move to grid index ``action``.  The reward is the utility change
@@ -168,7 +154,7 @@ class TrackingEnv:
         outscore upgrades (see the module docstring)."""
         if self._done:
             raise RuntimeError("episode is finished; call reset")
-        if not 0 <= action < self.space.size:
+        if not self.space.is_index(action):
             raise ValueError(f"action {action} outside [0, {self.space.size})")
         du = self._utility[action] - self._utility[self._index]
         dr = self._comp[action] - self._comp[self._index]
@@ -178,5 +164,5 @@ class TrackingEnv:
         self._steps += 1
         self._done = self._steps >= EPISODE_LENGTH
         return StepResult(next_state=encode_state(self.space, [action],
-                                                  [self._target])[0],
+                                                  self._row)[0],
                           reward=reward, done=self._done)

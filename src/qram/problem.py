@@ -3,7 +3,8 @@
 The instance is the object every solver consumes.  A task is the
 :class:`~qram.perf.Target` it tracks, and every task picks from the
 instance's one grid, whose (tasks x grid) :func:`utility_table` the classic
-solver and both exact oracles read.  It is built in memory from a scenario
+solver and both exact oracles read.  Solvers read targets as rows of the
+instance's :func:`target_block`.  It is built in memory from a scenario
 (:func:`build_tracking_instance`); on disk a problem is its scenario file
 plus the bounds given on the command line.
 """
@@ -11,13 +12,17 @@ plus the bounds given on the command line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import kernels
 from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
                    resource_of)
-from .perf import TYPE_UTILITY_WEIGHT, Scenario, Target
+from .perf import TYPE_ORDER, TYPE_UTILITY_WEIGHT, Scenario, Target
+
+#: Width of the situational columns that open a target block row.
+SITUATIONAL_WIDTH = len(TYPE_ORDER) + 2
 
 
 @dataclass(frozen=True)
@@ -25,18 +30,21 @@ class ProblemInstance:
     tasks: tuple[Target, ...]
     bounds: ResourceBounds
     space: ConfigSpace
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    #: Each task id's position in ``tasks``, and ``target_block(tasks)``.
+    position: dict = field(init=False, repr=False, compare=False)
+    block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id = {t.id: t for t in self.tasks}
-        if len(by_id) != len(self.tasks):
+        position = {t.id: pos for pos, t in enumerate(self.tasks)}
+        if len(position) != len(self.tasks):
             raise ValueError("task ids must be unique")
         # SNR is monotone in P*tx, so a finite, positive SNR at the grid's
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
         # A range^4 that underflows to 0 gives an infinite SNR.
+        object.__setattr__(self, "block", target_block(self.tasks))
         _, tx, pw = expanded_grids(self.space)
-        range_km = target_columns(self.tasks)[0]
+        range_km = self.block[:, SITUATIONAL_WIDTH]
         with np.errstate(divide="ignore", over="ignore"):
             low = kernels.snr(tx[0], pw[0], range_km)
             high = kernels.snr(tx[-1], pw[-1], range_km)
@@ -46,11 +54,11 @@ class ProblemInstance:
             raise ValueError(f"target {target.id} at {target.range_km} km is "
                              f"outside the range the radar model can evaluate")
         kernels.config_costs(self.space, self.bounds)  # raises if a compound is not finite
-        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "position", position)
 
     def task_by_id(self, task_id: int) -> Target:
         try:
-            return self._by_id[task_id]
+            return self.tasks[self.position[task_id]]
         except KeyError:
             raise KeyError(f"no task with id {task_id}") from None
 
@@ -62,11 +70,20 @@ def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                            space=space)
 
 
-def target_columns(targets) -> np.ndarray:
-    """The target arguments of ``kernels.utility``: a (3, targets) float64
-    array whose rows are the range, speed and type weight columns."""
-    return np.array([(t.range_km, t.speed_mps, TYPE_UTILITY_WEIGHT[t.ttype])
-                     for t in targets], dtype=np.float64).reshape(-1, 3).T
+def target_block(targets) -> np.ndarray:
+    """A read-only float64 block, one row per target: the observation's
+    situational columns (type one-hot in TYPE_ORDER, range / 150 km, speed /
+    1000 m/s), then the target arguments of ``kernels.utility`` (range in
+    km, speed in m/s, type weight), so ``rows.T[SITUATIONAL_WIDTH:]``."""
+    helicopter, fighter, missile = TYPE_ORDER
+    rows = ((t.ttype is helicopter, t.ttype is fighter, t.ttype is missile,
+             t.range_km / 150.0, t.speed_mps / 1000.0,
+             t.range_km, t.speed_mps, TYPE_UTILITY_WEIGHT[t.ttype])
+            for t in targets)
+    block = np.fromiter(chain.from_iterable(rows), dtype=np.float64).reshape(
+        -1, SITUATIONAL_WIDTH + 3)
+    block.setflags(write=False)
+    return block
 
 
 def utility_table(instance: ProblemInstance) -> np.ndarray:
@@ -75,8 +92,8 @@ def utility_table(instance: ProblemInstance) -> np.ndarray:
     task i, from one kernel call.  Counts tasks x grid size evaluations."""
     dwell, tx, pw = expanded_grids(instance.space)
     kernels.counters["config_evals"] += len(instance.tasks) * len(dwell)
-    columns = target_columns(instance.tasks)[:, :, None]
-    return kernels.utility(dwell, tx, pw, *columns)
+    return kernels.utility(dwell, tx, pw,
+                           *instance.block.T[SITUATIONAL_WIDTH:, :, None])
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:
@@ -98,19 +115,21 @@ def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
 
 
 def _assigned(alloc: Allocation, instance: ProblemInstance):
-    """(target, config) of every assigned task, in instance order."""
+    """(position, config) of every assigned task, in instance order."""
     _check_assignment(alloc, instance)
-    return [(t, alloc.assignment[t.id]) for t in instance.tasks
+    return [(pos, alloc.assignment[t.id]) for pos, t in enumerate(instance.tasks)
             if t.id in alloc.assignment]
 
 
-def _utilities(assigned) -> dict[int, float]:
-    """Utility of every assigned (target, config) pair from one kernel call."""
+def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
+    """Utility of every assigned (position, config) pair from one kernel call."""
+    positions = [pos for pos, _ in assigned]
     columns = np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
                         for _, c in assigned], dtype=np.float64).reshape(-1, 3).T
     utilities = kernels.utility(*columns,
-                                *target_columns([t for t, _ in assigned]))
-    return dict(zip([t.id for t, _ in assigned], utilities.tolist()))
+                                *instance.block[positions].T[SITUATIONAL_WIDTH:])
+    return dict(zip([instance.tasks[pos].id for pos in positions],
+                    utilities.tolist()))
 
 
 def _usage(assigned, instance: ProblemInstance) -> np.ndarray:
@@ -122,7 +141,7 @@ def _usage(assigned, instance: ProblemInstance) -> np.ndarray:
 
 def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
     """Utility of every assigned task, keyed by task id in instance order."""
-    return _utilities(_assigned(alloc, instance))
+    return _utilities(_assigned(alloc, instance), instance)
 
 
 def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
@@ -134,7 +153,7 @@ def evaluate_allocation(alloc: Allocation, instance: ProblemInstance
                         ) -> tuple[dict[int, float], np.ndarray]:
     """``task_utilities`` and ``resource_usage`` from one check of ``alloc``."""
     assigned = _assigned(alloc, instance)
-    return _utilities(assigned), _usage(assigned, instance)
+    return _utilities(assigned, instance), _usage(assigned, instance)
 
 
 def system_utility(alloc: Allocation, instance: ProblemInstance,

@@ -15,9 +15,9 @@ from qram.core import (Allocation, ConfigSpace, Configuration, ResourceBounds,
                        compound_resource, resource_of)
 from qram.env import EPISODE_LENGTH, encode_state, quotient
 from qram.perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M,
-                       SNR_CONST, TYPE_UTILITY_WEIGHT, Target,
+                       SNR_CONST, TYPE_UTILITY_WEIGHT, Target, TargetType,
                        generate_scenario)
-from qram.problem import build_tracking_instance
+from qram.problem import build_tracking_instance, target_block
 from qram.rng import PortableRng
 
 
@@ -62,6 +62,18 @@ def utility_from_quality(q: QualityValue, target: Target) -> float:
 
 def task_utility(config: Configuration, target: Target) -> float:
     return utility_from_quality(quality(config, target), target)
+
+
+def reference_target_row(target: Target) -> list[float]:
+    """A ``target_block`` row from the README's column definitions: the type
+    one-hot (helicopter, fighter, missile), range / 150 km, speed / 1000
+    m/s, then range in km, speed in m/s and the type weight (helicopter 1.0,
+    fighter 1.2, missile 1.5)."""
+    weights = {TargetType.HELICOPTER: 1.0, TargetType.FIGHTER: 1.2,
+               TargetType.MISSILE: 1.5}
+    return ([1.0 if target.ttype is kind else 0.0 for kind in weights]
+            + [target.range_km / 150.0, target.speed_mps / 1000.0,
+               target.range_km, target.speed_mps, weights[target.ttype]])
 
 
 def compound_of(config: Configuration, bounds: ResourceBounds) -> float:
@@ -341,7 +353,8 @@ def lazy_allocate_with_proposals(propose, instance):
             current = proposal  # resumed only once the upgrade was accepted
 
     start = dict(zip([task.id for task in instance.tasks],
-                     base_configuration(space, instance.tasks, bounds)))
+                     base_configuration(space, target_block(instance.tasks),
+                                        bounds)))
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
             tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
@@ -373,7 +386,8 @@ def single_row_proposer(params, space):
     """The network asked about one observation row at a time on the grid
     ``space``: a per-task proposer for :func:`lazy_allocate_with_proposals`."""
     def propose(task, current):
-        logits, _ = forward(params, encode_state(space, [current], [task])[0])
+        logits, _ = forward(params, encode_state(space, [current],
+                                                 target_block([task]))[0])
         action = int(np.argmax(logits))
         if not math.isfinite(logits[action]):
             raise WeightFormatError(f"network logits are not finite (task "
@@ -398,7 +412,7 @@ def frontier_proposer(instance):
                 return points[i + 1].index if i + 1 < len(points) else current
         raise ValueError(f"task {target.id}: {current} is not on its frontier")
 
-    def propose(targets, currents):
-        return [next_point(target, current)
-                for target, current in zip(targets, currents)]
+    def propose(positions, currents):
+        return [next_point(instance.tasks[pos], current)
+                for pos, current in zip(positions, currents)]
     return propose

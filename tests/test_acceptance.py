@@ -23,7 +23,7 @@ from qram.env import DEFAULT_ENV_BOUNDS, encode_state
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
-                          system_utility)
+                          system_utility, target_block)
 from qram.rng import PortableRng
 from qram import remark1
 
@@ -159,9 +159,10 @@ def test_criterion_5_agent_quality(trained_agent):
             type(scenario)(targets=(target,), seed=0), bounds,
             DEFAULT_CONFIG_SPACE)
         task = inst.tasks[0]
-        base, = base_configuration(DEFAULT_CONFIG_SPACE, [target], bounds)
+        base, = base_configuration(DEFAULT_CONFIG_SPACE, target_block([target]),
+                                   bounds)
         logits, _ = forward(params, encode_state(DEFAULT_CONFIG_SPACE, [base],
-                                                 [target])[0])
+                                                 target_block([target]))[0])
         config = DEFAULT_CONFIG_SPACE.config_at(int(np.argmax(logits)))
         frontier = job_list_for(task, DEFAULT_CONFIG_SPACE, bounds)
         r = compound_resource(resource_of(config), bounds)

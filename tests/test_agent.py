@@ -19,14 +19,15 @@ from qram.agent import (AgentParams, TrainingError, Transition, UpdateBuffers,
 from qram.core import DEFAULT_CONFIG_SPACE
 from qram.env import DEFAULT_ENV_BOUNDS, TrackingEnv, encode_state
 from qram.perf import Target, TargetType
+from qram.problem import target_block
 from qram.rng import PortableRng
 
 #: ``qram train --steps 30000 --seed 1``, frozen for the benchmark.
 FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
                   / "agent-seed1-30k.json")
 
-FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, [0],
-                           [Target(0, TargetType.FIGHTER, 75.0, 250.0)])[0]
+FIXED_STATE = encode_state(DEFAULT_CONFIG_SPACE, [0], target_block(
+    [Target(0, TargetType.FIGHTER, 75.0, 250.0)]))[0]
 
 
 def rand_state(rng: PortableRng) -> np.ndarray:
@@ -124,7 +125,7 @@ def test_forward_takes_a_stack_of_rows():
     params = init_params(PortableRng(3))
     target = Target(0, TargetType.HELICOPTER, 80.0, 60.0)
     rows = encode_state(DEFAULT_CONFIG_SPACE, [i % 90 for i in range(0, 750, 5)],
-                        [target] * 150)
+                        target_block([target] * 150))
     assert len(rows) > 2 * agent.FORWARD_BLOCK
     logits, values = forward(params, rows)
     assert logits.shape == (150, params.n_actions) and values.shape == (150,)

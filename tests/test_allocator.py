@@ -18,7 +18,7 @@ from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds,
                        grid_configurations, resource_of)
 from qram.perf import TYPE_ORDER, generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
-                          system_utility)
+                          system_utility, target_block)
 from qram.rng import PortableRng
 
 #: The frozen weights the benchmark solves with.
@@ -34,24 +34,24 @@ def _instance(n=5, seed=1, bounds=None):
 
 def test_next_config_zero_params_picks_action_zero():
     inst = _instance(n=3)
-    assert next_config(zero_network(), inst.space, list(inst.tasks),
+    assert next_config(zero_network(), inst, [0, 1, 2],
                        [30, 0, 89]) == [0] * 3
 
 
 def test_next_config_deterministic():
     inst = _instance(n=4)
-    tasks = list(inst.tasks)
+    positions = [0, 1, 2, 3]
     params = init_params(PortableRng(3))
     currents = [10, 20, 10, 5]
-    assert next_config(params, inst.space, tasks, currents) \
-        == next_config(params, inst.space, tasks, currents)
+    assert next_config(params, inst, positions, currents) \
+        == next_config(params, inst, positions, currents)
 
 
 def test_next_config_rejects_mismatched_action_space():
     inst = _instance(n=1)
     params = init_params(PortableRng(1), n_actions=12)
     with pytest.raises(ValueError):
-        next_config(params, inst.space, list(inst.tasks), [0])
+        next_config(params, inst, [0], [0])
 
 
 def test_empty_instance_allocates_nothing():
@@ -84,10 +84,10 @@ def test_adversarial_proposer_terminates_feasibly():
     state = {"i": 0}
     calls = Counter()
 
-    def chaotic(tasks, currents):
+    def chaotic(positions, currents):
         proposals = []
-        for task in tasks:
-            calls[task.id] += 1
+        for pos in positions:
+            calls[inst.tasks[pos].id] += 1
             state["i"] = (state["i"] + 13) % DEFAULT_CONFIG_SPACE.size
             proposals.append(state["i"])
         return proposals
@@ -109,9 +109,9 @@ def test_proposer_is_asked_once_per_wave_about_live_kept_chains():
     oracle = frontier_proposer(inst)
     waves = []
 
-    def recording(tasks, currents):
-        waves.append(([t.id for t in tasks], list(currents)))
-        return oracle(tasks, currents)
+    def recording(positions, currents):
+        waves.append(([inst.tasks[pos].id for pos in positions], list(currents)))
+        return oracle(positions, currents)
 
     _, trace = allocate_with_proposals(recording, inst)
     assert trace.dropped and trace.upgrades  # bound-limited on both counts
@@ -139,11 +139,11 @@ def test_cycle_guard_allows_exactly_size_plus_one_upgrades():
         ends[task.id] = (points[0].index, points[-1].index)
     calls = Counter()
 
-    def flip(tasks, currents):
+    def flip(positions, currents):
         proposals = []
-        for task, current in zip(tasks, currents):
-            calls[task.id] += 1
-            low, high = ends[task.id]
+        for pos, current in zip(positions, currents):
+            calls[inst.tasks[pos].id] += 1
+            low, high = ends[inst.tasks[pos].id]
             proposals.append(high if current == low else low)
         return proposals
 
@@ -185,9 +185,9 @@ def test_stationary_proposal_retires_task():
     inst = _instance(n=2, seed=5)
     base_cfg = {}
 
-    def stubborn(tasks, currents):
-        for task, current in zip(tasks, currents):
-            base_cfg.setdefault(task.id, inst.space.config_at(current))
+    def stubborn(positions, currents):
+        for pos, current in zip(positions, currents):
+            base_cfg.setdefault(inst.tasks[pos].id, inst.space.config_at(current))
         return list(currents)  # never proposes anything new
 
     alloc, trace = allocate_with_proposals(stubborn, inst)
@@ -269,7 +269,7 @@ def test_next_config_stores_a_non_finite_row_as_an_error():
     params = zero_network()
     params = with_arrays(params, b_policy=np.where(
         np.arange(params.n_actions) == 4, np.inf, 0.0))
-    proposals = next_config(params, inst.space, list(inst.tasks), [0] * 3)
+    proposals = next_config(params, inst, [0, 1, 2], [0] * 3)
     assert [str(p) for p in proposals] == [
         f"network logits are not finite (task {t.id}); the weights overflow"
         for t in inst.tasks]
@@ -289,8 +289,8 @@ def _overflow_instance(type_of_top: bool):
     upgrade = Configuration(1100.0, 4.0, 1.0)
     up = grid_configurations(space).index(upgrade)
     scenario = generate_scenario(6, 8)
-    start = space.config_at(base_configuration(space, scenario.targets[:1],
-                                               default_bounds(6))[0])
+    start = space.config_at(base_configuration(
+        space, target_block(scenario.targets[:1]), default_bounds(6))[0])
     room = 1.5 * (resource_of(upgrade) - resource_of(start))
     bounds = ResourceBounds(tuple((6 * resource_of(start) + room).tolist()),
                             (1.0, 1.0))
@@ -322,10 +322,10 @@ def test_an_overflow_in_an_undrawn_step_is_never_raised():
     # first upgrade no longer fits, so their failed steps are never drawn.
     params, inst, overflowing, upgrade = _overflow_instance(type_of_top=False)
     waves = []
-    inner = network_proposer(params, inst.space)
+    inner = network_proposer(params, inst)
 
-    def recording(tasks, currents):
-        waves.append(inner(tasks, currents))
+    def recording(positions, currents):
+        waves.append(inner(positions, currents))
         return waves[-1]
 
     alloc, trace = allocate_with_proposals(recording, inst)
@@ -349,16 +349,17 @@ def test_an_overflow_is_raised_when_its_step_is_drawn():
 
 
 @pytest.mark.parametrize("bad", [-1, DEFAULT_CONFIG_SPACE.size,
-                                 DEFAULT_CONFIG_SPACE.config_at(5)],
-                         ids=["negative", "size", "configuration"])
+                                 DEFAULT_CONFIG_SPACE.config_at(5), True],
+                         ids=["negative", "size", "configuration", "bool"])
 def test_a_proposal_that_is_not_a_grid_index_raises_when_drawn(bad):
     # A negative index would wrap to the end of the grid, one past it would
-    # read past the tables, and a Configuration is the old protocol.  Each
-    # ends its chain with an IndexError, which the first draw raises.
+    # read past the tables, a Configuration is the old protocol, and True
+    # would pass for index 1.  Each ends its chain with an IndexError, which
+    # the first draw raises.
     inst = _instance(n=4, seed=7)
     with pytest.raises(IndexError) as err:
-        allocate_with_proposals(lambda tasks, currents: [bad] * len(tasks),
-                                inst)
+        allocate_with_proposals(
+            lambda positions, currents: [bad] * len(positions), inst)
     assert str(err.value) == (f"task {inst.tasks[0].id}: proposal {bad!r} is "
                               f"not a configuration index in [0, 90)")
 

@@ -20,7 +20,7 @@ from qram.core import (Allocation, ConfigSpace,
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
-                          system_utility)
+                          system_utility, target_block)
 from qram.rng import PortableRng
 
 BOUNDS = default_bounds(4)
@@ -140,12 +140,12 @@ def test_base_configuration_is_first_frontier_point(weights):
         assert ties == (len(space.tx_power_grid)
                         if weights == (1.0, 0.0) else 1)
         inst = _instance(n=10, seed=5, bounds=bounds, space=space)
-        got = base_configuration(space, inst.tasks, bounds)
+        got = base_configuration(space, target_block(inst.tasks), bounds)
         assert got == [scalar_base_configuration(space, task, bounds)
                        for task in inst.tasks]
         assert got == [job_list_for(task, space, bounds).points[0].index
                        for task in inst.tasks]
-    assert base_configuration(DEFAULT_CONFIG_SPACE, [], bounds) == []
+    assert base_configuration(DEFAULT_CONFIG_SPACE, target_block([]), bounds) == []
 
 
 # ------------------------------------------------- job lists of an instance
@@ -261,7 +261,8 @@ def test_greedy_tie_breaks_to_lower_task_id():
     space = ConfigSpace((500.0, 1100.0), (2.0, 4.0), (1.0,))
     probe = build_tracking_instance(
         scenario, ResourceBounds((10.0, 10.0), (1.0, 1.0)), space)
-    base = space.config_at(base_configuration(space, [t0], probe.bounds)[0])
+    base = space.config_at(base_configuration(space, target_block([t0]),
+                                              probe.bounds)[0])
     jl = job_list_for(probe.tasks[0], space, probe.bounds)
     first_upgrade = space.config_at(jl.points[1].index)
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]

@@ -12,6 +12,7 @@ from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
                       QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv,
                       config_features, encode_state, quotient)
 from qram.perf import Target, TargetType, generate_scenario
+from qram.problem import target_block
 from qram.rng import PortableRng
 
 
@@ -49,7 +50,7 @@ def test_reset_is_deterministic():
 
 def test_observation_is_one_float64_row():
     target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
-    block = encode_state(DEFAULT_CONFIG_SPACE, [89], [target])
+    block = encode_state(DEFAULT_CONFIG_SPACE, [89], target_block([target]))
     assert block.shape == (1, SITUATIONAL_WIDTH + CONFIG_WIDTH)
     assert block.dtype == np.float64
     assert tuple(block[0]) == (0.0, 1.0, 0.0, 0.5, 0.25, 1.0, 1.0, 1.0)
@@ -70,7 +71,8 @@ def test_config_columns_are_the_feature_table_rows():
             expected = tuple(grid.index(x) / (len(grid) - 1)
                              if len(grid) > 1 else 0.0 for grid, x in axes)
             assert tuple(table[index]) == expected
-            assert tuple(encode_state(space, [index], [target])[0, CONFIG]) == expected
+            assert tuple(encode_state(space, [index], target_block([target]))[
+                0, CONFIG]) == expected
 
 
 def reference_row(space, index, target):
@@ -98,7 +100,7 @@ def test_encode_state_block_matches_the_per_row_reference():
                   ConfigSpace((100.0,), (2.0, 4.0), (1.0, 2.0, 4.0))):
         indices = [(7 * k + 3) % space.size for k in range(space.size)]
         paired = [targets[k % len(targets)] for k in range(space.size)]
-        block = encode_state(space, indices, paired)
+        block = encode_state(space, indices, target_block(paired))
         want = np.array([reference_row(space, index, target)
                          for index, target in zip(indices, paired)])
         assert block.shape == want.shape == (space.size, 8)
@@ -107,12 +109,12 @@ def test_encode_state_block_matches_the_per_row_reference():
 
 def test_encode_state_pairs_indices_with_targets():
     # An empty batch is a block of no rows; unpaired inputs raise.
-    block = encode_state(DEFAULT_CONFIG_SPACE, [], [])
+    block = encode_state(DEFAULT_CONFIG_SPACE, [], target_block([]))
     assert block.shape == (0, 8) and block.dtype == np.float64
     target = Target(0, TargetType.FIGHTER, 75.0, 250.0)
     for indices, targets in (([0, 1], [target]), ([0], [target, target])):
         with pytest.raises(ValueError):
-            encode_state(DEFAULT_CONFIG_SPACE, indices, targets)
+            encode_state(DEFAULT_CONFIG_SPACE, indices, target_block(targets))
 
 
 def test_encode_state_rejects_an_index_off_the_grid():
@@ -121,25 +123,24 @@ def test_encode_state_rejects_an_index_off_the_grid():
     # index of the batch, in config_at's words.
     space = DEFAULT_CONFIG_SPACE
     targets = [Target(k, TargetType.FIGHTER, 75.0, 250.0) for k in range(3)]
-    for bad in (-1, space.size, 2.5):
+    for bad in (-1, space.size, 2.5, True):
         want = f"configuration index {bad} out of range [0, {space.size})"
-        if bad != 2.5:
-            with pytest.raises(IndexError, match=re.escape(want)):
-                space.config_at(bad)
+        with pytest.raises(IndexError, match=re.escape(want)):
+            space.config_at(bad)
         for pos in range(3):
             indices = [4, 5, 6]
             indices[pos] = bad
             if pos < 2:
                 indices[2] = space.size + 5  # a later bad index is not named
             with pytest.raises(IndexError) as err:
-                encode_state(space, indices, targets)
+                encode_state(space, indices, target_block(targets))
             assert str(err.value) == want, (bad, pos)
 
 
 def test_reset_starts_at_cheapest_config():
     env = make_env(11)
     state = env.reset()
-    base, = base_configuration(env.space, [env.target], env.bounds)
+    base, = base_configuration(env.space, target_block([env.target]), env.bounds)
     assert base == scalar_base_configuration(env.space, env.target, env.bounds)
     assert grid_index(state) == base
     i_d, rest = divmod(base, 15)  # row-major over 6 x 5 x 3
@@ -287,6 +288,10 @@ def test_episode_is_three_steps_and_done_contract():
     env.reset()
     with pytest.raises(ValueError):
         env.step(900)
+    with pytest.raises(ValueError):
+        env.step(2.5)
+    with pytest.raises(ValueError):
+        env.step(True)
 
 
 def test_return_is_dominated_by_first_reward():

@@ -45,6 +45,29 @@ def test_import_defaults_blas_to_one_thread_and_keeps_a_user_value():
     assert out == ["1", "3", "1"]
 
 
+#: Target fields and the type weight table.  Only the model modules read
+#: them, ``kernels`` only in the per-task ``config_metrics``; every other
+#: module reaches a target through its ``problem.target_block`` row.
+TARGET_READS = {"ttype", "range_km", "speed_mps", "TYPE_UTILITY_WEIGHT"}
+TARGET_READERS = {("perf.py", None), ("problem.py", None),
+                  ("kernels.py", "config_metrics")}
+
+
+def test_only_the_model_modules_read_target_fields():
+    found = set()
+    for path in sorted(Path(qram.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in TARGET_READS
+                        or isinstance(node, ast.Name)
+                        and node.id == "TYPE_UTILITY_WEIGHT"):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert ("kernels.py", "config_metrics") in found  # the scan sees reads
+    assert not [(name, scope) for name, scope in found
+                if (name, scope) not in TARGET_READERS
+                and (name, None) not in TARGET_READERS]
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # The package needs only numpy: no optional accelerator or twin.
     allowed = set(sys.stdlib_module_names) | {"numpy", "qram"}

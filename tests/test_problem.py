@@ -1,13 +1,14 @@
+import numpy as np
 import pytest
 
-from helpers import task_utility
+from helpers import reference_target_row, task_utility
 from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
     ResourceBounds, resource_of
 from qram.perf import Scenario, Target, TargetType, generate_scenario
 from qram import problem
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           evaluate_allocation, is_feasible, resource_usage,
-                          system_utility, task_utilities)
+                          system_utility, target_block, task_utilities)
 
 
 def _instance(n=4, seed=42):
@@ -47,6 +48,28 @@ def test_lookups_with_unsorted_non_contiguous_ids():
             inst.task_by_id(unknown)
         with pytest.raises(KeyError):
             is_feasible(Allocation(assignment={unknown: config}), inst)
+
+
+def test_target_block_matches_the_per_target_reference():
+    # Rows hold the README's columns bit for bit for all three types, the
+    # block is read-only, and an instance's rows and positions follow its
+    # task order, not its ids.
+    targets = generate_scenario(40, 3).targets
+    assert {t.ttype for t in targets} == set(TargetType)
+    block = target_block(targets)
+    want = np.array([reference_target_row(t) for t in targets])
+    assert block.shape == want.shape == (40, 8)
+    assert block.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        block[0, 0] = 2.0
+    assert target_block([]).shape == (0, 8)
+    shuffled = tuple(targets[(7 * k + 3) % 40] for k in range(40))
+    inst = build_tracking_instance(Scenario(targets=shuffled, seed=3),
+                                   default_bounds(40), DEFAULT_CONFIG_SPACE)
+    assert inst.block.tobytes() == np.array(
+        [reference_target_row(t) for t in shuffled]).tobytes()
+    assert not inst.block.flags.writeable
+    assert inst.position == {t.id: pos for pos, t in enumerate(shuffled)}
 
 
 def test_system_utility_empty_allocation():
