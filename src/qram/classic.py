@@ -290,7 +290,7 @@ class UsageLedger:
     """
 
     def __init__(self, instance: ProblemInstance):
-        self._row = {t.id: i for i, t in enumerate(instance.tasks)}
+        self._row = instance.position
         self._mat = np.zeros((len(instance.tasks), len(instance.bounds.bounds)))
         self._limits = tuple(float(b) for b in instance.bounds.bounds)
         self._tasks = len(instance.tasks)

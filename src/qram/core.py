@@ -84,6 +84,8 @@ class ConfigSpace:
     dwell_grid: tuple[float, ...]
     tx_duration_grid: tuple[float, ...]
     tx_power_grid: tuple[float, ...]
+    #: Number of configurations, the product of the three axis lengths.
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, grid in (("dwell_grid", self.dwell_grid),
@@ -95,10 +97,8 @@ class ConfigSpace:
                 raise ValueError(f"{name} must be strictly increasing: {grid}")
         if max(self.tx_duration_grid) >= min(self.dwell_grid):
             raise ValueError("every transmit duration must fit inside every dwell")
-
-    @property
-    def size(self) -> int:
-        return len(self.dwell_grid) * len(self.tx_duration_grid) * len(self.tx_power_grid)
+        object.__setattr__(self, "size", len(self.dwell_grid)
+                           * len(self.tx_duration_grid) * len(self.tx_power_grid))
 
     def is_index(self, index) -> bool:
         """Whether ``index`` is a grid index: an ``int`` (so not a bool) or a

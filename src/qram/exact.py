@@ -1,9 +1,13 @@
 """Exact oracles: exhaustive search and a quantised knapsack program.
 
-The exhaustive search enumerates every combination of configurations (each
-task may also be dropped) and is the ground truth the heuristics are measured
-against.  The knapsack program always solves the compound relaxation: it
-keeps the summed compound resource within the compound of the bounds,
+The exhaustive search is the ground truth the heuristics are measured
+against: the first best feasible combination of configurations (each task
+may also be dropped), in code order.  It judges only the states whose
+utility bound can still reach the best found, and its picks are bit for bit
+those of judging every combination.
+
+The knapsack program always solves the compound relaxation: it keeps the
+summed compound resource within the compound of the bounds,
 ``sum(compound_weights)``, and does not check the individual bounds.  With
 one nonzero compound weight that is the problem for that resource alone, a
 multiple-choice knapsack; with several, every allocation within both bounds
@@ -25,7 +29,8 @@ from . import kernels
 from .core import Allocation, grid_configurations
 from .problem import ProblemInstance, utility_table
 
-#: Refuse exhaustive enumeration above this many combined configuration states.
+#: Refuse exhaustive search above this many combined configuration states
+#: offered, skipped ones included.
 ENUMERATION_CAP = 10**8
 
 #: Refuse knapsack programs whose value table, (tasks + 1) x (budget cells +
@@ -61,9 +66,12 @@ def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
     """Exhaustive utility-maximal feasible allocation.
 
     Ties go to the lexicographically smallest assignment vector (task 0 digit
-    first; dropping sorts after every configuration).  Raises
-    :class:`CapacityError` when the states the scan enumerates, (grid size
-    + 1) per task with dropping included, exceed ``ENUMERATION_CAP``.
+    first; dropping sorts after every configuration).  The scan skips the
+    states its utility bound rules out, with the same result as judging them
+    all.  Raises :class:`CapacityError` when the states offered to the scan,
+    (grid size + 1) per task with dropping included, exceed
+    ``ENUMERATION_CAP``; the cap counts them whether or not the bound later
+    skips them.
     """
     configs = grid_configurations(instance.space)
     base, tasks = len(configs) + 1, len(instance.tasks)

@@ -12,6 +12,7 @@ did.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -111,30 +112,49 @@ def utility(dwell, tx, pw, range_km, speed_mps, weight):
 # States are mixed-radix codes: task 0 is the most significant digit, digit
 # values 0..n_i-1 pick a configuration and digit n_i drops the task, so
 # ascending code order is lexicographic order of the assignment vectors.
-# The scan keeps the FIRST code attaining the maximum feasible utility and
-# returns its digits, the picks.
+# The scan returns the digits, the picks, of the FIRST code attaining the
+# maximum feasible utility.
 #
 # Totals are built by outer sums, not by decoding codes.  Each task has a
 # value vector of n_i + 1 entries (its configurations, then 0.0 for
 # "dropped").  The tasks split into a leading prefix and a trailing block:
 # the longest run of trailing tasks whose radix product B is at most
-# _SCAN_CHUNK, and at least the last task.  The prefix totals are built once
-# by left-to-right outer adds, (p[:, None] + v[None, :]).ravel(); then each
-# group of G = max(1, _SCAN_CHUNK // B) consecutive prefix entries is
-# extended by the block's tasks, again left to right, and judged with one
-# feasibility mask and one argmax.
+# min(_SCAN_CHUNK, isqrt(total states)), and at least the last task, so the
+# prefix and the block are about equally large.  The prefix totals are
+# built once by left-to-right outer adds, (p[:, None] + v[None, :]).ravel();
+# a chosen set of prefix entries is then extended by the block's tasks,
+# again left to right, and judged with one feasibility mask and one argmax.
 #
 # Bit identity: every state's totals are still ((0.0 + v_0) + v_1) + ...
 # in task order, exactly as a per-code decode adds them (adding 0.0 for a
-# dropped task leaves a sum unchanged, as it did there).  C order of an
-# outer sum is ascending code order, so within a group state j has code
-# k*B + j (k the group's first prefix index), argmax returns the first
-# maximum and a later group replaces the best only when strictly better:
-# the lowest code among the maxima wins, as before.
+# dropped task leaves a sum unchanged, as it did there).
 #
-# Memory: one group holds G*B states, at most max(_SCAN_CHUNK, B), and B is
+# Bound.  A prefix's bound adds each block task's largest value (its best
+# utility, or the drop's 0.0) to the prefix's utility total, left to right
+# in the block's order.  Round-to-nearest addition is monotone in each
+# argument, so every state that extends the prefix totals at most its
+# bound.  Every occupancy and power entry is >= 0, so by the same argument
+# no state extending a prefix over a limit can fit: such prefixes are
+# skipped.
+#
+# Order.  The other prefixes go in descending bound order, in chunks of
+# G = max(1, _SCAN_CHUNK // B) prefixes.  A chunk's prefixes are sorted
+# ascending before the outer sums, so in C order state j of the chunk has
+# code rows[j // B] * B + j % B, codes ascend, and argmax returns the
+# chunk's lowest code among its maxima.  A chunk's best replaces the best
+# found if it is strictly greater, or equal with a lower code.
+#
+# Stop.  A prefix is skipped only when its bound is STRICTLY below the best
+# found.  The best found never exceeds the optimum (it starts at -1.0, then
+# is a feasible total), and the prefix of the first optimal code fits and
+# bounds at least the optimum: it is never skipped, and the merge keeps the
+# lowest code among equal maxima.  The picks are those of the full scan.
+#
+# Memory: one chunk holds G*B states, at most max(_SCAN_CHUNK, B), and B is
 # at most max(_SCAN_CHUNK, largest radix).  The prefix holds total / B
-# entries.
+# entries: with one radix r for every task, as the oracle passes, and at
+# most _SCAN_CHUNK**2 states (the oracle's cap is far below), that is at
+# most sqrt(total * r).
 # --------------------------------------------------------------------------
 
 def _outer_sums(base, vectors):
@@ -148,14 +168,16 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     """Return (best utility, picks) over every assignment.
 
     ``occ`` and ``pw`` are the grid's occupancy and power columns, shared by
-    every task; row i of ``util`` holds task i's utilities on the grid.
-    Task i picks from the first ``ncfg[i]`` grid configurations; the oracle
-    passes the grid size for every task, and ``ncfg`` stays because the
-    benchmark's counter hooks read it.  ``picks[i]`` is task i's
-    configuration in the first assignment, in code order, that attains the
-    best feasible utility, and ``ncfg[i]`` drops the task.  Empty
-    allocations are part of the search, so a result is always found.  No
-    block the scan evaluates holds more than max(_SCAN_CHUNK, largest radix)
+    every task, and every entry is >= 0; row i of ``util`` holds task i's
+    utilities on the grid.  Task i picks from the first ``ncfg[i]`` grid
+    configurations; the oracle passes the grid size for every task, and
+    ``ncfg`` stays because the benchmark's counter hooks read it.
+    ``picks[i]`` is task i's configuration in the first assignment, in code
+    order, that attains the best feasible utility, and ``ncfg[i]`` drops the
+    task.  Empty allocations are part of the search, so a result is always
+    found.  Only prefixes whose utility bound can still reach the best found
+    are judged, and the result is that of judging every state.  No block
+    the scan evaluates holds more than max(_SCAN_CHUNK, largest radix)
     states.
     """
     util = np.asarray(util, dtype=np.float64)
@@ -168,25 +190,40 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     vu = [np.append(util[i, :k], 0.0) for i, k in enumerate(ncfg)]
     vo = [np.append(occ[:k], 0.0) for k in ncfg]
     vp = [np.append(pw[:k], 0.0) for k in ncfg]
+    limit = min(_SCAN_CHUNK, math.isqrt(math.prod(radix)))
     split, block = max(n - 1, 0), radix[-1] if n else 1
-    while split > 0 and block * radix[split - 1] <= _SCAN_CHUNK:
+    while split > 0 and block * radix[split - 1] <= limit:
         split -= 1
         block *= radix[split]
     start = np.zeros(1)
     pu, po, pp = (_outer_sums(start, v[:split]) for v in (vu, vo, vp))
+    bound = pu
+    for v in vu[split:]:
+        bound = bound + v.max()  # v ends with the drop's 0.0
+    fits = np.flatnonzero((po <= r1) & (pp <= r2))
+    order = fits[np.argsort(-bound[fits], kind="stable")]
+    ranked = -bound[order]  # ascending
     group = max(1, _SCAN_CHUNK // block)
 
     best_u = -1.0
     best_code = -1
-    for k in range(0, len(pu), group):
-        tu = _outer_sums(pu[k:k + group], vu[split:])
-        to = _outer_sums(po[k:k + group], vo[split:])
-        tp = _outer_sums(pp[k:k + group], vp[split:])
+    k = 0
+    while True:
+        # Prefixes whose bound is not below the best found, next chunk only.
+        stop = min(k + group, int(np.searchsorted(ranked, -best_u, side="right")))
+        if k >= stop:
+            break
+        rows = np.sort(order[k:stop])
+        k = stop
+        tu = _outer_sums(pu[rows], vu[split:])
+        to = _outer_sums(po[rows], vo[split:])
+        tp = _outer_sums(pp[rows], vp[split:])
         cand = np.where((to <= r1) & (tp <= r2), tu, -np.inf)
         j = int(np.argmax(cand))
-        if cand[j] > best_u:
+        code = int(rows[j // block]) * block + j % block
+        if cand[j] > best_u or (cand[j] == best_u and code < best_code):
             best_u = float(cand[j])
-            best_code = k * block + j
+            best_code = code
     return float(best_u), np.array(np.unravel_index(best_code, radix), dtype=np.int64)
 
 

@@ -14,6 +14,7 @@ from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
 from qram.core import (Allocation, ConfigSpace, Configuration, ResourceBounds,
                        compound_resource, resource_of)
 from qram.env import EPISODE_LENGTH, encode_state, quotient
+from qram.kernels import _SCAN_CHUNK, _outer_sums
 from qram.perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M,
                        SNR_CONST, TYPE_UTILITY_WEIGHT, Target, TargetType,
                        generate_scenario)
@@ -287,6 +288,48 @@ def rescan_upgrade_loop(instance, start, steps):
     return (Allocation(assignment={tid: space.config_at(index)
                                    for tid, index in current.items()}),
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
+
+
+def full_scan_best_feasible(util, occ, pw, ncfg, r1, r2):
+    """Reference scan: judges every state, in ascending code order.
+
+    Returns (best utility, picks) like ``kernels.scan_best_feasible``, which
+    must equal it bit for bit.  Each group of prefix entries is extended by
+    the trailing block (the longest run of trailing tasks of at most
+    ``_SCAN_CHUNK`` states) and judged with one argmax; a later group
+    replaces the best only when strictly better, so the lowest code among
+    the maxima wins.
+    """
+    util = np.asarray(util, dtype=np.float64)
+    occ = np.asarray(occ, dtype=np.float64)
+    pw = np.asarray(pw, dtype=np.float64)
+    r1, r2 = float(r1), float(r2)
+    ncfg = [int(k) for k in ncfg]
+    n = len(ncfg)
+    radix = [k + 1 for k in ncfg]
+    vu = [np.append(util[i, :k], 0.0) for i, k in enumerate(ncfg)]
+    vo = [np.append(occ[:k], 0.0) for k in ncfg]
+    vp = [np.append(pw[:k], 0.0) for k in ncfg]
+    split, block = max(n - 1, 0), radix[-1] if n else 1
+    while split > 0 and block * radix[split - 1] <= _SCAN_CHUNK:
+        split -= 1
+        block *= radix[split]
+    start = np.zeros(1)
+    pu, po, pp = (_outer_sums(start, v[:split]) for v in (vu, vo, vp))
+    group = max(1, _SCAN_CHUNK // block)
+
+    best_u = -1.0
+    best_code = -1
+    for k in range(0, len(pu), group):
+        tu = _outer_sums(pu[k:k + group], vu[split:])
+        to = _outer_sums(po[k:k + group], vo[split:])
+        tp = _outer_sums(pp[k:k + group], vp[split:])
+        cand = np.where((to <= r1) & (tp <= r2), tu, -np.inf)
+        j = int(np.argmax(cand))
+        if cand[j] > best_u:
+            best_u = float(cand[j])
+            best_code = k * block + j
+    return float(best_u), np.array(np.unravel_index(best_code, radix), dtype=np.int64)
 
 
 def argmax_knapsack_table(util, cost, ncfg, budget):

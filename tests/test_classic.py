@@ -377,6 +377,7 @@ def test_a_lowering_upgrade_unparks_the_refused_candidates(monkeypatch):
 
     instance = SimpleNamespace(
         tasks=[SimpleNamespace(id=tid) for tid in range(4)],
+        position={tid: tid for tid in range(4)},
         bounds=ResourceBounds((1.0, 0.65), (1.0, 1.0)), space=space)
     start = {0: config(10.0, 4.0), 1: config(1.0, 1.0), 2: config(1.0, 1.0),
              3: config(1.0, 4.0)}
@@ -499,6 +500,7 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                                zip(_sequential_sum(planned), offsets)])
             instance = SimpleNamespace(
                 tasks=[SimpleNamespace(id=tid) for tid in ids],
+                position={tid: pos for pos, tid in enumerate(ids)},
                 bounds=SimpleNamespace(bounds=tuple(limits.tolist())))
             ledger = UsageLedger(instance)
             mirror = np.zeros((n_tasks, 2))
@@ -551,6 +553,7 @@ def test_ledger_long_write_chain_matches_replace_and_resum():
     n = 160
     ids = [int(i) for i in rng.permutation(n) * 2 + 5]
     instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in ids],
+                               position={tid: pos for pos, tid in enumerate(ids)},
                                bounds=SimpleNamespace(bounds=(1.0, 1.0)))
     ledger = UsageLedger(instance)
     mirror = np.zeros((n, 2))
@@ -600,6 +603,7 @@ def test_ledger_long_write_chain_matches_replace_and_resum():
 
 def _ledger(ids, rows, limits):
     instance = SimpleNamespace(tasks=[SimpleNamespace(id=tid) for tid in ids],
+                               position={tid: pos for pos, tid in enumerate(ids)},
                                bounds=SimpleNamespace(bounds=tuple(limits)))
     ledger = UsageLedger(instance)
     for tid, row in zip(ids, rows):

@@ -6,11 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import argmax_knapsack_table, random_small_space, snr, task_utility
-from qram import kernels
+from helpers import (argmax_knapsack_table, full_scan_best_feasible,
+                     random_small_instance, random_small_space, snr,
+                     task_utility)
+from qram import kernels, remark1
 from qram.core import (DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds,
                        compound_resource, resource_of)
 from qram.perf import TYPE_UTILITY_WEIGHT, Target, TargetType, generate_scenario
+from qram.problem import build_tracking_instance, default_bounds, utility_table
 from qram.rng import PortableRng
 
 TARGET = Target(id=0, ttype=TargetType.FIGHTER, range_km=62.5, speed_mps=340.0)
@@ -190,11 +193,8 @@ def test_scan_radix_above_chunk(ncfg, monkeypatch):
     _assert_scan_matches(util, occ, pw, ncfg, 0.9, 1.1)
 
 
-@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
-def test_scan_blocks_are_bounded_and_cover_every_state(chunk, monkeypatch):
-    """Each block judged by one argmax holds at most max(chunk, largest
-    radix) states, and the blocks together hold every state once."""
-    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+def _record_judged(monkeypatch):
+    """Record the size of every block the scan judges with one argmax."""
     sizes = []
     argmax = np.argmax
 
@@ -203,14 +203,101 @@ def test_scan_blocks_are_bounded_and_cover_every_state(chunk, monkeypatch):
         return argmax(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argmax", recording_argmax)
+    return sizes
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_blocks_are_bounded_and_cover_every_state(chunk, monkeypatch):
+    """Each block judged by one argmax holds at most max(chunk, largest
+    radix) states, and the blocks together hold every state once.  Every
+    utility is 0.0 and the limits are above every total, so each prefix's
+    bound ties the best found and no state may be skipped."""
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    sizes = _record_judged(monkeypatch)
     for ncfg in ([6, 2, 7, 1, 5], [3, 40, 2], [7] * 5):
         sizes.clear()
         ncfg = np.array(ncfg)
-        util = np.ones((len(ncfg), int(ncfg.max())))
-        kernels.scan_best_feasible(util, util[0], util[0], ncfg, 2.0, 2.0)
+        util = np.zeros((len(ncfg), int(ncfg.max())))
+        cost = np.ones(int(ncfg.max()))
+        limit = len(ncfg) + 1.0
+        kernels.scan_best_feasible(util, cost, cost, ncfg, limit, limit)
         radix = (ncfg + 1).tolist()
         assert sum(sizes) == int(np.prod(radix))
         assert max(sizes) <= max(chunk, max(radix))
+
+
+def _oracle_scan_args(instance):
+    """The arguments ``exact.optimal_allocation`` passes to the scan."""
+    _, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
+    return (utility_table(instance), occ, pw,
+            [instance.space.size] * len(instance.tasks), *instance.bounds.bounds)
+
+
+def _remark1_instances():
+    scenario = generate_scenario(remark1.N_TARGETS, remark1.SCENARIO_SEED)
+    return [build_tracking_instance(scenario, remark1.BOUNDS, space)
+            for space in remark1.config_space_chain()]
+
+
+def _default_grid_instances():
+    return [build_tracking_instance(generate_scenario(4, seed), bounds,
+                                    DEFAULT_CONFIG_SPACE)
+            for bounds in (default_bounds(4),
+                           ResourceBounds((0.15, 0.5), (1.0, 1.0)))
+            for seed in (1, 2)]
+
+
+def _assert_scan_is_the_full_scan(*args):
+    got_u, got_picks = kernels.scan_best_feasible(*args)
+    want_u, want_picks = full_scan_best_feasible(*args)
+    assert np.float64(got_u).tobytes() == np.float64(want_u).tobytes()
+    assert got_picks.tolist() == want_picks.tolist()
+
+
+def test_scan_is_the_full_scan_on_the_oracle_instances():
+    # The three remark1 grids, four default-grid targets under two bounds,
+    # and the random small instances of acceptance criterion 1.
+    for instance in _remark1_instances() + _default_grid_instances():
+        _assert_scan_is_the_full_scan(*_oracle_scan_args(instance))
+    for seed in range(200):
+        _assert_scan_is_the_full_scan(*_oracle_scan_args(random_small_instance(seed)))
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_is_the_full_scan_on_tied_quarter_grids(chunk, monkeypatch):
+    """Quarter-grid values tie often, so equal bounds and equal maxima in
+    different chunks are common; the picks must still be the full scan's."""
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        util, occ, pw, ncfg = _quarter_case(rng, n, int(rng.integers(1, 8)))
+        r1, r2 = rng.integers(0, 4 * n + 2, size=2) / 4.0
+        _assert_scan_is_the_full_scan(util, occ, pw, ncfg, r1, r2)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 4])
+def test_scan_judges_a_prefix_whose_bound_ties_the_best_found(chunk, monkeypatch):
+    # Picks (0, 1) and (1, 0) both total 3.0; (1, 1) would total 4.0 but
+    # does not fit.  At chunk 4 each prefix is its own chunk: prefix 1
+    # (bound 4.0) goes first and finds code 3, then prefix 0, whose bound
+    # 3.0 only ties that best, must still be judged and its lower code 1 win.
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    util = np.array([[1.0, 2.0], [1.0, 2.0]])
+    best_u, best_picks = _assert_scan_matches(
+        util, np.array([0.25, 0.5]), np.zeros(2), [2, 2], 0.75, 1.0)
+    assert (best_u, best_picks) == (3.0, [0, 1])
+
+
+def test_scan_bound_skips_states(monkeypatch):
+    # remark1's 60-configuration grid offers 61**4 states, four targets of
+    # the default grid 91**4; the bound leaves a small share to judge.
+    sizes = _record_judged(monkeypatch)
+    kernels.scan_best_feasible(*_oracle_scan_args(_remark1_instances()[-1]))
+    assert sum(sizes) < 61**4 / 4
+    sizes.clear()
+    kernels.scan_best_feasible(*_oracle_scan_args(_default_grid_instances()[0]))
+    assert sum(sizes) < 91**4 / 100
 
 
 def _dp_case(seed):
