@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .core import (Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                   ResourceBounds, compound_resource, resource_of)
+                   ResourceBounds, compound_resource)
 from .perf import Scenario, Target, TargetType, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
                       is_feasible, system_utility)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "Configuration", "ConfigSpace", "DEFAULT_CONFIG_SPACE",
-    "ResourceBounds", "compound_resource", "resource_of",
+    "ResourceBounds", "compound_resource",
     "Scenario", "Target", "TargetType", "generate_scenario",
     "ProblemInstance", "build_tracking_instance", "default_bounds",
     "is_feasible", "system_utility",

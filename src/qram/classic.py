@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
-                   grid_configurations)
+from .core import (Allocation, ConfigSpace, ResourceBounds, _sequential_sum,
+                   expanded_grids, grid_configurations)
 from .perf import Target
 from .problem import SITUATIONAL_WIDTH, ProblemInstance, utility_table
 
@@ -237,21 +237,15 @@ class AllocationTrace:
     upgrades: tuple[UpgradeStep, ...]
 
 
-def _sequential_sum(mat: np.ndarray) -> np.ndarray:
-    """Column sums added row by row, in row order (what cumsum does)."""
-    if mat.shape[0] == 0:
-        return np.zeros(mat.shape[1])
-    return np.cumsum(mat, axis=0)[-1]
-
-
 class UsageLedger:
     """Per-task resource rows summed exactly like the feasibility check.
 
     Feasibility must be judged with the same arithmetic the public check
-    uses (a sequential sum over tasks in instance order), otherwise float
-    drift from incremental updates can leave a "feasible" result that the
-    recheck rejects by one ulp.  cumsum reproduces that sequential order.
-    Every entry is >= 0, as a resource vector of a valid configuration is.
+    uses, otherwise float drift from incremental updates can leave a
+    "feasible" result that the recheck rejects by one ulp.  So a re-sum runs
+    ``core._sequential_sum`` over the rows in instance order, as
+    ``is_feasible`` does.  Every entry is >= 0, as a resource vector of a
+    valid configuration is.
 
     The ledger holds a usage ``s`` and a drift ``d`` per resource.  A
     re-sum sets ``s`` to the sequential sum ``S`` of the T rows and ``d``
@@ -432,7 +426,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     the same; each refusal is asked once per lowering upgrade, not once
     per accepted upgrade.
     """
-    # The (occupancy, power) row of each grid index, bit for bit resource_of.
+    # The (occupancy, power) row of each grid index, from core.costs.
     rows = np.column_stack(kernels.config_costs(instance.space,
                                                 instance.bounds)[1:3])
     ledger = UsageLedger(instance)

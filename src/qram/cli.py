@@ -463,71 +463,67 @@ def build_parser() -> argparse.ArgumentParser:
                     "oracles, and an actor-critic allocation agent.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option groups shared by several commands.
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--bounds", type=_parse_pair, metavar="R1,R2",
+                        help="resource bounds override")
+    bounds.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2",
+                        help="compound weight override")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--targets", type=_parse_range, default=(20, 150),
+                       metavar="A..B")
+    sweep.add_argument("--step", type=_positive_int, default=10)
+    configs = argparse.ArgumentParser(add_help=False)
+    configs.add_argument("--configs", type=_parse_int_list,
+                         default=DEFAULT_CONFIG_SWEEP, metavar="C1,C2,...")
+
     p = sub.add_parser("gen", help="generate a random scenario")
     p.add_argument("--targets", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="allocate resources for a scenario")
+    p = sub.add_parser("solve", parents=[bounds],
+                       help="allocate resources for a scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--method", choices=["classic", "agent", "brute", "dp"],
                    default="classic")
     p.add_argument("--weights", help="weight file (agent method)")
-    p.add_argument("--bounds", type=_parse_pair, metavar="R1,R2",
-                   help="resource bounds override")
-    p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2",
-                   help="compound weight override")
     p.add_argument("--dp-step", type=_positive_float, default=None,
                    help="resource quantisation step (dp method)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("train", help="train the allocation agent")
+    p = sub.add_parser("train", parents=[bounds],
+                       help="train the allocation agent")
     p.add_argument("--steps", type=_non_negative_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--curve", help="learning-curve CSV path")
-    p.add_argument("--bounds", type=_parse_pair, metavar="R1,R2")
-    p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2")
     p.set_defaults(func=cmd_train)
 
     bench = sub.add_parser("bench", help="benchmarks")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    p = bench_sub.add_parser("utility", help="agent vs classic utility sweep")
-    p.add_argument("--targets", type=_parse_range, default=(20, 150),
-                   metavar="A..B")
-    p.add_argument("--step", type=_positive_int, default=10)
+    p = bench_sub.add_parser("utility", parents=[sweep, bounds],
+                             help="agent vs classic utility sweep")
     p.add_argument("--runs", type=_positive_int, default=20)
     p.add_argument("--weights", required=True)
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--bounds", type=_parse_pair, metavar="R1,R2")
-    p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_utility)
 
-    p = bench_sub.add_parser("runtime", help="wall-clock scaling")
+    p = bench_sub.add_parser("runtime", parents=[sweep, configs, bounds],
+                             help="wall-clock scaling")
     p.add_argument("--mode", choices=["by-targets", "by-configs"], required=True)
-    p.add_argument("--targets", type=_parse_range, default=(20, 150),
-                   metavar="A..B")
-    p.add_argument("--step", type=_positive_int, default=10)
-    p.add_argument("--configs", type=_parse_int_list,
-                   default=DEFAULT_CONFIG_SWEEP, metavar="C1,C2,...")
     p.add_argument("--runs", type=_positive_int, default=20)
     p.add_argument("--weights")
     p.add_argument("--master-seed", type=int, default=0)
-    p.add_argument("--bounds", type=_parse_pair, metavar="R1,R2")
-    p.add_argument("--compound-weights", type=_parse_pair, metavar="W1,W2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench_runtime)
 
-    p = bench_sub.add_parser("model", help="closed-form complexity table")
-    p.add_argument("--targets", type=_parse_range, default=(20, 150),
-                   metavar="A..B")
-    p.add_argument("--step", type=_positive_int, default=10)
-    p.add_argument("--configs", type=_parse_int_list,
-                   default=DEFAULT_CONFIG_SWEEP, metavar="C1,C2,...")
+    p = bench_sub.add_parser("model", parents=[sweep, configs],
+                             help="closed-form complexity table")
     p.add_argument("--layers", type=_positive_int, default=4)
     p.add_argument("--neurons", type=_positive_int, default=100)
     p.add_argument("--out", required=True)

@@ -160,9 +160,7 @@ def grid_configurations(space: ConfigSpace) -> tuple[Configuration, ...]:
 def expanded_grids(space: ConfigSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (dwell, duration, power) columns of ``grid_configurations`` as
     three read-only float64 arrays."""
-    table = np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
-                      for c in grid_configurations(space)],
-                     dtype=np.float64).T.copy()
+    table = config_columns(grid_configurations(space)).copy()
     table.setflags(write=False)
     return tuple(table)
 
@@ -201,30 +199,45 @@ class Allocation:
     assignment: Mapping[int, Configuration] = field(default_factory=dict)
 
 
-def resource_of(config: Configuration) -> np.ndarray:
-    """Resource vector [time occupancy, average power in kW] of a configuration.
-
-    Occupancy is the duty fraction transmit/dwell; average power is the peak
-    power scaled by the same duty fraction.
-    """
-    occupancy = config.transmit_duration / config.dwell_length
-    avg_power = config.transmit_power * config.transmit_duration / config.dwell_length
-    return np.array([occupancy, avg_power], dtype=np.float64)
+def config_columns(configs) -> np.ndarray:
+    """The (dwell, duration, power) columns of configurations, (3, n) float64."""
+    return np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
+                     for c in configs], dtype=np.float64).reshape(-1, 3).T
 
 
-def compound_resource(rv: np.ndarray, bounds: ResourceBounds) -> float:
-    """Bound-normalised weighted sum collapsing a resource vector to a scalar."""
+def costs(dwell, tx, pw):
+    """Occupancy and average power (kW) of configuration columns, element-wise:
+    the duty fraction transmit/dwell, and the peak power scaled by that duty.
+    This is the package's one cost formula."""
+    return tx / dwell, pw * tx / dwell
+
+
+def compound_resource(rv, bounds: ResourceBounds):
+    """Bound-normalised weighted sum of one resource vector (a float) or of a
+    pair of (occupancy, power) columns (a column)."""
     if len(rv) != len(bounds.bounds):
         raise ValueError(f"resource vector length {len(rv)} != bounds length "
                          f"{len(bounds.bounds)}")
-    w1, w2 = bounds.compound_weights
-    r1, r2 = bounds.bounds
-    return w1 * (float(rv[0]) / r1) + w2 * (float(rv[1]) / r2)
+    (w1, w2), (r1, r2) = bounds.compound_weights, bounds.bounds
+    compound = w1 * (rv[0] / r1) + w2 * (rv[1] / r2)
+    return compound if np.ndim(compound) else float(compound)
+
+
+def _sequential_sum(mat: np.ndarray) -> np.ndarray:
+    """Column sums added row by row, in row order: the one sum of resource
+    rows, behind the reported usage, ``is_feasible`` and the ledger."""
+    if mat.shape[0] == 0:
+        return np.zeros(mat.shape[1])
+    return np.cumsum(mat, axis=0)[-1]
+
+
+def usage_of(columns: np.ndarray) -> np.ndarray:
+    """Resource total of configuration columns, added in column order."""
+    return _sequential_sum(np.column_stack(costs(*columns)))
 
 
 def allocation_usage(alloc: Allocation) -> np.ndarray:
-    """Componentwise resource total of an allocation (task-id order)."""
-    usage = np.zeros(N_RESOURCES, dtype=np.float64)
-    for tid in sorted(alloc.assignment):
-        usage += resource_of(alloc.assignment[tid])
-    return usage
+    """Resource total of an allocation in task-id order, the benchmark's sum:
+    ``problem.resource_usage`` only when ids ascend in instance order."""
+    return usage_of(config_columns(map(alloc.assignment.get,
+                                       sorted(alloc.assignment))))

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import expanded_grids, grid_configurations
+from .core import (compound_resource, costs, expanded_grids,
+                   grid_configurations)
 from .perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M, SNR_CONST,
                    TYPE_UTILITY_WEIGHT)
 
@@ -43,17 +44,14 @@ def config_costs(space, bounds):
     """Cost columns of every grid configuration under ``bounds``.
 
     Returns (compound, occupancy, avg_power, cheapest): three read-only
-    float64 arrays in grid order, bit for bit equal to ``core.resource_of``
-    and ``core.compound_resource`` of each configuration, and the read-only
+    float64 arrays in grid order, from ``core.costs`` and
+    ``core.compound_resource`` over the grid's columns, and the read-only
     indices of least compound in ascending order.  Raises ValueError naming
     the first configuration whose compound is not finite.
     """
-    dwell, tx, pw = expanded_grids(space)
-    (r1, r2), (w1, w2) = bounds.bounds, bounds.compound_weights
     with np.errstate(over="ignore", invalid="ignore"):
-        occ = tx / dwell
-        avg_pw = pw * tx / dwell
-        comp = w1 * (occ / r1) + w2 * (avg_pw / r2)
+        occ, avg_pw = costs(*expanded_grids(space))
+        comp = compound_resource((occ, avg_pw), bounds)
     bad = np.flatnonzero(~np.isfinite(comp))
     if len(bad):
         raise ValueError(f"the compound resource of "

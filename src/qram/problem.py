@@ -7,6 +7,9 @@ solver and both exact oracles read.  Solvers read targets as rows of the
 instance's :func:`target_block`.  It is built in memory from a scenario
 (:func:`build_tracking_instance`); on disk a problem is its scenario file
 plus the bounds given on the command line.
+
+An evaluation builds its configurations' (dwell, tx, pw) columns once, for
+``kernels.utility`` and for ``core.usage_of`` (the ledger's row sum).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
-                   resource_of)
+from .core import (Allocation, ConfigSpace, ResourceBounds, config_columns,
+                   expanded_grids, usage_of)
 from .perf import TYPE_ORDER, TYPE_UTILITY_WEIGHT, Scenario, Target
 
 #: Width of the situational columns that open a target block row.
@@ -115,28 +118,22 @@ def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
 
 
 def _assigned(alloc: Allocation, instance: ProblemInstance):
-    """(position, config) of every assigned task, in instance order."""
+    """Positions of the assigned tasks, in instance order, and the
+    (dwell, tx, pw) columns of their configurations."""
     _check_assignment(alloc, instance)
-    return [(pos, alloc.assignment[t.id]) for pos, t in enumerate(instance.tasks)
-            if t.id in alloc.assignment]
+    positions = [pos for pos, t in enumerate(instance.tasks)
+                 if t.id in alloc.assignment]
+    return positions, config_columns(alloc.assignment[instance.tasks[pos].id]
+                                     for pos in positions)
 
 
 def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
-    """Utility of every assigned (position, config) pair from one kernel call."""
-    positions = [pos for pos, _ in assigned]
-    columns = np.array([(c.dwell_length, c.transmit_duration, c.transmit_power)
-                        for _, c in assigned], dtype=np.float64).reshape(-1, 3).T
+    """Utility of every assigned task from one kernel call."""
+    positions, columns = assigned
     utilities = kernels.utility(*columns,
                                 *instance.block[positions].T[SITUATIONAL_WIDTH:])
     return dict(zip([instance.tasks[pos].id for pos in positions],
                     utilities.tolist()))
-
-
-def _usage(assigned, instance: ProblemInstance) -> np.ndarray:
-    usage = np.zeros(len(instance.bounds.bounds), dtype=np.float64)
-    for _, config in assigned:
-        usage += resource_of(config)
-    return usage
 
 
 def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
@@ -146,14 +143,14 @@ def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, fl
 
 def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
     """Summed resource vector of the assigned tasks, added in instance order."""
-    return _usage(_assigned(alloc, instance), instance)
+    return usage_of(_assigned(alloc, instance)[1])
 
 
 def evaluate_allocation(alloc: Allocation, instance: ProblemInstance
                         ) -> tuple[dict[int, float], np.ndarray]:
     """``task_utilities`` and ``resource_usage`` from one check of ``alloc``."""
     assigned = _assigned(alloc, instance)
-    return _utilities(assigned, instance), _usage(assigned, instance)
+    return _utilities(assigned, instance), usage_of(assigned[1])
 
 
 def system_utility(alloc: Allocation, instance: ProblemInstance,

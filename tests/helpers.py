@@ -11,8 +11,7 @@ from qram.agent import (AgentParams, Transition, WeightFormatError, a2c_update,
 from qram.classic import (AllocationTrace, JobPoint, UpgradeStep, UsageLedger,
                           _drop_until_feasible, base_configuration,
                           job_list_for, upgrade_loop)
-from qram.core import (Allocation, ConfigSpace, Configuration, ResourceBounds,
-                       compound_resource, resource_of)
+from qram.core import Allocation, ConfigSpace, Configuration, ResourceBounds
 from qram.env import EPISODE_LENGTH, encode_state, quotient
 from qram.kernels import _SCAN_CHUNK, _outer_sums
 from qram.perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M,
@@ -77,9 +76,35 @@ def reference_target_row(target: Target) -> list[float]:
                target.range_km, target.speed_mps, weights[target.ttype]])
 
 
+# --------------------------------------------------------------------------
+# The scalar cost model: one configuration at a time, in Python floats.  It
+# is the reference ``core.costs``, ``core.compound_resource`` and every
+# usage sum must equal bit for bit.
+# --------------------------------------------------------------------------
+
+def resource_of(config: Configuration) -> np.ndarray:
+    """Resource vector [time occupancy, average power in kW] of a
+    configuration: the duty fraction transmit/dwell, and the peak power
+    scaled by the same duty fraction."""
+    occupancy = config.transmit_duration / config.dwell_length
+    avg_power = config.transmit_power * config.transmit_duration / config.dwell_length
+    return np.array([occupancy, avg_power], dtype=np.float64)
+
+
 def compound_of(config: Configuration, bounds: ResourceBounds) -> float:
-    """Compound resource of one configuration, from the scalar cost model."""
-    return compound_resource(resource_of(config), bounds)
+    """Compound resource of one configuration, from the scalar cost model:
+    the weighted sum of each resource over its bound."""
+    occupancy, avg_power = resource_of(config).tolist()
+    (w1, w2), (r1, r2) = bounds.compound_weights, bounds.bounds
+    return w1 * (occupancy / r1) + w2 * (avg_power / r2)
+
+
+def usage_loop(configs) -> np.ndarray:
+    """Resource total of configurations, added one vector at a time."""
+    usage = np.zeros(2, dtype=np.float64)
+    for config in configs:
+        usage += resource_of(config)
+    return usage
 
 
 def raw_quotient(c_in: Configuration, c: Configuration, target: Target,

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from conftest import train_agent
-from helpers import (frontier_proposer, gift_wrap_frontier,
-                     random_point_cloud, random_small_instance, task_utility)
+from helpers import (compound_of, frontier_proposer, gift_wrap_frontier,
+                     random_point_cloud, random_small_instance, resource_of,
+                     task_utility)
 from qram.agent import forward
 from qram.allocator import allocate_with_agent, allocate_with_proposals
 from qram.classic import (base_configuration, embed_task, job_list_for,
                           solve_classic, upper_frontier)
 from qram.cli import main as cli_main
 from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds, compound_resource, resource_of)
+                       ResourceBounds)
 from qram.env import DEFAULT_ENV_BOUNDS, encode_state
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
@@ -165,7 +166,7 @@ def test_criterion_5_agent_quality(trained_agent):
                                                  target_block([target]))[0])
         config = DEFAULT_CONFIG_SPACE.config_at(int(np.argmax(logits)))
         frontier = job_list_for(task, DEFAULT_CONFIG_SPACE, bounds)
-        r = compound_resource(resource_of(config), bounds)
+        r = compound_of(config, bounds)
         u = task_utility(config, target)
         attainable = max((p.utility for p in frontier.points if p.resource <= r),
                          default=frontier.points[0].utility)

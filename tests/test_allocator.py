@@ -6,8 +6,8 @@ import pytest
 
 from helpers import (frontier_proposer, lazy_allocate_with_proposals,
                      random_small_instance, random_small_space, raw_quotient,
-                     rescan_upgrade_loop, single_row_proposer, with_arrays,
-                     zero_network)
+                     rescan_upgrade_loop, resource_of, single_row_proposer,
+                     with_arrays, zero_network)
 from qram import allocator, classic
 from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
@@ -15,7 +15,7 @@ from qram.allocator import (allocate_with_agent, allocate_with_proposals,
 from qram.classic import (base_configuration, greedy_allocate, job_list_for,
                           solve_classic)
 from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds,
-                       grid_configurations, resource_of)
+                       grid_configurations)
 from qram.perf import TYPE_ORDER, generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
                           system_utility, target_block)

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (assert_frontier_shape, gift_wrap_frontier,
-                     linear_drop_until_feasible,
+from helpers import (assert_frontier_shape, compound_of, gift_wrap_frontier,
+                     linear_drop_until_feasible, resource_of,
                      random_point_cloud, random_small_instance,
                      random_small_space, rescan_upgrade_loop,
                      scalar_base_configuration, synthetic_points, task_utility)
@@ -14,9 +14,8 @@ from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
                           instance_job_lists, job_list_for, solve_classic,
                           upgrade_loop, upper_frontier, utility_table)
-from qram.core import (Allocation, ConfigSpace,
-                       DEFAULT_CONFIG_SPACE, ResourceBounds, compound_resource,
-                       resource_of)
+from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
+                       ResourceBounds)
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
@@ -53,7 +52,7 @@ def test_embed_matches_scalar_model_bitwise():
     for p in embed_task(task, inst.space, inst.bounds):
         config = inst.space.config_at(p.index)
         assert p.utility == task_utility(config, task)
-        assert p.resource == compound_resource(resource_of(config), inst.bounds)
+        assert p.resource == compound_of(config, inst.bounds)
 
 
 # ------------------------------------------------------------------- frontier

@@ -502,16 +502,17 @@ def _options(parser, command=()):
 
 def test_cli_surface():
     # Adding or removing a flag is a deliberate change: edit this table too.
+    # Options from a shared group (bounds, sweep, configs) come first.
     bounds = ["--bounds", "--compound-weights"]
     assert _options(build_parser()) == {
         "gen": ["--targets", "--seed", "--out"],
-        "solve": ["--scenario", "--method", "--weights", *bounds, "--dp-step",
+        "solve": [*bounds, "--scenario", "--method", "--weights", "--dp-step",
                   "--out"],
-        "train": ["--steps", "--seed", "--out", "--curve", *bounds],
-        "bench utility": ["--targets", "--step", "--runs", "--weights",
-                          "--master-seed", *bounds, "--out"],
-        "bench runtime": ["--mode", "--targets", "--step", "--configs", "--runs",
-                          "--weights", "--master-seed", *bounds, "--out"],
+        "train": [*bounds, "--steps", "--seed", "--out", "--curve"],
+        "bench utility": ["--targets", "--step", *bounds, "--runs", "--weights",
+                          "--master-seed", "--out"],
+        "bench runtime": ["--targets", "--step", "--configs", *bounds, "--mode",
+                          "--runs", "--weights", "--master-seed", "--out"],
         "bench model": ["--targets", "--step", "--configs", "--layers",
                         "--neurons", "--out"],
         "demo remark1": ["--out"],

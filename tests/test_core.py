@@ -3,7 +3,7 @@ import pytest
 
 from qram.core import (Allocation, Configuration, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, allocation_usage,
-                       compound_resource, resource_of)
+                       compound_resource, costs)
 
 
 def test_configuration_rejects_tx_longer_than_dwell():
@@ -47,25 +47,26 @@ def test_config_space_validation():
         ConfigSpace((5.0, 100.0), (2.0, 6.0), (1.0,))  # 6 ms tx inside 5 ms dwell
 
 
-def test_resource_of_examples():
-    rv = resource_of(Configuration(100.0, 2.0, 1.0))
-    assert rv[0] == 2.0 / 100.0
-    assert rv[1] == 1.0 * 2.0 / 100.0
-    rv = resource_of(Configuration(1100.0, 10.0, 4.0))
-    assert rv[0] == pytest.approx(10.0 / 1100.0, rel=1e-15)
-    assert rv[1] == pytest.approx(4.0 * 10.0 / 1100.0, rel=1e-15)
+def test_costs_examples():
+    occ, pw = costs(np.array([100.0, 1100.0]), np.array([2.0, 10.0]),
+                    np.array([1.0, 4.0]))
+    assert occ[0] == 2.0 / 100.0
+    assert pw[0] == 1.0 * 2.0 / 100.0
+    assert occ[1] == pytest.approx(10.0 / 1100.0, rel=1e-15)
+    assert pw[1] == pytest.approx(4.0 * 10.0 / 1100.0, rel=1e-15)
 
 
-def test_resource_of_is_pure():
-    c = Configuration(500.0, 6.0, 2.0)
-    a, b = resource_of(c), resource_of(c)
-    assert a[0] == b[0] and a[1] == b[1]
+def test_costs_is_pure():
+    columns = (np.array([500.0]), np.array([6.0]), np.array([2.0]))
+    a, b = costs(*columns), costs(*columns)
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 def test_compound_resource_examples():
     bounds = ResourceBounds(bounds=(0.5, 1.0), compound_weights=(1.0, 1.0))
     assert compound_resource(np.zeros(2), bounds) == 0.0
     assert compound_resource(np.array([0.5, 1.0]), bounds) == 2.0
+    assert type(compound_resource(np.array([0.5, 1.0]), bounds)) is float
     assert compound_resource(np.array([0.02, 0.02]), bounds) == pytest.approx(0.06)
 
 

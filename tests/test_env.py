@@ -7,7 +7,7 @@ from helpers import (compound_of, raw_quotient, scalar_base_configuration,
                      task_utility)
 from qram.classic import base_configuration
 from qram.core import (Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds, compound_resource, resource_of)
+                       ResourceBounds)
 from qram.env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, EPISODE_LENGTH,
                       QUOTIENT_CAP, SITUATIONAL_WIDTH, TrackingEnv,
                       config_features, encode_state, quotient)
@@ -196,8 +196,7 @@ def test_raw_quotient_argmax_matches_exhaustive_scan():
     best, best_q = None, -np.inf
     for config in DEFAULT_CONFIG_SPACE:
         du = task_utility(config, target) - task_utility(base, target)
-        dr = (compound_resource(resource_of(config), bounds)
-              - compound_resource(resource_of(base), bounds))
+        dr = compound_of(config, bounds) - compound_of(base, bounds)
         if abs(dr) < 1e-9:
             q = 0.0 if abs(du) < 1e-12 else np.sign(du) * QUOTIENT_CAP
         else:

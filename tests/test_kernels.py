@@ -6,12 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (argmax_knapsack_table, full_scan_best_feasible,
-                     random_small_instance, random_small_space, snr,
-                     task_utility)
+from helpers import (argmax_knapsack_table, compound_of,
+                     full_scan_best_feasible, random_small_instance,
+                     random_small_space, resource_of, snr, task_utility)
 from qram import kernels, remark1
-from qram.core import (DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds,
-                       compound_resource, resource_of)
+from qram.core import DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds
 from qram.perf import TYPE_UTILITY_WEIGHT, Target, TargetType, generate_scenario
 from qram.problem import build_tracking_instance, default_bounds, utility_table
 from qram.rng import PortableRng
@@ -30,7 +29,7 @@ def test_config_costs_match_scalar_model(weights):
     for space in [DEFAULT_CONFIG_SPACE] + [random_small_space(rng) for _ in range(20)]:
         comp, occ, pw, cheapest = kernels.config_costs(space, bounds)
         vectors = [resource_of(c) for c in space]
-        want = [compound_resource(v, bounds) for v in vectors]
+        want = [compound_of(c, bounds) for c in space]
         assert comp.tolist() == want
         assert occ.tolist() == [float(v[0]) for v in vectors]
         assert pw.tolist() == [float(v[1]) for v in vectors]

@@ -16,10 +16,10 @@ def test_every_public_name_resolves_once():
     assert not missing
 
 
-#: Names of the scalar utility model and of test-only helpers that left the
-#: package; tests/helpers.py keeps the references.
+#: Names of the scalar utility and cost models and of test-only helpers that
+#: left the package; tests/helpers.py keeps the references.
 REMOVED = ("quality", "snr", "task_utility", "utility_from_quality",
-           "QualityValue", "raw_quotient", "greedy_action")
+           "QualityValue", "raw_quotient", "greedy_action", "resource_of")
 
 
 def test_removed_names_stay_out_of_the_package():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import reference_target_row, task_utility
+from helpers import reference_target_row, resource_of, task_utility, usage_loop
 from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
-    ResourceBounds, resource_of
+    ResourceBounds, allocation_usage
 from qram.perf import Scenario, Target, TargetType, generate_scenario
-from qram import problem
+from qram import problem, remark1
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
                           evaluate_allocation, is_feasible, resource_usage,
                           system_utility, target_block, task_utilities)
@@ -175,3 +175,46 @@ def test_infeasibility_is_antitone_under_extension():
         bigger = Allocation(assignment={0: heavy,
                                         1: DEFAULT_CONFIG_SPACE.config_at(extra)})
         assert not is_feasible(bigger, tight)
+
+
+# ------------------------------------------------------------ one usage sum
+
+SUM_GRIDS = (DEFAULT_CONFIG_SPACE, *remark1.config_space_chain())
+
+
+@pytest.mark.parametrize("ascending", [True, False], ids=["ids-ascend", "ids-shuffled"])
+@pytest.mark.parametrize("n_tasks", [1, 150, 500, 1000])
+@pytest.mark.parametrize("grid", range(len(SUM_GRIDS)))
+def test_every_usage_sum_is_the_scalar_loop_bit_for_bit(grid, n_tasks, ascending):
+    """The reported usage, ``is_feasible`` and the benchmark's task-id-order
+    sum all add resource vectors exactly as a one-vector-at-a-time loop does,
+    each in its own order: instance order, or ascending task id."""
+    space = SUM_GRIDS[grid]
+    rng = np.random.default_rng(1000 * grid + n_tasks + ascending)
+    targets = generate_scenario(n_tasks, grid + n_tasks).targets
+    if not ascending:
+        targets = tuple(targets[i] for i in rng.permutation(n_tasks))
+    instance = build_tracking_instance(Scenario(targets, seed=0),
+                                       default_bounds(n_tasks), space)
+    picked = [t.id for t in targets if rng.random() < 0.7]
+    for ids in ([], [targets[0].id], picked, [t.id for t in targets]):
+        alloc = Allocation(assignment={
+            tid: space.config_at(int(rng.integers(space.size)))
+            for tid in rng.permutation(ids).tolist()})
+        in_order = [alloc.assignment[t.id] for t in targets
+                    if t.id in alloc.assignment]
+        want = usage_loop(in_order)
+        assert evaluate_allocation(alloc, instance)[1].tobytes() == want.tobytes()
+        assert resource_usage(alloc, instance).tobytes() == want.tobytes()
+        by_id = [alloc.assignment[tid] for tid in sorted(alloc.assignment)]
+        assert allocation_usage(alloc).tobytes() == usage_loop(by_id).tobytes()
+        if not ids:
+            assert is_feasible(alloc, instance)
+            continue
+        # Limits at the loop's total and one ulp below it in either entry.
+        below = np.nextafter(want, 0.0)
+        for limits in (want, below, [want[0], below[1]], [below[0], want[1]]):
+            bounds = ResourceBounds(bounds=tuple(map(float, limits)),
+                                    compound_weights=(1.0, 1.0))
+            bounded = ProblemInstance(instance.tasks, bounds, space)
+            assert is_feasible(alloc, bounded) == bool(np.all(want <= limits))
