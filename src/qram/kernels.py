@@ -127,32 +127,48 @@ def utility(dwell, tx, pw, range_km, speed_mps, weight):
 # in task order, exactly as a per-code decode adds them (adding 0.0 for a
 # dropped task leaves a sum unchanged, as it did there).
 #
-# Bound.  A prefix's bound adds each block task's largest value (its best
-# utility, or the drop's 0.0) to the prefix's utility total, left to right
-# in the block's order.  Round-to-nearest addition is monotone in each
-# argument, so every state that extends the prefix totals at most its
-# bound.  Every occupancy and power entry is >= 0, so by the same argument
-# no state extending a prefix over a limit can fit: such prefixes are
-# skipped.
+# Bounds.  Two upper bounds on a prefix's states, both built left to right
+# in the block's order on the prefix's utility total.  The loose bound adds
+# each block task's largest value (its best utility, or the drop's 0.0).
+# The fitting bound adds, per block task, the largest value among its
+# entries that fit next to the prefix alone: po + o <= r1 and pp + p <= r2,
+# as float adds (the drop's 0.0 always fits).  Proof that no state beats
+# either: round-to-nearest addition is monotone in each argument and every
+# occupancy and power entry is >= 0, so along a state the running totals
+# never fall, each block task's entry o lies under the final occupancy
+# (fl(po + o) <= fl(S + o) <= total, S >= po being the running total before
+# it), and likewise for power.  A fitting state therefore picks, for every
+# block task, an entry that fits next to the prefix, of value at most that
+# task's fitting maximum, and its utility total is at most the fitting
+# bound, itself at most the loose bound.  By the same argument no state
+# extending a prefix over a limit fits: such prefixes are skipped.
 #
-# Order.  The other prefixes go in descending bound order, in chunks of
-# G = max(1, _SCAN_CHUNK // B) prefixes.  A chunk's prefixes are sorted
-# ascending before the outer sums, so in C order state j of the chunk has
-# code rows[j // B] * B + j % B, codes ascend, and argmax returns the
-# chunk's lowest code among its maxima.  A chunk's best replaces the best
-# found if it is strictly greater, or equal with a lower code.
+# Order.  The other prefixes go in descending loose-bound order, in chunks
+# of 1, 2, 4, ... prefixes, doubling up to G = max(1, _SCAN_CHUNK // B), so
+# the first states judged are the most promising and the best found rises
+# early.  A chunk's fitting bounds are computed when it is taken, lazily:
+# most prefixes are never taken.  When every grid entry fits next to every
+# prefix of the chunk, the fitting bound is the loose bound and is not
+# built.  The prefixes kept are sorted ascending before the outer sums, so
+# in C order state j of the chunk has code rows[j // B] * B + j % B, codes
+# ascend, and argmax returns the chunk's lowest code among its maxima.  A
+# chunk's best replaces the best found if it is strictly greater, or equal
+# with a lower code.
 #
-# Stop.  A prefix is skipped only when its bound is STRICTLY below the best
-# found.  The best found never exceeds the optimum (it starts at -1.0, then
-# is a feasible total), and the prefix of the first optimal code fits and
-# bounds at least the optimum: it is never skipped, and the merge keeps the
-# lowest code among equal maxima.  The picks are those of the full scan.
+# Stop.  A prefix is skipped only when a bound is STRICTLY below the best
+# found: the loose bound ends the scan, the fitting bound drops the prefix
+# from its chunk.  The best found never exceeds the optimum (it starts at
+# -1.0, then is a feasible total), and the prefix of the first optimal code
+# fits and has both bounds at least the optimum: it is never skipped, and
+# the merge keeps the lowest code among equal maxima.  The picks are those
+# of the full scan.
 #
-# Memory: one chunk holds G*B states, at most max(_SCAN_CHUNK, B), and B is
-# at most max(_SCAN_CHUNK, largest radix).  The prefix holds total / B
-# entries: with one radix r for every task, as the oracle passes, and at
-# most _SCAN_CHUNK**2 states (the oracle's cap is far below), that is at
-# most sqrt(total * r).
+# Memory: one chunk holds at most G*B states, at most max(_SCAN_CHUNK, B),
+# and its fitting mask G x (largest block radix - 1) cells, no more; B is at
+# most max(_SCAN_CHUNK, largest radix).  The prefix holds total / B entries:
+# with one radix r for every task, as the oracle passes, and at most
+# _SCAN_CHUNK**2 states (the oracle's cap is far below), that is at most
+# sqrt(total * r).
 # --------------------------------------------------------------------------
 
 def _outer_sums(base, vectors):
@@ -173,10 +189,11 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     ``picks[i]`` is task i's configuration in the first assignment, in code
     order, that attains the best feasible utility, and ``ncfg[i]`` drops the
     task.  Empty allocations are part of the search, so a result is always
-    found.  Only prefixes whose utility bound can still reach the best found
-    are judged, and the result is that of judging every state.  No block
-    the scan evaluates holds more than max(_SCAN_CHUNK, largest radix)
-    states.
+    found.  Only prefixes whose utility bounds, over every block value and
+    over the block values that fit next to the prefix, can still reach the
+    best found are judged, and the result is that of judging every state.
+    No block the scan evaluates, and no fitting mask, holds more than
+    max(_SCAN_CHUNK, largest radix) cells.
     """
     util = np.asarray(util, dtype=np.float64)
     occ = np.asarray(occ, dtype=np.float64)
@@ -202,17 +219,31 @@ def scan_best_feasible(util, occ, pw, ncfg, r1, r2):
     order = fits[np.argsort(-bound[fits], kind="stable")]
     ranked = -bound[order]  # ascending
     group = max(1, _SCAN_CHUNK // block)
+    wide = max(ncfg[split:], default=0)
+    top_o, top_p = occ[:wide].max(initial=0.0), pw[:wide].max(initial=0.0)
 
     best_u = -1.0
     best_code = -1
-    k = 0
+    k, size = 0, 1
     while True:
-        # Prefixes whose bound is not below the best found, next chunk only.
-        stop = min(k + group, int(np.searchsorted(ranked, -best_u, side="right")))
+        # Prefixes whose loose bound is not below the best found, next chunk.
+        stop = min(k + size, int(np.searchsorted(ranked, -best_u, side="right")))
         if k >= stop:
             break
-        rows = np.sort(order[k:stop])
-        k = stop
+        rows = order[k:stop]
+        k, size = stop, min(2 * size, group)
+        if po[rows].max() + top_o > r1 or pp[rows].max() + top_p > r2:
+            # Keep the prefixes whose fitting bound is not below the best.
+            fitting = ((po[rows, None] + occ[:wide] <= r1)
+                       & (pp[rows, None] + pw[:wide] <= r2))
+            fit_u = pu[rows]
+            for i in range(split, n):
+                values = np.where(fitting[:, :ncfg[i]], util[i, :ncfg[i]], 0.0)
+                fit_u = fit_u + values.max(axis=1, initial=0.0)
+            rows = rows[fit_u >= best_u]
+            if not len(rows):
+                continue
+        rows = np.sort(rows)
         tu = _outer_sums(pu[rows], vu[split:])
         to = _outer_sums(po[rows], vo[split:])
         tp = _outer_sums(pp[rows], vp[split:])

@@ -9,21 +9,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import train_agent
 from helpers import (compound_of, frontier_proposer, gift_wrap_frontier,
                      random_point_cloud, random_small_instance, resource_of,
                      task_utility)
 from qram.agent import forward
 from qram.allocator import allocate_with_agent, allocate_with_proposals
-from qram.classic import (base_configuration, embed_task, job_list_for,
-                          solve_classic, upper_frontier)
+from qram.classic import (base_configuration, job_list_for, solve_classic,
+                          upper_frontier)
 from qram.cli import main as cli_main
-from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds)
+from qram.core import ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from qram.env import DEFAULT_ENV_BOUNDS, encode_state
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
-from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
+from qram.problem import (build_tracking_instance, default_bounds,
                           system_utility, target_block)
 from qram.rng import PortableRng
 from qram import remark1

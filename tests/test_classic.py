@@ -14,8 +14,7 @@ from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
                           instance_job_lists, job_list_for, solve_classic,
                           upgrade_loop, upper_frontier, utility_table)
-from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds)
+from qram.core import ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
 from qram.problem import (build_tracking_instance, default_bounds, is_feasible,

@@ -7,8 +7,7 @@ import pytest
 from helpers import (random_small_instance, random_small_space, resource_of,
                      task_utility)
 from qram import kernels, remark1
-from qram.core import (Allocation, ConfigSpace, DEFAULT_CONFIG_SPACE,
-                       ResourceBounds)
+from qram.core import ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
                         optimal_allocation_dp)
 from qram.perf import Target, TargetType, generate_scenario

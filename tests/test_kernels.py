@@ -288,6 +288,82 @@ def test_scan_judges_a_prefix_whose_bound_ties_the_best_found(chunk, monkeypatch
     assert (best_u, best_picks) == (3.0, [0, 1])
 
 
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_judges_a_prefix_whose_fitting_bound_ties_the_best_found(
+        chunk, monkeypatch):
+    # Task 1's configuration 2 (utility 5.0) fits next to no prefix, so each
+    # loose bound is 5.0 above the fitting one.  Prefix 1 (loose bound 7.0)
+    # goes first, alone, and finds (1, 0) = 3.0 at code 4.  Prefix 0's
+    # fitting bound, 1.0 + 2.0, only ties that best: it must still be judged
+    # so that its lower code 1, (0, 1), wins.  The drop prefix's fitting
+    # bound, 0.0 + 2.0, is below the best and is skipped.
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    util = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 5.0]])
+    args = (util, np.array([0.25, 0.5, 0.8]), np.zeros(3), [2, 3], 0.75, 1.0)
+    _assert_scan_is_the_full_scan(*args)
+    best_u, best_picks = _assert_scan_matches(*args)
+    assert (best_u, best_picks) == (3.0, [0, 1])
+
+
+def _fitting_bound_cases():
+    """Scan arguments where the fitting bound skips prefixes that the loose
+    bound would judge."""
+    cases = {}
+    for n in (3, 4):
+        scenario = generate_scenario(n, remark1.SCENARIO_SEED)
+        cases[f"remark1-bounds-{n}-targets"] = _oracle_scan_args(
+            build_tracking_instance(scenario, remark1.BOUNDS, DEFAULT_CONFIG_SPACE))
+    rng = np.random.default_rng(29)
+    util = rng.uniform(0.1, 1.5, size=(4, 7))
+    occ, pw = rng.uniform(0.01, 0.1, size=7), rng.uniform(0.01, 0.4, size=7)
+    ncfg = [7, 5, 7, 6]
+    cases["occupancy-of-one-configuration"] = (util, occ, pw, ncfg, occ[3], 10.0)
+    cases["power-of-one-configuration"] = (util, occ, pw, ncfg, 10.0, pw[5])
+    cases["both-of-one-configuration"] = (util, occ, pw, ncfg, occ[2], pw[2])
+    # No two configurations fit together: beside an assigned prefix, only
+    # the block's drops fit.
+    cases["only-drops-fit-beside-one"] = (util, occ, pw, ncfg, occ.min() * 1.5, 10.0)
+    cases["only-drops-fit-beside-one-on-power"] = (util, occ, pw, ncfg,
+                                                   10.0, pw.min() * 1.5)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_fitting_bound_cases()))
+def test_scan_is_the_full_scan_where_the_fitting_bound_binds(case, monkeypatch):
+    args = _fitting_bound_cases()[case]
+    want_u, want_picks = full_scan_best_feasible(*args)
+    for chunk in (1 << 18, 64, 16, 4):
+        monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+        got_u, got_picks = kernels.scan_best_feasible(*args)
+        assert np.float64(got_u).tobytes() == np.float64(want_u).tobytes()
+        assert got_picks.tolist() == want_picks.tolist()
+    if case.startswith("only-drops"):
+        assert sum(p < k for p, k in zip(want_picks, args[3])) == 1
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_fitting_masks_are_bounded(chunk, monkeypatch):
+    """Every masked array the scan builds, the fitting bound's included,
+    holds at most max(chunk, largest radix) cells."""
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    sizes = []
+    where = np.where
+
+    def recording_where(*args):
+        out = where(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "where", recording_where)
+    judged = _record_judged(monkeypatch)
+    for args in _fitting_bound_cases().values():
+        sizes.clear()
+        judged.clear()
+        kernels.scan_best_feasible(*args)
+        assert max(sizes) <= max(chunk, max(args[3]) + 1)
+        assert len(sizes) > len(judged)  # fitting bounds were built
+
+
 def test_scan_bound_skips_states(monkeypatch):
     # remark1's 60-configuration grid offers 61**4 states, four targets of
     # the default grid 91**4; the bound leaves a small share to judge.
@@ -297,6 +373,14 @@ def test_scan_bound_skips_states(monkeypatch):
     sizes.clear()
     kernels.scan_best_feasible(*_oracle_scan_args(_default_grid_instances()[0]))
     assert sum(sizes) < 91**4 / 100
+    # The fitting bound and the doubling chunks find the best early: the
+    # remark1 grids judge 13,750, 76,664 and 543,266 states, four default-
+    # grid targets 8,281.
+    for instance, most in zip(_remark1_instances() + _default_grid_instances()[:1],
+                              (30_000, 150_000, 700_000, 50_000)):
+        sizes.clear()
+        kernels.scan_best_feasible(*_oracle_scan_args(instance))
+        assert sum(sizes) < most
 
 
 def _dp_case(seed):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_target_row, resource_of, task_utility, usage_loop
-from qram.core import Allocation, Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, \
+from qram.core import Allocation, Configuration, DEFAULT_CONFIG_SPACE, \
     ResourceBounds, allocation_usage
 from qram.perf import Scenario, Target, TargetType, generate_scenario
 from qram import problem, remark1
