@@ -99,6 +99,11 @@ def optimal_allocation_dp(instance: ProblemInstance,
     so the result never overshoots the compound budget; the reported optimum
     can only grow as the step shrinks.  The returned utility is the table's
     optimum, which equals ``system_utility`` of the returned allocation.
+    The kernel fills each task's row from its Pareto cost levels only (15
+    per task on the benchmark scenarios' 90 configurations), and its values
+    and picks are those of the full argmax table: on the backtrack from the
+    full budget, ties go to dropping, then to the lowest configuration
+    index.
     Raises :class:`CapacityError` before allocating when the value table
     would exceed ``DP_TABLE_CAP`` cells.
     """

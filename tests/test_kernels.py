@@ -9,7 +9,7 @@ import pytest
 from helpers import (argmax_knapsack_table, compound_of,
                      full_scan_best_feasible, random_small_instance,
                      random_small_space, resource_of, snr, task_utility)
-from qram import kernels, remark1
+from qram import exact, kernels, remark1
 from qram.core import DEFAULT_CONFIG_SPACE, ConfigSpace, ResourceBounds
 from qram.perf import TYPE_UTILITY_WEIGHT, Target, TargetType, generate_scenario
 from qram.problem import build_tracking_instance, default_bounds, utility_table
@@ -364,6 +364,32 @@ def test_scan_fitting_masks_are_bounded(chunk, monkeypatch):
         assert len(sizes) > len(judged)  # fitting bounds were built
 
 
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 16, 4])
+def test_scan_builds_no_fitting_bound_that_can_skip_nothing(chunk, monkeypatch):
+    """Every utility is 0.0, so every chunk's smallest prefix total reaches
+    the best found and no fitting bound could skip a prefix; the power limit
+    keeps most grid entries from fitting beside a prefix, so only that test
+    keeps the fitting masks from being built.  The scan builds one masked
+    array per judged block and no other, and is the full scan's."""
+    args = (np.zeros((4, 40)), np.full(40, 0.01), 0.01 * np.arange(1, 41),
+            [40] * 4, 10.0, 0.6)
+    want_u, want_picks = full_scan_best_feasible(*args)
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", chunk)
+    masked = []
+    where = np.where
+
+    def recording_where(*args):
+        masked.append(1)
+        return where(*args)
+
+    monkeypatch.setattr(np, "where", recording_where)
+    judged = _record_judged(monkeypatch)
+    got_u, got_picks = kernels.scan_best_feasible(*args)
+    assert len(masked) == len(judged) > 0
+    assert np.float64(got_u).tobytes() == np.float64(want_u).tobytes()
+    assert got_picks.tolist() == want_picks.tolist()
+
+
 def test_scan_bound_skips_states(monkeypatch):
     # remark1's 60-configuration grid offers 61**4 states, four targets of
     # the default grid 91**4; the bound leaves a small share to judge.
@@ -443,6 +469,89 @@ def test_knapsack_matches_argmax_table(chunk, monkeypatch):
         _assert_knapsack_matches(quarter, cost, [3, 6, 5], budget)
     _assert_knapsack_matches(np.zeros((0, 3)), np.zeros(3), [], 5)
     _assert_knapsack_matches(np.zeros((0, 0)), np.zeros(0), [], 0)
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 64, 1])
+def test_knapsack_backtrack_keeps_the_argmax_tables_tie_rule(chunk, monkeypatch):
+    """Ties the Pareto levels alone would resolve otherwise.  Task 0's
+    configuration 0 (cost 2) is dominated by the cheaper, later 3 (cost 1)
+    of the same utility; task 2's 2 (cost 3) by its 3 (cost 1).  Where the
+    previous row is flat the dominated row ties its dominator, and the
+    argmax table takes the lower index.  Task 1's 0 and 1 share cost 2, and
+    1.0 ties 1.0 + 2**-52 on a row of value 2.0.  Task 1 may pick only
+    configurations 0 and 1: the utilities of 100.0 at cost 1 beyond its
+    ``ncfg`` must not enter its level maxima."""
+    monkeypatch.setattr(kernels, "_TABLE_CHUNK", chunk)
+    cost = np.array([2, 2, 3, 1, 2, 1])
+    util = np.array([[2.0, 0.5, 0.25, 2.0, 0.3, 0.1],
+                     [1.0, 1.0 + 2.0**-52, 100.0, 100.0, 100.0, 100.0],
+                     [0.5, 0.25, 0.75, 0.75, 0.5, 0.25]])
+    for budget in range(12):
+        _assert_knapsack_matches(util, cost, [6, 2, 6], budget)
+    dp, picks = kernels.fill_knapsack_table(util, cost, [6, 2, 6], 8)
+    assert (dp[3], dp[8], picks.tolist()) == (3.0, 3.75, [0, 0, 2])
+
+
+def _dp_kernel_args(n_targets, seed):
+    """The arguments ``exact.optimal_allocation_dp`` passes to the knapsack
+    kernel on a generated scenario under the default bounds and step."""
+    calls = []
+    fill = kernels.fill_knapsack_table
+
+    def record(*args):
+        calls.append(args)
+        return fill(*args)
+
+    instance = build_tracking_instance(generate_scenario(n_targets, seed),
+                                       default_bounds(n_targets),
+                                       DEFAULT_CONFIG_SPACE)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "fill_knapsack_table", record)
+        exact.optimal_allocation_dp(instance)
+    (args,) = calls
+    return args
+
+
+def test_knapsack_matches_argmax_table_at_real_size():
+    util, cost, ncfg, budget = _dp_kernel_args(150, 11)
+    assert util.shape == (150, 90) and budget == exact.DP_DEFAULT_CELLS
+    _assert_knapsack_matches(util, cost, ncfg, budget)
+
+
+def _pareto_level_count(util, cost, k, budget):
+    """Cost levels among the first ``k`` affordable configurations whose best
+    utility beats 0.0 and every cheaper level's, one at a time."""
+    best = {}
+    for c in range(k):
+        if cost[c] <= budget:
+            best[cost[c]] = max(best.get(cost[c], -np.inf), util[c])
+    count, top = 0, 0.0
+    for w in sorted(best):
+        if best[w] > top:
+            count, top = count + 1, best[w]
+    return count
+
+
+def test_knapsack_builds_one_row_per_pareto_cost_level(monkeypatch):
+    """Each task's row is filled from its Pareto cost levels only: 15 rows
+    of 90 configurations on a 150-target scenario, every row over the whole
+    budget."""
+    util, cost, ncfg, budget = _dp_kernel_args(150, 11)
+    gathered = []
+    view = np.lib.stride_tricks.sliding_window_view
+
+    class Window(np.ndarray):
+        def __getitem__(self, key):
+            rows = np.ndarray.__getitem__(self, key)
+            gathered.append(rows.shape)
+            return rows.view(np.ndarray)
+
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                        lambda *args: view(*args).view(Window))
+    kernels.fill_knapsack_table(util, cost, ncfg, budget)
+    want = [_pareto_level_count(util[i], cost, k, budget) for i, k in enumerate(ncfg)]
+    assert set(want) == {15}
+    assert gathered == [(k, budget + 1) for k in want]
 
 
 def test_eval_counter_accumulates():
