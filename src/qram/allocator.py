@@ -6,7 +6,7 @@ index.  Every task starts at its cheapest configuration, and the shared
 :func:`qram.classic.upgrade_loop` applies the feasible upgrade with the best
 utility-to-resource quotient.
 
-A proposer sees each task as its position in ``instance.tasks``, with its
+A proposer sees each task as its position in ``instance.ids``, with its
 current grid index.  A task's proposal chain, start -> p(start) ->
 p(p(start)) -> ..., never depends on what the loop accepts for other
 tasks.  So once the loop knows which tasks it keeps, their chains grow in
@@ -51,7 +51,7 @@ from .problem import SITUATIONAL_WIDTH, ProblemInstance
 Proposal = int | Exception
 
 #: propose(positions, currents) -> one proposal per task, in order.
-#: ``positions`` index ``instance.tasks``; ``currents`` are grid indices.
+#: ``positions`` index ``instance.ids``; ``currents`` are grid indices.
 Proposer = Callable[[list[int], list[int]], list[Proposal]]
 
 
@@ -74,7 +74,7 @@ def next_config(params: AgentParams, instance: ProblemInstance,
     # finite winner means a usable proposal.
     finite = np.isfinite(logits[np.arange(len(positions)), actions])
     return [action if ok else WeightFormatError(
-                f"network logits are not finite (task {instance.tasks[pos].id}); "
+                f"network logits are not finite (task {instance.ids[pos]}); "
                 f"the weights overflow")
             for pos, action, ok in zip(positions, actions.tolist(),
                                        finite.tolist())]
@@ -87,7 +87,7 @@ def network_proposer(params: AgentParams, instance: ProblemInstance) -> Proposer
 
 class _ChainGroup:
     """The proposal chains of the kept tasks, known by position in
-    ``instance.tasks``, grown in waves on the instance's grid.
+    ``instance.ids``, grown in waves on the instance's grid.
 
     A chain holds ``(index, ratio)`` steps and may end in an exception
     proposal or an IndexError.  One wave asks the proposer once, over every
@@ -104,8 +104,8 @@ class _ChainGroup:
         self._propose, self._instance = propose, instance
         self._comp = config_costs(instance.space, instance.bounds)[0]
         self._waves_left = instance.space.size + 1  # cycle guard
-        self._chains: list[list] = [[] for _ in instance.tasks]
-        self._alive = [True] * len(instance.tasks)
+        self._chains: list[list] = [[] for _ in instance.ids]
+        self._alive = [True] * len(instance.ids)
         self._live = list(positions)  # positions of the live chains
         self._cur = np.array(starts, dtype=np.int64)[self._live]
         self._u_cur = self._utility(self._cur, self._live)
@@ -117,9 +117,9 @@ class _ChainGroup:
 
     def _grow(self) -> None:
         live, chains, cur_list = self._live, self._chains, self._cur.tolist()
-        tasks, space = self._instance.tasks, self._instance.space
+        ids, space = self._instance.ids, self._instance.space
         proposals = [p if isinstance(p, Exception) or space.is_index(p)
-                     else IndexError(f"task {tasks[i].id}: proposal {p!r} is "
+                     else IndexError(f"task {ids[i]}: proposal {p!r} is "
                                      f"not a configuration index in "
                                      f"[0, {space.size})")
                      for i, p in zip(live, self._propose(live, cur_list))]

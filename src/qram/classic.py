@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds, _sequential_sum,
-                   expanded_grids, grid_configurations)
+from .core import (Allocation, ConfigSpace, ResourceBounds,
+                   _sequential_prefix, expanded_grids, grid_configurations)
 from .perf import Target
 from .problem import SITUATIONAL_WIDTH, ProblemInstance, utility_table
 
@@ -199,11 +199,11 @@ def instance_job_lists(instance: ProblemInstance,
              & (np.arange(1, n_levels) < height[:, None]))
     length = 1 + np.cumprod(rises, axis=1).sum(axis=1)
     picks = np.take_along_axis(index, hull[:, :int(length.max(initial=1))], axis=1)
-    rows = zip(instance.tasks, length.tolist(), picks.tolist(),
+    rows = zip(instance.ids, length.tolist(), picks.tolist(),
                comp[picks].tolist(),
                np.take_along_axis(table, picks, axis=1).tolist())
-    return [JobList(target.id, tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
-            for target, k, i, r, u in rows]
+    return [JobList(tid, tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
+            for tid, k, i, r, u in rows]
 
 
 def base_configuration(space: ConfigSpace, rows: np.ndarray,
@@ -243,9 +243,9 @@ class UsageLedger:
     Feasibility must be judged with the same arithmetic the public check
     uses, otherwise float drift from incremental updates can leave a
     "feasible" result that the recheck rejects by one ulp.  So a re-sum runs
-    ``core._sequential_sum`` over the rows in instance order, as
-    ``is_feasible`` does.  Every entry is >= 0, as a resource vector of a
-    valid configuration is.
+    ``core._sequential_prefix`` over the rows in instance order, as
+    ``is_feasible`` does, and keeps its running sums.  Every entry is >= 0,
+    as a resource vector of a valid configuration is.
 
     The ledger holds a usage ``s`` and a drift ``d`` per resource.  A
     re-sum sets ``s`` to the sequential sum ``S`` of the T rows and ``d``
@@ -278,23 +278,30 @@ class UsageLedger:
     re-sum, bit for bit, and costs O(1).
 
     A total inside its band while ``d > 0`` makes the ledger re-sum once
-    and decide again with ``d = 0``.  A total still inside its band sums a
-    copy with the row replaced.  Every answer is therefore the one the full
-    re-sum gives.
+    and decide again with ``d = 0``.  For a total still inside its band,
+    the ledger folds that one resource's column from the checked row to the
+    end, starting from the running sum before the row that its last re-sum
+    kept (``core._sequential_prefix``).  With no write since that re-sum,
+    these are the adds of a full re-sum with the row replaced, in the same
+    order, on the same floats, over only the rows from the checked one on.
+    Every answer is therefore the one the full re-sum gives.
     """
 
     def __init__(self, instance: ProblemInstance):
         self._row = instance.position
-        self._mat = np.zeros((len(instance.tasks), len(instance.bounds.bounds)))
+        self._tasks = len(instance.position)
         self._limits = tuple(float(b) for b in instance.bounds.bounds)
-        self._tasks = len(instance.tasks)
+        self._mat = np.zeros((self._tasks, len(self._limits)))
+        self._prefix = np.zeros_like(self._mat)  # running sums of the last re-sum
         self._band = (2 * self._tasks + 8) * 2.0**-52
         self._usage = [0.0] * len(self._limits)  # the sum of zero rows
         self._drift = [0.0] * len(self._limits)
         self._exact = True  # no write since the last re-sum: d == 0
 
     def _resum(self) -> None:
-        self._usage = _sequential_sum(self._mat).tolist()
+        self._prefix = _sequential_prefix(self._mat)
+        self._usage = (self._prefix[-1].tolist() if self._tasks
+                       else [0.0] * len(self._limits))
         self._drift = [0.0] * len(self._usage)
         self._exact = True
 
@@ -328,41 +335,49 @@ class UsageLedger:
     def feasible(self) -> bool:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
 
-    def _fits_with(self, rows: list[int], values) -> bool:
-        """Would the rows fit with ``rows`` set to ``values``?  Re-sums a
+    def feasible_without(self, task_ids) -> bool:
+        """Would the rows fit with these tasks' rows cleared?  Re-sums a
         copy; the ledger itself is left as it is."""
         mat = self._mat.copy()
-        mat[rows] = values
-        return bool(np.all(_sequential_sum(mat) <= self._limits))
+        mat[[self._row[tid] for tid in task_ids]] = 0.0
+        return bool(np.all(_sequential_prefix(mat)[-1] <= self._limits))
 
-    def feasible_without(self, task_ids) -> bool:
-        """Would the rows fit with these tasks' rows cleared?"""
-        return self._fits_with([self._row[tid] for tid in task_ids], 0.0)
-
-    def _decide(self, olds, news) -> bool | None:
-        """The band's verdict on the totals ``s - old + new``, or None when
-        one of them lies inside its band."""
-        decided = True
+    def _in_band(self, olds, news) -> tuple[int, ...] | None:
+        """The resources whose total ``s - old + new`` lies inside its band,
+        or None when one total is above its limit by more than its band.
+        Every resource left out fits."""
+        undecided, k = (), 0
         for s, d, old, n, lim in zip(self._usage, self._drift, olds, news,
                                      self._limits):
             total = s - old + n
             band = self._band * (s + old + n) + 2.0 * d
             if total - band > lim:
-                return False
+                return None
             if not total + band < lim:
-                decided = False
-        return True if decided else None
+                undecided += (k,)
+            k += 1
+        return undecided
+
+    def _folded(self, row: int, k: int, value: float) -> float:
+        """Resource k's sequential sum with the row set to ``value``, folded
+        from the last re-sum's running sum before the row."""
+        tail = self._mat[row:, k].copy()
+        tail[0] = value if row == 0 else self._prefix[row - 1, k] + value
+        return _sequential_prefix(tail)[-1]
 
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
         row = self._row[task_id]
-        new = np.asarray(vec, dtype=np.float64)
-        olds, news = self._mat[row].tolist(), new.tolist()
-        verdict = self._decide(olds, news)
-        if verdict is None and not self._exact:
+        olds = self._mat[row].tolist()
+        news = np.asarray(vec, dtype=np.float64).tolist()
+        undecided = self._in_band(olds, news)
+        if undecided and not self._exact:
             self._resum()
-            verdict = self._decide(olds, news)
-        return self._fits_with([row], new) if verdict is None else verdict
+            undecided = self._in_band(olds, news)
+        if not undecided:
+            return undecided is not None
+        return all(self._folded(row, k, news[k]) <= self._limits[k]
+                   for k in undecided)
 
 
 def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
@@ -483,14 +498,14 @@ def greedy_allocate(job_lists: list[JobList],
     Runs :func:`upgrade_loop` from each task's first frontier point, one
     frontier step at a time, ranked by the step's utility-to-resource ratio.
     """
-    if (sorted(jl.task_id for jl in job_lists)
-            != sorted(t.id for t in instance.tasks)):
+    if sorted(jl.task_id for jl in job_lists) != sorted(instance.ids):
         raise ValueError("need exactly one job list per task")
     by_id = {jl.task_id: jl for jl in job_lists}
     return upgrade_loop(
         instance, {tid: jl.index[0] for tid, jl in by_id.items()},
         lambda kept: {tid: zip(by_id[tid].index[1:], by_id[tid].ratios())
                       for tid in kept})
+
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Utility table, one frontier sweep for all tasks, the greedy pass."""

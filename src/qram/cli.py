@@ -31,8 +31,7 @@ from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
 from .perf import Scenario, generate_scenario
 from .problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                      evaluate_allocation, system_utility, target_block,
-                      utility_table)
+                      evaluate_allocation, system_utility, utility_table)
 from .rng import PortableRng
 
 #: Default sweep of configurations-per-task for the by-configs benchmark.
@@ -130,7 +129,7 @@ def _load_scenario(path: str) -> Scenario:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{path}: not a valid scenario ({detail})") from None
-    if not scenario.targets:
+    if not scenario.ids:
         raise UsageError(f"{path}: the scenario has no targets")
     return scenario
 
@@ -233,7 +232,7 @@ def _timed_agent(params, instance: ProblemInstance):
 
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
-    bounds = _bounds_from_args(args, default_bounds(len(scenario.targets)))
+    bounds = _bounds_from_args(args, default_bounds(len(scenario.ids)))
     space = DEFAULT_CONFIG_SPACE
     instance = _instance(scenario, bounds, space)
 
@@ -258,15 +257,14 @@ def cmd_solve(args) -> int:
     doc = {
         "format": 1,
         "method": args.method,
-        "scenario": {"seed": scenario.seed, "n_targets": len(scenario.targets)},
+        "scenario": {"seed": scenario.seed, "n_targets": len(scenario.ids)},
         "bounds": bounds.to_dict(),
         "system_utility": system_utility(alloc, instance, utilities),
         "per_task_utility": {str(tid): u for tid, u in utilities.items()},
         "assignment": {str(tid): _config_dict(c)
                        for tid, c in sorted(alloc.assignment.items())},
         "resource_usage": list(usage),
-        "dropped": sorted(set(t.id for t in instance.tasks)
-                          - set(alloc.assignment)),
+        "dropped": sorted(set(instance.ids) - set(alloc.assignment)),
         "trace": [{"task_id": u.task_id, "ratio": u.ratio,
                    "config": _config_dict(space.config_at(u.index))}
                   for u in (trace.upgrades if trace else [])],
@@ -275,7 +273,7 @@ def cmd_solve(args) -> int:
     }
     _write_json(args.out, doc)
     print(f"{args.method}: system utility {doc['system_utility']:.6f} "
-          f"({len(alloc.assignment)}/{len(instance.tasks)} tasks) -> {args.out}")
+          f"({len(alloc.assignment)}/{len(instance.ids)} tasks) -> {args.out}")
     return 0
 
 
@@ -378,6 +376,16 @@ def _median_times(fns, runs: int) -> list[float]:
 
 
 def cmd_bench_runtime(args) -> int:
+    """Wall-clock scaling, written as CSV.
+
+    ``by-targets`` times a classic and an agent solve per scenario size.
+    ``by-configs`` times, per refined grid, one task's ``job_list_for``
+    (``joblist_s``) and one ``agent.forward`` of that task's state
+    (``forward_s``).  The network keeps its 90 actions on every grid, so
+    ``forward_s`` times one 90-action forward pass: it cannot name a
+    configuration of a larger grid and is not a solver above 90
+    configurations.
+    """
     space = DEFAULT_CONFIG_SPACE
     if args.mode == "by-targets":
         params = _load_agent(args, space)
@@ -406,14 +414,14 @@ def cmd_bench_runtime(args) -> int:
     cases = []
     for c in args.configs:
         refined = _refined_space(c)
-        target = _instance(scenario, bounds, refined).tasks[0]
-        state = encode_state(refined, [0], target_block([target]))[0]
+        state = encode_state(refined, [0],
+                             _instance(scenario, bounds, refined).block)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             logits, _ = agent_mod.forward(params, state)
         if not np.all(np.isfinite(logits)):
             raise WeightFormatError(f"network logits are not finite ({c} "
                                     f"configurations); the weights overflow")
-        cases += [partial(job_list_for, target, refined, bounds),
+        cases += [partial(job_list_for, scenario.targets[0], refined, bounds),
                   partial(agent_mod.forward, params, state)]
     times = _median_times(cases, args.runs)
     rows = []

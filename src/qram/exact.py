@@ -59,8 +59,8 @@ class CapacityError(RuntimeError):
 def _allocation(instance: ProblemInstance, configs, picks) -> Allocation:
     """Task i gets ``configs[picks[i]]``; a pick past the grid drops it."""
     return Allocation(assignment={
-        target.id: configs[pick]
-        for target, pick in zip(instance.tasks, picks) if pick < len(configs)})
+        tid: configs[pick]
+        for tid, pick in zip(instance.ids, picks) if pick < len(configs)})
 
 
 def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
@@ -76,13 +76,13 @@ def optimal_allocation(instance: ProblemInstance) -> tuple[Allocation, float]:
     the bounds later skip them.
     """
     configs = grid_configurations(instance.space)
-    base, tasks = len(configs) + 1, len(instance.tasks)
+    base, tasks = len(configs) + 1, len(instance.ids)
     states = base ** tasks
     if states > ENUMERATION_CAP:
         raise CapacityError(states, ENUMERATION_CAP, shown=f"{base}^{tasks}")
     _, occ, pw, _ = kernels.config_costs(instance.space, instance.bounds)
     best_u, picks = kernels.scan_best_feasible(
-        utility_table(instance), occ, pw, [len(configs)] * len(instance.tasks),
+        utility_table(instance), occ, pw, [len(configs)] * tasks,
         *instance.bounds.bounds)
     return _allocation(instance, configs, picks), best_u
 
@@ -115,7 +115,7 @@ def optimal_allocation_dp(instance: ProblemInstance,
                          f"got {resource_grid_step!r}")
 
     budget = np.floor(budget_value / resource_grid_step + 1e-9)
-    cells = (len(instance.tasks) + 1) * (budget + 1)
+    cells = (len(instance.ids) + 1) * (budget + 1)
     if cells > DP_TABLE_CAP:
         raise CapacityError(int(cells) if np.isfinite(cells) else cells,
                             DP_TABLE_CAP, "knapsack table cells")
@@ -132,5 +132,5 @@ def optimal_allocation_dp(instance: ProblemInstance,
         cost = np.ceil(np.minimum(comp / resource_grid_step, budget + 1) - 1e-9)
     cost = np.maximum(cost, comp > 0).astype(np.int64)
     dp, picks = kernels.fill_knapsack_table(
-        utility_table(instance), cost, [len(configs)] * len(instance.tasks), budget)
+        utility_table(instance), cost, [len(configs)] * len(instance.ids), budget)
     return _allocation(instance, configs, picks), float(dp[budget])

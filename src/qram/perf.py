@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .core import _json_int, _json_number
 from .rng import PortableRng
@@ -30,6 +34,8 @@ class TargetType(enum.Enum):
 
 #: Sampling order for random draws (index 0, 1, 2).
 TYPE_ORDER = (TargetType.HELICOPTER, TargetType.FIGHTER, TargetType.MISSILE)
+#: Each type's position in TYPE_ORDER, by its name in a scenario file.
+_TYPE_CODE = {t.value: i for i, t in enumerate(TYPE_ORDER)}
 
 #: Utility weight per target type: threat-ordered.
 TYPE_UTILITY_WEIGHT = {
@@ -77,36 +83,116 @@ class Target:
             raise ValueError(
                 f"{self.ttype.value} speed {self.speed_mps} outside [{lo}, {hi}]")
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "ttype": self.ttype.value,
-                "range_km": self.range_km, "speed_mps": self.speed_mps}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Target":
+        """One entry of a scenario file's target list, checked field by
+        field in this order."""
         return cls(id=_json_int(d, "id"), ttype=TargetType(d["ttype"]),
                    range_km=_json_number(d, "range_km"),
                    speed_mps=_json_number(d, "speed_mps"))
 
 
-@dataclass(frozen=True)
+#: A scenario file's target fields, in the order ``Target.from_dict`` reads them.
+_FIELDS = operator.itemgetter("id", "ttype", "range_km", "speed_mps")
+#: Each type's speed interval, indexed by its position in TYPE_ORDER.
+_SPEED_LO, _SPEED_HI = np.array([TYPE_SPEED_RANGE[t] for t in TYPE_ORDER]).T
+
+
+def _read_columns(rows):
+    """The id, type, range and speed columns of a scenario file's target
+    list, or None if some entry is not a valid target.
+
+    The checks are ``Target.from_dict``'s, made one column at a time: every
+    id an integer; every type a known name; every range and speed a number
+    (an integer beyond the float range fails); every range finite and
+    positive and every speed within its type's interval.  A None answer
+    says only that a row is bad; the per-row check then names the first.
+    """
+    if type(rows) is not list:
+        return None
+    if not rows:
+        return (), (), (), ()
+    try:
+        ids, names, ranges, speeds = zip(*map(_FIELDS, rows))
+        codes = list(map(_TYPE_CODE.__getitem__, names))
+        if not ({*map(type, ids)} <= {int}
+                and {*map(type, ranges), *map(type, speeds)} <= {int, float}):
+            return None
+        ranges, speeds = tuple(map(float, ranges)), tuple(map(float, speeds))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    r, v, c = np.array(ranges), np.array(speeds), np.array(codes)
+    if not np.all(np.isfinite(r) & (r > 0)
+                  & (_SPEED_LO[c] <= v) & (v <= _SPEED_HI[c])):
+        return None
+    return ids, tuple(map(TYPE_ORDER.__getitem__, codes)), ranges, speeds
+
+
+@dataclass(frozen=True, init=False)
 class Scenario:
-    targets: tuple[Target, ...]
+    """The targets of a scenario as columns in file order, and its seed.
+
+    The columns are checked: ``Scenario(targets, seed)`` reads them from
+    targets, and :meth:`from_dict` checks them as :class:`Target` checks a
+    row.  The solve path reads the columns; :attr:`targets` builds one
+    ``Target`` per row for a caller that asks.
+    """
+
+    ids: tuple[int, ...]
+    types: tuple[TargetType, ...]
+    range_km: tuple[float, ...]
+    speed_mps: tuple[float, ...]
     seed: int
 
-    def __post_init__(self):
-        if len({t.id for t in self.targets}) != len(self.targets):
+    def __init__(self, targets, seed: int):
+        """The scenario of these targets, in order."""
+        targets = tuple(targets)
+        self._hold(tuple(t.id for t in targets), tuple(t.ttype for t in targets),
+                   tuple(t.range_km for t in targets),
+                   tuple(t.speed_mps for t in targets), seed)
+
+    @classmethod
+    def from_columns(cls, ids, types, range_km, speed_mps,
+                     seed: int) -> "Scenario":
+        """The scenario of checked columns, with no ``Target``."""
+        scenario = object.__new__(cls)
+        scenario._hold(ids, types, range_km, speed_mps, seed)
+        return scenario
+
+    def _hold(self, ids, types, range_km, speed_mps, seed) -> None:
+        if len(set(ids)) != len(ids):
             raise ValueError("target ids must be unique")
+        for name, value in zip(("ids", "types", "range_km", "speed_mps", "seed"),
+                               (ids, types, range_km, speed_mps, seed)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def targets(self) -> tuple[Target, ...]:
+        """One :class:`Target` per row, built on first use."""
+        return tuple(map(Target, self.ids, self.types, self.range_km,
+                         self.speed_mps))
 
     def to_dict(self) -> dict:
         return {"format": 1, "seed": self.seed,
-                "targets": [t.to_dict() for t in self.targets]}
+                "targets": [{"id": tid, "ttype": ttype.value, "range_km": r,
+                             "speed_mps": v}
+                            for tid, ttype, r, v in zip(
+                                self.ids, self.types, self.range_km,
+                                self.speed_mps)]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Inverse of :meth:`to_dict`.  A bad entry raises the error of the
+        first bad target in file order; then a bad seed, then duplicate
+        ids."""
         if d.get("format") != 1:
             raise ValueError(f"unsupported scenario format {d.get('format')!r}")
-        return cls(targets=tuple(Target.from_dict(t) for t in d["targets"]),
-                   seed=_json_int(d, "seed"))
+        rows = d["targets"]
+        columns = _read_columns(rows)
+        if columns is None:  # the per-row check raises at the first bad row
+            targets = tuple(map(Target.from_dict, rows))
+            return cls(targets, seed=_json_int(d, "seed"))
+        return cls.from_columns(*columns, seed=_json_int(d, "seed"))
 
 
 def draw_target(rng: PortableRng, target_id: int) -> Target:

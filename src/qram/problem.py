@@ -1,12 +1,12 @@
 """Problem instances: tasks, bounds and one configuration grid.
 
-The instance is the object every solver consumes.  A task is the
-:class:`~qram.perf.Target` it tracks, and every task picks from the
-instance's one grid, whose (tasks x grid) :func:`utility_table` the classic
-solver and both exact oracles read.  Solvers read targets as rows of the
-instance's :func:`target_block`.  It is built in memory from a scenario
-(:func:`build_tracking_instance`); on disk a problem is its scenario file
-plus the bounds given on the command line.
+The instance is the object every solver consumes.  A task is an id and a
+row of the instance's target block (:func:`target_block`), and every task
+picks from the instance's one grid, whose (tasks x grid)
+:func:`utility_table` the classic solver and both exact oracles read.  It
+is built in memory from a scenario's columns (:func:`build_tracking_instance`),
+with no :class:`~qram.perf.Target` object; on disk a problem is its
+scenario file plus the bounds given on the command line.
 
 An evaluation builds its configurations' (dwell, tx, pw) columns once, for
 ``kernels.utility`` and for ``core.usage_of`` (the ledger's row sum).
@@ -15,6 +15,7 @@ An evaluation builds its configurations' (dwell, tx, pw) columns once, for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -30,22 +31,27 @@ SITUATIONAL_WIDTH = len(TYPE_ORDER) + 2
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    tasks: tuple[Target, ...]
+    """Tasks as ids and the rows of a read-only :func:`target_block`
+    layout, one row per id, under bounds on one grid."""
+
+    ids: tuple[int, ...]
+    block: np.ndarray = field(repr=False, compare=False)
     bounds: ResourceBounds
     space: ConfigSpace
-    #: Each task id's position in ``tasks``, and ``target_block(tasks)``.
+    #: Each task id's position in ``ids``.
     position: dict = field(init=False, repr=False, compare=False)
-    block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        position = {t.id: pos for pos, t in enumerate(self.tasks)}
-        if len(position) != len(self.tasks):
+        position = dict(zip(self.ids, range(len(self.ids))))
+        if len(position) != len(self.ids):
             raise ValueError("task ids must be unique")
+        if self.block.shape != (len(self.ids), SITUATIONAL_WIDTH + 3):
+            raise ValueError(f"target block of shape {self.block.shape} for "
+                             f"{len(self.ids)} tasks")
         # SNR is monotone in P*tx, so a finite, positive SNR at the grid's
         # first and last configuration (lowest and highest P*tx) holds on
         # the whole grid, and with it a finite, positive tracking error.
         # A range^4 that underflows to 0 gives an infinite SNR.
-        object.__setattr__(self, "block", target_block(self.tasks))
         _, tx, pw = expanded_grids(self.space)
         range_km = self.block[:, SITUATIONAL_WIDTH]
         with np.errstate(divide="ignore", over="ignore"):
@@ -53,11 +59,21 @@ class ProblemInstance:
             high = kernels.snr(tx[-1], pw[-1], range_km)
         bad = np.flatnonzero(~((0.0 < low) & (low <= high) & (high < np.inf)))
         if len(bad):
-            target = self.tasks[bad[0]]
-            raise ValueError(f"target {target.id} at {target.range_km} km is "
-                             f"outside the range the radar model can evaluate")
+            raise ValueError(f"target {self.ids[bad[0]]} at "
+                             f"{float(range_km[bad[0]])} km is outside the "
+                             f"range the radar model can evaluate")
         kernels.config_costs(self.space, self.bounds)  # raises if a compound is not finite
         object.__setattr__(self, "position", position)
+
+    @cached_property
+    def tasks(self) -> tuple[Target, ...]:
+        """One :class:`Target` per row, read back from the block on first
+        use, for a caller that asks; no solver reads it."""
+        types = [TYPE_ORDER[k] for k in self.block[:, :len(TYPE_ORDER)]
+                 .argmax(axis=1).tolist()]
+        range_km, speed_mps = self.block[:, SITUATIONAL_WIDTH:
+                                         SITUATIONAL_WIDTH + 2].T.tolist()
+        return tuple(map(Target, self.ids, types, range_km, speed_mps))
 
     def task_by_id(self, task_id: int) -> Target:
         try:
@@ -68,9 +84,10 @@ class ProblemInstance:
 
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                             space: ConfigSpace) -> ProblemInstance:
-    """One tracking task per target: the scenario's targets are the tasks."""
-    return ProblemInstance(tasks=tuple(scenario.targets), bounds=bounds,
-                           space=space)
+    """One tracking task per target: the scenario's targets are the tasks,
+    whose block is built from the scenario's columns."""
+    return ProblemInstance(scenario.ids, scenario_block(scenario), bounds,
+                           space)
 
 
 def target_block(targets) -> np.ndarray:
@@ -89,12 +106,34 @@ def target_block(targets) -> np.ndarray:
     return block
 
 
+#: Each type's utility weight, indexed by its position in TYPE_ORDER.
+_TYPE_WEIGHTS = np.array([TYPE_UTILITY_WEIGHT[t] for t in TYPE_ORDER])
+
+
+def scenario_block(scenario: Scenario) -> np.ndarray:
+    """``target_block(scenario.targets)``, bit for bit, built a column at a
+    time from the scenario's columns, with no ``Target``."""
+    n = len(scenario.ids)
+    code = np.fromiter(map(TYPE_ORDER.index, scenario.types), np.intp, n)
+    range_km = np.array(scenario.range_km, dtype=np.float64)
+    speed_mps = np.array(scenario.speed_mps, dtype=np.float64)
+    block = np.empty((n, SITUATIONAL_WIDTH + 3))
+    block[:, :len(TYPE_ORDER)] = code[:, None] == np.arange(len(TYPE_ORDER))
+    block[:, SITUATIONAL_WIDTH - 2] = range_km / 150.0
+    block[:, SITUATIONAL_WIDTH - 1] = speed_mps / 1000.0
+    block[:, SITUATIONAL_WIDTH] = range_km
+    block[:, SITUATIONAL_WIDTH + 1] = speed_mps
+    block[:, SITUATIONAL_WIDTH + 2] = _TYPE_WEIGHTS[code]
+    block.setflags(write=False)
+    return block
+
+
 def utility_table(instance: ProblemInstance) -> np.ndarray:
     """Utility of every task on every grid index: a (tasks x grid) array in
     instance order, row i bit for bit the ``config_metrics`` utility of
     task i, from one kernel call.  Counts tasks x grid size evaluations."""
     dwell, tx, pw = expanded_grids(instance.space)
-    kernels.counters["config_evals"] += len(instance.tasks) * len(dwell)
+    kernels.counters["config_evals"] += len(instance.ids) * len(dwell)
     return kernels.utility(dwell, tx, pw,
                            *instance.block.T[SITUATIONAL_WIDTH:, :, None])
 
@@ -112,7 +151,8 @@ def default_bounds(n_targets: int) -> ResourceBounds:
 
 def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
     for tid, config in alloc.assignment.items():
-        instance.task_by_id(tid)  # raises KeyError on unknown ids
+        if tid not in instance.position:
+            raise KeyError(f"no task with id {tid}")
         if config not in instance.space:
             raise ValueError(f"task {tid}: {config} is not on its grid")
 
@@ -121,9 +161,9 @@ def _assigned(alloc: Allocation, instance: ProblemInstance):
     """Positions of the assigned tasks, in instance order, and the
     (dwell, tx, pw) columns of their configurations."""
     _check_assignment(alloc, instance)
-    positions = [pos for pos, t in enumerate(instance.tasks)
-                 if t.id in alloc.assignment]
-    return positions, config_columns(alloc.assignment[instance.tasks[pos].id]
+    positions = [pos for pos, tid in enumerate(instance.ids)
+                 if tid in alloc.assignment]
+    return positions, config_columns(alloc.assignment[instance.ids[pos]]
                                      for pos in positions)
 
 
@@ -132,7 +172,7 @@ def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
     positions, columns = assigned
     utilities = kernels.utility(*columns,
                                 *instance.block[positions].T[SITUATIONAL_WIDTH:])
-    return dict(zip([instance.tasks[pos].id for pos in positions],
+    return dict(zip([instance.ids[pos] for pos in positions],
                     utilities.tolist()))
 
 

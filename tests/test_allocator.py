@@ -58,7 +58,8 @@ def test_empty_instance_allocates_nothing():
     scenario = generate_scenario(1, 1)
     inst = build_tracking_instance(scenario, default_bounds(1),
                                    DEFAULT_CONFIG_SPACE)
-    inst = type(inst)(tasks=(), bounds=inst.bounds, space=inst.space)
+    inst = build_tracking_instance(type(scenario)((), seed=1), inst.bounds,
+                                   inst.space)
     alloc, trace = allocate_with_proposals(lambda *a: None, inst)
     assert len(alloc.assignment) == 0 and trace.upgrades == ()
 

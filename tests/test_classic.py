@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,9 @@ from helpers import (assert_frontier_shape, compound_of, gift_wrap_frontier,
                      random_point_cloud, random_small_instance,
                      random_small_space, rescan_upgrade_loop,
                      scalar_base_configuration, synthetic_points, task_utility)
+from qram import agent as agent_mod
 from qram import classic, cli, kernels, remark1
+from qram.allocator import allocate_with_agent
 from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
                           base_configuration, embed_task, greedy_allocate,
                           instance_job_lists, job_list_for, solve_classic,
@@ -22,6 +26,8 @@ from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
 from qram.rng import PortableRng
 
 BOUNDS = default_bounds(4)
+FROZEN_WEIGHTS = (Path(__file__).resolve().parent.parent / "perfbench"
+                  / "weights" / "agent-seed1-30k.json")
 
 
 def _instance(n=4, seed=42, bounds=BOUNDS, space=DEFAULT_CONFIG_SPACE):
@@ -421,11 +427,11 @@ def test_classic_loop_asks_each_refusal_once_without_a_lowering_upgrade(
 def test_classic_solve_resums_the_ledger_a_handful_of_times(monkeypatch):
     # A write is O(1).  The ledger re-sums its rows after a block write
     # (the start rows, the drop) and when a check lands inside its band
-    # while drifted; a check still inside the band sums a copy.  Re-summing
-    # after every accepted upgrade took 1,070 sums at 500 targets and
-    # 1,114 at 1000.
+    # while drifted; a check still inside the band folds one column's tail.
+    # Re-summing after every accepted upgrade took 1,070 sums at 500
+    # targets and 1,114 at 1000.
     sums, resums = [], []
-    total, resum = classic._sequential_sum, UsageLedger._resum
+    total, resum = classic._sequential_prefix, UsageLedger._resum
 
     def counted_sum(mat):
         sums.append(mat.shape)
@@ -434,7 +440,7 @@ def test_classic_solve_resums_the_ledger_a_handful_of_times(monkeypatch):
     def counted_resum(self):
         resums.append(self)
         resum(self)
-    monkeypatch.setattr(classic, "_sequential_sum", counted_sum)
+    monkeypatch.setattr(classic, "_sequential_prefix", counted_sum)
     monkeypatch.setattr(UsageLedger, "_resum", counted_resum)
     inst = build_tracking_instance(generate_scenario(500, 11_050_000),
                                    default_bounds(500), DEFAULT_CONFIG_SPACE)
@@ -607,6 +613,78 @@ def _ledger(ids, rows, limits):
     for tid, row in zip(ids, rows):
         ledger.set_row(tid, row)
     return ledger
+
+
+@pytest.mark.parametrize("in_band", [1, 2])
+@pytest.mark.parametrize("n_tasks", [1, 2, 150])
+def test_ledger_tail_fold_matches_replace_and_resum(n_tasks, in_band,
+                                                   monkeypatch):
+    """A check still inside its band after the re-sum folds each in-band
+    resource from the checked row on: at the first, a middle and the last
+    row it gives the float of the full replace-and-re-sum, and the verdict
+    of the full check with every in-band limit within two ulps of it."""
+    rng = np.random.default_rng(40 + n_tasks + in_band)
+    ids = [int(i) for i in rng.permutation(n_tasks) * 5 + 3]
+    folded = UsageLedger._folded
+    folds = []
+
+    def counted_fold(self, row, k, value):
+        folds.append((row, k))
+        return folded(self, row, k, value)
+    monkeypatch.setattr(UsageLedger, "_folded", counted_fold)
+    for _ in range(6):
+        rows = _random_rows(rng, n_tasks)
+        for row in sorted({0, n_tasks // 2, n_tasks - 1}):
+            vec = _random_rows(rng, 1)[0]
+            replaced = rows.copy()
+            replaced[row] = vec
+            total = _sequential_sum(replaced)
+            ledger = _ledger(ids, rows, (1.0, 1.0))
+            ledger.usage()  # re-sum: the running sums are fresh
+            for k in range(2):
+                assert ledger._folded(row, k, float(vec[k])) == total[k]
+            for offsets in itertools.product(range(-2, 3), repeat=in_band):
+                # Resources past ``in_band`` sit far below their limits.
+                limits = [_ulps(total[k], offsets[k]) if k < in_band
+                          else 2.0 * total[k] + 1.0 for k in range(2)]
+                ledger = _ledger(ids, rows, limits)
+                folds.clear()
+                assert ledger.fits(ids[row], vec) == bool(np.all(total <= limits))
+                assert folds and {k for _, k in folds} <= set(range(in_band))
+                assert all(r == row for r, _ in folds)
+
+
+def test_agent_solve_checks_one_row_without_a_matrix_copy(monkeypatch):
+    # The benchmark's first 500-target scenario (seed 11) under the frozen
+    # weights: 276 of 724 checks are still inside their band after the
+    # re-sum.  Each folds one column's tail; the only whole-matrix sums
+    # are re-sums of the ledger itself (no copy) and the drop bisection's.
+    params, _ = agent_mod.load(FROZEN_WEIGHTS)
+    inst = build_tracking_instance(generate_scenario(500, 11_050_000),
+                                   default_bounds(500), DEFAULT_CONFIG_SPACE)
+    events = []
+    prefix = classic._sequential_prefix
+    resum, without = UsageLedger._resum, UsageLedger.feasible_without
+
+    def counted_prefix(mat):
+        events.append("matrix" if mat.ndim == 2 else "tail")
+        return prefix(mat)
+
+    def counted_resum(self):
+        events.append("resum")
+        resum(self)
+
+    def counted_without(self, task_ids):
+        events.append("without")
+        return without(self, task_ids)
+    monkeypatch.setattr(classic, "_sequential_prefix", counted_prefix)
+    monkeypatch.setattr(UsageLedger, "_resum", counted_resum)
+    monkeypatch.setattr(UsageLedger, "feasible_without", counted_without)
+    asked = _count_fits(monkeypatch)
+    allocate_with_agent(params, inst)
+    assert len(asked) == 724 and events.count("tail") == 276
+    assert all(before in ("resum", "without")
+               for before, event in zip(events, events[1:]) if event == "matrix")
 
 
 @pytest.mark.parametrize("n_tasks", [0, 1, 2, 7, 40, 300])

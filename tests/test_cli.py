@@ -131,6 +131,111 @@ def test_solve_rejects_bad_scenario_file(text, tmp_path, capsys):
     assert message.startswith("error: ") and message.count("\n") == 1
 
 
+def _row(i, **fields):
+    def edit(doc):
+        doc["targets"][i].update(fields)
+    return edit
+
+
+def _entry_7(entry):
+    def edit(doc):
+        doc["targets"][7] = entry
+    return edit
+
+
+def _drop_speed_7(doc):
+    del doc["targets"][7]["speed_mps"]
+
+
+def _bad_seed(doc):
+    doc["seed"] = "x"
+
+
+def _both(first, second):
+    def edit(doc):
+        first(doc)
+        second(doc)
+    return edit
+
+
+def _invalid(detail):
+    """The error line of a rejected scenario file; ``{path}`` is its path."""
+    return "{path}: not a valid scenario (" + detail + ")"
+
+
+_SLOW_HELICOPTER = _row(7, ttype="Helicopter", speed_mps=500.0)
+_FAR = ("invalid scenario or --bounds/--compound-weights: target 7 at 1e-100 "
+        "km is outside the range the radar model can evaluate")
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_row(7, id=1.5), _invalid("id must be an integer, got 1.5")),
+    (_row(7, id=True), _invalid("id must be an integer, got True")),
+    (_row(7, range_km=True), _invalid("range_km must be a number, got True")),
+    (_row(7, range_km="50"), _invalid("range_km must be a number, got '50'")),
+    (_row(7, range_km=float("nan")),
+     _invalid("target range must be finite and positive: nan")),
+    (_row(7, range_km=-1), _invalid("target range must be finite and positive: -1.0")),
+    (_row(7, range_km=10**400), _invalid("range_km is out of range: 1" + "0" * 400)),
+    (_row(7, ttype="Tank"), _invalid("'Tank' is not a valid TargetType")),
+    (_SLOW_HELICOPTER, _invalid("Helicopter speed 500.0 outside [0.0, 100.0]")),
+    (_drop_speed_7, _invalid("missing field 'speed_mps'")),
+    (_entry_7(5), _invalid("'int' object is not subscriptable")),
+    (_entry_7([1]), _invalid("list indices must be integers or slices, not str")),
+    (_row(7, id=3), _invalid("target ids must be unique")),
+    (_row(7, range_km=1e-100), _FAR),
+    # Of two bad rows the first in file order is named, whatever its fault.
+    (_both(_SLOW_HELICOPTER, _row(12, id=1.5)),
+     _invalid("Helicopter speed 500.0 outside [0.0, 100.0]")),
+    (_both(_row(7, id=1.5), _row(12, range_km=-1)),
+     _invalid("id must be an integer, got 1.5")),
+    # A bad target wins over a bad seed, and a bad seed over duplicate ids.
+    (_both(_bad_seed, _row(7, range_km="50")),
+     _invalid("range_km must be a number, got '50'")),
+    (_both(_bad_seed, _row(7, id=3)), _invalid("seed must be an integer, got 'x'")),
+], ids=["id 1.5", "id true", "range true", "range string", "range NaN",
+        "range -1", "range beyond float", "unknown ttype", "speed outside type",
+        "missing field", "int entry", "list entry", "duplicate id", "SNR range",
+        "first of two bad rows (speed, id)", "first of two bad rows (id, range)",
+        "target before seed", "seed before duplicate ids"])
+def test_solve_names_the_first_bad_target_exactly(edit, line, tmp_path, capsys):
+    # One bad target at row 7 of 20: the exact error line and exit code 2.
+    from qram.perf import generate_scenario
+
+    doc = generate_scenario(20, 5).to_dict()
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(bad), "--out", str(out)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: {line.format(path=bad)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["classic", "agent", "dp"])
+def test_solve_builds_no_target(method, weight_file, tmp_path, monkeypatch):
+    # The solve path reads the scenario as columns: no Target per row.
+    from qram.perf import Target
+
+    scenario = tmp_path / "s.json"
+    assert run(["gen", "--targets", "150", "--seed", "4",
+                "--out", str(scenario)]) == 0
+    built = []
+    check = Target.__post_init__
+
+    def counted(self):
+        built.append(self.id)
+        check(self)
+    monkeypatch.setattr(Target, "__post_init__", counted)
+    out = tmp_path / "out.json"
+    assert run(["solve", "--scenario", str(scenario), "--method", method,
+                "--weights", str(weight_file), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["n_targets"] == 150
+    assert built == []
+
+
 @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
 def test_solve_rejects_non_positive_dp_step(step, scenario_file, tmp_path):
     with pytest.raises(SystemExit) as err:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qram.core import (Allocation, Configuration, ConfigSpace,
-                       DEFAULT_CONFIG_SPACE, ResourceBounds, allocation_usage,
-                       compound_resource, costs)
+                       DEFAULT_CONFIG_SPACE, ResourceBounds, _sequential_prefix,
+                       _sequential_sum, allocation_usage, compound_resource,
+                       costs)
 
 
 def test_configuration_rejects_tx_longer_than_dwell():
@@ -114,3 +115,15 @@ def test_allocation_usage_sums_components():
     assert usage[0] == pytest.approx(0.04)
     assert usage[1] == pytest.approx(0.04)
     assert len(Allocation().assignment) == 0
+
+
+def test_row_sums_fold_left_to_right():
+    # A left-to-right fold rounds each 2**-53 away: 1 + 2**-53 ties to 1.
+    # Pairwise summation would add the two halves first and give
+    # 1 + 2**-52.  ``_sequential_sum`` and the ledger's tail fold both
+    # rely on the sequential fold, resumed from any running sum.
+    rows = np.array([1.0, 2**-53, 2**-53])
+    assert np.cumsum(rows)[-1] == 1.0
+    assert _sequential_prefix(rows)[-1] == 1.0
+    assert _sequential_sum(np.column_stack([rows, rows[::-1]])).tolist() == [
+        1.0, 1.0 + 2**-52]

@@ -10,10 +10,9 @@ from qram import kernels, remark1
 from qram.core import ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from qram.exact import (DP_TABLE_CAP, CapacityError, optimal_allocation,
                         optimal_allocation_dp)
-from qram.perf import Target, TargetType, generate_scenario
-from qram.problem import (ProblemInstance, build_tracking_instance,
-                          default_bounds, is_feasible, system_utility,
-                          utility_table)
+from qram.perf import Scenario, Target, TargetType, generate_scenario
+from qram.problem import (build_tracking_instance, default_bounds, is_feasible,
+                          system_utility, utility_table)
 from qram.rng import PortableRng
 
 SMALL_SPACE = ConfigSpace((100.0, 500.0, 1100.0), (2.0, 6.0, 10.0), (1.0, 4.0))
@@ -84,7 +83,7 @@ def _three_task_instance(bounds, space):
     targets = (Target(10, TargetType.MISSILE, 80.0, 700.0),
                Target(7, TargetType.HELICOPTER, 30.0, 40.0),
                Target(4, TargetType.FIGHTER, 120.0, 300.0))
-    return ProblemInstance(tasks=targets, bounds=bounds, space=space)
+    return build_tracking_instance(Scenario(targets, seed=0), bounds, space)
 
 
 def _literal_optimum(inst):

@@ -4,9 +4,10 @@ import pytest
 
 from helpers import (QualityValue, quality, snr, task_utility,
                      utility_from_quality)
-from qram.core import Configuration, DEFAULT_CONFIG_SPACE
+from qram.core import Configuration, DEFAULT_CONFIG_SPACE, _json_int
 from qram.perf import (ERROR_HALF_M, Scenario, Target, TargetType,
                        TYPE_SPEED_RANGE, TYPE_UTILITY_WEIGHT, generate_scenario)
+from qram.rng import PortableRng
 
 CAL_CONFIG = Configuration(500.0, 6.0, 2.0)
 
@@ -51,6 +52,79 @@ def test_generate_scenario_unique_ids():
 def test_scenario_json_round_trip():
     scenario = generate_scenario(5, 11)
     assert Scenario.from_dict(scenario.to_dict()) == scenario
+
+
+def _scenario_per_row(d):
+    """The scenario reader as one Target per row: a bad row raises its own
+    error, the first in file order, before the seed and the id check."""
+    if d.get("format") != 1:
+        raise ValueError(f"unsupported scenario format {d.get('format')!r}")
+    return Scenario(tuple(Target.from_dict(t) for t in d["targets"]),
+                    seed=_json_int(d, "seed"))
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return type(exc), str(exc)
+
+
+#: Field values a scenario file may hold, valid or not, by field.
+_FIELD_VALUES = {
+    "id": [1.5, True, "3", -4, 10**30, 0, None],
+    "ttype": ["Tank", None, ["Fighter"], "fighter", "Missile", "Helicopter"],
+    "range_km": [True, "50", math.nan, math.inf, -1, 0, -0.0, 10**400, 10**300,
+                 1e-300, 5, 149.5, None],
+    "speed_mps": [0, 100, 100.0, 450, 1000, 1000.0001, 300.0, math.nan, -0.0,
+                  "x", 10**400, 60.5],
+}
+
+
+def test_scenario_columns_read_as_the_per_row_check():
+    # Each document has a few random faults, or none: the column reader
+    # returns the per-row reader's scenario, or raises its error.
+    rng = PortableRng(8)
+    fields = list(_FIELD_VALUES)
+    kinds = set()
+    for trial in range(400):
+        doc = generate_scenario(6, trial).to_dict()
+        rows = doc["targets"]
+        for _ in range(rng.randint(3)):
+            row, fault = rng.randint(6), rng.randint(len(fields) + 4)
+            if fault == len(fields) + 2:
+                doc["seed"] = [1.5, "x", True][rng.randint(3)]
+            elif not isinstance(rows[row], dict):
+                continue
+            elif fault < len(fields):
+                values = _FIELD_VALUES[fields[fault]]
+                rows[row][fields[fault]] = values[rng.randint(len(values))]
+            elif fault == len(fields):
+                rows[row].pop(fields[rng.randint(len(fields))], None)
+            elif fault == len(fields) + 1:
+                rows[row] = [5, [1], "x", None][rng.randint(4)]
+            else:
+                rows[row]["id"] = rows[row - 1].get("id") if isinstance(
+                    rows[row - 1], dict) else 0
+        want = _outcome(_scenario_per_row, doc)
+        got = _outcome(Scenario.from_dict, doc)
+        assert got == want
+        kinds.add(type(want).__name__ if isinstance(want, Scenario)
+                  else want[0].__name__)
+    assert kinds == {"Scenario", "ValueError", "KeyError", "TypeError"}
+
+
+def test_scenario_holds_columns_and_builds_targets_on_request():
+    scenario = generate_scenario(5, 11)
+    targets = scenario.targets
+    assert [t.id for t in targets] == list(scenario.ids) == [0, 1, 2, 3, 4]
+    assert tuple(t.ttype for t in targets) == scenario.types
+    assert tuple(t.range_km for t in targets) == scenario.range_km
+    assert tuple(t.speed_mps for t in targets) == scenario.speed_mps
+    assert Scenario(targets, seed=11) == scenario
+    columns = Scenario.from_dict(scenario.to_dict())
+    assert columns == scenario and columns.targets == targets
+    assert Scenario.from_dict({"format": 1, "seed": 0, "targets": []}).ids == ()
 
 
 def test_target_speed_validation():

@@ -24,8 +24,11 @@ def test_default_bounds_rule():
 def test_instance_validates_task_ids_and_targets():
     inst = _instance()
     with pytest.raises(ValueError):
-        ProblemInstance(tasks=inst.tasks + (inst.tasks[0],), bounds=inst.bounds,
-                        space=inst.space)
+        ProblemInstance(inst.ids + inst.ids[:1],
+                        target_block(inst.tasks + inst.tasks[:1]),
+                        bounds=inst.bounds, space=inst.space)
+    with pytest.raises(ValueError, match="target block of shape"):
+        ProblemInstance(inst.ids, inst.block[:-1], inst.bounds, inst.space)
 
 
 def test_lookups_with_unsorted_non_contiguous_ids():
@@ -37,7 +40,7 @@ def test_lookups_with_unsorted_non_contiguous_ids():
     config = DEFAULT_CONFIG_SPACE.config_at(0)
     expected = 0.0
     for target, task in zip(targets, inst.tasks):
-        assert task is target
+        assert task == target
         assert inst.task_by_id(target.id) is task
         expected += task_utility(config, target)
     alloc = Allocation(assignment={t.id: config for t in targets})
@@ -70,6 +73,20 @@ def test_target_block_matches_the_per_target_reference():
         [reference_target_row(t) for t in shuffled]).tobytes()
     assert not inst.block.flags.writeable
     assert inst.position == {t.id: pos for pos, t in enumerate(shuffled)}
+
+
+def test_scenario_block_is_the_target_block_bit_for_bit():
+    # The instance block built from a scenario's columns, also from a file
+    # with integer ranges and speeds, and with no targets at all.
+    for scenario in (generate_scenario(300, 5), Scenario.from_dict(
+            {"format": 1, "seed": 0, "targets": [
+                {"id": 4, "ttype": "Missile", "range_km": 90, "speed_mps": 1000},
+                {"id": 2, "ttype": "Helicopter", "range_km": 5.5, "speed_mps": 0}]}),
+            Scenario((), seed=0)):
+        block = problem.scenario_block(scenario)
+        assert block.shape == (len(scenario.ids), 8)
+        assert block.tobytes() == target_block(scenario.targets).tobytes()
+        assert not block.flags.writeable
 
 
 def test_system_utility_empty_allocation():
@@ -216,5 +233,5 @@ def test_every_usage_sum_is_the_scalar_loop_bit_for_bit(grid, n_tasks, ascending
         for limits in (want, below, [want[0], below[1]], [below[0], want[1]]):
             bounds = ResourceBounds(bounds=tuple(map(float, limits)),
                                     compound_weights=(1.0, 1.0))
-            bounded = ProblemInstance(instance.tasks, bounds, space)
+            bounded = ProblemInstance(instance.ids, instance.block, bounds, space)
             assert is_feasible(alloc, bounded) == bool(np.all(want <= limits))
