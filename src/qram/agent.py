@@ -408,7 +408,7 @@ def save(params: AgentParams, path, config_space: ConfigSpace | None = None) -> 
 def load(path) -> tuple[AgentParams, ConfigSpace | None]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise WeightFormatError(f"cannot read weight file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise WeightFormatError(f"weight file {path} is not a JSON object")

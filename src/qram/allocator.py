@@ -41,10 +41,10 @@ import numpy as np
 
 from .agent import AgentParams, WeightFormatError, forward
 from .classic import AllocationTrace, base_configuration, upgrade_loop
-from .core import Allocation, expanded_grids
+from .core import Allocation
 from .env import encode_state, quotient
-from .kernels import config_costs, utility
-from .problem import SITUATIONAL_WIDTH, ProblemInstance
+from .kernels import config_costs
+from .problem import ProblemInstance, block_utility
 
 #: The grid index of the next configuration, or the exception to raise if
 #: the loop draws that step.
@@ -92,7 +92,7 @@ class _ChainGroup:
     A chain holds ``(index, ratio)`` steps and may end in an exception
     proposal or an IndexError.  One wave asks the proposer once, over every
     live chain, from the chain's last index, then appends one step to each
-    chain or retires it.  The utility change comes from one vectorised ``utility``
+    chain or retires it.  The utility change comes from one ``block_utility``
     call and the compound change from the cached cost column; the scalar
     ``quotient`` then rates each row, exactly as a step asked alone would.
     A wave runs only once a draw reaches past the steps computed so far, so
@@ -108,12 +108,8 @@ class _ChainGroup:
         self._alive = [True] * len(instance.ids)
         self._live = list(positions)  # positions of the live chains
         self._cur = np.array(starts, dtype=np.int64)[self._live]
-        self._u_cur = self._utility(self._cur, self._live)
-
-    def _utility(self, configs: np.ndarray, positions: list[int]) -> np.ndarray:
-        dwell, tx, pw = expanded_grids(self._instance.space)
-        return utility(dwell[configs], tx[configs], pw[configs],
-                       *self._instance.block[positions].T[SITUATIONAL_WIDTH:])
+        self._u_cur = block_utility(instance.space, instance.block[self._live],
+                                    self._cur)
 
     def _grow(self) -> None:
         live, chains, cur_list = self._live, self._chains, self._cur.tolist()
@@ -125,7 +121,7 @@ class _ChainGroup:
                      for i, p in zip(live, self._propose(live, cur_list))]
         new = np.array([j if isinstance(p, Exception) else p
                         for p, j in zip(proposals, cur_list)], dtype=np.int64)
-        u_new = self._utility(new, live)
+        u_new = block_utility(space, self._instance.block[live], new)
         keep = []
         for k, (i, proposal, j_new, j_cur, du, dr) in enumerate(zip(
                 live, proposals, new.tolist(), cur_list,

@@ -43,9 +43,9 @@ import numpy as np
 
 from . import kernels
 from .core import (Allocation, ConfigSpace, ResourceBounds,
-                   _sequential_prefix, expanded_grids, grid_configurations)
+                   _sequential_prefix, grid_configurations)
 from .perf import Target
-from .problem import SITUATIONAL_WIDTH, ProblemInstance, utility_table
+from .problem import ProblemInstance, block_utility, utility_table
 
 
 class JobPoint(NamedTuple):
@@ -212,13 +212,12 @@ def base_configuration(space: ConfigSpace, rows: np.ndarray,
     compound resource (ties: higher utility, then lower index), in order.
     This is the first point of the task's job list.  The least-compound set
     is cached per (grid, bounds), in index order.  A set of one needs no
-    utility; otherwise one ``kernels.utility`` call evaluates it for every
+    utility; otherwise one ``block_utility`` call evaluates it for every
     row, and ``argmax`` keeps the first of equal utilities."""
     cheapest = kernels.config_costs(space, bounds)[3]
     if len(cheapest) == 1:
         return [int(cheapest[0])] * len(rows)
-    dwell, tx, pw = (column[cheapest] for column in expanded_grids(space))
-    util = kernels.utility(dwell, tx, pw, *rows.T[SITUATIONAL_WIDTH:, :, None])
+    util = block_utility(space, rows, cheapest[None])
     return cheapest[util.argmax(axis=1)].tolist()
 
 
@@ -317,9 +316,6 @@ class UsageLedger:
 
     def set_row(self, task_id: int, vec) -> None:
         self._write(self._row[task_id], vec)
-
-    def clear_row(self, task_id: int) -> None:
-        self._write(self._row[task_id], 0.0)
 
     def set_rows(self, task_ids, values) -> None:
         """Write these tasks' rows as one block, then re-sum once."""

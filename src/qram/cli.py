@@ -126,7 +126,8 @@ def _instance(scenario: Scenario, bounds: ResourceBounds,
 def _load_scenario(path: str) -> Scenario:
     try:
         scenario = Scenario.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:  # RecursionError: JSON nested too deep
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{path}: not a valid scenario ({detail})") from None
     if not scenario.ids:

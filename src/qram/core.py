@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -112,10 +112,20 @@ class ConfigSpace:
             raise IndexError(f"configuration index {index} out of range [0, {self.size})")
         return grid_configurations(self)[index]
 
-    def __contains__(self, config: Configuration) -> bool:
-        return (config.dwell_length in self.dwell_grid
-                and config.transmit_duration in self.tx_duration_grid
-                and config.transmit_power in self.tx_power_grid)
+    def index_of(self, config: Configuration) -> int:
+        """The grid index of ``config``, the inverse of :meth:`config_at`;
+        ValueError if it is not on the grid."""
+        try:
+            return self._index[(config.dwell_length, config.transmit_duration,
+                                config.transmit_power)]
+        except KeyError:
+            raise ValueError(f"{config} is not on the grid") from None
+
+    @cached_property
+    def _index(self) -> dict[tuple[float, float, float], int]:
+        """Each configuration's fields, as a tuple, to its grid index."""
+        return {(c.dwell_length, c.transmit_duration, c.transmit_power): i
+                for i, c in enumerate(grid_configurations(self))}
 
     def __iter__(self) -> Iterator[Configuration]:
         return iter(grid_configurations(self))
@@ -246,6 +256,7 @@ def usage_of(columns: np.ndarray) -> np.ndarray:
 
 def allocation_usage(alloc: Allocation) -> np.ndarray:
     """Resource total of an allocation in task-id order, the benchmark's sum:
-    ``problem.resource_usage`` only when ids ascend in instance order."""
+    the usage of ``problem.evaluate_allocation`` only when ids ascend in
+    instance order."""
     return usage_of(config_columns(map(alloc.assignment.get,
                                        sorted(alloc.assignment))))

@@ -32,9 +32,9 @@ import numpy as np
 
 from .classic import base_configuration
 from .core import ConfigSpace, ResourceBounds, expanded_grids
-from .kernels import config_costs, utility
+from .kernels import config_costs
 from .perf import Target, draw_target
-from .problem import SITUATIONAL_WIDTH, target_block
+from .problem import SITUATIONAL_WIDTH, block_utility, target_block
 from .rng import PortableRng
 
 #: Episode length in environment steps.
@@ -112,7 +112,7 @@ class TrackingEnv:
 
     ``reset`` builds the episode target's block row, which its observations
     read, and evaluates it on the whole grid once, with one
-    ``kernels.utility`` call; a step reads the utility change from that
+    ``problem.block_utility`` call; a step reads the utility change from that
     row and the compound change from the grid's ``config_costs`` column.
     """
 
@@ -141,8 +141,7 @@ class TrackingEnv:
         self._serial += 1
         self._row = target_block([self._target])
         self._index = base_configuration(self.space, self._row, self.bounds)[0]
-        self._utility = utility(*expanded_grids(self.space),
-                                *self._row.T[SITUATIONAL_WIDTH:]).tolist()
+        self._utility = block_utility(self.space, self._row)[0].tolist()
         self._steps = 0
         self._done = False
         return encode_state(self.space, [self._index], self._row)[0]

@@ -185,7 +185,7 @@ class Scenario:
         """Inverse of :meth:`to_dict`.  A bad entry raises the error of the
         first bad target in file order; then a bad seed, then duplicate
         ids."""
-        if d.get("format") != 1:
+        if type(d.get("format")) is not int or d["format"] != 1:
             raise ValueError(f"unsupported scenario format {d.get('format')!r}")
         rows = d["targets"]
         columns = _read_columns(rows)

@@ -8,8 +8,10 @@ is built in memory from a scenario's columns (:func:`build_tracking_instance`),
 with no :class:`~qram.perf.Target` object; on disk a problem is its
 scenario file plus the bounds given on the command line.
 
-An evaluation builds its configurations' (dwell, tx, pw) columns once, for
-``kernels.utility`` and for ``core.usage_of`` (the ledger's row sum).
+:func:`block_utility` is the one reader of the utility model's inputs: it
+pairs block rows with grid indices in one ``kernels.utility`` call, for
+the solvers, the environment and :func:`evaluate_allocation`, which finds
+each assigned configuration's grid index once and reads the grid's columns.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds, config_columns,
-                   expanded_grids, usage_of)
+from .core import (Allocation, ConfigSpace, ResourceBounds, expanded_grids,
+                   usage_of)
 from .perf import TYPE_ORDER, TYPE_UTILITY_WEIGHT, Scenario, Target
 
 #: Width of the situational columns that open a target block row.
@@ -75,12 +77,6 @@ class ProblemInstance:
                                          SITUATIONAL_WIDTH + 2].T.tolist()
         return tuple(map(Target, self.ids, types, range_km, speed_mps))
 
-    def task_by_id(self, task_id: int) -> Target:
-        try:
-            return self.tasks[self.position[task_id]]
-        except KeyError:
-            raise KeyError(f"no task with id {task_id}") from None
-
 
 def build_tracking_instance(scenario: Scenario, bounds: ResourceBounds,
                             space: ConfigSpace) -> ProblemInstance:
@@ -128,14 +124,29 @@ def scenario_block(scenario: Scenario) -> np.ndarray:
     return block
 
 
+def block_utility(space: ConfigSpace, rows: np.ndarray,
+                  indices: np.ndarray | None = None) -> np.ndarray:
+    """Utility of target block rows on grid indices, from one
+    ``kernels.utility`` call.  ``indices`` is None for every row on the
+    whole grid, a (rows x grid) array; a (1, k) array for every row on the
+    same k indices, a (rows x k) array; or one index per row, one utility
+    per row.  This is the one place that knows which block columns the
+    kernel reads."""
+    dwell, tx, pw = expanded_grids(space)
+    target = rows.T[SITUATIONAL_WIDTH:]
+    if indices is not None:
+        dwell, tx, pw = dwell[indices], tx[indices], pw[indices]
+    if indices is None or dwell.ndim == 2:  # a row of utilities per block row
+        target = target[:, :, None]
+    return kernels.utility(dwell, tx, pw, *target)
+
+
 def utility_table(instance: ProblemInstance) -> np.ndarray:
     """Utility of every task on every grid index: a (tasks x grid) array in
     instance order, row i bit for bit the ``config_metrics`` utility of
     task i, from one kernel call.  Counts tasks x grid size evaluations."""
-    dwell, tx, pw = expanded_grids(instance.space)
-    kernels.counters["config_evals"] += len(instance.ids) * len(dwell)
-    return kernels.utility(dwell, tx, pw,
-                           *instance.block.T[SITUATIONAL_WIDTH:, :, None])
+    kernels.counters["config_evals"] += len(instance.ids) * instance.space.size
+    return block_utility(instance.space, instance.block)
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:
@@ -149,59 +160,39 @@ def default_bounds(n_targets: int) -> ResourceBounds:
                           compound_weights=(1.0, 1.0))
 
 
-def _check_assignment(alloc: Allocation, instance: ProblemInstance) -> None:
-    for tid, config in alloc.assignment.items():
-        if tid not in instance.position:
-            raise KeyError(f"no task with id {tid}")
-        if config not in instance.space:
-            raise ValueError(f"task {tid}: {config} is not on its grid")
-
-
-def _assigned(alloc: Allocation, instance: ProblemInstance):
-    """Positions of the assigned tasks, in instance order, and the
-    (dwell, tx, pw) columns of their configurations."""
-    _check_assignment(alloc, instance)
-    positions = [pos for pos, tid in enumerate(instance.ids)
-                 if tid in alloc.assignment]
-    return positions, config_columns(alloc.assignment[instance.ids[pos]]
-                                     for pos in positions)
-
-
-def _utilities(assigned, instance: ProblemInstance) -> dict[int, float]:
-    """Utility of every assigned task from one kernel call."""
-    positions, columns = assigned
-    utilities = kernels.utility(*columns,
-                                *instance.block[positions].T[SITUATIONAL_WIDTH:])
-    return dict(zip([instance.ids[pos] for pos in positions],
-                    utilities.tolist()))
-
-
-def task_utilities(alloc: Allocation, instance: ProblemInstance) -> dict[int, float]:
-    """Utility of every assigned task, keyed by task id in instance order."""
-    return _utilities(_assigned(alloc, instance), instance)
-
-
-def resource_usage(alloc: Allocation, instance: ProblemInstance) -> np.ndarray:
-    """Summed resource vector of the assigned tasks, added in instance order."""
-    return usage_of(_assigned(alloc, instance)[1])
-
-
 def evaluate_allocation(alloc: Allocation, instance: ProblemInstance
                         ) -> tuple[dict[int, float], np.ndarray]:
-    """``task_utilities`` and ``resource_usage`` from one check of ``alloc``."""
-    assigned = _assigned(alloc, instance)
-    return _utilities(assigned, instance), usage_of(assigned[1])
+    """Utility of every assigned task, keyed by task id in instance order,
+    and the summed resource vector of the assigned tasks, added in instance
+    order.  Each configuration's grid index is found once: an unknown task
+    id raises KeyError, and a configuration off the grid ValueError."""
+    position, index_of = instance.position, instance.space.index_of
+    picks = [-1] * len(instance.ids)
+    for tid, config in alloc.assignment.items():
+        if tid not in position:
+            raise KeyError(f"no task with id {tid}")
+        try:
+            picks[position[tid]] = index_of(config)
+        except ValueError:
+            raise ValueError(f"task {tid}: {config} is not on its grid") from None
+    picks = np.array(picks, dtype=np.intp)
+    positions = np.flatnonzero(picks >= 0)
+    indices = picks[positions]
+    utilities = block_utility(instance.space, instance.block[positions], indices)
+    usage = usage_of([column[indices] for column in expanded_grids(instance.space)])
+    return (dict(zip([instance.ids[pos] for pos in positions.tolist()],
+                     utilities.tolist())), usage)
 
 
 def system_utility(alloc: Allocation, instance: ProblemInstance,
                    utilities: dict[int, float] | None = None) -> float:
     """Sum of per-task utilities over assigned tasks, in task order.
 
-    ``utilities``, when given, is ``task_utilities(alloc, instance)`` already
-    computed by the caller; it is summed instead of evaluated again.
+    ``utilities``, when given, is ``evaluate_allocation(alloc, instance)[0]``
+    already computed by the caller; it is summed instead of evaluated again.
     """
     if utilities is None:
-        utilities = task_utilities(alloc, instance)
+        utilities = evaluate_allocation(alloc, instance)[0]
     total = 0.0
     for utility in utilities.values():
         total += utility  # not sum(): it compensates on Python >= 3.12
@@ -210,5 +201,5 @@ def system_utility(alloc: Allocation, instance: ProblemInstance,
 
 def is_feasible(alloc: Allocation, instance: ProblemInstance) -> bool:
     """True iff the summed resource vector stays within bounds (inclusive)."""
-    return bool(np.all(resource_usage(alloc, instance)
+    return bool(np.all(evaluate_allocation(alloc, instance)[1]
                        <= np.asarray(instance.bounds.bounds)))

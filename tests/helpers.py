@@ -257,7 +257,7 @@ def linear_drop_until_feasible(ledger, active):
         tid = max(active)
         active.remove(tid)
         dropped.append(tid)
-        ledger.clear_row(tid)
+        ledger.set_row(tid, 0.0)
     return sorted(dropped)
 
 
@@ -425,7 +425,7 @@ def lazy_allocate_with_proposals(propose, instance):
                                         bounds)))
     with np.errstate(over="ignore", invalid="ignore"):
         return upgrade_loop(instance, start, lambda kept: {
-            tid: steps(instance.task_by_id(tid), start[tid]) for tid in kept})
+            tid: steps(instance.tasks[instance.position[tid]], start[tid]) for tid in kept})
 
 
 def allocating_train(env, total_steps: int, seed: int):

@@ -526,7 +526,7 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                 if rows[i].any():
                     ledger.set_row(tid, rows[i])
                 else:
-                    ledger.clear_row(tid)
+                    ledger.set_row(tid, 0.0)
                 mirror[i] = rows[i]
                 check_feasible()
             for i in range(n_tasks):
@@ -538,7 +538,7 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                 check_fits(i, vec)
                 if rng.random() < 0.3:
                     if rng.random() < 0.2:
-                        ledger.clear_row(ids[i])
+                        ledger.set_row(ids[i], 0.0)
                         mirror[i] = 0.0
                     else:
                         ledger.set_row(ids[i], vec)
@@ -588,7 +588,7 @@ def test_ledger_long_write_chain_matches_replace_and_resum():
     for step in range(3000):
         i = 0 if step == 0 else int(rng.integers(n))
         if step == 0 or rng.random() < 0.2:
-            ledger.clear_row(ids[i])
+            ledger.set_row(ids[i], 0.0)
             mirror[i] = 0.0
         else:
             mirror[i] = draw()

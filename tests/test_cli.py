@@ -120,6 +120,13 @@ def test_solve_brute_dominates_classic(scenario_file, tmp_path):
     pytest.param('{"format": 1, "seed": 0, "targets": [{"id": 0, "ttype": '
                  '"Fighter", "range_km": 1' + '0' * 400 + ', "speed_mps": 200.0}]}',
                  id="integer range_km beyond the float range"),
+    pytest.param('[' * 200000 + ']' * 200000, id="JSON nested too deep"),
+    pytest.param('{"format": true, "seed": 0, "targets": [{"id": 0, "ttype": '
+                 '"Fighter", "range_km": 50.0, "speed_mps": 200.0}]}',
+                 id="format true"),
+    pytest.param('{"format": 1.0, "seed": 0, "targets": [{"id": 0, "ttype": '
+                 '"Fighter", "range_km": 50.0, "speed_mps": 200.0}]}',
+                 id="format 1.0"),
 ])
 def test_solve_rejects_bad_scenario_file(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -348,6 +355,20 @@ def test_solve_agent_rejects_malformed_weight_headers(edit, scenario_file,
     doc = json.loads(weights.read_text())
     edit(doc)
     weights.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--scenario", str(scenario_file), "--method", "agent",
+             "--weights", str(weights), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_agent_rejects_weights_nested_too_deep(scenario_file, tmp_path,
+                                                     capsys):
+    weights = tmp_path / "deep.json"
+    weights.write_text('[' * 200000 + ']' * 200000)
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as err:
         run(["solve", "--scenario", str(scenario_file), "--method", "agent",

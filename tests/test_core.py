@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import random_small_space
 from qram.core import (Allocation, Configuration, ConfigSpace,
                        DEFAULT_CONFIG_SPACE, ResourceBounds, _sequential_prefix,
                        _sequential_sum, allocation_usage, compound_resource,
                        costs)
+from qram.rng import PortableRng
 
 
 def test_configuration_rejects_tx_longer_than_dwell():
@@ -37,6 +39,22 @@ def test_config_space_round_trip_indexing():
     listed = list(space)
     assert listed == [space.config_at(i) for i in range(space.size)]
     assert listed == sorted(listed)  # index order is lexicographic order
+
+
+def test_index_of_inverts_config_at():
+    rng = PortableRng(17)
+    for space in (DEFAULT_CONFIG_SPACE, *(random_small_space(rng) for _ in range(8))):
+        assert [space.index_of(space.config_at(i)) for i in range(space.size)] \
+            == list(range(space.size))
+        d, t, p = space.dwell_grid, space.tx_duration_grid, space.tx_power_grid
+        # Equal fields, not the grid's own object, as read from a result file.
+        assert space.index_of(Configuration(int(d[-1]), t[-1], p[-1])) \
+            == space.size - 1
+        for off in (Configuration(d[-1] + 1.0, t[0], p[0]),
+                    Configuration(d[0], t[0] + 0.5, p[0]),
+                    Configuration(d[0], t[0], p[-1] * 2.0)):
+            with pytest.raises(ValueError, match="is not on the grid"):
+                space.index_of(off)
 
 
 def test_config_space_validation():

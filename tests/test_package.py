@@ -68,6 +68,31 @@ def test_only_the_model_modules_read_target_fields():
                 and (name, None) not in TARGET_READERS]
 
 
+#: The callers of ``kernels.utility``: ``problem.block_utility`` pairs block
+#: rows with grid indices for the solvers, the environment and the result
+#: check, and ``config_metrics`` evaluates one ``Target`` for a job list.
+UTILITY_CALLERS = {("problem.py", "block_utility"), ("kernels.py", "config_metrics")}
+
+
+def test_only_block_utility_and_config_metrics_call_the_utility_kernel():
+    found = set()
+    for path in sorted(Path(qram.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {"utility"} if path.name == "kernels.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "kernels":
+                names |= {a.asname or a.name for a in node.names
+                          if a.name == "utility"}
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(func, ast.Name) and func.id in names
+                        or isinstance(func, ast.Attribute) and func.attr == "utility"
+                        and getattr(func.value, "id", None) == "kernels"):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found == UTILITY_CALLERS
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # The package needs only numpy: no optional accelerator or twin.
     allowed = set(sys.stdlib_module_names) | {"numpy", "qram"}

@@ -7,8 +7,8 @@ from qram.core import Allocation, Configuration, DEFAULT_CONFIG_SPACE, \
 from qram.perf import Scenario, Target, TargetType, generate_scenario
 from qram import problem, remark1
 from qram.problem import (ProblemInstance, build_tracking_instance, default_bounds,
-                          evaluate_allocation, is_feasible, resource_usage,
-                          system_utility, target_block, task_utilities)
+                          evaluate_allocation, is_feasible, system_utility,
+                          target_block)
 
 
 def _instance(n=4, seed=42):
@@ -41,15 +41,14 @@ def test_lookups_with_unsorted_non_contiguous_ids():
     expected = 0.0
     for target, task in zip(targets, inst.tasks):
         assert task == target
-        assert inst.task_by_id(target.id) is task
+        assert inst.tasks[inst.position[target.id]] is task
         expected += task_utility(config, target)
     alloc = Allocation(assignment={t.id: config for t in targets})
     assert system_utility(alloc, inst) == expected
     assert is_feasible(alloc, inst)
     for unknown in (0, 4, 12):
-        with pytest.raises(KeyError):
-            inst.task_by_id(unknown)
-        with pytest.raises(KeyError):
+        assert unknown not in inst.position
+        with pytest.raises(KeyError, match=f"no task with id {unknown}"):
             is_feasible(Allocation(assignment={unknown: config}), inst)
 
 
@@ -137,22 +136,28 @@ def test_system_utility_rejects_off_grid_config():
 
 
 def test_evaluate_allocation_is_both_passes_after_one_check(monkeypatch):
+    # One grid lookup per assigned task; utilities in instance order and the
+    # usage equal the scalar references bit for bit.
     inst = _instance(n=6, seed=5)
     alloc = Allocation(assignment={t.id: DEFAULT_CONFIG_SPACE.config_at(7 * t.id)
                                    for t in reversed(inst.tasks[1:])})
-    checks = []
-    check = problem._check_assignment
-    monkeypatch.setattr(problem, "_check_assignment",
-                        lambda *a: checks.append(1) or check(*a))
+    lookups = []
+    index_of = DEFAULT_CONFIG_SPACE.index_of
+    monkeypatch.setattr(type(DEFAULT_CONFIG_SPACE), "index_of",
+                        lambda space, config: lookups.append(config)
+                        or index_of(config))
     utilities, usage = evaluate_allocation(alloc, inst)
-    assert len(checks) == 1
-    assert list(utilities.items()) == list(task_utilities(alloc, inst).items())
-    assert usage.tobytes() == resource_usage(alloc, inst).tobytes()
+    assert sorted(lookups) == sorted(alloc.assignment.values())
+    assigned = [t for t in inst.tasks if t.id in alloc.assignment]
+    assert list(utilities.items()) == [
+        (t.id, task_utility(alloc.assignment[t.id], t)) for t in assigned]
+    assert usage.tobytes() == usage_loop(
+        [alloc.assignment[t.id] for t in assigned]).tobytes()
     assert system_utility(alloc, inst, utilities) == system_utility(alloc, inst)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no task with id 99"):
         evaluate_allocation(Allocation(assignment={99: DEFAULT_CONFIG_SPACE.config_at(0)}),
                             inst)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="task 0: .* is not on its grid"):
         evaluate_allocation(Allocation(assignment={0: Configuration(201.0, 2.0, 1.0)}),
                             inst)
 
@@ -222,7 +227,6 @@ def test_every_usage_sum_is_the_scalar_loop_bit_for_bit(grid, n_tasks, ascending
                     if t.id in alloc.assignment]
         want = usage_loop(in_order)
         assert evaluate_allocation(alloc, instance)[1].tobytes() == want.tobytes()
-        assert resource_usage(alloc, instance).tobytes() == want.tobytes()
         by_id = [alloc.assignment[tid] for tid in sorted(alloc.assignment)]
         assert allocation_usage(alloc).tobytes() == usage_loop(by_id).tobytes()
         if not ids:
