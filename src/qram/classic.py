@@ -16,11 +16,17 @@ chains that it computes in batched waves.
 Job lists are built two ways, point for point equal.  :func:`job_list_for`
 builds one task's list from a point per configuration (:func:`embed_task`,
 then :func:`upper_frontier`); it is the per-task cost the paper compares
-against.  A solve builds the lists of a whole instance in two array stages:
-:func:`qram.problem.utility_table` evaluates every (task, configuration)
-pair in one kernel call, and :func:`instance_job_lists` sweeps the grid's
-compound levels once for all tasks, which share the grid, and fills each
-task's frontier columns straight from the sweep's rows, with no point object.
+against.  The batched build works on a utility table of several tasks in
+two array stages: :func:`qram.problem.utility_table` evaluates every (task,
+configuration) pair in one kernel call, and :func:`frontier_sweep` sweeps
+the grid's compound levels once for all tasks, which share the grid, into
+a :class:`Frontiers` of arrays, with no point object.
+:func:`instance_job_lists` slices those arrays into every task's
+``JobList``.  A classic solve (:func:`solve_classic`) builds neither for
+the tasks it drops: every task starts at its :func:`base_configuration`,
+the first point of its job list, and only after the drop are the kept
+tasks' table and sweep built, whose arrays give the upgrade steps
+directly (:meth:`Frontiers.steps`).
 
 Inside the solvers a choice is a grid index, whose order is the
 lexicographic order of configurations.  ``Configuration`` objects appear
@@ -37,6 +43,7 @@ from bisect import insort
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 from typing import NamedTuple
 
 import numpy as np
@@ -147,10 +154,32 @@ def _compound_levels(space: ConfigSpace, bounds: ResourceBounds):
     return order, starts
 
 
-def instance_job_lists(instance: ProblemInstance,
-                       table: np.ndarray) -> list[JobList]:
-    """Every task's job list from its row of ``utility_table``, in
-    instance order, point for point equal to :func:`job_list_for`.
+class Frontiers(NamedTuple):
+    """The job lists of several tasks as the arrays of one frontier sweep,
+    a row per task: row i's first ``length[i]`` columns are its frontier's
+    grid index, compound resource and utility; the columns past it pad the
+    row and mean nothing."""
+
+    length: np.ndarray
+    index: np.ndarray
+    resource: np.ndarray
+    utility: np.ndarray
+
+    def steps(self) -> list[Iterator[tuple[int, float]]]:
+        """Each row's upgrade steps, ``(index, ratio)`` from its second job
+        on.  The ratios come from one array division with the operands of
+        :meth:`JobList.ratios`, so every float is the same."""
+        r, u = self.resource, self.utility
+        with np.errstate(divide="ignore", invalid="ignore"):  # the padding
+            ratios = ((u[:, 1:] - u[:, :-1]) / (r[:, 1:] - r[:, :-1])).tolist()
+        return [zip(i[1:k], q[:k - 1]) for k, i, q in
+                zip(self.length.tolist(), self.index.tolist(), ratios)]
+
+
+def frontier_sweep(instance: ProblemInstance, table: np.ndarray) -> Frontiers:
+    """The frontier of each row of a utility table on the instance's grid,
+    its rows in any task order, point for point equal to
+    :func:`job_list_for` of that row's task.
 
     The tasks share the grid, so they share its compound levels.  Each
     level keeps its best utility, ties to the lowest grid index, as
@@ -158,7 +187,7 @@ def instance_job_lists(instance: ProblemInstance,
     levels then pops, for all tasks at once, every hull top whose
     ``_cross`` with the new level is >= 0, computed from the same operands
     in the same order, so every float matches the per-task path.  The
-    strictly-increasing-utility prefix of each hull fills the columns.
+    strictly-increasing-utility prefix of each hull is its frontier.
     """
     comp = kernels.config_costs(instance.space, instance.bounds)[0]
     order, starts = _compound_levels(instance.space, instance.bounds)
@@ -199,9 +228,17 @@ def instance_job_lists(instance: ProblemInstance,
              & (np.arange(1, n_levels) < height[:, None]))
     length = 1 + np.cumprod(rises, axis=1).sum(axis=1)
     picks = np.take_along_axis(index, hull[:, :int(length.max(initial=1))], axis=1)
-    rows = zip(instance.ids, length.tolist(), picks.tolist(),
-               comp[picks].tolist(),
-               np.take_along_axis(table, picks, axis=1).tolist())
+    return Frontiers(length, picks, comp[picks],
+                     np.take_along_axis(table, picks, axis=1))
+
+
+def instance_job_lists(instance: ProblemInstance,
+                       table: np.ndarray) -> list[JobList]:
+    """Every task's job list from its row of ``utility_table``, in
+    instance order, point for point equal to :func:`job_list_for`: the
+    rows of :func:`frontier_sweep`, each sliced to its length."""
+    rows = zip(instance.ids, *(column.tolist()
+                               for column in frontier_sweep(instance, table)))
     return [JobList(tid, tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
             for tid, k, i, r, u in rows]
 
@@ -284,6 +321,16 @@ class UsageLedger:
     these are the adds of a full re-sum with the row replaced, in the same
     order, on the same floats, over only the rows from the checked one on.
     Every answer is therefore the one the full re-sum gives.
+
+    A row is a resource vector: a list or tuple of floats, a numpy row, or
+    a scalar for every entry (``0.0`` clears a row).  :meth:`fits` and
+    :meth:`set_row` work on Python floats: the ledger holds each row as a
+    list, so a check reads the old row from the list and a write replaces
+    it, and a caller that passes lists, as :func:`upgrade_loop` does, pays
+    no numpy call per check or write.  The numpy matrix serves only the
+    re-sums and the tail folds.  A row written since the last re-sum
+    reaches it at the next re-sum, which is due before any fold: a fold
+    runs only when no write came after the last re-sum.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -291,35 +338,54 @@ class UsageLedger:
         self._tasks = len(instance.position)
         self._limits = tuple(float(b) for b in instance.bounds.bounds)
         self._mat = np.zeros((self._tasks, len(self._limits)))
+        self._rows = self._mat.tolist()  # the rows as lists of floats
+        self._stale: set[int] = set()  # rows not yet written to ``_mat``
         self._prefix = np.zeros_like(self._mat)  # running sums of the last re-sum
         self._band = (2 * self._tasks + 8) * 2.0**-52
         self._usage = [0.0] * len(self._limits)  # the sum of zero rows
         self._drift = [0.0] * len(self._limits)
         self._exact = True  # no write since the last re-sum: d == 0
 
+    def _floats(self, vec) -> list[float] | tuple[float, ...]:
+        """A row as Python floats: a list or tuple as given, anything else
+        through numpy."""
+        if isinstance(vec, (list, tuple)):
+            return vec
+        return np.broadcast_to(np.asarray(vec, dtype=np.float64),
+                               (len(self._limits),)).tolist()
+
+    def _flush(self) -> None:
+        """Write the rows set since the last re-sum into the matrix."""
+        if self._stale:
+            stale = list(self._stale)
+            self._mat[stale] = [self._rows[row] for row in stale]
+            self._stale.clear()
+
     def _resum(self) -> None:
+        self._flush()
         self._prefix = _sequential_prefix(self._mat)
         self._usage = (self._prefix[-1].tolist() if self._tasks
                        else [0.0] * len(self._limits))
         self._drift = [0.0] * len(self._usage)
         self._exact = True
 
-    def _write(self, row: int, vec) -> None:
-        old = self._mat[row].tolist()
-        self._mat[row] = vec
+    def set_row(self, task_id: int, vec) -> None:
+        row = self._row[task_id]
+        new = list(self._floats(vec))  # a copy: the caller may reuse its list
+        old, self._rows[row] = self._rows[row], new
+        self._stale.add(row)
         s, d = self._usage, self._drift
-        for k, (o, n) in enumerate(zip(old, self._mat[row].tolist())):
+        for k, (o, n) in enumerate(zip(old, new)):
             held = s[k]
             s[k] = held - o + n
             d[k] += 2.0**-53 * (self._tasks * o + 2.0 * (abs(held) + o + n))
         self._exact = False
 
-    def set_row(self, task_id: int, vec) -> None:
-        self._write(self._row[task_id], vec)
-
     def set_rows(self, task_ids, values) -> None:
         """Write these tasks' rows as one block, then re-sum once."""
+        self._flush()
         self._mat[[self._row[tid] for tid in task_ids]] = values
+        self._rows = self._mat.tolist()
         self._resum()
 
     def usage(self) -> tuple[float, ...]:
@@ -332,11 +398,22 @@ class UsageLedger:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
 
     def feasible_without(self, task_ids) -> bool:
-        """Would the rows fit with these tasks' rows cleared?  Re-sums a
-        copy; the ledger itself is left as it is."""
-        mat = self._mat.copy()
-        mat[[self._row[tid] for tid in task_ids]] = 0.0
-        return bool(np.all(_sequential_prefix(mat)[-1] <= self._limits))
+        """Would the rows fit with these tasks' rows cleared?  The ledger
+        itself is left as it is.  From the first cleared row on, a copy of
+        the rows folds from the last re-sum's running sum before it: the
+        adds of a re-sum of the whole matrix with the rows cleared, in the
+        same order, on the same floats."""
+        if not self._exact:
+            self._resum()
+        rows = sorted(self._row[tid] for tid in task_ids)
+        if not rows:
+            return self.feasible()
+        first = rows[0]
+        tail = self._mat[first:].copy()
+        tail[[row - first for row in rows]] = 0.0
+        if first:
+            tail[0] += self._prefix[first - 1]
+        return bool(np.all(_sequential_prefix(tail)[-1] <= self._limits))
 
     def _in_band(self, olds, news) -> tuple[int, ...] | None:
         """The resources whose total ``s - old + new`` lies inside its band,
@@ -364,8 +441,8 @@ class UsageLedger:
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
         row = self._row[task_id]
-        olds = self._mat[row].tolist()
-        news = np.asarray(vec, dtype=np.float64).tolist()
+        olds = self._rows[row]
+        news = self._floats(vec)
         undecided = self._in_band(olds, news)
         if undecided and not self._exact:
             self._resum()
@@ -437,17 +514,19 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     the same; each refusal is asked once per lowering upgrade, not once
     per accepted upgrade.
     """
-    # The (occupancy, power) row of each grid index, from core.costs.
-    rows = np.column_stack(kernels.config_costs(instance.space,
-                                                instance.bounds)[1:3])
+    # The (occupancy, power) row of each grid index, from core.costs; the
+    # loop and the ledger compare and add its Python floats one by one.
+    costs = np.column_stack(kernels.config_costs(instance.space,
+                                                 instance.bounds)[1:3])
+    rows = costs.tolist()
     ledger = UsageLedger(instance)
     active = sorted(start)
-    ledger.set_rows(active, rows[[start[tid] for tid in active]])
+    ledger.set_rows(active, costs[[start[tid] for tid in active]])
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
 
-    candidates: dict[int, tuple[int, np.ndarray, float]] = {}
+    candidates: dict[int, tuple[int, list[float], float]] = {}
     order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
     parked: list[tuple[float, int]] = []  # refused, off ``order``
 
@@ -472,7 +551,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
         parked += order[:i]
         del order[:i + 1]
         # With nothing parked there is nothing to free: skip the compare.
-        if parked and (vec < rows[current[tid]]).any():
+        if parked and any(map(lt, vec, rows[current[tid]])):
             order += parked
             order.sort()
             parked.clear()
@@ -487,16 +566,27 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
 
-def greedy_allocate(job_lists: list[JobList],
+def greedy_allocate(frontiers: list[JobList] | Callable[[list[int]], Frontiers],
                     instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
-    """Greedy marginal-ratio allocation over precomputed job lists.
+    """Greedy marginal-ratio allocation along the tasks' job lists.
 
     Runs :func:`upgrade_loop` from each task's first frontier point, one
     frontier step at a time, ranked by the step's utility-to-resource ratio.
+    ``frontiers`` is one :class:`JobList` per task, or a function that
+    builds the :class:`Frontiers` of the kept ids, a row per id in the
+    order given.  A function is called once, after the drop, so no dropped
+    task's frontier is built; every task starts at its
+    :func:`base_configuration`, the first point of its job list.
     """
-    if sorted(jl.task_id for jl in job_lists) != sorted(instance.ids):
+    if callable(frontiers):
+        starts = base_configuration(instance.space, instance.block,
+                                    instance.bounds)
+        return upgrade_loop(
+            instance, dict(zip(instance.ids, starts)),
+            lambda kept: dict(zip(kept, frontiers(kept).steps())))
+    if sorted(jl.task_id for jl in frontiers) != sorted(instance.ids):
         raise ValueError("need exactly one job list per task")
-    by_id = {jl.task_id: jl for jl in job_lists}
+    by_id = {jl.task_id: jl for jl in frontiers}
     return upgrade_loop(
         instance, {tid: jl.index[0] for tid, jl in by_id.items()},
         lambda kept: {tid: zip(by_id[tid].index[1:], by_id[tid].ratios())
@@ -504,6 +594,8 @@ def greedy_allocate(job_lists: list[JobList],
 
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
-    """Utility table, one frontier sweep for all tasks, the greedy pass."""
-    return greedy_allocate(instance_job_lists(instance, utility_table(instance)),
-                           instance)
+    """The greedy pass from every task's base configuration; the utility
+    table and the frontier sweep cover only the tasks kept after the drop."""
+    return greedy_allocate(
+        lambda kept: frontier_sweep(instance, utility_table(instance, kept)),
+        instance)

@@ -23,9 +23,10 @@ from . import remark1
 from .agent import TrainingError, WeightFormatError
 from .allocator import allocate_with_agent, allocate_with_proposals, network_proposer
 # perfbench/tracing.py wraps embed_task and upper_frontier here, by name.
-from .classic import (embed_task, greedy_allocate, instance_job_lists,
+from .classic import (embed_task, frontier_sweep, greedy_allocate,
                       job_list_for, solve_classic, upper_frontier)
-from .core import Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
+from .core import (Configuration, ConfigSpace, DEFAULT_CONFIG_SPACE,
+                   ResourceBounds, grid_configurations)
 from .env import (CONFIG_WIDTH, DEFAULT_ENV_BOUNDS, SITUATIONAL_WIDTH,
                   TrackingEnv, encode_state)
 from .exact import CapacityError, optimal_allocation, optimal_allocation_dp
@@ -200,16 +201,24 @@ def cmd_gen(args) -> int:
 
 
 def _timed_classic(instance: ProblemInstance):
-    """``solve_classic`` stage by stage: embed_s times the utility table,
-    hull_s the frontier sweep and optimize_s the greedy pass."""
+    """``solve_classic`` stage by stage: embed_s times the kept tasks'
+    utility table, hull_s their frontier sweep, and optimize_s the rest of
+    the greedy pass (start configurations, drop and upgrades)."""
+    stages = {}
+
+    def frontiers(kept):
+        t0 = time.perf_counter()
+        table = utility_table(instance, kept)
+        t1 = time.perf_counter()
+        swept = frontier_sweep(instance, table)
+        stages.update(embed_s=t1 - t0, hull_s=time.perf_counter() - t1)
+        return swept
+
     t0 = time.perf_counter()
-    table = utility_table(instance)
-    t1 = time.perf_counter()
-    job_lists = instance_job_lists(instance, table)
-    t2 = time.perf_counter()
-    alloc, trace = greedy_allocate(job_lists, instance)
-    t3 = time.perf_counter()
-    timings = {"embed_s": t1 - t0, "hull_s": t2 - t1, "optimize_s": t3 - t2}
+    alloc, trace = greedy_allocate(frontiers, instance)
+    total = time.perf_counter() - t0
+    timings = {**stages,
+               "optimize_s": total - stages["embed_s"] - stages["hull_s"]}
     return alloc, trace, timings
 
 
@@ -255,6 +264,10 @@ def cmd_solve(args) -> int:
         extra["resource_model"] = "compound_relaxation"
 
     utilities, usage = evaluate_allocation(alloc, instance)
+    # One dict per grid configuration, shared by the assignment and trace.
+    configs = grid_configurations(space)
+    as_dicts = [_config_dict(c) for c in configs]
+    by_config = dict(zip(configs, as_dicts))
     doc = {
         "format": 1,
         "method": args.method,
@@ -262,12 +275,12 @@ def cmd_solve(args) -> int:
         "bounds": bounds.to_dict(),
         "system_utility": system_utility(alloc, instance, utilities),
         "per_task_utility": {str(tid): u for tid, u in utilities.items()},
-        "assignment": {str(tid): _config_dict(c)
+        "assignment": {str(tid): by_config[c]
                        for tid, c in sorted(alloc.assignment.items())},
         "resource_usage": list(usage),
         "dropped": sorted(set(instance.ids) - set(alloc.assignment)),
         "trace": [{"task_id": u.task_id, "ratio": u.ratio,
-                   "config": _config_dict(space.config_at(u.index))}
+                   "config": as_dicts[u.index]}
                   for u in (trace.upgrades if trace else [])],
         "timings": timings,
         **extra,

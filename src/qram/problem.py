@@ -141,12 +141,15 @@ def block_utility(space: ConfigSpace, rows: np.ndarray,
     return kernels.utility(dwell, tx, pw, *target)
 
 
-def utility_table(instance: ProblemInstance) -> np.ndarray:
-    """Utility of every task on every grid index: a (tasks x grid) array in
-    instance order, row i bit for bit the ``config_metrics`` utility of
-    task i, from one kernel call.  Counts tasks x grid size evaluations."""
-    kernels.counters["config_evals"] += len(instance.ids) * instance.space.size
-    return block_utility(instance.space, instance.block)
+def utility_table(instance: ProblemInstance, ids=None) -> np.ndarray:
+    """Utility of every task, or of the tasks ``ids`` in that order, on
+    every grid index: a (tasks x grid) array, by default in instance order,
+    each task's row bit for bit its ``config_metrics`` utility, from one
+    kernel call.  Counts rows x grid size evaluations."""
+    rows = (instance.block if ids is None
+            else instance.block[[instance.position[tid] for tid in ids]])
+    kernels.counters["config_evals"] += len(rows) * instance.space.size
+    return block_utility(instance.space, rows)
 
 
 def default_bounds(n_targets: int) -> ResourceBounds:

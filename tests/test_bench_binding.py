@@ -125,6 +125,27 @@ def test_traced_agent_solve_encodes_once_per_wave(tmp_path):
     assert spans["env.encode_state"] == spans["allocator.next_config"]
 
 
+def test_traced_classic_solve_counts_its_drops_and_upgrades(tmp_path):
+    # A classic solve that drops tasks builds the kept tasks' frontiers
+    # inside greedy_allocate, after the drop; the counters the tracer
+    # reads from its result still match result.json.
+    import json
+
+    from qram import cli
+
+    scenario, result = tmp_path / "scenario.json", tmp_path / "result.json"
+    assert cli.main(["gen", "--targets", "40", "--seed", "11",
+                     "--out", str(scenario)]) == 0
+    recorded, tracer = _traced(["solve", "--scenario", str(scenario),
+                                "--method", "classic", "--bounds", "0.05,0.5",
+                                "--out", str(result)])
+    doc = json.loads(result.read_text())
+    assert "classic.greedy_allocate" in recorded
+    assert doc["dropped"] and doc["trace"]
+    assert tracer.counts["classic.dropped"] == len(doc["dropped"])
+    assert tracer.counts["classic.upgrades"] == len(doc["trace"])
+
+
 def test_traced_train_records_spans(tmp_path):
     recorded, _ = _traced(["train", "--steps", "3",
                            "--out", str(tmp_path / "weights.json")])

@@ -221,6 +221,29 @@ def test_instance_job_lists_count_every_configuration():
     assert kernels.counters["config_evals"] == per_task == 500 * 90
 
 
+@pytest.mark.parametrize("n,bounds", [
+    (600, None), (1000, None), (150, (0.15, 0.5)), (500, (1.0, 0.3))],
+    ids=["600 default", "1000 default", "150 0.15,0.5", "500 1.0,0.3"])
+def test_kept_only_solve_matches_the_all_task_job_lists(n, bounds):
+    # The classic solve starts every task at its base configuration and
+    # builds the table and frontiers of the kept tasks only, after the
+    # drop.  On instances that drop tasks it must give the allocation, the
+    # trace and the dropped ids of the greedy pass over every task's list.
+    default = default_bounds(n)
+    bounds = default if bounds is None else ResourceBounds(
+        bounds, default.compound_weights)
+    inst = _instance(n=n, seed=11_000_000 + n * 1000, bounds=bounds)
+    want_alloc, want_trace = greedy_allocate(
+        instance_job_lists(inst, utility_table(inst)), inst)
+    kernels.counters["config_evals"] = 0
+    alloc, trace = solve_classic(inst)
+    assert trace.dropped and trace.dropped == want_trace.dropped
+    assert alloc.assignment == want_alloc.assignment
+    assert _trace(trace) == _trace(want_trace)
+    kept = n - len(trace.dropped)
+    assert kernels.counters["config_evals"] == kept * inst.space.size
+
+
 def test_classic_solve_builds_no_point_per_configuration(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a classic solve built a point per configuration")
@@ -652,6 +675,81 @@ def test_ledger_tail_fold_matches_replace_and_resum(n_tasks, in_band,
                 assert ledger.fits(ids[row], vec) == bool(np.all(total <= limits))
                 assert folds and {k for _, k in folds} <= set(range(in_band))
                 assert all(r == row for r, _ in folds)
+
+
+def test_ledger_reads_lists_numpy_rows_and_scalars_alike():
+    """The same writes and checks, given as lists, tuples, numpy rows or
+    (for a cleared row) the scalar 0.0, give the verdicts of the full
+    replace-and-re-sum check and the same usage, bit for bit.  Each check
+    moves the limits to within two ulps of the sum it asks about."""
+    rng = np.random.default_rng(31)
+    n = 120
+    ids = [int(i) for i in rng.permutation(n) * 4 + 1]
+    forms = {"list": lambda vec: vec.tolist(),
+             "tuple": lambda vec: tuple(vec.tolist()),
+             "numpy": lambda vec: vec.copy(),
+             "scalar": lambda vec: vec.copy() if vec.any() else 0.0}
+    ledgers = {form: _ledger(ids, np.zeros((n, 2)), (1.0, 1.0))
+               for form in forms}
+    mirror = np.zeros((n, 2))
+    verdicts = set()
+    for step in range(1500):
+        i = int(rng.integers(n))
+        vec = np.zeros(2) if rng.random() < 0.3 else _random_rows(rng, 1)[0]
+        replaced = mirror.copy()
+        replaced[i] = vec
+        total = _sequential_sum(replaced)
+        limits = tuple(float(_ulps(t, int(k))) for t, k in
+                       zip(total, rng.integers(-2, 3, size=2)))
+        expected = bool(np.all(total <= limits))
+        verdicts.add(expected)
+        for form, ledger in ledgers.items():
+            ledger._limits = limits  # stands in for bounds that change per check
+            assert ledger.fits(ids[i], forms[form](vec)) == expected, form
+        if rng.random() < 0.6:
+            mirror[i] = vec
+            for form, ledger in ledgers.items():
+                ledger.set_row(ids[i], forms[form](vec))
+        if step % 50 == 49:
+            want = tuple(_sequential_sum(mirror).tolist())
+            assert all(ledger.usage() == want for ledger in ledgers.values())
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n_tasks", [1, 2, 9, 150])
+def test_ledger_feasible_without_matches_copy_and_resum(n_tasks, monkeypatch):
+    """On a ledger that has drifted since its last re-sum, clearing random
+    sets of rows, row 0 and the last row among them, gives the verdict of
+    a re-sum of a cleared copy of the matrix, with each limit at, or one
+    ulp either side of, that copy's sum.  The ledger re-sums itself once
+    and then folds only from the first cleared row on."""
+    rng = np.random.default_rng(70 + n_tasks)
+    ids = [int(i) for i in rng.permutation(n_tasks) * 3 + 2]
+    prefix = classic._sequential_prefix
+    sums = []
+
+    def counted(mat):
+        sums.append(len(mat))
+        return prefix(mat)
+    monkeypatch.setattr(classic, "_sequential_prefix", counted)
+    for _ in range(5):
+        rows = _drift_rows(n_tasks) if rng.random() < 0.5 else _random_rows(
+            rng, n_tasks)
+        sets = [[0], [n_tasks - 1], [0, n_tasks - 1]]
+        sets += [sorted(set(rng.integers(n_tasks, size=k).tolist()))
+                 for k in rng.integers(1, n_tasks + 1, size=4).tolist()]
+        for cleared in sets:
+            copy = rows.copy()
+            copy[cleared] = 0.0
+            total = _sequential_sum(copy)
+            for offsets in ((0, 0), (1, 1), (-1, 0), (0, -1), (-1, -1)):
+                limits = [_ulps(t, o) for t, o in zip(total, offsets)]
+                ledger = _ledger(ids, rows, limits)  # O(1) writes: drifted
+                sums.clear()
+                assert ledger.feasible_without(
+                    [ids[i] for i in cleared]) == (min(offsets) >= 0)
+                assert sums == [n_tasks, n_tasks - min(cleared)]
+                assert ledger.usage() == tuple(_sequential_sum(rows).tolist())
 
 
 def test_agent_solve_checks_one_row_without_a_matrix_copy(monkeypatch):
