@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .core import (Allocation, ConfigSpace, ResourceBounds,
+from .core import (N_RESOURCES, Allocation, ConfigSpace, ResourceBounds,
                    _sequential_prefix, grid_configurations)
 from .perf import Target
 from .problem import ProblemInstance, block_utility, utility_table
@@ -184,10 +184,15 @@ def frontier_sweep(instance: ProblemInstance, table: np.ndarray) -> Frontiers:
     The tasks share the grid, so they share its compound levels.  Each
     level keeps its best utility, ties to the lowest grid index, as
     :func:`upper_frontier`'s sort does.  One monotone-chain sweep over the
-    levels then pops, for all tasks at once, every hull top whose
-    ``_cross`` with the new level is >= 0, computed from the same operands
-    in the same order, so every float matches the per-task path.  The
-    strictly-increasing-utility prefix of each hull is its frontier.
+    levels (Andrew, IPL 1979) then pops, for all tasks at once, every hull
+    top whose ``_cross`` with the new level is >= 0, computed from the same
+    operands in the same order, so every float matches the per-task path.
+    When a level arrives, every hull's top is the level before it, so the
+    first test is one array expression over all tasks with the entry under
+    the top, which each task keeps as a dense (resource, utility) pair.
+    Only the tasks whose top popped read further down their stacks, in a
+    loop over those tasks alone.  The strictly-increasing-utility prefix of
+    each hull is its frontier.
     """
     comp = kernels.config_costs(instance.space, instance.bounds)[0]
     order, starts = _compound_levels(instance.space, instance.bounds)
@@ -198,32 +203,52 @@ def frontier_sweep(instance: ProblemInstance, table: np.ndarray) -> Frontiers:
     index = np.minimum.reduceat(tied, starts, axis=1)  # grid index per level
     level = comp[order[starts]]
 
-    # A level stack per task.  The first two levels go on unexamined; a pop
-    # leaves at least one level and a push follows, so from then on every
-    # stack holds two or more when a level arrives.
+    # A level stack per task, as flat arrays of level ids and utilities,
+    # row i's stack from ``i * n_levels``.  The first two levels go on
+    # unexamined; a pop leaves at least one level and a push follows, so
+    # from then on every stack holds two or more when a level arrives, and
+    # its top is the level before.  The entry under the top is kept dense
+    # as (ra, ua).
     n_tasks, n_levels = best.shape
     hull = np.zeros((n_tasks, n_levels), dtype=np.intp)
     hull[:, :2] = np.arange(min(2, n_levels))
-    height = np.full(n_tasks, min(2, n_levels))
-    every = np.arange(n_tasks)
+    hull_u = np.zeros((n_tasks, n_levels))
+    hull_u[:, :2] = best[:, :2]
+    stack, stack_u = hull.reshape(-1), hull_u.reshape(-1)
+    base = np.arange(0, n_tasks * n_levels, n_levels)
+    top = base + min(1, n_levels - 1)  # each stack's top, a flat position
+    by_level = best.T.copy()  # one contiguous row of utilities per level
+    ra, ua = np.full(n_tasks, level[0]), by_level[0].copy()
+    levels = level.tolist()
     for c in range(2, n_levels):
-        live = every
-        while len(live):
-            top = height[live]
-            a, b = hull[live, top - 2], hull[live, top - 1]
-            ra, ua, ub = level[a], best[live, a], best[live, b]
-            cross = ((level[b] - ra) * (best[live, c] - ua)
-                     - (level[c] - ra) * (ub - ua))
-            pop = cross >= 0
-            live, top = live[pop], top[pop] - 1
-            height[live] = top
-            live = live[top >= 2]
-        hull[every, height] = c
-        height += 1
+        rb, rc = levels[c - 1], levels[c]
+        ub, uc = by_level[c - 1], by_level[c]
+        cross = (rb - ra) * (uc - ua) - (rc - ra) * (ub - ua)
+        popped = (cross >= 0).nonzero()[0]
+        if len(popped):
+            # Each popped row's top is now its (ra, ua) entry, at ``at``.
+            tr, tu, at = ra[popped], ua[popped], top[popped] - 1
+            live = (at > base[popped]).nonzero()[0]
+            while len(live):
+                below = at[live] - 1
+                ids = stack[below]
+                rs, us = level[ids], stack_u[below]
+                pop = ((tr[live] - rs) * (uc[popped[live]] - us)
+                       - (rc - rs) * (tu[live] - us)) >= 0
+                live = live[pop]
+                tr[live], tu[live], at[live] = rs[pop], us[pop], below[pop]
+                live = live[ids[pop] != 0]  # level 0 is every stack's base
+            top[popped] = at
+        ra.fill(rb)
+        np.copyto(ua, ub)
+        if len(popped):
+            ra[popped], ua[popped] = tr, tu
+        top += 1
+        stack[top], stack_u[top] = c, uc
+    height = top - base + 1
 
     # Hull slopes only decrease, so utility stops rising for good once it
     # fails to rise: the frontier is the rising prefix.
-    hull_u = np.take_along_axis(best, hull, axis=1)
     rises = ((hull_u[:, 1:] > hull_u[:, :-1])
              & (np.arange(1, n_levels) < height[:, None]))
     length = 1 + np.cumprod(rises, axis=1).sum(axis=1)
@@ -258,8 +283,7 @@ def base_configuration(space: ConfigSpace, rows: np.ndarray,
     return cheapest[util.argmax(axis=1)].tolist()
 
 
-@dataclass(frozen=True)
-class UpgradeStep:
+class UpgradeStep(NamedTuple):
     task_id: int
     index: int  # the grid index the task moved to
     ratio: float
@@ -271,6 +295,15 @@ class AllocationTrace:
 
     dropped: tuple[int, ...]
     upgrades: tuple[UpgradeStep, ...]
+
+
+def _pair(vec) -> tuple[float, float]:
+    """A ledger row as a pair: a tuple as given, a list copied, anything
+    else through numpy (a scalar stands for both entries)."""
+    if isinstance(vec, (tuple, list)):
+        return tuple(vec)
+    return tuple(np.broadcast_to(np.asarray(vec, dtype=np.float64),
+                                 (N_RESOURCES,)).tolist())
 
 
 class UsageLedger:
@@ -322,13 +355,15 @@ class UsageLedger:
     order, on the same floats, over only the rows from the checked one on.
     Every answer is therefore the one the full re-sum gives.
 
-    A row is a resource vector: a list or tuple of floats, a numpy row, or
-    a scalar for every entry (``0.0`` clears a row).  :meth:`fits` and
-    :meth:`set_row` work on Python floats: the ledger holds each row as a
-    list, so a check reads the old row from the list and a write replaces
-    it, and a caller that passes lists, as :func:`upgrade_loop` does, pays
-    no numpy call per check or write.  The numpy matrix serves only the
-    re-sums and the tail folds.  A row written since the last re-sum
+    A row is a vector of the two resources: a tuple or list of floats, a
+    numpy row, or a scalar for both entries (``0.0`` clears a row).  The
+    ledger holds every row, and its usage and drift, as a pair of Python
+    floats, so :meth:`fits` and :meth:`set_row` work on unpacked scalars.
+    A tuple is held as given, since it cannot change; any other row becomes
+    a pair once, at the boundary, so a caller may reuse its list.  A caller
+    that passes tuples, as :func:`upgrade_loop` does with the grid's cost
+    rows, pays no conversion per check or write.  The numpy matrix serves
+    only the re-sums and the tail folds.  A row written since the last re-sum
     reaches it at the next re-sum, which is due before any fold: a fold
     runs only when no write came after the last re-sum.
     """
@@ -337,22 +372,13 @@ class UsageLedger:
         self._row = instance.position
         self._tasks = len(instance.position)
         self._limits = tuple(float(b) for b in instance.bounds.bounds)
-        self._mat = np.zeros((self._tasks, len(self._limits)))
-        self._rows = self._mat.tolist()  # the rows as lists of floats
+        self._mat = np.zeros((self._tasks, N_RESOURCES))
+        self._rows = [(0.0, 0.0)] * self._tasks  # the rows as float pairs
         self._stale: set[int] = set()  # rows not yet written to ``_mat``
         self._prefix = np.zeros_like(self._mat)  # running sums of the last re-sum
         self._band = (2 * self._tasks + 8) * 2.0**-52
-        self._usage = [0.0] * len(self._limits)  # the sum of zero rows
-        self._drift = [0.0] * len(self._limits)
+        self._usage = self._drift = (0.0, 0.0)  # the sum of zero rows
         self._exact = True  # no write since the last re-sum: d == 0
-
-    def _floats(self, vec) -> list[float] | tuple[float, ...]:
-        """A row as Python floats: a list or tuple as given, anything else
-        through numpy."""
-        if isinstance(vec, (list, tuple)):
-            return vec
-        return np.broadcast_to(np.asarray(vec, dtype=np.float64),
-                               (len(self._limits),)).tolist()
 
     def _flush(self) -> None:
         """Write the rows set since the last re-sum into the matrix."""
@@ -364,35 +390,35 @@ class UsageLedger:
     def _resum(self) -> None:
         self._flush()
         self._prefix = _sequential_prefix(self._mat)
-        self._usage = (self._prefix[-1].tolist() if self._tasks
-                       else [0.0] * len(self._limits))
-        self._drift = [0.0] * len(self._usage)
+        self._usage = (tuple(self._prefix[-1].tolist()) if self._tasks
+                       else (0.0, 0.0))
+        self._drift = (0.0, 0.0)
         self._exact = True
 
     def set_row(self, task_id: int, vec) -> None:
         row = self._row[task_id]
-        new = list(self._floats(vec))  # a copy: the caller may reuse its list
-        old, self._rows[row] = self._rows[row], new
+        new = vec if type(vec) is tuple else _pair(vec)
+        (o0, o1), (n0, n1) = self._rows[row], new
+        self._rows[row] = new
         self._stale.add(row)
-        s, d = self._usage, self._drift
-        for k, (o, n) in enumerate(zip(old, new)):
-            held = s[k]
-            s[k] = held - o + n
-            d[k] += 2.0**-53 * (self._tasks * o + 2.0 * (abs(held) + o + n))
+        (s0, s1), (d0, d1), t = self._usage, self._drift, self._tasks
+        self._usage = (s0 - o0 + n0, s1 - o1 + n1)
+        self._drift = (d0 + 2.0**-53 * (t * o0 + 2.0 * (abs(s0) + o0 + n0)),
+                       d1 + 2.0**-53 * (t * o1 + 2.0 * (abs(s1) + o1 + n1)))
         self._exact = False
 
     def set_rows(self, task_ids, values) -> None:
         """Write these tasks' rows as one block, then re-sum once."""
         self._flush()
         self._mat[[self._row[tid] for tid in task_ids]] = values
-        self._rows = self._mat.tolist()
+        self._rows = list(map(tuple, self._mat.tolist()))
         self._resum()
 
-    def usage(self) -> tuple[float, ...]:
+    def usage(self) -> tuple[float, float]:
         """The sequential sum of all rows, re-summed if a write drifted it."""
         if not self._exact:
             self._resum()
-        return tuple(self._usage)
+        return self._usage
 
     def feasible(self) -> bool:
         return all(s <= lim for s, lim in zip(self.usage(), self._limits))
@@ -415,21 +441,17 @@ class UsageLedger:
             tail[0] += self._prefix[first - 1]
         return bool(np.all(_sequential_prefix(tail)[-1] <= self._limits))
 
-    def _in_band(self, olds, news) -> tuple[int, ...] | None:
+    def _in_band(self, old, new) -> tuple[int, ...] | None:
         """The resources whose total ``s - old + new`` lies inside its band,
         or None when one total is above its limit by more than its band.
         Every resource left out fits."""
-        undecided, k = (), 0
-        for s, d, old, n, lim in zip(self._usage, self._drift, olds, news,
-                                     self._limits):
-            total = s - old + n
-            band = self._band * (s + old + n) + 2.0 * d
-            if total - band > lim:
-                return None
-            if not total + band < lim:
-                undecided += (k,)
-            k += 1
-        return undecided
+        (s0, s1), (d0, d1), (l0, l1) = self._usage, self._drift, self._limits
+        (o0, o1), (n0, n1), band = old, new, self._band
+        t0, b0 = s0 - o0 + n0, band * (s0 + o0 + n0) + 2.0 * d0
+        t1, b1 = s1 - o1 + n1, band * (s1 + o1 + n1) + 2.0 * d1
+        if t0 - b0 > l0 or t1 - b1 > l1:
+            return None
+        return (() if t0 + b0 < l0 else (0,)) + (() if t1 + b1 < l1 else (1,))
 
     def _folded(self, row: int, k: int, value: float) -> float:
         """Resource k's sequential sum with the row set to ``value``, folded
@@ -441,15 +463,14 @@ class UsageLedger:
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
         row = self._row[task_id]
-        olds = self._rows[row]
-        news = self._floats(vec)
-        undecided = self._in_band(olds, news)
+        old, new = self._rows[row], vec if type(vec) is tuple else _pair(vec)
+        undecided = self._in_band(old, new)
         if undecided and not self._exact:
             self._resum()
-            undecided = self._in_band(olds, news)
+            undecided = self._in_band(old, new)
         if not undecided:
             return undecided is not None
-        return all(self._folded(row, k, news[k]) <= self._limits[k]
+        return all(self._folded(row, k, new[k]) <= self._limits[k]
                    for k in undecided)
 
 
@@ -516,9 +537,9 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     """
     # The (occupancy, power) row of each grid index, from core.costs; the
     # loop and the ledger compare and add its Python floats one by one.
-    costs = np.column_stack(kernels.config_costs(instance.space,
-                                                 instance.bounds)[1:3])
-    rows = costs.tolist()
+    occ, power = kernels.config_costs(instance.space, instance.bounds)[1:3]
+    costs = np.column_stack((occ, power))
+    rows = list(zip(occ.tolist(), power.tolist()))
     ledger = UsageLedger(instance)
     active = sorted(start)
     ledger.set_rows(active, costs[[start[tid] for tid in active]])
@@ -526,7 +547,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
 
-    candidates: dict[int, tuple[int, list[float], float]] = {}
+    candidates: dict[int, tuple[int, tuple[float, float], float]] = {}
     order: list[tuple[float, int]] = []  # (-ratio, tid), kept sorted
     parked: list[tuple[float, int]] = []  # refused, off ``order``
 
@@ -557,7 +578,7 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
             parked.clear()
         ledger.set_row(tid, vec)
         current[tid] = index
-        upgrades.append(UpgradeStep(task_id=tid, index=index, ratio=ratio))
+        upgrades.append(UpgradeStep(tid, index, ratio))
         refresh(tid)
 
     configs = grid_configurations(instance.space)

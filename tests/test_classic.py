@@ -210,6 +210,41 @@ def test_instance_job_lists_keep_the_tie_rules():
             assert repr(instance_job_lists(inst, table)) == repr(want)
 
 
+def test_instance_job_lists_pop_to_every_depth():
+    # Utility sqrt(level) is concave, so every level stays on the hull until
+    # the last.  The last level sits on that curve (no pop), between the
+    # reaches of the last two chords (one pop) or of the two before (two),
+    # or far above every chord, which pops each stack down to its base.
+    # The rows of all four kinds share one table, so one sweep pops them
+    # to different depths at the same level.
+    inst = _instance(n=8, seed=3)
+    comp = kernels.config_costs(inst.space, inst.bounds)[0]
+    level = np.unique(comp)
+    curve = np.sqrt(level)
+
+    def reach(k):  # the chord through levels k - 1 and k, at the last level
+        slope = (curve[k] - curve[k - 1]) / (level[k] - level[k - 1])
+        return curve[k] + slope * (level[-1] - level[k])
+
+    n = len(level)
+    one, two, three = reach(n - 2), reach(n - 3), reach(n - 4)
+    lasts = [curve[-1], (one + two) / 2, (two + three) / 2, 10 * curve[-1]]
+    rows = []
+    for last in lasts + lasts[::-1]:
+        by_level = curve.copy()
+        by_level[-1] = last
+        rows.append(by_level[np.searchsorted(level, comp)])
+    table = np.array(rows)
+    want = [upper_frontier(list(map(JobPoint, range(inst.space.size),
+                                    comp.tolist(), row.tolist())),
+                           task_id=task.id)
+            for task, row in zip(inst.tasks, table)]
+    got = instance_job_lists(inst, table)
+    assert repr(got) == repr(want)
+    lengths = [n, n - 1, n - 2, 2]
+    assert [len(jl.index) for jl in got] == lengths + lengths[::-1]
+
+
 def test_instance_job_lists_count_every_configuration():
     inst = _instance(n=500, seed=11, bounds=default_bounds(500))
     kernels.counters["config_evals"] = 0
@@ -328,7 +363,7 @@ def test_greedy_drops_highest_ids_on_overload():
     bounds = ResourceBounds(bounds=(occ * 2.5, 5.0), compound_weights=(1.0, 1.0))
     inst = build_tracking_instance(scenario, bounds, space)
     alloc, trace = solve_classic(inst)
-    assert trace.dropped == (3, 2)[:len(trace.dropped)] or trace.dropped == (2, 3)
+    assert trace.dropped == (2, 3)
     assert sorted(alloc.assignment) == [0, 1]
     assert is_feasible(alloc, inst)
 
@@ -709,11 +744,25 @@ def test_ledger_reads_lists_numpy_rows_and_scalars_alike():
         if rng.random() < 0.6:
             mirror[i] = vec
             for form, ledger in ledgers.items():
-                ledger.set_row(ids[i], forms[form](vec))
+                row = forms[form](vec)
+                ledger.set_row(ids[i], row)
+                if form == "list":
+                    row[:] = [2.0, 2.0]  # the ledger must hold its own copy
         if step % 50 == 49:
             want = tuple(_sequential_sum(mirror).tolist())
             assert all(ledger.usage() == want for ledger in ledgers.values())
     assert verdicts == {True, False}
+    # A tuple row (the loop's form) and a list row give the same answers;
+    # the list is copied, so writing to it afterwards changes neither a
+    # verdict nor the usage.
+    for form in ("tuple", "list"):
+        ledger = _ledger([7], [(0.0, 0.0)], (1.0, 1.0))
+        row = forms[form](np.array([0.25, 0.5]))
+        ledger.set_row(7, row)
+        if form == "list":
+            row[:] = [2.0, 2.0]
+        assert ledger.fits(7, (0.75, 1.0)) and not ledger.fits(7, (1.5, 0.5))
+        assert ledger.usage() == (0.25, 0.5)
 
 
 @pytest.mark.parametrize("n_tasks", [1, 2, 9, 150])

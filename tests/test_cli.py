@@ -82,6 +82,18 @@ def test_solve_classic_matches_library(scenario_file, tmp_path):
     assert doc["system_utility"] == system_utility(alloc, inst)
 
 
+def test_solve_classic_that_drops_every_task(scenario_file, tmp_path):
+    # Bounds below every configuration: the drop keeps no task, so the
+    # utility table and the frontier sweep run on zero rows.
+    out = tmp_path / "classic.json"
+    assert run(["solve", "--scenario", str(scenario_file), "--method", "classic",
+                "--bounds", "1e-9,1e-9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["assignment"] == {} and doc["trace"] == []
+    assert doc["dropped"] == [0, 1, 2, 3]
+    assert doc["system_utility"] == 0.0
+
+
 def test_solve_reproducible_modulo_timings(scenario_file, tmp_path):
     docs = []
     for name in ("r1.json", "r2.json"):
