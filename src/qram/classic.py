@@ -13,20 +13,17 @@ and, for the tasks kept after the drop, an iterator of their upgrade steps.
 Here the steps walk the job list; :mod:`qram.allocator` walks proposal
 chains that it computes in batched waves.
 
-Job lists are built two ways, point for point equal.  :func:`job_list_for`
-builds one task's list from a point per configuration (:func:`embed_task`,
-then :func:`upper_frontier`); it is the per-task cost the paper compares
-against.  The batched build works on a utility table of several tasks in
-two array stages: :func:`qram.problem.utility_table` evaluates every (task,
-configuration) pair in one kernel call, and :func:`frontier_sweep` sweeps
-the grid's compound levels once for all tasks, which share the grid, into
-a :class:`Frontiers` of arrays, with no point object.
-:func:`instance_job_lists` slices those arrays into every task's
-``JobList``.  A classic solve (:func:`solve_classic`) builds neither for
-the tasks it drops: every task starts at its :func:`base_configuration`,
-the first point of its job list, and only after the drop are the kept
-tasks' table and sweep built, whose arrays give the upgrade steps
-directly (:meth:`Frontiers.steps`).
+A classic solve (:func:`solve_classic`) starts every task at its
+:func:`base_configuration`, the first point of its job list, and builds
+job lists only for the tasks kept after the drop, in two array stages:
+:func:`qram.problem.utility_table` evaluates every (task, configuration)
+pair in one kernel call, and :func:`frontier_sweep` sweeps the grid's
+compound levels once for all tasks, which share the grid, into a
+:class:`Frontiers` of arrays whose rows give the upgrade steps directly
+(:meth:`Frontiers.steps`), with no point object.  :func:`job_list_for`
+builds one task's list, point for point equal, from a point per
+configuration (:func:`embed_task`, then :func:`upper_frontier`); it is
+the per-task cost the paper compares against.
 
 Inside the solvers a choice is a grid index, whose order is the
 lexicographic order of configurations.  ``Configuration`` objects appear
@@ -73,11 +70,10 @@ class JobList(NamedTuple):
     """A task's frontier as three equal-length columns in frontier order:
     strictly better jobs at strictly decreasing rates.
 
-    Both builders guarantee that shape by construction: the same ``_cross``
-    decides every hull pop.
+    :func:`upper_frontier` and each row of :func:`frontier_sweep` guarantee
+    that shape by construction: the same ``_cross`` decides every hull pop.
     """
 
-    task_id: int
     index: tuple[int, ...]
     resource: tuple[float, ...]
     utility: tuple[float, ...]
@@ -102,7 +98,7 @@ def embed_task(target: Target, space: ConfigSpace,
     return list(map(JobPoint, range(space.size), comp.tolist(), util.tolist()))
 
 
-def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
+def upper_frontier(points: list[JobPoint]) -> JobList:
     """Concave majorant of a point cloud in resource-utility space.
 
     Keeps the best point per resource level (ties to the lowest index, the
@@ -131,12 +127,12 @@ def upper_frontier(points: list[JobPoint], task_id: int = -1) -> JobList:
             frontier.append(p)
         else:
             break  # hull slopes only decrease; utility cannot rise again
-    return JobList(task_id, *zip(*frontier))
+    return JobList(*zip(*frontier))
 
 
 def job_list_for(target: Target, space: ConfigSpace,
                  bounds: ResourceBounds) -> JobList:
-    return upper_frontier(embed_task(target, space, bounds), task_id=target.id)
+    return upper_frontier(embed_task(target, space, bounds))
 
 
 @lru_cache(maxsize=64)
@@ -257,17 +253,6 @@ def frontier_sweep(instance: ProblemInstance, table: np.ndarray) -> Frontiers:
                      np.take_along_axis(table, picks, axis=1))
 
 
-def instance_job_lists(instance: ProblemInstance,
-                       table: np.ndarray) -> list[JobList]:
-    """Every task's job list from its row of ``utility_table``, in
-    instance order, point for point equal to :func:`job_list_for`: the
-    rows of :func:`frontier_sweep`, each sliced to its length."""
-    rows = zip(instance.ids, *(column.tolist()
-                               for column in frontier_sweep(instance, table)))
-    return [JobList(tid, tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
-            for tid, k, i, r, u in rows]
-
-
 def base_configuration(space: ConfigSpace, rows: np.ndarray,
                        bounds: ResourceBounds) -> list[int]:
     """Grid index of each target block row's cheapest configuration by
@@ -295,15 +280,6 @@ class AllocationTrace:
 
     dropped: tuple[int, ...]
     upgrades: tuple[UpgradeStep, ...]
-
-
-def _pair(vec) -> tuple[float, float]:
-    """A ledger row as a pair: a tuple as given, a list copied, anything
-    else through numpy (a scalar stands for both entries)."""
-    if isinstance(vec, (tuple, list)):
-        return tuple(vec)
-    return tuple(np.broadcast_to(np.asarray(vec, dtype=np.float64),
-                                 (N_RESOURCES,)).tolist())
 
 
 class UsageLedger:
@@ -355,17 +331,14 @@ class UsageLedger:
     order, on the same floats, over only the rows from the checked one on.
     Every answer is therefore the one the full re-sum gives.
 
-    A row is a vector of the two resources: a tuple or list of floats, a
-    numpy row, or a scalar for both entries (``0.0`` clears a row).  The
-    ledger holds every row, and its usage and drift, as a pair of Python
-    floats, so :meth:`fits` and :meth:`set_row` work on unpacked scalars.
-    A tuple is held as given, since it cannot change; any other row becomes
-    a pair once, at the boundary, so a caller may reuse its list.  A caller
-    that passes tuples, as :func:`upgrade_loop` does with the grid's cost
-    rows, pays no conversion per check or write.  The numpy matrix serves
-    only the re-sums and the tail folds.  A row written since the last re-sum
-    reaches it at the next re-sum, which is due before any fold: a fold
-    runs only when no write came after the last re-sum.
+    A row is a pair of floats, one per resource (``(0.0, 0.0)`` clears a
+    row).  The ledger holds every row, and its usage and drift, as such a
+    pair, so :meth:`fits` and :meth:`set_row` work on unpacked scalars.
+    :meth:`set_row` keeps its own ``(n0, n1)`` tuple of the row it is
+    given, so a caller may reuse a list or a numpy row.  The numpy matrix
+    serves only the re-sums and the tail folds.  A row written since the
+    last re-sum reaches it at the next re-sum, which is due before any
+    fold: a fold runs only when no write came after the last re-sum.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -397,9 +370,8 @@ class UsageLedger:
 
     def set_row(self, task_id: int, vec) -> None:
         row = self._row[task_id]
-        new = vec if type(vec) is tuple else _pair(vec)
-        (o0, o1), (n0, n1) = self._rows[row], new
-        self._rows[row] = new
+        (o0, o1), (n0, n1) = self._rows[row], vec
+        self._rows[row] = (n0, n1)
         self._stale.add(row)
         (s0, s1), (d0, d1), t = self._usage, self._drift, self._tasks
         self._usage = (s0 - o0 + n0, s1 - o1 + n1)
@@ -407,11 +379,13 @@ class UsageLedger:
                        d1 + 2.0**-53 * (t * o1 + 2.0 * (abs(s1) + o1 + n1)))
         self._exact = False
 
-    def set_rows(self, task_ids, values) -> None:
-        """Write these tasks' rows as one block, then re-sum once."""
-        self._flush()
-        self._mat[[self._row[tid] for tid in task_ids]] = values
-        self._rows = list(map(tuple, self._mat.tolist()))
+    def set_rows(self, task_ids, pairs) -> None:
+        """Write these tasks' rows as one block, then rebuild the matrix
+        from every row and re-sum once."""
+        for tid, (n0, n1) in zip(task_ids, pairs):
+            self._rows[self._row[tid]] = (n0, n1)
+        self._mat = np.array(self._rows).reshape(-1, N_RESOURCES)
+        self._stale.clear()
         self._resum()
 
     def usage(self) -> tuple[float, float]:
@@ -463,14 +437,14 @@ class UsageLedger:
     def fits(self, task_id: int, vec) -> bool:
         """Would replacing the task's row keep the total within limits?"""
         row = self._row[task_id]
-        old, new = self._rows[row], vec if type(vec) is tuple else _pair(vec)
-        undecided = self._in_band(old, new)
+        old = self._rows[row]
+        undecided = self._in_band(old, vec)
         if undecided and not self._exact:
             self._resum()
-            undecided = self._in_band(old, new)
+            undecided = self._in_band(old, vec)
         if not undecided:
             return undecided is not None
-        return all(self._folded(row, k, new[k]) <= self._limits[k]
+        return all(self._folded(row, k, vec[k]) <= self._limits[k]
                    for k in undecided)
 
 
@@ -495,7 +469,7 @@ def _drop_until_feasible(ledger: UsageLedger, active: list[int]) -> list[int]:
         else:
             lo = mid
     dropped = by_id[len(by_id) - hi:]
-    ledger.set_rows(dropped, 0.0)
+    ledger.set_rows(dropped, [(0.0, 0.0)] * len(dropped))
     gone = set(dropped)
     active[:] = [tid for tid in active if tid not in gone]
     return dropped
@@ -538,11 +512,10 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
     # The (occupancy, power) row of each grid index, from core.costs; the
     # loop and the ledger compare and add its Python floats one by one.
     occ, power = kernels.config_costs(instance.space, instance.bounds)[1:3]
-    costs = np.column_stack((occ, power))
     rows = list(zip(occ.tolist(), power.tolist()))
     ledger = UsageLedger(instance)
     active = sorted(start)
-    ledger.set_rows(active, costs[[start[tid] for tid in active]])
+    ledger.set_rows(active, [rows[start[tid]] for tid in active])
     dropped = _drop_until_feasible(ledger, active)
     current = {tid: start[tid] for tid in active}
     task_steps = steps(active)
@@ -587,31 +560,20 @@ def upgrade_loop(instance: ProblemInstance, start: dict[int, int],
             AllocationTrace(dropped=tuple(dropped), upgrades=tuple(upgrades)))
 
 
-def greedy_allocate(frontiers: list[JobList] | Callable[[list[int]], Frontiers],
+def greedy_allocate(frontiers: Callable[[list[int]], Frontiers],
                     instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:
     """Greedy marginal-ratio allocation along the tasks' job lists.
 
-    Runs :func:`upgrade_loop` from each task's first frontier point, one
-    frontier step at a time, ranked by the step's utility-to-resource ratio.
-    ``frontiers`` is one :class:`JobList` per task, or a function that
-    builds the :class:`Frontiers` of the kept ids, a row per id in the
-    order given.  A function is called once, after the drop, so no dropped
-    task's frontier is built; every task starts at its
-    :func:`base_configuration`, the first point of its job list.
+    Runs :func:`upgrade_loop` from each task's :func:`base_configuration`,
+    the first point of its job list, one frontier step at a time, ranked by
+    the step's utility-to-resource ratio.  ``frontiers`` builds the
+    :class:`Frontiers` of the kept ids, a row per id in the order given; it
+    is called once, after the drop, so no dropped task's frontier is built.
     """
-    if callable(frontiers):
-        starts = base_configuration(instance.space, instance.block,
-                                    instance.bounds)
-        return upgrade_loop(
-            instance, dict(zip(instance.ids, starts)),
-            lambda kept: dict(zip(kept, frontiers(kept).steps())))
-    if sorted(jl.task_id for jl in frontiers) != sorted(instance.ids):
-        raise ValueError("need exactly one job list per task")
-    by_id = {jl.task_id: jl for jl in frontiers}
+    starts = base_configuration(instance.space, instance.block, instance.bounds)
     return upgrade_loop(
-        instance, {tid: jl.index[0] for tid, jl in by_id.items()},
-        lambda kept: {tid: zip(by_id[tid].index[1:], by_id[tid].ratios())
-                      for tid in kept})
+        instance, dict(zip(instance.ids, starts)),
+        lambda kept: dict(zip(kept, frontiers(kept).steps())))
 
 
 def solve_classic(instance: ProblemInstance) -> tuple[Allocation, AllocationTrace]:

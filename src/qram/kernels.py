@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import (compound_resource, costs, expanded_grids,
                    grid_configurations)
-from .perf import (ERROR_HALF_M, GROWTH_SCALE_M, MEASUREMENT_COEFF_M, SNR_CONST,
-                   TYPE_UTILITY_WEIGHT)
+from .perf import (ERROR_HALF_M, GROWTH_SCALE_M, MAX_UTILITY,
+                   MEASUREMENT_COEFF_M, SNR_CONST, TYPE_UTILITY_WEIGHT)
 
 #: Cumulative count of single-configuration utility evaluations (tests
 #: reset this).
@@ -47,7 +47,10 @@ def config_costs(space, bounds):
     float64 arrays in grid order, from ``core.costs`` and
     ``core.compound_resource`` over the grid's columns, and the read-only
     indices of least compound in ascending order.  Raises ValueError naming
-    the first configuration whose compound is not finite.
+    the first configuration whose compound is not finite, and when the
+    largest utility (``perf.MAX_UTILITY``, the largest type weight) over
+    the smallest gap between distinct compound levels, which bounds every
+    upgrade ratio, is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         occ, avg_pw = costs(*expanded_grids(space))
@@ -57,6 +60,11 @@ def config_costs(space, bounds):
         raise ValueError(f"the compound resource of "
                          f"{grid_configurations(space)[bad[0]]} is not finite "
                          f"under {bounds}")
+    levels = sorted(set(comp.tolist()))
+    gap = min((b - a for a, b in zip(levels, levels[1:])), default=math.inf)
+    if not math.isfinite(MAX_UTILITY / gap):
+        raise ValueError(f"the upgrade ratios are not finite under {bounds}: "
+                         f"compound levels lie {gap!r} apart")
     cheapest = np.flatnonzero(comp == comp.min())
     for column in (comp, occ, avg_pw, cheapest):
         column.setflags(write=False)

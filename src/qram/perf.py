@@ -43,6 +43,8 @@ TYPE_UTILITY_WEIGHT = {
     TargetType.FIGHTER: 1.2,
     TargetType.MISSILE: 1.5,
 }
+#: The largest utility of any target: utility saturates below its type weight.
+MAX_UTILITY = max(TYPE_UTILITY_WEIGHT.values())
 
 #: Speed intervals (m/s) used when generating targets.
 TYPE_SPEED_RANGE = {

@@ -257,7 +257,7 @@ def linear_drop_until_feasible(ledger, active):
         tid = max(active)
         active.remove(tid)
         dropped.append(tid)
-        ledger.set_row(tid, 0.0)
+        ledger.set_row(tid, (0.0, 0.0))
     return sorted(dropped)
 
 

@@ -12,8 +12,7 @@ from qram import allocator, classic
 from qram.agent import WeightFormatError, init_params, load
 from qram.allocator import (allocate_with_agent, allocate_with_proposals,
                             network_proposer, next_config)
-from qram.classic import (base_configuration, greedy_allocate, job_list_for,
-                          solve_classic)
+from qram.classic import base_configuration, job_list_for, solve_classic
 from qram.core import (Configuration, DEFAULT_CONFIG_SPACE, ResourceBounds,
                        grid_configurations)
 from qram.perf import TYPE_ORDER, generate_scenario
@@ -243,10 +242,7 @@ def test_parking_loop_matches_the_rescanning_reference(bounds, monkeypatch):
     for n in (3, 20, 150, 500, 1000):
         inst = build_tracking_instance(generate_scenario(n, 1000 + n),
                                        BOUNDS[bounds](n), DEFAULT_CONFIG_SPACE)
-        lists = [job_list_for(task, inst.space, inst.bounds)
-                 for task in inst.tasks]
-        got, want = _with_both_loops(monkeypatch,
-                                     lambda: greedy_allocate(lists, inst))
+        got, want = _with_both_loops(monkeypatch, lambda: solve_classic(inst))
         assert got == want, ("classic", n)
         for params in networks:
             got, want = _with_both_loops(

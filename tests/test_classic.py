@@ -14,10 +14,10 @@ from helpers import (assert_frontier_shape, compound_of, gift_wrap_frontier,
 from qram import agent as agent_mod
 from qram import classic, cli, kernels, remark1
 from qram.allocator import allocate_with_agent
-from qram.classic import (JobPoint, UsageLedger, _drop_until_feasible,
-                          base_configuration, embed_task, greedy_allocate,
-                          instance_job_lists, job_list_for, solve_classic,
-                          upgrade_loop, upper_frontier, utility_table)
+from qram.classic import (JobList, JobPoint, UsageLedger, _drop_until_feasible,
+                          base_configuration, embed_task, frontier_sweep,
+                          job_list_for, solve_classic, upgrade_loop,
+                          upper_frontier, utility_table)
 from qram.core import ConfigSpace, DEFAULT_CONFIG_SPACE, ResourceBounds
 from qram.exact import optimal_allocation
 from qram.perf import generate_scenario
@@ -175,9 +175,17 @@ def _instance_cases():
                f"remark1 {space.size}")
 
 
+def _swept_job_lists(inst, table):
+    """The rows of :func:`frontier_sweep` over ``table``, each sliced to its
+    length, as job lists in row order."""
+    rows = zip(*(column.tolist() for column in frontier_sweep(inst, table)))
+    return [JobList(tuple(i[:k]), tuple(r[:k]), tuple(u[:k]))
+            for k, i, r, u in rows]
+
+
 def test_instance_job_lists_equal_the_per_task_path():
     for inst, label in _instance_cases():
-        got = instance_job_lists(inst, utility_table(inst))
+        got = _swept_job_lists(inst, utility_table(inst))
         want = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
         assert got == want, label
         assert repr(got) == repr(want), label
@@ -185,7 +193,7 @@ def test_instance_job_lists_equal_the_per_task_path():
 
 def test_job_lists_of_both_builders_have_the_frontier_shape():
     for inst, _ in _instance_cases():
-        for jl in instance_job_lists(inst, utility_table(inst)):
+        for jl in _swept_job_lists(inst, utility_table(inst)):
             assert_frontier_shape(jl)
         for task in inst.tasks:
             assert_frontier_shape(job_list_for(task, inst.space, inst.bounds))
@@ -204,10 +212,9 @@ def test_instance_job_lists_keep_the_tie_rules():
         tables = [np.round(util / step) * step for step in (0.5, 0.1, 0.02)]
         for table in (*tables, np.broadcast_to(comp, util.shape)):
             want = [upper_frontier(list(map(JobPoint, range(space.size),
-                                            comp.tolist(), row.tolist())),
-                                   task_id=task.id)
-                    for task, row in zip(inst.tasks, table)]
-            assert repr(instance_job_lists(inst, table)) == repr(want)
+                                            comp.tolist(), row.tolist())))
+                    for row in table]
+            assert repr(_swept_job_lists(inst, table)) == repr(want)
 
 
 def test_instance_job_lists_pop_to_every_depth():
@@ -236,10 +243,9 @@ def test_instance_job_lists_pop_to_every_depth():
         rows.append(by_level[np.searchsorted(level, comp)])
     table = np.array(rows)
     want = [upper_frontier(list(map(JobPoint, range(inst.space.size),
-                                    comp.tolist(), row.tolist())),
-                           task_id=task.id)
-            for task, row in zip(inst.tasks, table)]
-    got = instance_job_lists(inst, table)
+                                    comp.tolist(), row.tolist())))
+            for row in table]
+    got = _swept_job_lists(inst, table)
     assert repr(got) == repr(want)
     lengths = [n, n - 1, n - 2, 2]
     assert [len(jl.index) for jl in got] == lengths + lengths[::-1]
@@ -263,13 +269,17 @@ def test_kept_only_solve_matches_the_all_task_job_lists(n, bounds):
     # The classic solve starts every task at its base configuration and
     # builds the table and frontiers of the kept tasks only, after the
     # drop.  On instances that drop tasks it must give the allocation, the
-    # trace and the dropped ids of the greedy pass over every task's list.
+    # trace and the dropped ids of the rescanning reference loop walking
+    # every task's per-task job list.
     default = default_bounds(n)
     bounds = default if bounds is None else ResourceBounds(
         bounds, default.compound_weights)
     inst = _instance(n=n, seed=11_000_000 + n * 1000, bounds=bounds)
-    want_alloc, want_trace = greedy_allocate(
-        instance_job_lists(inst, utility_table(inst)), inst)
+    lists = {t.id: job_list_for(t, inst.space, inst.bounds) for t in inst.tasks}
+    want_alloc, want_trace = rescan_upgrade_loop(
+        inst, {tid: jl.index[0] for tid, jl in lists.items()},
+        lambda kept: {tid: zip(lists[tid].index[1:], lists[tid].ratios())
+                      for tid in kept})
     kernels.counters["config_evals"] = 0
     alloc, trace = solve_classic(inst)
     assert trace.dropped and trace.dropped == want_trace.dropped
@@ -307,7 +317,7 @@ def test_greedy_single_task_ample_resources_maxes_out():
     inst = _instance(n=1, seed=3, bounds=bounds)
     task = inst.tasks[0]
     jl = job_list_for(task, inst.space, bounds)
-    alloc, trace = greedy_allocate([jl], inst)
+    alloc, trace = solve_classic(inst)
     assert alloc.assignment[task.id] == inst.space.config_at(
         jl.points[-1].index)
     assert len(trace.upgrades) == len(jl.points) - 1
@@ -330,20 +340,10 @@ def test_greedy_tie_breaks_to_lower_task_id():
     r1 = (2 * resource_of(base) + (resource_of(first_upgrade) - resource_of(base)))[0]
     inst = build_tracking_instance(
         scenario, ResourceBounds((r1, 10.0), (1.0, 1.0)), space)
-    lists = [job_list_for(task, space, inst.bounds) for task in inst.tasks]
-    alloc, trace = greedy_allocate(lists, inst)
+    alloc, trace = solve_classic(inst)
     upgraded = [u.task_id for u in trace.upgrades]
     assert upgraded and upgraded[0] == 0
     assert alloc.assignment[0] != base and alloc.assignment[1] == base
-
-
-def test_greedy_requires_matching_job_lists():
-    inst = _instance(n=2)
-    lists = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
-    # Task 1 without a list; every task with a list, but task 0 with two.
-    for bad in (lists[:1], lists + lists[:1]):
-        with pytest.raises(ValueError, match="exactly one job list per task"):
-            greedy_allocate(bad, inst)
 
 
 def test_greedy_never_infeasible_and_below_optimum():
@@ -390,7 +390,7 @@ def test_upgrade_loop_asks_for_steps_once_after_the_drop():
 def test_greedy_trace_ratios_match_job_lists():
     inst = _instance(n=3, seed=21)
     lists = {t.id: job_list_for(t, inst.space, inst.bounds) for t in inst.tasks}
-    _, trace = greedy_allocate(list(lists.values()), inst)
+    _, trace = solve_classic(inst)
     position = {tid: 0 for tid in lists}
     for step in trace.upgrades:
         jl = lists[step.task_id]
@@ -475,9 +475,8 @@ def test_classic_loop_asks_each_refusal_once_without_a_lowering_upgrade(
     # times for 1,067 upgrades.
     inst = build_tracking_instance(generate_scenario(500, 11_050_000),
                                    default_bounds(500), DEFAULT_CONFIG_SPACE)
-    lists = [job_list_for(task, inst.space, inst.bounds) for task in inst.tasks]
     asked = _count_fits(monkeypatch)
-    alloc, trace = greedy_allocate(lists, inst)
+    alloc, trace = solve_classic(inst)
     assert len(trace.upgrades) == 1067 and not trace.dropped
     assert len(asked) <= len(trace.upgrades) + len(alloc.assignment)
 
@@ -581,10 +580,7 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
 
             check_feasible()
             for i, tid in enumerate(ids):
-                if rows[i].any():
-                    ledger.set_row(tid, rows[i])
-                else:
-                    ledger.set_row(tid, 0.0)
+                ledger.set_row(tid, rows[i])
                 mirror[i] = rows[i]
                 check_feasible()
             for i in range(n_tasks):
@@ -596,7 +592,7 @@ def test_ledger_matches_replace_and_resum(n_tasks, drift):
                 check_fits(i, vec)
                 if rng.random() < 0.3:
                     if rng.random() < 0.2:
-                        ledger.set_row(ids[i], 0.0)
+                        ledger.set_row(ids[i], (0.0, 0.0))
                         mirror[i] = 0.0
                     else:
                         ledger.set_row(ids[i], vec)
@@ -646,7 +642,7 @@ def test_ledger_long_write_chain_matches_replace_and_resum():
     for step in range(3000):
         i = 0 if step == 0 else int(rng.integers(n))
         if step == 0 or rng.random() < 0.2:
-            ledger.set_row(ids[i], 0.0)
+            ledger.set_row(ids[i], (0.0, 0.0))
             mirror[i] = 0.0
         else:
             mirror[i] = draw()
@@ -712,18 +708,19 @@ def test_ledger_tail_fold_matches_replace_and_resum(n_tasks, in_band,
                 assert all(r == row for r, _ in folds)
 
 
-def test_ledger_reads_lists_numpy_rows_and_scalars_alike():
-    """The same writes and checks, given as lists, tuples, numpy rows or
-    (for a cleared row) the scalar 0.0, give the verdicts of the full
-    replace-and-re-sum check and the same usage, bit for bit.  Each check
-    moves the limits to within two ulps of the sum it asks about."""
+def test_ledger_reads_lists_tuples_and_numpy_rows_alike():
+    """The same writes and checks, given as lists, tuples or numpy rows,
+    give the verdicts of the full replace-and-re-sum check and the same
+    usage, bit for bit.  A written list, and a written numpy row that is a
+    live view of the mirror, are scribbled over after the write: the ledger
+    must hold its own copy.  Each check moves the limits to within two ulps
+    of the sum it asks about."""
     rng = np.random.default_rng(31)
     n = 120
     ids = [int(i) for i in rng.permutation(n) * 4 + 1]
     forms = {"list": lambda vec: vec.tolist(),
              "tuple": lambda vec: tuple(vec.tolist()),
-             "numpy": lambda vec: vec.copy(),
-             "scalar": lambda vec: vec.copy() if vec.any() else 0.0}
+             "numpy": lambda vec: vec.copy()}
     ledgers = {form: _ledger(ids, np.zeros((n, 2)), (1.0, 1.0))
                for form in forms}
     mirror = np.zeros((n, 2))
@@ -742,24 +739,24 @@ def test_ledger_reads_lists_numpy_rows_and_scalars_alike():
             ledger._limits = limits  # stands in for bounds that change per check
             assert ledger.fits(ids[i], forms[form](vec)) == expected, form
         if rng.random() < 0.6:
-            mirror[i] = vec
             for form, ledger in ledgers.items():
-                row = forms[form](vec)
+                mirror[i] = vec
+                row = mirror[i] if form == "numpy" else forms[form](vec)
                 ledger.set_row(ids[i], row)
-                if form == "list":
+                if form != "tuple":
                     row[:] = [2.0, 2.0]  # the ledger must hold its own copy
+            mirror[i] = vec
         if step % 50 == 49:
             want = tuple(_sequential_sum(mirror).tolist())
             assert all(ledger.usage() == want for ledger in ledgers.values())
     assert verdicts == {True, False}
-    # A tuple row (the loop's form) and a list row give the same answers;
-    # the list is copied, so writing to it afterwards changes neither a
-    # verdict nor the usage.
-    for form in ("tuple", "list"):
+    # Every form gives the same answers, and writing to a list or numpy row
+    # after it was written changes neither a verdict nor the usage.
+    for form in forms:
         ledger = _ledger([7], [(0.0, 0.0)], (1.0, 1.0))
         row = forms[form](np.array([0.25, 0.5]))
         ledger.set_row(7, row)
-        if form == "list":
+        if form != "tuple":
             row[:] = [2.0, 2.0]
         assert ledger.fits(7, (0.75, 1.0)) and not ledger.fits(7, (1.5, 0.5))
         assert ledger.usage() == (0.25, 0.5)

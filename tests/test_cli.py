@@ -290,6 +290,45 @@ def test_rejects_bad_input_with_one_error_line(argv, scenario_file, tmp_path, ca
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "classic"],
+    ["solve", "--method", "agent"],
+    ["solve", "--method", "brute"],
+    ["solve", "--method", "dp"],
+    ["train", "--steps", "3"],
+], ids=" ".join)
+def test_rejects_bounds_whose_upgrade_ratios_overflow(argv, scenario_file,
+                                                      weight_file, tmp_path,
+                                                      capsys):
+    # At bounds of 1e308 the compound levels are about 1e-311 and lie as
+    # little as 5e-324 apart, so a utility step over a level step overflows.
+    if argv[0] == "solve":
+        argv = argv + ["--scenario", str(scenario_file),
+                       "--weights", str(weight_file)]
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--bounds", "1e308,1e308", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1
+    assert "upgrade ratios are not finite" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["classic", "agent"])
+def test_solve_at_huge_finite_bounds_writes_finite_numbers(method, scenario_file,
+                                                          weight_file, tmp_path):
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the result")
+
+    out = tmp_path / "r.json"
+    assert run(["solve", "--scenario", str(scenario_file), "--method", method,
+                "--weights", str(weight_file), "--bounds", "1e280,1e280",
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=refuse)
+    assert doc["dropped"] == [] and doc["trace"]
+
+
 @pytest.mark.parametrize("configs", ["0", "-90", "90,0"])
 def test_bench_configs_must_be_positive(configs, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:

@@ -90,6 +90,18 @@ def test_config_costs_name_first_non_finite_configuration():
         kernels.config_costs(space, bounds)
 
 
+
+def test_config_costs_reject_bounds_whose_upgrade_ratios_overflow():
+    # The largest type weight over the smallest gap between distinct
+    # compound levels bounds every upgrade ratio.  At bounds of 1e290 it is
+    # finite; at 1e308 the levels lie subnormally close and it overflows.
+    kernels.config_costs(DEFAULT_CONFIG_SPACE,
+                         ResourceBounds((1e290, 1e290), (1.0, 1.0)))
+    bounds = ResourceBounds((1e308, 1e308), (1.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"the upgrade ratios are not finite under {bounds}")):
+        kernels.config_costs(DEFAULT_CONFIG_SPACE, bounds)
+
 def _scan_case(seed):
     rng = np.random.default_rng(seed)
     n, cmax = 4, 6
